@@ -10,7 +10,7 @@ Usage:
 
 import argparse
 
-from ude.pipeline import PipelineConfig, run_experiment
+from ude.pipeline import PipelineConfig, run_experiment, sweep_config
 
 
 def main() -> None:
@@ -27,14 +27,8 @@ def main() -> None:
     for value in values:
         accs, eops, dis, norms = [], [], [], []
         for seed in seeds:
-            cfg = PipelineConfig(seed=seed)
-            if args.param == "lambda":
-                cfg.ude.lam = value
-                cfg.gezo.lam = value
-            else:
-                cfg = PipelineConfig(seed=seed, mode="gezo")
-                cfg.gezo.local_iters = int(value)
-            res = run_experiment(cfg)
+            res = run_experiment(sweep_config(PipelineConfig(), args.param,
+                                              value, seed))
             accs.append(res.ude_report.accuracy)
             eops.append(res.ude_report.eo_pos)
             dis.append(res.ude_report.one_minus_di_abs)

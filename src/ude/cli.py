@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .editing import load_edit, write_noise_map_csv
@@ -87,25 +88,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_reports(reports) -> None:
+    for name, rep in reports.items():
+        print(f"{name}: acc={rep.accuracy:.3f} EO_n={rep.eo_neg:.3f} "
+              f"EO_p={rep.eo_pos:.3f} |1-DI|={rep.one_minus_di_abs:.3f}")
+
+
+def _stage_verbs() -> dict:
+    """verb -> (stage command, printer of its result), in pipeline order.
+    Built per call, so wrappers later installed on this module's names (a
+    tracer, a test's monkeypatch) take effect."""
+    return {
+        "generate": (cmd_generate, lambda _: None),
+        "train-sa": (cmd_train_sa, lambda acc: print(
+            f"group head training accuracy: {acc:.4f}")),
+        "learn-edit": (cmd_learn_edit, lambda artifact: print(
+            f"edit learned ({artifact.mode}); final |eps|_2 = "
+            f"{artifact.eps_norm_trace[-1]:.4f}")),
+        "train-disease": (cmd_train_disease, lambda _: None),
+        "evaluate": (cmd_evaluate, _print_reports),
+    }
+
+
 def _dispatch(args) -> int:
     cfg = _load_config(args)
     cmd = args.command
-    if cmd == "generate":
-        cmd_generate(cfg)
-    elif cmd == "train-sa":
-        acc = cmd_train_sa(cfg)
-        print(f"group head training accuracy: {acc:.4f}")
-    elif cmd == "learn-edit":
-        artifact = cmd_learn_edit(cfg)
-        print(f"edit learned ({artifact.mode}); final |eps|_2 = "
-              f"{artifact.eps_norm_trace[-1]:.4f}")
-    elif cmd == "train-disease":
-        cmd_train_disease(cfg)
-    elif cmd == "evaluate":
-        reports = cmd_evaluate(cfg)
-        for name, rep in reports.items():
-            print(f"{name}: acc={rep.accuracy:.3f} EO_n={rep.eo_neg:.3f} "
-                  f"EO_p={rep.eo_pos:.3f} |1-DI|={rep.one_minus_di_abs:.3f}")
+    stages = _stage_verbs()
+    if cmd == "run" or cmd in stages:
+        for stage, show in stages.values() if cmd == "run" else [stages[cmd]]:
+            show(stage(cfg))
     elif cmd == "sweep":
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -122,8 +133,6 @@ def _dispatch(args) -> int:
         except KeyboardInterrupt:
             server.shutdown()
     elif cmd == "noise-map":
-        import os
-
         edit_dir = args.edit or os.path.join(cfg.out_dir, "edit")
         artifact = load_edit(edit_dir)
         side = cfg.synth.side
@@ -132,16 +141,6 @@ def _dispatch(args) -> int:
         if degenerate:
             print("warning: constant edit; noise map is degenerate", file=sys.stderr)
         print(f"noise map written to {out}")
-    elif cmd == "run":
-        cmd_generate(cfg)
-        acc = cmd_train_sa(cfg)
-        print(f"group head training accuracy: {acc:.4f}")
-        cmd_learn_edit(cfg)
-        cmd_train_disease(cfg)
-        reports = cmd_evaluate(cfg)
-        for name, rep in reports.items():
-            print(f"{name}: acc={rep.accuracy:.3f} EO_n={rep.eo_neg:.3f} "
-                  f"EO_p={rep.eo_pos:.3f} |1-DI|={rep.one_minus_di_abs:.3f}")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,14 +84,9 @@ class CellCounts:
         return sum(sum(row) for row in self.n)
 
 
-# The bias-amplified per-disease sampling grids (train) and the balanced test
-# grids, n[y][a] with a=0 mapped to the first group column.
-PNEUMONIA_TRAIN = CellCounts([[1500, 150], [150, 1500]])
-EDEMA_TRAIN = CellCounts([[5000, 500], [500, 5000]])
+# The bias-amplified pleural-effusion training grid, n[y][a] with a=0 mapped
+# to the first group column.
 PLEURAL_EFFUSION_TRAIN = CellCounts([[5000, 500], [500, 5000]])
-PNEUMONIA_TEST = CellCounts([[100, 100], [100, 100]])
-EDEMA_TEST = CellCounts([[200, 200], [200, 200]])
-PLEURAL_EFFUSION_TEST = CellCounts([[200, 200], [200, 200]])
 
 # Desk-scale defaults: the pleural-effusion ratios at scale 0.1 for training
 # (keeps the 10:1 subgroup gap) and a balanced test grid large enough that
@@ -195,22 +190,12 @@ def subgroup_positive_rate(dataset: LabeledImageSet) -> dict[int, float]:
 
 def save_dataset(dirpath, dataset: LabeledImageSet) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    cfg = dataset.config
     manifest = {
         "kind": "labeled_image_set",
         "n": len(dataset),
         "seed": dataset.seed,
         "counts": dataset.counts.n if dataset.counts else None,
-        "config": None if cfg is None else {
-            "side": cfg.side,
-            "sa_region": cfg.sa_region,
-            "disease_region": cfg.disease_region,
-            "shared_region": cfg.shared_region,
-            "signal_amp": cfg.signal_amp,
-            "shared_amp_frac": cfg.shared_amp_frac,
-            "noise_sigma": cfg.noise_sigma,
-            "pattern_seed": cfg.pattern_seed,
-        },
+        "config": None if dataset.config is None else asdict(dataset.config),
         "has_sa_labels": dataset.sa_labels is not None,
         "has_disease_labels": dataset.disease_labels is not None,
     }

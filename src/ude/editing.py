@@ -38,7 +38,6 @@ class UdeConfig:
     # downstream utility along with the group signal
     batch_size: int = 2048
     seed: int = 0
-    clamp: tuple[float, float] | None = None  # optional pixel range after edit
 
     def __post_init__(self):
         if self.lam < 0:
@@ -64,7 +63,7 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
 
     Needs only forward access; this is the loss both optimizers drive down.
     """
-    z = oracle.embed(batch + eps.astype(batch.dtype))
+    z = oracle.embed(apply_edit(batch, eps))
     logits = head_forward(sa_head, z)
     ce = float(np.mean(cross_entropy_batch(logits, sa_labels)))
     return -ce + lam * l2_norm(eps)
@@ -74,7 +73,7 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
                         sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """(objective, d objective / d eps) on one batch, gradients through the
     encoder: -(1/B) sum_i dCE_i/dx_i + lam * eps/||eps||."""
-    xb = batch + eps.astype(batch.dtype)
+    xb = apply_edit(batch, eps)
     zb = oracle.embed(xb)
     logits = head_forward(sa_head, zb)
     ce = float(np.mean(cross_entropy_batch(logits, sa_labels)))
@@ -121,6 +120,8 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
 
 def apply_edit(images: np.ndarray, eps: np.ndarray,
                clamp: tuple[float, float] | None = None) -> np.ndarray:
+    """images + eps in the images' dtype, optionally clipped to a pixel
+    range; the one place an edit meets an input."""
     if images.shape[-1] != eps.shape[-1]:
         raise ValueError(f"edit dim {eps.shape[-1]} != image dim {images.shape[-1]}")
     out = images + eps.astype(images.dtype)
@@ -137,7 +138,7 @@ def train_fair_disease(oracle, eps: np.ndarray, images: np.ndarray,
         raise ValueError("disease labels required")
     if cfg is None:
         cfg = TrainConfig(optimizer="adamw", lr=1.25e-4, epochs=50)
-    return train_head(oracle, images, disease_labels, cfg, edit=eps)
+    return train_head(oracle, apply_edit(images, eps), disease_labels, cfg)
 
 
 def export_noise_map(eps: np.ndarray, top_fraction: float):

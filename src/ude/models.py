@@ -150,20 +150,18 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
 
 
-def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
-               edit: np.ndarray | None = None):
-    """Train a linear head on embeddings of (images + edit); the encoder and
-    the edit stay untouched. Returns (head, per-epoch mean CE trace).
+def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
+    """Train a linear head on embeddings of images; the encoder stays
+    untouched. Returns (head, per-epoch mean CE trace).
 
-    Embeddings are computed once up front (the edit is frozen during head
-    training). Mini-batch order is a fresh seeded shuffle per epoch.
+    Embeddings are computed once up front. Mini-batch order is a fresh
+    seeded shuffle per epoch.
     """
     n = images.shape[0]
     if n == 0:
         raise ValueError("empty dataset")
     labels = np.asarray(labels)
-    x = images if edit is None else images + edit.astype(images.dtype)
-    z = oracle.embed(x)
+    z = oracle.embed(images)
 
     head = zero_head(z.shape[1])
     opt_w = init_optimizer(cfg.optimizer, cfg.lr, head.weight.shape)

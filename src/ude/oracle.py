@@ -77,6 +77,9 @@ class EmbeddingOracle:
     def embed_with_input_grad(self, batch: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         raise CapabilityError("this oracle is forward-only; no input gradients")
 
+    def close(self) -> None:
+        """Release the oracle's connection; in process there is none."""
+
 
 class InProcessOracle(EmbeddingOracle):
     def __init__(self, encoder: FrozenEncoder, capability: str = FORWARD_ONLY):

@@ -1,6 +1,8 @@
-"""Pipeline orchestration: wiring data generation, head training, edit
-learning and evaluation together, with per-stage run manifests so every
-artifact can be reproduced byte-for-byte from its recorded config and seeds.
+"""Pipeline orchestration: one set of stage functions (data generation, head
+training, edit learning, evaluation), persisted stage by stage with run
+manifests by the cmd_* commands, so every artifact can be reproduced
+byte-for-byte from its recorded config and seeds, and chained in memory by
+run_experiment.
 """
 
 from __future__ import annotations
@@ -9,7 +11,9 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from contextlib import closing
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .datagen import (
 from .editing import (
     EditArtifact,
     UdeConfig,
+    apply_edit,
     learn_ude_whitebox,
     load_edit,
     save_edit,
@@ -35,6 +40,7 @@ from .editing import (
 from .fairness import FairnessReport, CSV_HEADER, evaluate
 from .gezo import GezoConfig, learn_ude_gezo
 from .models import (
+    LinearHead,
     TrainConfig,
     build_encoder,
     encoder_forward,
@@ -79,9 +85,9 @@ class PipelineConfig:
     train_counts: CellCounts = field(default_factory=lambda: CellCounts(DESK_TRAIN.n))
     test_counts: CellCounts = field(default_factory=lambda: CellCounts(DESK_TEST.n))
     sa_train: TrainConfig = field(
-        default_factory=lambda: TrainConfig("adam", 1e-4, 50, batch_size=8))
+        default_factory=partial(TrainConfig, "adam", 1e-4, 50, batch_size=8))
     disease_train: TrainConfig = field(
-        default_factory=lambda: TrainConfig("adamw", 1.25e-4, 50, batch_size=8))
+        default_factory=partial(TrainConfig, "adamw", 1.25e-4, 50, batch_size=8))
     ude: UdeConfig = field(default_factory=UdeConfig)
     gezo: GezoConfig = field(default_factory=GezoConfig)
 
@@ -108,12 +114,9 @@ class PipelineConfig:
                 if key in raw and not isinstance(raw[key], CellCounts):
                     grid = raw[key]["n"] if isinstance(raw[key], dict) else raw[key]
                     raw[key] = CellCounts(grid)
-            cfg = cls(**raw)
+            return cls(**raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        if isinstance(cfg.ude.clamp, list):
-            cfg.ude.clamp = tuple(cfg.ude.clamp)
-        return cfg
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
@@ -129,9 +132,11 @@ def derive(cfg: PipelineConfig, tag: int) -> int:
     return derive_seed(cfg.seed, tag)
 
 
-def make_oracle(cfg: PipelineConfig, need_grad: bool):
+def make_oracle(cfg: PipelineConfig, need_grad: bool, encoder=None):
+    """The oracle cfg.oracle names. In process it wraps `encoder`, or the
+    run's saved encoder when none is given."""
     if cfg.oracle == "inprocess":
-        enc = _ensure_encoder(cfg)
+        enc = encoder if encoder is not None else _ensure_encoder(cfg)
         cap = FORWARD_WITH_INPUT_GRAD if need_grad else FORWARD_ONLY
         return InProcessOracle(enc, capability=cap)
     if need_grad:
@@ -194,12 +199,66 @@ def _ensure_encoder(cfg: PipelineConfig):
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: pure functions from inputs to outputs. The cmd_* functions persist
+# them stage by stage; run_experiment chains them in memory.
+
+def generate_data(cfg: PipelineConfig) -> tuple[LabeledImageSet, LabeledImageSet]:
+    """The biased training set and the balanced test set."""
+    return (generate(cfg.synth, cfg.train_counts, derive(cfg, TAG_DATA_TRAIN)),
+            generate(cfg.synth, cfg.test_counts, derive(cfg, TAG_DATA_TEST)))
+
+
+def train_sa(cfg: PipelineConfig, oracle, train: LabeledImageSet):
+    """The group-attribute head on clean embeddings; (head, loss trace)."""
+    sa_cfg = replace(cfg.sa_train, seed=derive(cfg, TAG_SA_TRAIN))
+    return train_head(oracle, train.images, train.sa_labels, sa_cfg)
+
+
+def learn_edit(cfg: PipelineConfig, oracle, sa_head: LinearHead,
+               train: LabeledImageSet) -> EditArtifact:
+    """The universal edit; white-box mode needs an input-gradient oracle."""
+    seed = derive(cfg, TAG_EDIT)
+    if cfg.mode == "whitebox":
+        return learn_ude_whitebox(oracle, sa_head, train.images, train.sa_labels,
+                                  replace(cfg.ude, seed=seed))
+    return learn_ude_gezo(oracle, sa_head, train.images, train.sa_labels,
+                          replace(cfg.gezo, seed=seed))
+
+
+def train_disease(cfg: PipelineConfig, oracle, train: LabeledImageSet,
+                  eps: np.ndarray | None = None):
+    """The plain-baseline disease head (edit = 0) and, given an edit, the
+    debiased head on edited inputs; (erm_head, debiased head or None)."""
+    d_cfg = replace(cfg.disease_train, seed=derive(cfg, TAG_DISEASE))
+    zeros = np.zeros(train.images.shape[1], dtype=np.float32)
+    erm_head, _ = train_fair_disease(oracle, zeros, train.images,
+                                     train.disease_labels, d_cfg)
+    if eps is None:
+        return erm_head, None
+    head, _ = train_fair_disease(oracle, eps, train.images, train.disease_labels,
+                                 d_cfg)
+    return erm_head, head
+
+
+def evaluate_heads(oracle, test: LabeledImageSet, erm_head: LinearHead,
+                   head: LinearHead | None = None,
+                   eps: np.ndarray | None = None) -> dict[str, FairnessReport]:
+    """Fairness reports on the balanced test set: "erm" for the plain head
+    and, given the debiased head, "ude" for it on edited inputs."""
+    reports = {"erm": evaluate(erm_head, oracle, test.images,
+                               test.disease_labels, test.sa_labels)}
+    if head is not None:
+        reports["ude"] = evaluate(head, oracle, test.images, test.disease_labels,
+                                  test.sa_labels, eps=eps)
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# staged commands: load inputs, run one stage, save outputs and a manifest
 
 def cmd_generate(cfg: PipelineConfig) -> None:
     paths = _paths(cfg)
-    train = generate(cfg.synth, cfg.train_counts, derive(cfg, TAG_DATA_TRAIN))
-    test = generate(cfg.synth, cfg.test_counts, derive(cfg, TAG_DATA_TEST))
+    train, test = generate_data(cfg)
     save_dataset(paths["train_data"], train)
     save_dataset(paths["test_data"], test)
     _write_manifest(cfg, "generate", [], [paths["train_data"], paths["test_data"]])
@@ -210,11 +269,9 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
     training-set accuracy."""
     paths = _paths(cfg)
     train = load_dataset(paths["train_data"])
-    oracle = make_oracle(cfg, need_grad=False)
-    sa_cfg = TrainConfig(cfg.sa_train.optimizer, cfg.sa_train.lr, cfg.sa_train.epochs,
-                         cfg.sa_train.batch_size, seed=derive(cfg, TAG_SA_TRAIN))
-    head, trace = train_head(oracle, train.images, train.sa_labels, sa_cfg)
-    acc = head_accuracy(head, oracle.embed(train.images), train.sa_labels)
+    with closing(make_oracle(cfg, need_grad=False)) as oracle:
+        head, trace = train_sa(cfg, oracle, train)
+        acc = head_accuracy(head, oracle.embed(train.images), train.sa_labels)
     save_head(paths["sa_head"], head,
               meta={"task": "sensitive_attribute", "train_accuracy": acc,
                     "loss_trace": trace})
@@ -226,22 +283,8 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
 def cmd_learn_edit(cfg: PipelineConfig) -> EditArtifact:
     paths = _paths(cfg)
     train = load_dataset(paths["train_data"])
-    sa_head = load_head(paths["sa_head"])
-    if cfg.mode == "whitebox":
-        oracle = make_oracle(cfg, need_grad=True)
-        ude_cfg = UdeConfig(cfg.ude.lam, cfg.ude.lr, cfg.ude.epochs,
-                            cfg.ude.batch_size, seed=derive(cfg, TAG_EDIT),
-                            clamp=cfg.ude.clamp)
-        artifact = learn_ude_whitebox(oracle, sa_head, train.images,
-                                      train.sa_labels, ude_cfg)
-    else:
-        oracle = make_oracle(cfg, need_grad=False)
-        gz = cfg.gezo
-        gezo_cfg = GezoConfig(gz.local_iters, gz.init_step, gz.decay, gz.momentum,
-                              gz.samples, gz.batch_size, gz.lam, gz.epochs,
-                              seed=derive(cfg, TAG_EDIT))
-        artifact = learn_ude_gezo(oracle, sa_head, train.images,
-                                  train.sa_labels, gezo_cfg)
+    with closing(make_oracle(cfg, need_grad=cfg.mode == "whitebox")) as oracle:
+        artifact = learn_edit(cfg, oracle, load_head(paths["sa_head"]), train)
     save_edit(paths["edit"], artifact)
     _write_manifest(cfg, "learn_edit",
                     [paths["train_data"], paths["sa_head"], paths["encoder"]],
@@ -250,23 +293,19 @@ def cmd_learn_edit(cfg: PipelineConfig) -> EditArtifact:
 
 
 def cmd_train_disease(cfg: PipelineConfig) -> None:
-    """Train the plain-baseline disease head (edit = 0) and, when an edit
-    artifact exists, the debiased head on edited inputs."""
+    """Train the plain-baseline disease head and, when an edit artifact
+    exists, the debiased head on edited inputs."""
     paths = _paths(cfg)
     train = load_dataset(paths["train_data"])
-    oracle = make_oracle(cfg, need_grad=False)
-    d_cfg = TrainConfig(cfg.disease_train.optimizer, cfg.disease_train.lr,
-                        cfg.disease_train.epochs, cfg.disease_train.batch_size,
-                        seed=derive(cfg, TAG_DISEASE))
-    zeros = np.zeros(train.images.shape[1], dtype=np.float32)
-    erm_head, _ = train_fair_disease(oracle, zeros, train.images,
-                                     train.disease_labels, d_cfg)
-    save_head(paths["erm_head"], erm_head, meta={"task": "disease", "edit": "zero"})
-    outputs = [paths["erm_head"]]
+    artifact = None
     if os.path.exists(os.path.join(paths["edit"], "eps.udet")):
         artifact = load_edit(paths["edit"])
-        head, _ = train_fair_disease(oracle, artifact.eps, train.images,
-                                     train.disease_labels, d_cfg)
+    with closing(make_oracle(cfg, need_grad=False)) as oracle:
+        erm_head, head = train_disease(cfg, oracle, train,
+                                       None if artifact is None else artifact.eps)
+    save_head(paths["erm_head"], erm_head, meta={"task": "disease", "edit": "zero"})
+    outputs = [paths["erm_head"]]
+    if head is not None:
         save_head(paths["disease_head"], head,
                   meta={"task": "disease", "edit": artifact.mode})
         outputs.append(paths["disease_head"])
@@ -276,18 +315,16 @@ def cmd_train_disease(cfg: PipelineConfig) -> None:
 
 def cmd_evaluate(cfg: PipelineConfig) -> dict:
     """Side-by-side fairness reports for the plain and debiased disease heads
-    on the balanced test set. With no edit artifact, only the plain report."""
+    on the balanced test set. With no debiased head, only the plain report."""
     paths = _paths(cfg)
     test = load_dataset(paths["test_data"])
-    oracle = make_oracle(cfg, need_grad=False)
-    erm_head = load_head(paths["erm_head"])
-    reports = {"erm": evaluate(erm_head, oracle, test.images,
-                               test.disease_labels, test.sa_labels)}
+    head = eps = None
     if os.path.exists(os.path.join(paths["disease_head"], "manifest.json")):
         head = load_head(paths["disease_head"])
         eps = load_edit(paths["edit"]).eps
-        reports["ude"] = evaluate(head, oracle, test.images, test.disease_labels,
-                                  test.sa_labels, eps=eps)
+    with closing(make_oracle(cfg, need_grad=False)) as oracle:
+        reports = evaluate_heads(oracle, test, load_head(paths["erm_head"]),
+                                 head, eps)
     os.makedirs(paths["reports"], exist_ok=True)
     with open(os.path.join(paths["reports"], "evaluation.json"), "w") as fh:
         json.dump({k: asdict(r) for k, r in reports.items()}, fh, indent=2)
@@ -325,76 +362,64 @@ class ExperimentResult:
 def run_experiment(cfg: PipelineConfig, oracle=None, grad_oracle=None) -> ExperimentResult:
     """Run the whole pipeline in memory for one seed; no artifacts written.
 
-    `oracle` overrides the forward-only oracle (e.g. a remote client); the
-    white-box stage always builds its own in-process gradient oracle.
+    `oracle` overrides the forward-only oracle that cfg.oracle names and
+    `grad_oracle` the in-process gradient oracle of white-box mode.
     """
-    train = generate(cfg.synth, cfg.train_counts, derive(cfg, TAG_DATA_TRAIN))
-    test = generate(cfg.synth, cfg.test_counts, derive(cfg, TAG_DATA_TEST))
     enc = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
-    fwd = oracle if oracle is not None else InProcessOracle(enc)
+    fwd = oracle if oracle is not None else \
+        make_oracle(cfg, need_grad=False, encoder=enc)
+    try:
+        train, test = generate_data(cfg)
+        sa_head, _ = train_sa(cfg, fwd, train)
+        sa_acc_clean = head_accuracy(sa_head, encoder_forward(enc, test.images),
+                                     test.sa_labels)
 
-    sa_cfg = TrainConfig(cfg.sa_train.optimizer, cfg.sa_train.lr, cfg.sa_train.epochs,
-                         cfg.sa_train.batch_size, seed=derive(cfg, TAG_SA_TRAIN))
-    sa_head, _ = train_head(fwd, train.images, train.sa_labels, sa_cfg)
-    sa_acc_clean = head_accuracy(sa_head, encoder_forward(enc, test.images),
-                                 test.sa_labels)
+        edit_oracle = fwd
+        if cfg.mode == "whitebox":
+            edit_oracle = grad_oracle if grad_oracle is not None else \
+                make_oracle(cfg, need_grad=True, encoder=enc)
+        artifact = learn_edit(cfg, edit_oracle, sa_head, train)
+        sa_acc_edited = head_accuracy(
+            sa_head, encoder_forward(enc, apply_edit(test.images, artifact.eps)),
+            test.sa_labels)
 
-    if cfg.mode == "whitebox":
-        wb = grad_oracle if grad_oracle is not None else \
-            InProcessOracle(enc, capability=FORWARD_WITH_INPUT_GRAD)
-        ude_cfg = UdeConfig(cfg.ude.lam, cfg.ude.lr, cfg.ude.epochs,
-                            cfg.ude.batch_size, seed=derive(cfg, TAG_EDIT),
-                            clamp=cfg.ude.clamp)
-        artifact = learn_ude_whitebox(wb, sa_head, train.images, train.sa_labels,
-                                      ude_cfg)
-    else:
-        gz = cfg.gezo
-        gezo_cfg = GezoConfig(gz.local_iters, gz.init_step, gz.decay, gz.momentum,
-                              gz.samples, gz.batch_size, gz.lam, gz.epochs,
-                              seed=derive(cfg, TAG_EDIT))
-        artifact = learn_ude_gezo(fwd, sa_head, train.images, train.sa_labels,
-                                  gezo_cfg)
-
-    sa_acc_edited = head_accuracy(
-        sa_head, encoder_forward(enc, test.images + artifact.eps), test.sa_labels)
-
-    d_cfg = TrainConfig(cfg.disease_train.optimizer, cfg.disease_train.lr,
-                        cfg.disease_train.epochs, cfg.disease_train.batch_size,
-                        seed=derive(cfg, TAG_DISEASE))
-    zeros = np.zeros(train.images.shape[1], dtype=np.float32)
-    erm_head, _ = train_fair_disease(fwd, zeros, train.images,
-                                     train.disease_labels, d_cfg)
-    fair_head, _ = train_fair_disease(fwd, artifact.eps, train.images,
-                                      train.disease_labels, d_cfg)
-    erm_report = evaluate(erm_head, fwd, test.images, test.disease_labels,
-                          test.sa_labels)
-    ude_report = evaluate(fair_head, fwd, test.images, test.disease_labels,
-                          test.sa_labels, eps=artifact.eps)
+        erm_head, fair_head = train_disease(cfg, fwd, train, artifact.eps)
+        reports = evaluate_heads(fwd, test, erm_head, fair_head, artifact.eps)
+    finally:
+        if oracle is None:
+            fwd.close()
     return ExperimentResult(sa_acc_clean=sa_acc_clean, sa_acc_edited=sa_acc_edited,
-                            edit=artifact, erm_report=erm_report,
-                            ude_report=ude_report, train=train, test=test)
+                            edit=artifact, erm_report=reports["erm"],
+                            ude_report=reports["ude"], train=train, test=test)
 
 
 SWEEP_PARAMS = ("lambda", "local_iters")
 
 
+def sweep_config(cfg: PipelineConfig, param: str, value: float,
+                 seed: int) -> PipelineConfig:
+    """A copy of cfg with one sweep parameter set to value and the given seed;
+    sweeping local_iters forces GeZO mode."""
+    if param not in SWEEP_PARAMS:
+        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
+    sub = PipelineConfig.from_dict(cfg.to_dict())
+    sub.seed = seed
+    if param == "lambda":
+        sub.ude.lam = float(value)
+        sub.gezo.lam = float(value)
+    else:
+        sub.mode = "gezo"
+        sub.gezo.local_iters = int(value)
+    return sub
+
+
 def cmd_sweep(cfg: PipelineConfig, param: str, values: list[float]) -> list[dict]:
     """Re-run the pipeline per value; rows carry the debiased classifier's
     metrics. Each value gets a fresh seed mixed from (global seed, index)."""
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
     rows = []
     for i, value in enumerate(values):
-        sub = PipelineConfig.from_dict(cfg.to_dict())
-        sub.seed = derive_seed(cfg.seed, TAG_SWEEP, i)
-        if param == "lambda":
-            sub.ude.lam = float(value)
-            sub.gezo.lam = float(value)
-        else:
-            sub.mode = "gezo"
-            sub.gezo.local_iters = int(value)
-        result = run_experiment(sub)
-        rep = result.ude_report
+        sub = sweep_config(cfg, param, value, derive_seed(cfg.seed, TAG_SWEEP, i))
+        rep = run_experiment(sub).ude_report
         rows.append({"param": param, "value": value, "seed": sub.seed,
                      "EO_n": rep.eo_neg, "EO_p": rep.eo_pos,
                      "DI": rep.one_minus_di_abs, "Acc": rep.accuracy})

@@ -394,13 +394,17 @@ def test_criterion_12_reduction_identity(sa_context):
                           train.disease_labels, cfg)
     identical = via_edit.param_bytes() == plain.param_bytes()
 
-    # the pipeline's baseline rows go through exactly this zero-edit path
+    # the pipeline's baseline rows go through exactly this zero-edit path:
+    # the one disease stage trains both heads through it, and the staged and
+    # in-memory runners both call that stage
     import inspect
 
     from ude import pipeline
-    src = inspect.getsource(pipeline.cmd_train_disease) \
-        + inspect.getsource(pipeline.run_experiment)
-    structural = src.count("train_fair_disease(") >= 2 and "zeros" in src
+    src = inspect.getsource(pipeline.train_disease)
+    structural = (src.count("train_fair_disease(") >= 2 and "zeros" in src
+                  and all("train_disease" in runner.__code__.co_names
+                          for runner in (pipeline.cmd_train_disease,
+                                         pipeline.run_experiment)))
     check(identical and structural, "criterion 12 (reduction identity)",
           f"zero-edit training bit-identical to plain baseline: {identical}; "
           f"baseline reports produced through the zero-edit path: {structural}")

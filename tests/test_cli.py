@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -9,6 +10,8 @@ from ude.cli import (
     EXIT_REMOTE,
     main,
 )
+from ude.editing import save_edit
+from ude.pipeline import PipelineConfig, run_experiment
 
 
 def write_tiny_config(tmp_path, **overrides):
@@ -57,6 +60,15 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--param", "lambda",
                      "--values", "a,b"]) == EXIT_CONFIG
 
+    def test_sweep_uses_configured_remote_oracle(self, tmp_path):
+        cfg = write_tiny_config(tmp_path, mode="gezo", oracle="127.0.0.1:1")
+        assert main(["sweep", "--config", cfg, "--param", "lambda",
+                     "--values", "0.01"]) == EXIT_REMOTE
+
+    def test_removed_clamp_key_is_config_error(self, tmp_path):
+        cfg = write_tiny_config(tmp_path, ude={"clamp": [0, 1]})
+        assert main(["learn-edit", "--config", cfg]) == EXIT_CONFIG
+
     def test_undefined_metric(self, tmp_path):
         # single-group test set leaves DI/EO undefined
         cfg = write_tiny_config(tmp_path, test_counts=[[30, 0], [30, 0]])
@@ -75,6 +87,23 @@ class TestRun:
         for sub in ("data/train", "data/test", "encoder", "sa_head", "edit",
                     "erm_head", "disease_head", "reports", "manifests"):
             assert (run_dir / sub).exists(), sub
+
+    @pytest.mark.parametrize("mode", ["whitebox", "gezo"])
+    def test_staged_run_matches_in_memory(self, tmp_path, mode):
+        """One stage graph: the staged `ude run` and run_experiment give a
+        byte-equal edit and equal reports."""
+        cfg = write_tiny_config(tmp_path, mode=mode)
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        result = run_experiment(PipelineConfig.from_json_file(cfg))
+        save_edit(tmp_path / "in_memory_edit", result.edit)
+        run_dir = tmp_path / "run"
+        for name in ("eps.udet", "provenance.json"):
+            assert (run_dir / "edit" / name).read_bytes() == \
+                (tmp_path / "in_memory_edit" / name).read_bytes(), name
+        staged = json.loads((run_dir / "reports" / "evaluation.json").read_text())
+        in_memory = {"erm": asdict(result.erm_report),
+                     "ude": asdict(result.ude_report)}
+        assert staged == json.loads(json.dumps(in_memory))
 
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
