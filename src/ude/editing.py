@@ -16,8 +16,9 @@ import numpy as np
 
 from .models import LinearHead, TrainConfig, head_forward, train_head
 from .numerics import (
+    check_labels,
     cross_entropy_batch,
-    cross_entropy_grad,
+    cross_entropy_loss_and_grad,
     init_optimizer,
     l2_norm,
     l2_norm_grad,
@@ -76,10 +77,11 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
     xb = apply_edit(batch, eps)
     zb = oracle.embed(xb)
     logits = head_forward(sa_head, zb)
-    ce = float(np.mean(cross_entropy_batch(logits, sa_labels)))
-    loss = -ce + lam * l2_norm(eps)
+    losses, g = cross_entropy_loss_and_grad(logits,
+                                            check_labels(sa_labels, logits.shape[-1]))
+    loss = -float(np.mean(losses)) + lam * l2_norm(eps)
     w = sa_head.weight.astype(batch.dtype)
-    upstream = cross_entropy_grad(logits, sa_labels) @ w.T
+    upstream = g @ w.T
     gx = oracle.embed_with_input_grad(xb, upstream)
     grad = (-gx.sum(axis=0) / batch.shape[0]
             + lam * l2_norm_grad(eps.astype(batch.dtype)))

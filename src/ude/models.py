@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    cross_entropy_batch,
-    cross_entropy_grad,
+    check_labels,
+    cross_entropy_loss_and_grad,
     init_optimizer,
     optimizer_step,
 )
@@ -82,7 +82,10 @@ def build_encoder(seed: int, input_dim: int = INPUT_DIM, hidden_dim: int = HIDDE
 
 
 def _cast_params(enc: FrozenEncoder, dtype):
-    return tuple(p.astype(dtype) for p in (enc.w1, enc.b1, enc.w2, enc.b2, enc.w3, enc.b3))
+    """The weights in `dtype`; the frozen arrays themselves when they already
+    have it, so callers must only read them."""
+    return tuple(p.astype(dtype, copy=False)
+                 for p in (enc.w1, enc.b1, enc.w2, enc.b2, enc.w3, enc.b3))
 
 
 def _forward_cached(enc: FrozenEncoder, batch: np.ndarray):
@@ -134,7 +137,7 @@ def zero_head(embed_dim: int = EMBED_DIM) -> LinearHead:
 def head_forward(head: LinearHead, z: np.ndarray) -> np.ndarray:
     if z.shape[-1] != head.weight.shape[0]:
         raise ValueError(f"embedding dim {z.shape[-1]} != head dim {head.weight.shape[0]}")
-    return z @ head.weight.astype(z.dtype) + head.bias.astype(z.dtype)
+    return z @ head.weight.astype(z.dtype, copy=False) + head.bias.astype(z.dtype, copy=False)
 
 
 @dataclass
@@ -150,22 +153,31 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
 
 
+def _head_view(flat: np.ndarray) -> LinearHead:
+    """A head whose weight and bias are views into one flat [E*2+2] buffer."""
+    k = NUM_CLASSES
+    return LinearHead(flat[:-k].reshape(-1, k), flat[-k:])
+
+
 def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
     """Train a linear head on embeddings of images; the encoder stays
     untouched. Returns (head, per-epoch mean CE trace).
 
-    Embeddings are computed once up front. Mini-batch order is a fresh
-    seeded shuffle per epoch.
+    Embeddings are computed once up front, in float32. Mini-batch order is a
+    fresh seeded shuffle per epoch. Weight and bias live in one flat buffer
+    and take one optimizer step together: every optimizer here is
+    elementwise, so that is the same update as one step per tensor.
     """
     n = images.shape[0]
     if n == 0:
         raise ValueError("empty dataset")
-    labels = np.asarray(labels)
-    z = oracle.embed(images)
+    labels = check_labels(labels, NUM_CLASSES)
+    z = oracle.embed(images).astype(np.float32, copy=False)
 
-    head = zero_head(z.shape[1])
-    opt_w = init_optimizer(cfg.optimizer, cfg.lr, head.weight.shape)
-    opt_b = init_optimizer(cfg.optimizer, cfg.lr, head.bias.shape)
+    params = np.zeros(z.shape[1] * NUM_CLASSES + NUM_CLASSES, dtype=np.float32)
+    grads = np.empty_like(params)
+    head, grad = _head_view(params), _head_view(grads)
+    opt = init_optimizer(cfg.optimizer, cfg.lr, params.shape)
     rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EAD))
     trace = []
     for _ in range(cfg.epochs):
@@ -174,13 +186,14 @@ def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             zb, yb = z[idx], labels[idx]
-            logits = head_forward(head, zb)
-            total += float(np.sum(cross_entropy_batch(logits, yb)))
-            g = cross_entropy_grad(logits, yb).astype(np.float32) / len(idx)
-            head.weight = optimizer_step(opt_w, head.weight, zb.T @ g)
-            head.bias = optimizer_step(opt_b, head.bias, g.sum(axis=0))
+            losses, g = cross_entropy_loss_and_grad(head_forward(head, zb), yb)
+            total += float(losses.sum())
+            g /= len(idx)
+            np.matmul(zb.T, g, out=grad.weight)
+            g.sum(axis=0, out=grad.bias)
+            params[:] = optimizer_step(opt, params, grads)
         trace.append(total / n)
-    return head, trace
+    return head.copy(), trace
 
 
 def head_accuracy(head: LinearHead, z: np.ndarray, labels: np.ndarray) -> float:

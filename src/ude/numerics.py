@@ -12,15 +12,23 @@ import numpy as np
 L2_ORIGIN_EPS = 1e-12
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+def _softmax_parts(logits: np.ndarray):
+    """(shifted logits, their exp, the row sums of the exp): the one place
+    the softmax is computed. All in C order, so rows can be indexed flat."""
+    logits = np.ascontiguousarray(logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    _, e, s = _softmax_parts(logits)
+    return e / s
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted, _, s = _softmax_parts(logits)
+    return shifted - np.log(s)
 
 
 def cross_entropy(logits: np.ndarray, true_class: int) -> float:
@@ -35,20 +43,52 @@ def cross_entropy(logits: np.ndarray, true_class: int) -> float:
     return float(-log_softmax(logits)[true_class])
 
 
+def check_labels(labels, num_classes: int) -> np.ndarray:
+    """labels as an array; IndexError unless every label is in [0, K)."""
+    labels = np.asarray(labels)
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise IndexError("label out of range")
+    return labels
+
+
+def _label_positions(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Flat C-order position of each row's label entry in a [B,K] array."""
+    return np.arange(0, num_classes * len(labels), num_classes) + labels
+
+
+def _ce_loss(shifted, s, pos) -> np.ndarray:
+    # negated difference, not log(s) - shifted[y]: where the two are equal
+    # that would give +0.0 in place of -0.0
+    return -(shifted.ravel()[pos] - np.log(s).ravel())
+
+
+def _ce_grad(e, s, pos) -> np.ndarray:
+    g = e / s
+    g.ravel()[pos] -= 1.0
+    return g
+
+
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample CE losses for logits [B,K] and integer labels [B]."""
-    labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels >= logits.shape[-1]):
-        raise IndexError("label out of range")
-    ls = log_softmax(logits)
-    return -ls[np.arange(logits.shape[0]), labels]
+    labels = check_labels(labels, logits.shape[-1])
+    shifted, _, s = _softmax_parts(logits)
+    return _ce_loss(shifted, s, _label_positions(labels, shifted.shape[-1]))
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """d(per-sample CE)/d(logits) = softmax - onehot, shape [B,K]."""
-    g = softmax(logits).copy()
-    g[np.arange(logits.shape[0]), np.asarray(labels)] -= 1.0
-    return g
+    labels = check_labels(labels, logits.shape[-1])
+    _, e, s = _softmax_parts(logits)
+    return _ce_grad(e, s, _label_positions(labels, e.shape[-1]))
+
+
+def cross_entropy_loss_and_grad(logits: np.ndarray, labels: np.ndarray):
+    """(cross_entropy_batch, cross_entropy_grad) from one softmax, with the
+    same bytes as the two calls. Labels are not range-checked here: callers
+    pass labels that went through check_labels."""
+    shifted, e, s = _softmax_parts(logits)
+    pos = _label_positions(labels, shifted.shape[-1])
+    return _ce_loss(shifted, s, pos), _ce_grad(e, s, pos)
 
 
 def l2_norm(eps: np.ndarray) -> float:

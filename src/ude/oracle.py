@@ -11,7 +11,9 @@ Wire protocol (little-endian):
     response: magic "UDE1" | msg_type u8 = 0x81 | batch u32 | edim u32 | batch*edim f32
     error:    magic "UDE1" | msg_type u8 = 0xFF | code u16 | len u16 | utf-8 message
 One request per round-trip; connections may be reused; the server handles
-connections sequentially.
+connections sequentially. A matrix body larger than MAX_PAYLOAD_BYTES is
+refused from its header, before it is read: the server answers ERR_MALFORMED
+and closes, the client raises ProtocolError.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ MSG_EMBED_RESPONSE = 0x81
 MSG_ERROR = 0xFF
 ERR_DIM_MISMATCH = 1
 ERR_MALFORMED = 2
+MAX_PAYLOAD_BYTES = 1 << 28  # 256 MiB: 262,144 rows of 256 f32 pixels
 
 FORWARD_ONLY = "forward_only"
 FORWARD_WITH_INPUT_GRAD = "forward_with_input_grad"
@@ -105,15 +108,15 @@ class InProcessOracle(EmbeddingOracle):
 # ---------------------------------------------------------------------------
 # framing helpers
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(n)
-        if not chunk:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        got = sock.recv_into(view)
+        if not got:
             raise ProtocolError("connection closed mid-frame")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+        view = view[got:]
+    return buf
 
 
 def _pack_matrix(msg_type: int, mat: np.ndarray) -> bytes:
@@ -127,20 +130,37 @@ def _pack_error(code: int, message: str) -> bytes:
     return MAGIC + struct.pack("<BHH", MSG_ERROR, code, len(payload)) + payload
 
 
-def _read_frame(sock: socket.socket):
-    """Returns (msg_type, payload) where payload is a matrix or (code, message)."""
+def _read_type(sock: socket.socket) -> int:
+    """Reads a frame's magic and returns its message type."""
     header = _recv_exact(sock, 5)
     if header[:4] != MAGIC:
         raise ProtocolError("bad magic")
-    msg_type = header[4]
+    return header[4]
+
+
+def _read_matrix(sock: socket.socket) -> np.ndarray:
+    """Reads the [batch, dim] f32 body that follows a matrix frame's type."""
+    b, d = struct.unpack("<II", _recv_exact(sock, 8))
+    if 4 * b * d > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(f"{b}x{d} f32 matrix exceeds {MAX_PAYLOAD_BYTES} bytes")
+    data = _recv_exact(sock, 4 * b * d)
+    return np.frombuffer(data, dtype="<f4").reshape(b, d).astype(np.float32, copy=False)
+
+
+def _read_response(sock: socket.socket, rows: int) -> np.ndarray:
+    """The embeddings answering a request of `rows` rows; ProtocolError for
+    an error frame, any other message type, or a different row count."""
+    msg_type = _read_type(sock)
     if msg_type == MSG_ERROR:
         code, length = struct.unpack("<HH", _recv_exact(sock, 4))
         message = _recv_exact(sock, length).decode("utf-8", "replace")
-        return msg_type, (code, message)
-    b, d = struct.unpack("<II", _recv_exact(sock, 8))
-    data = _recv_exact(sock, 4 * b * d)
-    mat = np.frombuffer(data, dtype="<f4").reshape(b, d).astype(np.float32)
-    return msg_type, mat
+        raise ProtocolError(f"server error {code}: {message}", code=code)
+    if msg_type != MSG_EMBED_RESPONSE:
+        raise ProtocolError(f"unexpected message type 0x{msg_type:02x}")
+    z = _read_matrix(sock)
+    if z.shape[0] != rows:
+        raise ProtocolError(f"response has {z.shape[0]} rows for a request of {rows}")
+    return z
 
 
 def parse_address(address: str):
@@ -179,17 +199,12 @@ class RemoteOracle(EmbeddingOracle):
         sock = self._connect()
         try:
             sock.sendall(_pack_matrix(MSG_EMBED, batch))
-            msg_type, payload = _read_frame(sock)
+            z = _read_response(sock, batch.shape[0])
         except (OSError, ProtocolError):
             self.close()
             raise
-        if msg_type == MSG_ERROR:
-            code, message = payload
-            raise ProtocolError(f"server error {code}: {message}", code=code)
-        if msg_type != MSG_EMBED_RESPONSE:
-            raise ProtocolError(f"unexpected message type 0x{msg_type:02x}")
         self._count(batch.shape[0])
-        return payload
+        return z
 
 
 class OracleServer:
@@ -213,7 +228,8 @@ class OracleServer:
         return f"{name[0]}:{name[1]}" if isinstance(name, tuple) else name
 
     def _handle_request(self, conn: socket.socket) -> bool:
-        """One request/response; False once the peer hangs up."""
+        """One request/response; False once the peer hangs up or the
+        connection must close after a protocol error."""
         try:
             peek = conn.recv(1, socket.MSG_PEEK)
         except OSError:
@@ -221,11 +237,11 @@ class OracleServer:
         if not peek:
             return False
         try:
-            msg_type, payload = _read_frame(conn)
+            msg_type = _read_type(conn)
             if msg_type != MSG_EMBED:
-                conn.sendall(_pack_error(ERR_MALFORMED, f"unsupported type 0x{msg_type:02x}"))
-                return True
-            batch = payload
+                # the body's layout is unknown, so the stream cannot be resynced
+                raise ProtocolError(f"unsupported type 0x{msg_type:02x}")
+            batch = _read_matrix(conn)
             if batch.shape[0] == 0 or batch.shape[1] != self.encoder.input_dim:
                 conn.sendall(_pack_error(
                     ERR_DIM_MISMATCH,
@@ -252,8 +268,16 @@ class OracleServer:
             except OSError:
                 break
             with conn:
-                while self._running.is_set() and self._handle_request(conn):
-                    pass
+                try:
+                    while self._running.is_set() and self._handle_request(conn):
+                        pass
+                except OSError:
+                    pass  # the peer went away mid-request
+                except Exception:
+                    # one connection's failure must not end the server;
+                    # traceback is imported here to keep it out of start-up
+                    import traceback
+                    traceback.print_exc()
 
     def start_background(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)

@@ -19,6 +19,12 @@ from ude.models import (
     train_head,
     zero_head,
 )
+from ude.numerics import (
+    cross_entropy_batch,
+    cross_entropy_grad,
+    init_optimizer,
+    optimizer_step,
+)
 from ude.oracle import InProcessOracle
 from ude.prng import Xorshift64Star, derive_seed
 
@@ -43,6 +49,14 @@ class TestEncoderConstruction:
     def test_frozen(self, encoder):
         with pytest.raises(ValueError):
             encoder.w1[0, 0] = 1.0
+
+    def test_forward_and_vjp_leave_weights_frozen(self, encoder):
+        digest = encoder.weights_digest()
+        x = np.ones((2, INPUT_DIM), dtype=np.float32)
+        encoder_forward(encoder, x)
+        encoder_input_grad(encoder, x, np.ones((2, EMBED_DIM), dtype=np.float32))
+        assert not any(p.flags.writeable for p in encoder.parameters().values())
+        assert encoder.weights_digest() == digest
 
     def test_first_layer_matches_documented_stream(self):
         # layer i draws fan_in*fan_out weights row-major, then the bias, all
@@ -133,6 +147,60 @@ class TestHeadTraining:
             train_head(InProcessOracle(encoder),
                        np.zeros((0, INPUT_DIM), dtype=np.float32),
                        np.zeros(0, dtype=np.uint8), TrainConfig())
+
+
+def reference_train_head(oracle, images, labels, cfg):
+    """The loop train_head replaced, verbatim: two softmaxes and one
+    optimizer per tensor on every step."""
+    n = images.shape[0]
+    if n == 0:
+        raise ValueError("empty dataset")
+    labels = np.asarray(labels)
+    z = oracle.embed(images)
+
+    head = zero_head(z.shape[1])
+    opt_w = init_optimizer(cfg.optimizer, cfg.lr, head.weight.shape)
+    opt_b = init_optimizer(cfg.optimizer, cfg.lr, head.bias.shape)
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EAD))
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            zb, yb = z[idx], labels[idx]
+            logits = head_forward(head, zb)
+            total += float(np.sum(cross_entropy_batch(logits, yb)))
+            g = cross_entropy_grad(logits, yb).astype(np.float32) / len(idx)
+            head.weight = optimizer_step(opt_w, head.weight, zb.T @ g)
+            head.bias = optimizer_step(opt_b, head.bias, g.sum(axis=0))
+        trace.append(total / n)
+    return head, trace
+
+
+class TestTrainHeadMatchesReference:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam", "adamw"])
+    def test_same_bytes_and_trace(self, encoder, small_data, optimizer):
+        _, train, _ = small_data
+        cfg = TrainConfig(optimizer, 1e-2, epochs=4, batch_size=16, seed=3)
+        assert train.images.shape[0] % cfg.batch_size != 0  # a partial last batch
+        head, trace = train_head(InProcessOracle(encoder), train.images,
+                                 train.sa_labels, cfg)
+        ref_head, ref_trace = reference_train_head(InProcessOracle(encoder), train.images,
+                                                   train.sa_labels, cfg)
+        assert head.weight.dtype == ref_head.weight.dtype == np.float32
+        assert head.weight.shape == ref_head.weight.shape
+        assert head.param_bytes() == ref_head.param_bytes()
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_out_of_range_label_raises(self, encoder, small_data, bad):
+        _, train, _ = small_data
+        labels = train.sa_labels.astype(np.int64)
+        labels[-1] = bad
+        with pytest.raises(IndexError):
+            train_head(InProcessOracle(encoder), train.images, labels,
+                       TrainConfig(epochs=1, batch_size=16))
 
 
 class TestPersistence:

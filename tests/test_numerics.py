@@ -10,6 +10,7 @@ from ude.numerics import (
     cross_entropy,
     cross_entropy_batch,
     cross_entropy_grad,
+    cross_entropy_loss_and_grad,
     init_optimizer,
     l2_norm,
     l2_norm_grad,
@@ -61,12 +62,50 @@ class TestCrossEntropy:
             numeric = central_diff(lambda x: cross_entropy(x, label), logits)
             assert np.max(np.abs(analytic - numeric)) < 1e-6 * max(1, np.max(np.abs(numeric)))
 
+    @pytest.mark.parametrize("fn", [cross_entropy_batch, cross_entropy_grad])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_batch_label_out_of_range(self, fn, bad):
+        with pytest.raises(IndexError):
+            fn(np.zeros((2, 2), dtype=np.float32), np.array([0, bad]))
+
     def test_batch_matches_scalar(self):
         logits = np.array([[1.0, -1.0], [0.5, 0.5]])
         labels = np.array([1, 0])
         per_sample = cross_entropy_batch(logits, labels)
         assert per_sample[0] == pytest.approx(cross_entropy(logits[0], 1))
         assert per_sample[1] == pytest.approx(cross_entropy(logits[1], 0))
+
+
+@st.composite
+def logits_and_labels(draw):
+    b = draw(st.integers(1, 16))
+    logits = draw(arrays(np.float32, (b, 2),
+                         elements=st.floats(-200, 200, width=32)))
+    labels = draw(arrays(np.int64, b, elements=st.integers(0, 1)))
+    return logits, labels
+
+
+class TestFusedCrossEntropy:
+    @given(logits_and_labels())
+    @example((np.array([[0.0, -120.0], [50.0, 0.0]], dtype=np.float32),
+              np.array([0, 0])))  # losses of exactly -0.0
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_separate_functions(self, case):
+        logits, labels = case
+        loss, grad = cross_entropy_loss_and_grad(logits, labels)
+        assert loss.tobytes() == cross_entropy_batch(logits, labels).tobytes()
+        assert grad.tobytes() == cross_entropy_grad(logits, labels).tobytes()
+        f_loss, f_grad = cross_entropy_loss_and_grad(np.asfortranarray(logits), labels)
+        assert (f_loss.tobytes(), f_grad.tobytes()) == (loss.tobytes(), grad.tobytes())
+        # and as the separate formulas: -log_softmax[y], softmax - onehot
+        rows = np.arange(len(labels))
+        shifted = logits - np.max(logits, axis=-1, keepdims=True)
+        sums = np.sum(np.exp(shifted), axis=-1, keepdims=True)
+        ref_grad = np.exp(shifted) / sums
+        ref_grad[rows, labels] -= 1.0
+        assert loss.tobytes() == (-(shifted - np.log(sums))[rows, labels]).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert loss.dtype == grad.dtype == np.float32
 
 
 class TestL2Norm:

@@ -5,12 +5,15 @@ import threading
 import numpy as np
 import pytest
 
+import ude.oracle
 from ude.models import INPUT_DIM, encoder_forward
 from ude.oracle import (
     FORWARD_ONLY,
     FORWARD_WITH_INPUT_GRAD,
     MAGIC,
+    MAX_PAYLOAD_BYTES,
     MSG_EMBED,
+    MSG_EMBED_RESPONSE,
     MSG_ERROR,
     ERR_DIM_MISMATCH,
     ERR_MALFORMED,
@@ -122,6 +125,37 @@ class TestRemoteOracle:
         assert exc.value.code == ERR_DIM_MISMATCH
         client.close()
 
+    @pytest.mark.parametrize("reply", ["short", "wrong_type"])
+    def test_bad_response_is_protocol_error(self, reply):
+        # a stub server that answers B-1 rows, or a message of type 0x02
+        listener = socket.create_server(("127.0.0.1", 0))
+        x = _batch(3)
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                want = 13 + x.nbytes
+                got = b""
+                while len(got) < want:
+                    got += conn.recv(want - len(got))
+                rows, msg_type = ((x.shape[0] - 1, MSG_EMBED_RESPONSE) if reply == "short"
+                                  else (x.shape[0], 0x02))
+                z = np.zeros((rows, 32), dtype="<f4")
+                conn.sendall(MAGIC + struct.pack("<BII", msg_type, *z.shape) + z.tobytes())
+
+        stub = threading.Thread(target=answer, daemon=True)
+        stub.start()
+        client = RemoteOracle("127.0.0.1:%d" % listener.getsockname()[1])
+        try:
+            with pytest.raises(ProtocolError):
+                client.embed(x)
+            assert client.query_counter == (0, 0)
+        finally:
+            client.close()
+            stub.join(timeout=5)
+            listener.close()
+        assert not stub.is_alive()
+
     def test_connection_refused(self):
         client = RemoteOracle("127.0.0.1:1")
         with pytest.raises(OSError):
@@ -154,6 +188,41 @@ class TestWireProtocol:
         assert resp[4] == MSG_ERROR
         code, = struct.unpack_from("<H", resp, 5)
         assert code == ERR_MALFORMED
+
+    @pytest.mark.parametrize("batch,dim", [(0xFFFFFFFF, 0xFFFFFFFF),
+                                           (MAX_PAYLOAD_BYTES // (4 * INPUT_DIM) + 1,
+                                            INPUT_DIM)])
+    def test_oversize_header_is_refused_and_server_survives(self, server, batch, dim):
+        resp = self._raw(server, MAGIC + struct.pack("<BII", MSG_EMBED, batch, dim))
+        assert resp[:5] == MAGIC + bytes([MSG_ERROR])
+        code, = struct.unpack_from("<H", resp, 5)
+        assert code == ERR_MALFORMED
+        client = RemoteOracle(server.bound_address)
+        x = _batch(2)
+        try:
+            assert client.embed(x).shape == (2, 32)
+        finally:
+            client.close()
+
+    def test_unexpected_error_drops_only_that_connection(self, server, monkeypatch):
+        real = ude.oracle.encoder_forward
+        failures = [RuntimeError("injected")]
+
+        def fail_once(enc, batch):
+            if failures:
+                raise failures.pop()
+            return real(enc, batch)
+
+        monkeypatch.setattr(ude.oracle, "encoder_forward", fail_once)
+        client = RemoteOracle(server.bound_address)
+        try:
+            with pytest.raises(ProtocolError):
+                client.embed(_batch(2))
+            server._thread.join(timeout=0.5)
+            assert server._thread.is_alive()
+            assert client.embed(_batch(2)).shape == (2, 32)
+        finally:
+            client.close()
 
     def test_bad_magic_closes_with_error(self, server):
         resp = self._raw(server, b"XXXX" + b"\x00" * 16)
