@@ -3,7 +3,8 @@
 Verbs: generate, train-sa, learn-edit, train-disease, evaluate, sweep,
 serve, noise-map, run. Common flags: --config <json>, --seed, --out.
 Exit codes: 0 ok, 2 config error, 3 capability error, 4 remote/protocol
-error, 5 undefined metric.
+error (including a server that does not answer in time), 5 undefined metric,
+6 edit learning diverged (a non-finite loss or edit at the end of an epoch).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 
-from .editing import load_edit, write_noise_map_csv
+from .editing import DivergenceError, load_edit, write_noise_map_csv
 from .fairness import UndefinedMetric
 from .oracle import CapabilityError, ProtocolError
 from .pipeline import (
@@ -33,6 +34,7 @@ EXIT_CONFIG = 2
 EXIT_CAPABILITY = 3
 EXIT_REMOTE = 4
 EXIT_METRIC = 5
+EXIT_DIVERGED = 6
 
 
 def _load_config(args) -> PipelineConfig:
@@ -160,6 +162,9 @@ def main(argv=None) -> int:
     except UndefinedMetric as exc:
         print(f"undefined metric: {exc}", file=sys.stderr)
         return EXIT_METRIC
+    except DivergenceError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import LinearHead, TrainConfig, head_forward, train_head
+from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
     check_labels,
     cross_entropy_batch,
@@ -27,6 +28,20 @@ from .numerics import (
 from .oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError
 from .prng import derive_seed
 from .tensor_io import load_tensor, save_tensor
+
+
+class DivergenceError(ArithmeticError):
+    """Edit learning reached a non-finite loss or edit."""
+
+
+def check_epoch_finite(mode: str, epoch: int, epochs: int, loss: float,
+                       eps: np.ndarray) -> None:
+    """DivergenceError, naming the mode and the 1-based epoch, unless the
+    epoch's loss and the edit at its end are finite."""
+    bad = np.count_nonzero(~np.isfinite(eps))
+    if bad or not math.isfinite(loss):
+        raise DivergenceError(f"{mode} edit learning diverged in epoch {epoch + 1} "
+                              f"of {epochs}: loss {loss}, {bad} non-finite edit values")
 
 
 @dataclass
@@ -103,7 +118,7 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xED17))
 
     loss_trace, norm_trace = [], []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         total = 0.0
         nb = 0
@@ -116,6 +131,7 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
             eps = optimizer_step(opt, eps, grad)
         loss_trace.append(total / nb)
         norm_trace.append(l2_norm(eps))
+        check_epoch_finite("whitebox", epoch, cfg.epochs, loss_trace[-1], eps)
     return EditArtifact(eps=eps, loss_trace=loss_trace, eps_norm_trace=norm_trace,
                         config=vars(cfg).copy(), seed=cfg.seed, mode="whitebox")
 
@@ -132,15 +148,20 @@ def apply_edit(images: np.ndarray, eps: np.ndarray,
     return out
 
 
-def train_fair_disease(oracle, eps: np.ndarray, images: np.ndarray,
+def train_fair_disease(oracle, edits: list[np.ndarray], images: np.ndarray,
                        disease_labels: np.ndarray, cfg: TrainConfig | None = None):
-    """Train the disease head on embeddings of edited inputs; only the head
-    is trainable. eps=0 is exactly the plain (unedited) baseline path."""
+    """Train one disease head per edit on embeddings of the inputs with that
+    edit applied, all in one loop (models.fit_heads); only the heads are
+    trainable. Returns one (head, trace) per edit. A zero edit is exactly
+    the plain (unedited) baseline path."""
     if disease_labels is None:
         raise ValueError("disease labels required")
     if cfg is None:
         cfg = TrainConfig(optimizer="adamw", lr=1.25e-4, epochs=50)
-    return train_head(oracle, apply_edit(images, eps), disease_labels, cfg)
+    # one edited copy of the inputs alive at a time: each is dropped once
+    # it is embedded
+    z = np.stack([oracle.embed(apply_edit(images, eps)) for eps in edits])
+    return fit_heads(z, disease_labels, cfg)
 
 
 def export_noise_map(eps: np.ndarray, top_fraction: float):

@@ -153,47 +153,76 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
 
 
-def _head_view(flat: np.ndarray) -> LinearHead:
-    """A head whose weight and bias are views into one flat [E*2+2] buffer."""
+def _stacked_views(flat: np.ndarray):
+    """(weights [K,E,2], biases [K,1,2]) as views into a [K, E*2+2] buffer."""
     k = NUM_CLASSES
-    return LinearHead(flat[:-k].reshape(-1, k), flat[-k:])
+    return flat[:, :-k].reshape(flat.shape[0], -1, k), flat[:, None, -k:]
+
+
+def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
+    """Train one linear head per embedding set z[k] of z [K,N,E], all on the
+    same labels and mini-batch order, in one loop. Returns one (head,
+    per-epoch mean CE trace) per set.
+
+    Embeddings are used in float32. Mini-batch order is a fresh seeded
+    shuffle per epoch. All parameters live in one [K, E*2+2] buffer and take
+    one optimizer step together: every optimizer here is elementwise and
+    every other op acts on each head's rows alone, so each head gets the
+    bytes it would get if trained alone.
+    """
+    z = np.asarray(z, dtype=np.float32)
+    if z.ndim != 3:
+        raise ValueError(f"embeddings must be [K,N,E], got shape {z.shape}")
+    k, n, _ = z.shape
+    if n == 0:
+        raise ValueError("empty dataset")
+    labels = check_labels(labels, NUM_CLASSES)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must be [{n}], got shape {labels.shape}")
+
+    params = np.zeros((k, z.shape[2] * NUM_CLASSES + NUM_CLASSES), dtype=np.float32)
+    grads = np.empty_like(params)
+    (w, b), (gw, gb) = _stacked_views(params), _stacked_views(grads)
+    opt = init_optimizer(cfg.optimizer, cfg.lr, params.shape)
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EAD))
+    # the epoch's shuffled embeddings, and its shuffled labels once per head,
+    # so that a batch's labels for all K heads are one contiguous slice
+    zs, ys = np.empty_like(z), np.empty((k, n), dtype=labels.dtype)
+    starts = range(0, n, cfg.batch_size)
+    batch_sums = np.empty((len(starts), k), dtype=np.float32)
+    traces = [[] for _ in range(k)]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        np.take(z, order, axis=1, out=zs)
+        np.take(labels, order, out=ys[0])
+        ys[1:] = ys[0]
+        for i, start in enumerate(starts):
+            stop = start + cfg.batch_size
+            zb = zs[:, start:stop]
+            logits = np.matmul(zb, w) + b
+            losses, g = cross_entropy_loss_and_grad(logits.reshape(-1, NUM_CLASSES),
+                                                    ys[:, start:stop].ravel())
+            losses.reshape(k, -1).sum(axis=1, out=batch_sums[i])
+            g /= zb.shape[1]
+            g = g.reshape(logits.shape)
+            np.matmul(zb.transpose(0, 2, 1), g, out=gw)
+            g.sum(axis=1, keepdims=True, out=gb)
+            params[:] = optimizer_step(opt, params, grads)
+        # float64 running sums of the batch sums in batch order: the bytes a
+        # Python float accumulator gives
+        totals = np.cumsum(batch_sums, axis=0, dtype=np.float64)[-1]
+        for trace, total in zip(traces, totals):
+            trace.append(float(total) / n)
+    return [(LinearHead(wk, bk[0]).copy(), trace) for wk, bk, trace in zip(w, b, traces)]
 
 
 def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
     """Train a linear head on embeddings of images; the encoder stays
     untouched. Returns (head, per-epoch mean CE trace).
 
-    Embeddings are computed once up front, in float32. Mini-batch order is a
-    fresh seeded shuffle per epoch. Weight and bias live in one flat buffer
-    and take one optimizer step together: every optimizer here is
-    elementwise, so that is the same update as one step per tensor.
+    The images are embedded once up front; see fit_heads for the loop.
     """
-    n = images.shape[0]
-    if n == 0:
-        raise ValueError("empty dataset")
-    labels = check_labels(labels, NUM_CLASSES)
-    z = oracle.embed(images).astype(np.float32, copy=False)
-
-    params = np.zeros(z.shape[1] * NUM_CLASSES + NUM_CLASSES, dtype=np.float32)
-    grads = np.empty_like(params)
-    head, grad = _head_view(params), _head_view(grads)
-    opt = init_optimizer(cfg.optimizer, cfg.lr, params.shape)
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EAD))
-    trace = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            zb, yb = z[idx], labels[idx]
-            losses, g = cross_entropy_loss_and_grad(head_forward(head, zb), yb)
-            total += float(losses.sum())
-            g /= len(idx)
-            np.matmul(zb.T, g, out=grad.weight)
-            g.sum(axis=0, out=grad.bias)
-            params[:] = optimizer_step(opt, params, grads)
-        trace.append(total / n)
-    return head.copy(), trace
+    return fit_heads(oracle.embed(images)[None], labels, cfg)[0]
 
 
 def head_accuracy(head: LinearHead, z: np.ndarray, labels: np.ndarray) -> float:

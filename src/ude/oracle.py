@@ -13,7 +13,9 @@ Wire protocol (little-endian):
 One request per round-trip; connections may be reused; the server handles
 connections sequentially. A matrix body larger than MAX_PAYLOAD_BYTES is
 refused from its header, before it is read: the server answers ERR_MALFORMED
-and closes, the client raises ProtocolError.
+and closes, the client raises ProtocolError. The client also raises
+ProtocolError when a connect, send or receive waits longer than
+CLIENT_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ MSG_ERROR = 0xFF
 ERR_DIM_MISMATCH = 1
 ERR_MALFORMED = 2
 MAX_PAYLOAD_BYTES = 1 << 28  # 256 MiB: 262,144 rows of 256 f32 pixels
+# the client's limit on each connect, send and receive; a loopback round
+# trip takes milliseconds, so only a stalled or vanished server reaches it
+CLIENT_TIMEOUT_S = 60.0
 
 FORWARD_ONLY = "forward_only"
 FORWARD_WITH_INPUT_GRAD = "forward_with_input_grad"
@@ -185,7 +190,12 @@ class RemoteOracle(EmbeddingOracle):
         if self._sock is None:
             family, addr = parse_address(self.address)
             sock = socket.socket(family, socket.SOCK_STREAM)
-            sock.connect(addr)
+            try:
+                sock.settimeout(CLIENT_TIMEOUT_S)
+                sock.connect(addr)
+            except OSError:
+                sock.close()
+                raise
             self._sock = sock
         return self._sock
 
@@ -196,10 +206,14 @@ class RemoteOracle(EmbeddingOracle):
 
     def embed(self, batch: np.ndarray) -> np.ndarray:
         batch = self._check_batch(batch)
-        sock = self._connect()
         try:
+            sock = self._connect()
             sock.sendall(_pack_matrix(MSG_EMBED, batch))
             z = _read_response(sock, batch.shape[0])
+        except TimeoutError as exc:
+            self.close()
+            raise ProtocolError(f"no answer from {self.address} within "
+                                f"{CLIENT_TIMEOUT_S} s") from exc
         except (OSError, ProtocolError):
             self.close()
             raise

@@ -228,15 +228,16 @@ def learn_edit(cfg: PipelineConfig, oracle, sa_head: LinearHead,
 def train_disease(cfg: PipelineConfig, oracle, train: LabeledImageSet,
                   eps: np.ndarray | None = None):
     """The plain-baseline disease head (edit = 0) and, given an edit, the
-    debiased head on edited inputs; (erm_head, debiased head or None)."""
+    debiased head on edited inputs, trained in one loop; (erm_head, debiased
+    head or None)."""
     d_cfg = replace(cfg.disease_train, seed=derive(cfg, TAG_DISEASE))
     zeros = np.zeros(train.images.shape[1], dtype=np.float32)
-    erm_head, _ = train_fair_disease(oracle, zeros, train.images,
-                                     train.disease_labels, d_cfg)
     if eps is None:
+        [(erm_head, _)] = train_fair_disease(oracle, [zeros], train.images,
+                                             train.disease_labels, d_cfg)
         return erm_head, None
-    head, _ = train_fair_disease(oracle, eps, train.images, train.disease_labels,
-                                 d_cfg)
+    (erm_head, _), (head, _) = train_fair_disease(oracle, [zeros, eps], train.images,
+                                                  train.disease_labels, d_cfg)
     return erm_head, head
 
 

@@ -1,3 +1,6 @@
+import socket
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,30 @@ def small_data():
     train = generate(cfg, CellCounts([[100, 10], [10, 100]]), seed=11)
     test = generate(cfg, CellCounts([[20, 20], [20, 20]]), seed=12)
     return cfg, train, test
+
+
+@pytest.fixture
+def silent_server():
+    """Address of a stub server that accepts one connection and never
+    answers on it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    accepted = []
+
+    def accept():
+        try:
+            accepted.append(listener.accept()[0])
+        except OSError:
+            pass
+
+    stub = threading.Thread(target=accept, daemon=True)
+    stub.start()
+    yield "127.0.0.1:%d" % listener.getsockname()[1]
+    stub.join(timeout=10)
+    for conn in accepted:
+        conn.close()
+    listener.close()
+    assert not stub.is_alive()
 
 
 def central_diff(f, x, h=1e-5):

@@ -388,8 +388,8 @@ def test_criterion_12_reduction_identity(sa_context):
     enc, train, _ = sa_context
     cfg = TrainConfig("adamw", 1.25e-4, epochs=50, batch_size=8, seed=123)
     zeros = np.zeros(INPUT_DIM, dtype=np.float32)
-    via_edit, _ = train_fair_disease(InProcessOracle(enc), zeros, train.images,
-                                     train.disease_labels, cfg)
+    [(via_edit, _)] = train_fair_disease(InProcessOracle(enc), [zeros], train.images,
+                                         train.disease_labels, cfg)
     plain, _ = train_head(InProcessOracle(enc), train.images,
                           train.disease_labels, cfg)
     identical = via_edit.param_bytes() == plain.param_bytes()

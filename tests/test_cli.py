@@ -3,8 +3,10 @@ from dataclasses import asdict
 
 import pytest
 
+import ude.oracle
 from ude.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_METRIC,
     EXIT_OK,
     EXIT_REMOTE,
@@ -54,6 +56,29 @@ class TestExitCodes:
         assert main(["train-sa", "--config", cfg]) == EXIT_OK
         assert main(["learn-edit", "--config", cfg, "--mode", "gezo",
                      "--oracle", "127.0.0.1:1"]) == EXIT_REMOTE
+
+    def test_remote_error_when_server_never_answers(self, tmp_path, silent_server,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(ude.oracle, "CLIENT_TIMEOUT_S", 0.2)
+        cfg = write_tiny_config(tmp_path, mode="gezo", oracle=silent_server)
+        assert main(["generate", "--config", cfg]) == EXIT_OK
+        assert main(["train-sa", "--config", cfg]) == EXIT_REMOTE
+        assert "no answer" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode,overrides", [
+        ("whitebox", {"ude": {"epochs": 20, "lr": 1e38}}),
+        ("gezo", {"gezo": {"local_iters": 3, "samples": 2, "epochs": 20,
+                           "init_step": 1e38}}),
+    ])
+    def test_diverging_edit_stops_at_the_epoch(self, tmp_path, capsys, mode,
+                                               overrides):
+        cfg = write_tiny_config(tmp_path, mode=mode, **overrides)
+        assert main(["run", "--config", cfg]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert f"{mode} edit learning diverged in epoch" in err
+        assert not (tmp_path / "run" / "edit").exists()
 
     def test_bad_sweep_values(self, tmp_path):
         cfg = write_tiny_config(tmp_path)

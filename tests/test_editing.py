@@ -127,8 +127,8 @@ class TestDiseaseTraining:
         _, train, _ = small_data
         cfg = TrainConfig("adamw", 1.25e-4, epochs=5, batch_size=16, seed=2)
         zeros = np.zeros(INPUT_DIM, dtype=np.float32)
-        fair, _ = train_fair_disease(InProcessOracle(encoder), zeros, train.images,
-                                     train.disease_labels, cfg)
+        [(fair, _)] = train_fair_disease(InProcessOracle(encoder), [zeros], train.images,
+                                         train.disease_labels, cfg)
         plain, _ = train_head(InProcessOracle(encoder), train.images,
                               train.disease_labels, cfg)
         assert fair.param_bytes() == plain.param_bytes()
@@ -137,7 +137,7 @@ class TestDiseaseTraining:
         _, train, _ = small_data
         with pytest.raises(ValueError):
             train_fair_disease(InProcessOracle(encoder),
-                               np.zeros(INPUT_DIM, dtype=np.float32),
+                               [np.zeros(INPUT_DIM, dtype=np.float32)],
                                train.images, None)
 
 

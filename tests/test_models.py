@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ude.models import (
     EMBED_DIM,
@@ -10,6 +13,7 @@ from ude.models import (
     build_encoder,
     encoder_forward,
     encoder_input_grad,
+    fit_heads,
     head_accuracy,
     head_forward,
     load_encoder,
@@ -22,6 +26,7 @@ from ude.models import (
 from ude.numerics import (
     cross_entropy_batch,
     cross_entropy_grad,
+    cross_entropy_loss_and_grad,
     init_optimizer,
     optimizer_step,
 )
@@ -201,6 +206,85 @@ class TestTrainHeadMatchesReference:
         with pytest.raises(IndexError):
             train_head(InProcessOracle(encoder), train.images, labels,
                        TrainConfig(epochs=1, batch_size=16))
+
+
+class _FixedEmbeddings:
+    """An oracle that answers every embed call with the same embeddings."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def embed(self, images):
+        return self.z
+
+
+@st.composite
+def stacked_logits_and_labels(draw):
+    """[K,B,2] float32 logits in +-200, labels [B] and an embedding seed."""
+    k, b = draw(st.integers(1, 3)), draw(st.integers(1, 16))
+    logits = draw(arrays(np.float32, (k, b, 2),
+                         elements=st.floats(-200, 200, width=32)))
+    labels = draw(arrays(np.int64, b, elements=st.integers(0, 1)))
+    return logits, labels, draw(st.integers(0, 2**32 - 1))
+
+
+class TestFitHeadsMatchesSeparateHeads:
+    @given(k=st.integers(1, 3), optimizer=st.sampled_from(["sgd", "adam", "adamw"]),
+           batch_size=st.integers(2, 9), full_batches=st.integers(0, 4),
+           remainder=st.integers(1, 8), epochs=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_and_traces_as_one_run_per_head(
+            self, k, optimizer, batch_size, full_batches, remainder, epochs, seed):
+        n = full_batches * batch_size + min(remainder, batch_size - 1)  # partial last batch
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(k, n, EMBED_DIM)).astype(np.float32)
+        labels = rng.integers(0, 2, size=n)
+        cfg = TrainConfig(optimizer, 5e-2, epochs=epochs, batch_size=batch_size,
+                          seed=seed)
+        fitted = fit_heads(z, labels, cfg)
+        assert len(fitted) == k
+        for zk, (head, trace) in zip(z, fitted):
+            ref_head, ref_trace = reference_train_head(
+                _FixedEmbeddings(zk), np.empty((n, 1)), labels, cfg)
+            assert head.weight.flags.owndata and head.bias.flags.owndata
+            assert head.param_bytes() == ref_head.param_bytes()
+            assert trace == ref_trace
+
+    @given(stacked_logits_and_labels())
+    @example((np.array([[[0.0, -120.0], [50.0, 0.0]], [[3.0, 1.0], [-7.5, 2.0]]],
+                       dtype=np.float32), np.array([0, 0]), 0))  # losses of exactly -0.0
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_step_same_bytes_as_per_head_step(self, case):
+        """One fit_heads step on [K,B,2] logits: the flattened CE with tiled
+        labels, the per-row loss sums, the [K,E,B] @ [K,B,2] weight gradient
+        and the axis-1 bias gradient, against each head's 2-D step."""
+        logits, labels, seed = case
+        k, b, _ = logits.shape
+        zb = np.random.default_rng(seed).normal(size=(k, b, EMBED_DIM)).astype(np.float32)
+        losses, g = cross_entropy_loss_and_grad(logits.reshape(-1, 2), np.tile(labels, k))
+        sums = losses.reshape(k, -1).sum(axis=1)
+        g /= b
+        g = g.reshape(logits.shape)
+        gw = np.matmul(zb.transpose(0, 2, 1), g)
+        gb = g.sum(axis=1, keepdims=True)
+        for j in range(k):
+            ref_losses, ref_g = cross_entropy_loss_and_grad(logits[j], labels)
+            ref_g /= b
+            assert losses[j * b:(j + 1) * b].tobytes() == ref_losses.tobytes()
+            assert sums[j].tobytes() == ref_losses.sum().tobytes()
+            assert g[j].tobytes() == ref_g.tobytes()
+            assert gw[j].tobytes() == (zb[j].T @ ref_g).tobytes()
+            assert gb[j, 0].tobytes() == ref_g.sum(axis=0).tobytes()
+
+    def test_rejects_bad_shapes(self):
+        z = np.zeros((2, 5, EMBED_DIM), dtype=np.float32)
+        with pytest.raises(ValueError):
+            fit_heads(z[0], np.zeros(5, dtype=np.int64), TrainConfig())
+        with pytest.raises(ValueError):
+            fit_heads(z, np.zeros(4, dtype=np.int64), TrainConfig())
+        with pytest.raises(ValueError):
+            fit_heads(z[:, :0], np.zeros(0, dtype=np.int64), TrainConfig())
 
 
 class TestPersistence:

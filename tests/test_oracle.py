@@ -1,6 +1,8 @@
+import gc
 import socket
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +162,27 @@ class TestRemoteOracle:
         client = RemoteOracle("127.0.0.1:1")
         with pytest.raises(OSError):
             client.embed(_batch(1))
+
+    def test_refused_connect_closes_its_socket(self):
+        client = RemoteOracle("127.0.0.1:1")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ConnectionRefusedError):
+                client.embed(_batch(1))
+            gc.collect()  # the failed call's frames hold the socket in a cycle
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_silent_server_times_out_as_protocol_error(self, silent_server,
+                                                       monkeypatch):
+        monkeypatch.setattr(ude.oracle, "CLIENT_TIMEOUT_S", 0.2)
+        client = RemoteOracle(silent_server)
+        try:
+            with pytest.raises(ProtocolError, match="no answer"):
+                client.embed(_batch(2))
+            assert client.query_counter == (0, 0)
+            assert client._sock is None  # closed after the failed call
+        finally:
+            client.close()
 
 
 class TestWireProtocol:

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from ude.datagen import CellCounts, SynthConfig
 from ude.gezo import GezoConfig
 from ude.models import TrainConfig
-from ude.oracle import CapabilityError
+from ude.oracle import CapabilityError, InProcessOracle
 from ude.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -15,8 +16,10 @@ from ude.pipeline import (
     cmd_sweep,
     cmd_train_disease,
     cmd_train_sa,
+    generate_data,
     make_oracle,
     run_experiment,
+    train_disease,
 )
 
 
@@ -150,6 +153,33 @@ class TestRunExperiment:
 
         cfg = tiny_config(tmp_path, mode="gezo")
         run_experiment(cfg, oracle=StrictForward(encoder))
+
+
+class TestTrainDisease:
+    @pytest.mark.parametrize("with_edit", [True, False])
+    def test_one_embed_call_of_the_training_set_per_head(self, tmp_path, encoder,
+                                                          with_edit):
+        # the logical query count of a pipeline (perfbench's
+        # gezo_expected_queries) counts one embed per disease head
+        class Recording(InProcessOracle):
+            def __init__(self, encoder):
+                super().__init__(encoder)
+                self.rows = []
+
+            def embed(self, batch):
+                self.rows.append(batch.shape[0])
+                return super().embed(batch)
+
+        cfg = tiny_config(tmp_path)
+        train, _ = generate_data(cfg)
+        eps = np.full(train.images.shape[1], 0.1, dtype=np.float32) if with_edit else None
+        oracle = Recording(encoder)
+        erm_head, head = train_disease(cfg, oracle, train, eps)
+        n = train.images.shape[0]
+        assert oracle.rows == ([n, n] if with_edit else [n])
+        assert (head is not None) == with_edit
+        if with_edit:
+            assert head.param_bytes() != erm_head.param_bytes()
 
 
 class TestSweep:
