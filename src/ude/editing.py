@@ -136,16 +136,12 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
                         config=vars(cfg).copy(), seed=cfg.seed, mode="whitebox")
 
 
-def apply_edit(images: np.ndarray, eps: np.ndarray,
-               clamp: tuple[float, float] | None = None) -> np.ndarray:
-    """images + eps in the images' dtype, optionally clipped to a pixel
-    range; the one place an edit meets an input."""
+def apply_edit(images: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """images + eps in the images' dtype; the one place an edit meets an
+    input."""
     if images.shape[-1] != eps.shape[-1]:
         raise ValueError(f"edit dim {eps.shape[-1]} != image dim {images.shape[-1]}")
-    out = images + eps.astype(images.dtype)
-    if clamp is not None:
-        out = np.clip(out, clamp[0], clamp[1])
-    return out
+    return images + eps.astype(images.dtype)
 
 
 def train_fair_disease(oracle, edits: list[np.ndarray], images: np.ndarray,

@@ -10,17 +10,19 @@ Wire protocol (little-endian):
     request:  magic "UDE1" | msg_type u8 = 0x01 | batch u32 | dim u32 | batch*dim f32
     response: magic "UDE1" | msg_type u8 = 0x81 | batch u32 | edim u32 | batch*edim f32
     error:    magic "UDE1" | msg_type u8 = 0xFF | code u16 | len u16 | utf-8 message
-One request per round-trip; connections may be reused; the server handles
-connections sequentially. A matrix body larger than MAX_PAYLOAD_BYTES is
-refused from its header, before it is read: the server answers ERR_MALFORMED
-and closes, the client raises ProtocolError. The client also raises
-ProtocolError when a connect, send or receive waits longer than
-CLIENT_TIMEOUT_S.
+One request per round-trip; connections may be reused; the server serves
+each connection on its own thread and closes one that stays silent for
+SERVER_TIMEOUT_S, so an idle or stalled peer never holds up another. A
+matrix body larger than MAX_PAYLOAD_BYTES is refused from its header, before
+it is read: the server answers ERR_MALFORMED and closes, the client raises
+ProtocolError. The client also raises ProtocolError when a connect, send or
+receive waits longer than CLIENT_TIMEOUT_S.
 """
 
 from __future__ import annotations
 
 import socket
+import socketserver
 import struct
 import threading
 
@@ -38,6 +40,11 @@ MAX_PAYLOAD_BYTES = 1 << 28  # 256 MiB: 262,144 rows of 256 f32 pixels
 # the client's limit on each connect, send and receive; a loopback round
 # trip takes milliseconds, so only a stalled or vanished server reaches it
 CLIENT_TIMEOUT_S = 60.0
+# the server's limit on each receive and send of one connection, so a peer
+# silent for longer, mid-frame or between requests, is disconnected; the
+# pipeline's longest pause on one connection, a head's training, takes
+# under a second at the default config
+SERVER_TIMEOUT_S = 60.0
 
 FORWARD_ONLY = "forward_only"
 FORWARD_WITH_INPUT_GRAD = "forward_with_input_grad"
@@ -221,34 +228,24 @@ class RemoteOracle(EmbeddingOracle):
         return z
 
 
-class OracleServer:
-    """Forward-only embedding server; sequential, one request per round-trip."""
+class _EmbedHandler(socketserver.BaseRequestHandler):
+    """Answers one connection's requests in turn until the peer hangs up,
+    sends a frame the stream cannot be resynced after, or stays silent for
+    SERVER_TIMEOUT_S. Any other exception reaches the server's
+    handle_error, which prints it; either way only this connection closes."""
 
-    def __init__(self, encoder: FrozenEncoder, address: str):
-        self.encoder = encoder
-        self.address = address
-        family, addr = parse_address(address)
-        self._listener = socket.socket(family, socket.SOCK_STREAM)
-        if family == socket.AF_INET:
-            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(addr)
-        self._listener.listen(4)
-        self._running = threading.Event()
-        self._thread = None
-
-    @property
-    def bound_address(self) -> str:
-        name = self._listener.getsockname()
-        return f"{name[0]}:{name[1]}" if isinstance(name, tuple) else name
+    def handle(self) -> None:
+        self.request.settimeout(SERVER_TIMEOUT_S)
+        try:
+            while self._handle_request(self.request):
+                pass
+        except OSError:
+            pass  # the peer went away or stalled mid-request
 
     def _handle_request(self, conn: socket.socket) -> bool:
         """One request/response; False once the peer hangs up or the
         connection must close after a protocol error."""
-        try:
-            peek = conn.recv(1, socket.MSG_PEEK)
-        except OSError:
-            return False
-        if not peek:
+        if not conn.recv(1, socket.MSG_PEEK):
             return False
         try:
             msg_type = _read_type(conn)
@@ -256,49 +253,52 @@ class OracleServer:
                 # the body's layout is unknown, so the stream cannot be resynced
                 raise ProtocolError(f"unsupported type 0x{msg_type:02x}")
             batch = _read_matrix(conn)
-            if batch.shape[0] == 0 or batch.shape[1] != self.encoder.input_dim:
+            input_dim = self.server.encoder.input_dim
+            if batch.shape[0] == 0 or batch.shape[1] != input_dim:
                 conn.sendall(_pack_error(
                     ERR_DIM_MISMATCH,
-                    f"expected nonempty [B,{self.encoder.input_dim}], got {batch.shape}"))
+                    f"expected nonempty [B,{input_dim}], got {batch.shape}"))
                 return True
-            z = encoder_forward(self.encoder, batch)
+            z = encoder_forward(self.server.encoder, batch)
             conn.sendall(_pack_matrix(MSG_EMBED_RESPONSE, z))
             return True
         except ProtocolError as exc:
-            try:
-                conn.sendall(_pack_error(exc.code, str(exc)))
-            except OSError:
-                pass
+            conn.sendall(_pack_error(exc.code, str(exc)))
             return False
 
-    def serve_forever(self) -> None:
-        self._running.set()
-        self._listener.settimeout(0.2)
-        while self._running.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with conn:
-                try:
-                    while self._running.is_set() and self._handle_request(conn):
-                        pass
-                except OSError:
-                    pass  # the peer went away mid-request
-                except Exception:
-                    # one connection's failure must not end the server;
-                    # traceback is imported here to keep it out of start-up
-                    import traceback
-                    traceback.print_exc()
+
+class OracleServer(socketserver.ThreadingTCPServer):
+    """Forward-only embedding server: a thread per connection, one request
+    per round-trip. A "host:port" address listens on TCP, any other on a
+    Unix socket; as in socketserver's UnixStreamServer, only address_family
+    differs."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, encoder: FrozenEncoder, address: str):
+        self.encoder = encoder
+        self.address_family, addr = parse_address(address)
+        super().__init__(addr, _EmbedHandler)
+        self._thread = None
+
+    @property
+    def bound_address(self) -> str:
+        name = self.server_address
+        return f"{name[0]}:{name[1]}" if isinstance(name, tuple) else name
 
     def start_background(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # serve_forever polls for shutdown(); 0.05 s, not its 0.5 s default,
+        # so that shutdown() returns at once
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,),
+                                        daemon=True)
         self._thread.start()
 
     def shutdown(self) -> None:
-        self._running.clear()
+        """Stop the background loop, if one runs, and close the listener.
+        Call it from another thread than serve_forever's, or after
+        serve_forever has returned."""
         if self._thread is not None:
-            self._thread.join(timeout=5)
-        self._listener.close()
+            super().shutdown()
+            self._thread.join()
+        self.server_close()

@@ -132,17 +132,16 @@ def derive(cfg: PipelineConfig, tag: int) -> int:
     return derive_seed(cfg.seed, tag)
 
 
-def make_oracle(cfg: PipelineConfig, need_grad: bool, encoder=None):
-    """The oracle cfg.oracle names. In process it wraps `encoder`, or the
-    run's saved encoder when none is given."""
-    if cfg.oracle == "inprocess":
-        enc = encoder if encoder is not None else _ensure_encoder(cfg)
-        cap = FORWARD_WITH_INPUT_GRAD if need_grad else FORWARD_ONLY
-        return InProcessOracle(enc, capability=cap)
-    if need_grad:
-        raise ConfigError("remote oracles are forward-only; gradient access "
-                          "requires oracle=inprocess")
-    return RemoteOracle(cfg.oracle)
+def make_oracle(cfg: PipelineConfig, encoder=None):
+    """The oracle cfg.oracle names, with the capability cfg.mode needs: in
+    process, input gradients in white-box mode and forward-only otherwise;
+    remote, always forward-only. In process it wraps `encoder`, or the run's
+    saved encoder when none is given."""
+    if cfg.oracle != "inprocess":
+        return RemoteOracle(cfg.oracle)
+    enc = encoder if encoder is not None else _ensure_encoder(cfg)
+    cap = FORWARD_WITH_INPUT_GRAD if cfg.mode == "whitebox" else FORWARD_ONLY
+    return InProcessOracle(enc, capability=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,6 @@ def _paths(cfg: PipelineConfig) -> dict:
         "disease_head": os.path.join(out, "disease_head"),
         "erm_head": os.path.join(out, "erm_head"),
         "reports": os.path.join(out, "reports"),
-        "noise_map": os.path.join(out, "noise_map"),
         "manifests": os.path.join(out, "manifests"),
     }
 
@@ -270,7 +268,7 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
     training-set accuracy."""
     paths = _paths(cfg)
     train = load_dataset(paths["train_data"])
-    with closing(make_oracle(cfg, need_grad=False)) as oracle:
+    with closing(make_oracle(cfg)) as oracle:
         head, trace = train_sa(cfg, oracle, train)
         acc = head_accuracy(head, oracle.embed(train.images), train.sa_labels)
     save_head(paths["sa_head"], head,
@@ -284,7 +282,7 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
 def cmd_learn_edit(cfg: PipelineConfig) -> EditArtifact:
     paths = _paths(cfg)
     train = load_dataset(paths["train_data"])
-    with closing(make_oracle(cfg, need_grad=cfg.mode == "whitebox")) as oracle:
+    with closing(make_oracle(cfg)) as oracle:
         artifact = learn_edit(cfg, oracle, load_head(paths["sa_head"]), train)
     save_edit(paths["edit"], artifact)
     _write_manifest(cfg, "learn_edit",
@@ -301,7 +299,7 @@ def cmd_train_disease(cfg: PipelineConfig) -> None:
     artifact = None
     if os.path.exists(os.path.join(paths["edit"], "eps.udet")):
         artifact = load_edit(paths["edit"])
-    with closing(make_oracle(cfg, need_grad=False)) as oracle:
+    with closing(make_oracle(cfg)) as oracle:
         erm_head, head = train_disease(cfg, oracle, train,
                                        None if artifact is None else artifact.eps)
     save_head(paths["erm_head"], erm_head, meta={"task": "disease", "edit": "zero"})
@@ -323,7 +321,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
     if os.path.exists(os.path.join(paths["disease_head"], "manifest.json")):
         head = load_head(paths["disease_head"])
         eps = load_edit(paths["edit"]).eps
-    with closing(make_oracle(cfg, need_grad=False)) as oracle:
+    with closing(make_oracle(cfg)) as oracle:
         reports = evaluate_heads(oracle, test, load_head(paths["erm_head"]),
                                  head, eps)
     os.makedirs(paths["reports"], exist_ok=True)
@@ -363,32 +361,27 @@ class ExperimentResult:
 def run_experiment(cfg: PipelineConfig, oracle=None, grad_oracle=None) -> ExperimentResult:
     """Run the whole pipeline in memory for one seed; no artifacts written.
 
-    `oracle` overrides the forward-only oracle that cfg.oracle names and
-    `grad_oracle` the in-process gradient oracle of white-box mode.
+    Every stage queries `oracle`, or else the one make_oracle builds for
+    cfg; `grad_oracle` overrides the edit stage's oracle.
     """
     enc = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
-    fwd = oracle if oracle is not None else \
-        make_oracle(cfg, need_grad=False, encoder=enc)
+    own = oracle is None
+    if own:
+        oracle = make_oracle(cfg, encoder=enc)
     try:
         train, test = generate_data(cfg)
-        sa_head, _ = train_sa(cfg, fwd, train)
+        sa_head, _ = train_sa(cfg, oracle, train)
         sa_acc_clean = head_accuracy(sa_head, encoder_forward(enc, test.images),
                                      test.sa_labels)
-
-        edit_oracle = fwd
-        if cfg.mode == "whitebox":
-            edit_oracle = grad_oracle if grad_oracle is not None else \
-                make_oracle(cfg, need_grad=True, encoder=enc)
-        artifact = learn_edit(cfg, edit_oracle, sa_head, train)
+        artifact = learn_edit(cfg, grad_oracle or oracle, sa_head, train)
         sa_acc_edited = head_accuracy(
             sa_head, encoder_forward(enc, apply_edit(test.images, artifact.eps)),
             test.sa_labels)
-
-        erm_head, fair_head = train_disease(cfg, fwd, train, artifact.eps)
-        reports = evaluate_heads(fwd, test, erm_head, fair_head, artifact.eps)
+        erm_head, fair_head = train_disease(cfg, oracle, train, artifact.eps)
+        reports = evaluate_heads(oracle, test, erm_head, fair_head, artifact.eps)
     finally:
-        if oracle is None:
-            fwd.close()
+        if own:
+            oracle.close()
     return ExperimentResult(sa_acc_clean=sa_acc_clean, sa_acc_edited=sa_acc_edited,
                             edit=artifact, erm_report=reports["erm"],
                             ude_report=reports["ude"], train=train, test=test)

@@ -110,12 +110,6 @@ class TestApplyEdit:
         eps = np.arange(4, dtype=np.float32)
         assert np.array_equal(apply_edit(x, eps), np.stack([eps, eps]))
 
-    def test_clamp(self):
-        x = np.zeros((1, 3), dtype=np.float32)
-        out = apply_edit(x, np.array([-5.0, 0.5, 5.0], dtype=np.float32),
-                         clamp=(0.0, 1.0))
-        assert out.tolist() == [[0.0, 0.5, 1.0]]
-
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             apply_edit(np.zeros((1, 3), dtype=np.float32),

@@ -2,10 +2,13 @@ import gc
 import socket
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ude.oracle
 from ude.models import INPUT_DIM, encoder_forward
@@ -28,12 +31,22 @@ from ude.oracle import (
 )
 
 
-@pytest.fixture
-def server(encoder):
+def _serve(encoder):
     srv = OracleServer(encoder, "127.0.0.1:0")
     srv.start_background()
     yield srv
     srv.shutdown()
+
+
+@pytest.fixture
+def server(encoder):
+    yield from _serve(encoder)
+
+
+@pytest.fixture(scope="module")
+def module_server(encoder):
+    """One server for every example of a Hypothesis test, so it must stay up."""
+    yield from _serve(encoder)
 
 
 def _batch(n, rng_seed=0):
@@ -105,6 +118,17 @@ class TestRemoteOracle:
         got = client.embed(x)
         client.close()
         assert got.tobytes() == want.tobytes()
+
+    def test_unix_socket_address(self, encoder, tmp_path):
+        srv = OracleServer(encoder, str(tmp_path / "oracle.sock"))
+        srv.start_background()
+        client = RemoteOracle(srv.bound_address)
+        x = _batch(2)
+        try:
+            assert client.embed(x).tobytes() == encoder_forward(encoder, x).tobytes()
+        finally:
+            client.close()
+            srv.shutdown()
 
     def test_connection_reuse_and_counting(self, encoder, server):
         client = RemoteOracle(server.bound_address)
@@ -185,11 +209,16 @@ class TestRemoteOracle:
             client.close()
 
 
+def _connect(server) -> socket.socket:
+    family, addr = parse_address(server.bound_address)
+    sock = socket.socket(family, socket.SOCK_STREAM)
+    sock.connect(addr)
+    return sock
+
+
 class TestWireProtocol:
     def _raw(self, server, payload: bytes) -> bytes:
-        family, addr = parse_address(server.bound_address)
-        with socket.socket(family, socket.SOCK_STREAM) as sock:
-            sock.connect(addr)
+        with _connect(server) as sock:
             sock.sendall(payload)
             sock.settimeout(2)
             return sock.recv(65536)
@@ -251,3 +280,100 @@ class TestWireProtocol:
         resp = self._raw(server, b"XXXX" + b"\x00" * 16)
         assert resp[:4] == MAGIC
         assert resp[4] == MSG_ERROR
+
+
+class TestConcurrentConnections:
+    PARTIAL_HEADER = MAGIC + bytes([MSG_EMBED])  # 5 of a request's 13 header bytes
+
+    def test_partial_frame_does_not_delay_another_client(self, server, monkeypatch):
+        # a server that reads one connection at a time leaves this client
+        # waiting until its own timeout
+        monkeypatch.setattr(ude.oracle, "CLIENT_TIMEOUT_S", 3.0)
+        with _connect(server) as stalled:
+            stalled.sendall(self.PARTIAL_HEADER)
+            client = RemoteOracle(server.bound_address)
+            try:
+                t0 = time.perf_counter()
+                client.embed(_batch(2))
+                assert time.perf_counter() - t0 < 1.0
+            finally:
+                client.close()
+
+    @pytest.mark.parametrize("sent", [b"", PARTIAL_HEADER], ids=["idle", "partial"])
+    def test_silent_connection_is_closed(self, server, monkeypatch, sent):
+        monkeypatch.setattr(ude.oracle, "SERVER_TIMEOUT_S", 0.2)
+        with _connect(server) as sock:
+            sock.sendall(sent)
+            sock.settimeout(5)
+            assert sock.recv(1) == b""
+
+
+def _assert_whole_frames(reply: bytes) -> None:
+    """A reply stream must be whole embedding or error frames, each starting
+    with MAGIC."""
+    while reply:
+        assert reply[:4] == MAGIC
+        msg_type = reply[4]
+        if msg_type == MSG_EMBED_RESPONSE:
+            b, d = struct.unpack_from("<II", reply, 5)
+            size = 13 + 4 * b * d
+        else:
+            assert msg_type == MSG_ERROR
+            size = 9 + struct.unpack_from("<H", reply, 7)[0]
+        assert len(reply) >= size
+        reply = reply[size:]
+
+
+@st.composite
+def _request_like(draw):
+    """A frame with a right or wrong magic and message type, at most 8 x 512
+    declared, and a body of finite f32 values."""
+    magic = draw(st.just(MAGIC) | st.sampled_from([b"UDE2", b"\x00" * 4]))
+    msg_type = draw(st.just(MSG_EMBED) | st.integers(0, 255))
+    batch = draw(st.integers(0, 8))
+    dim = draw(st.just(INPUT_DIM) | st.integers(0, 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    body = rng.standard_normal(batch * dim).astype("<f4").tobytes()
+    return magic + struct.pack("<BII", msg_type, batch, dim) + body
+
+
+# garbage never holds MAGIC, so no header it runs into declares a large body
+_garbage = st.binary(max_size=64).filter(lambda b: MAGIC not in b)
+
+
+@st.composite
+def _byte_streams(draw):
+    """Whole frames and garbage, then one last piece that may be cut short.
+    Only the last piece is cut, so no header is completed by the bytes of
+    the next one."""
+    pieces = draw(st.lists(_request_like() | _garbage, max_size=2))
+    last = draw(_request_like() | _garbage)
+    return b"".join(pieces) + last[:draw(st.just(len(last)) | st.integers(0, len(last)))]
+
+
+class TestWireFuzz:
+    @given(stream=_byte_streams())
+    @settings(max_examples=100, deadline=None)
+    def test_server_answers_in_frames_or_closes_and_stays_up(self, module_server,
+                                                              stream):
+        reply = b""
+        with _connect(module_server) as sock:
+            sock.settimeout(2)
+            try:
+                sock.sendall(stream)
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the server already closed, with some of the stream unread
+            try:
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                pass  # the same: closing with unread input resets the connection
+        _assert_whole_frames(reply)
+        client = RemoteOracle(module_server.bound_address)
+        x = _batch(3)
+        try:
+            assert client.embed(x).tobytes() == \
+                encoder_forward(module_server.encoder, x).tobytes()
+        finally:
+            client.close()

@@ -6,7 +6,13 @@ import pytest
 from ude.datagen import CellCounts, SynthConfig
 from ude.gezo import GezoConfig
 from ude.models import TrainConfig
-from ude.oracle import CapabilityError, InProcessOracle
+from ude.oracle import (
+    FORWARD_ONLY,
+    FORWARD_WITH_INPUT_GRAD,
+    CapabilityError,
+    InProcessOracle,
+    RemoteOracle,
+)
 from ude.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -72,10 +78,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(mode="whitebox", oracle="127.0.0.1:9")
 
-    def test_remote_gradient_oracle_rejected(self, tmp_path):
-        cfg = tiny_config(tmp_path, mode="gezo", oracle="127.0.0.1:9")
-        with pytest.raises(ConfigError):
-            make_oracle(cfg, need_grad=True)
+    @pytest.mark.parametrize("mode,address,kind,capability", [
+        ("whitebox", "inprocess", InProcessOracle, FORWARD_WITH_INPUT_GRAD),
+        ("gezo", "inprocess", InProcessOracle, FORWARD_ONLY),
+        ("gezo", "127.0.0.1:9", RemoteOracle, FORWARD_ONLY),
+    ])
+    def test_oracle_capability_follows_mode(self, tmp_path, encoder, mode, address,
+                                            kind, capability):
+        oracle = make_oracle(tiny_config(tmp_path, mode=mode, oracle=address),
+                             encoder=encoder)
+        assert type(oracle) is kind
+        assert oracle.capability == capability
+        if kind is RemoteOracle:
+            assert oracle._sock is None  # built without connecting
 
 
 class TestStagedPipeline:
@@ -153,6 +168,14 @@ class TestRunExperiment:
 
         cfg = tiny_config(tmp_path, mode="gezo")
         run_experiment(cfg, oracle=StrictForward(encoder))
+
+    def test_whitebox_edit_stage_needs_a_gradient_oracle(self, tmp_path, encoder):
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(CapabilityError):
+            run_experiment(cfg, oracle=InProcessOracle(encoder))
+        grad = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        assert run_experiment(cfg, oracle=InProcessOracle(encoder),
+                              grad_oracle=grad).edit.mode == "whitebox"
 
 
 class TestTrainDisease:
