@@ -15,7 +15,6 @@ shortcut for the disease.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -84,13 +83,10 @@ class CellCounts:
         return sum(sum(row) for row in self.n)
 
 
-# The bias-amplified pleural-effusion training grid, n[y][a] with a=0 mapped
-# to the first group column.
-PLEURAL_EFFUSION_TRAIN = CellCounts([[5000, 500], [500, 5000]])
-
-# Desk-scale defaults: the pleural-effusion ratios at scale 0.1 for training
-# (keeps the 10:1 subgroup gap) and a balanced test grid large enough that
-# rate estimates are stable.
+# Desk-scale defaults: the bias-amplified pleural-effusion training grid,
+# n[y][a] = [[5000, 500], [500, 5000]] with a=0 the first group column, at
+# scale 0.1 (keeps the 10:1 subgroup gap), and a balanced test grid large
+# enough that rate estimates are stable.
 DESK_TRAIN = CellCounts([[500, 50], [50, 500]])
 DESK_TEST = CellCounts([[50, 50], [50, 50]])
 
@@ -160,31 +156,6 @@ def generate(cfg: SynthConfig, counts: CellCounts, seed: int) -> LabeledImageSet
                            config=cfg, seed=seed, counts=counts)
 
 
-def amplify_bias(counts_template: CellCounts, scale: float) -> CellCounts:
-    """Scale a sampling grid, preserving the subgroup bias ratios."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    scaled = [[int(round(v * scale)) for v in row] for row in counts_template.n]
-    for row_t, row_s in zip(counts_template.n, scaled):
-        for v_t, v_s in zip(row_t, row_s):
-            if v_t > 0 and v_s == 0:
-                raise ValueError(f"scale {scale} collapses nonzero cell {v_t} to zero")
-    return CellCounts(scaled)
-
-
-def subgroup_positive_rate(dataset: LabeledImageSet) -> dict[int, float]:
-    """rate(a) = #(y=1 and A=a) / #(A=a)."""
-    if dataset.sa_labels is None or dataset.disease_labels is None:
-        raise ValueError("both label arrays required")
-    rates = {}
-    for a in (0, 1):
-        in_group = dataset.sa_labels == a
-        if not np.any(in_group):
-            raise ValueError(f"group {a} is empty")
-        rates[a] = float(np.mean(dataset.disease_labels[in_group]))
-    return rates
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -221,15 +192,3 @@ def load_dataset(dirpath) -> LabeledImageSet:
     counts = CellCounts(manifest["counts"]) if manifest.get("counts") else None
     return LabeledImageSet(images=images, sa_labels=sa, disease_labels=disease,
                            config=cfg, seed=manifest["seed"], counts=counts)
-
-
-def export_csv(path, dataset: LabeledImageSet) -> None:
-    """Flat per-sample dump for eyeballing: labels then pixel values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = dataset.images.shape[1]
-        writer.writerow(["sa", "disease"] + [f"px{i}" for i in range(dim)])
-        for i in range(len(dataset)):
-            sa = "" if dataset.sa_labels is None else int(dataset.sa_labels[i])
-            y = "" if dataset.disease_labels is None else int(dataset.disease_labels[i])
-            writer.writerow([sa, y] + [f"{v:.6g}" for v in dataset.images[i]])

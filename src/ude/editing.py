@@ -18,7 +18,6 @@ import numpy as np
 from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
     check_labels,
-    cross_entropy_batch,
     cross_entropy_loss_and_grad,
     init_optimizer,
     l2_norm,
@@ -60,6 +59,8 @@ class UdeConfig:
             raise ValueError("lam must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
 
 
 @dataclass
@@ -79,25 +80,23 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
 
     Needs only forward access; this is the loss both optimizers drive down.
     """
-    z = oracle.embed(apply_edit(batch, eps))
-    logits = head_forward(sa_head, z)
-    ce = float(np.mean(cross_entropy_batch(logits, sa_labels)))
-    return -ce + lam * l2_norm(eps)
+    logits = head_forward(sa_head, oracle.embed(apply_edit(batch, eps)))
+    losses, _ = cross_entropy_loss_and_grad(logits,
+                                            check_labels(sa_labels, logits.shape[-1]))
+    return -float(np.mean(losses)) + lam * l2_norm(eps)
 
 
 def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
                         sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """(objective, d objective / d eps) on one batch, gradients through the
-    encoder: -(1/B) sum_i dCE_i/dx_i + lam * eps/||eps||."""
-    xb = apply_edit(batch, eps)
-    zb = oracle.embed(xb)
+    encoder: -(1/B) sum_i dCE_i/dx_i + lam * eps/||eps||. One oracle query,
+    which embeds the batch once for both."""
+    zb, vjp = oracle.embed_vjp(apply_edit(batch, eps))
     logits = head_forward(sa_head, zb)
     losses, g = cross_entropy_loss_and_grad(logits,
                                             check_labels(sa_labels, logits.shape[-1]))
     loss = -float(np.mean(losses)) + lam * l2_norm(eps)
-    w = sa_head.weight.astype(batch.dtype)
-    upstream = g @ w.T
-    gx = oracle.embed_with_input_grad(xb, upstream)
+    gx = vjp(g @ sa_head.weight.astype(batch.dtype).T)
     grad = (-gx.sum(axis=0) / batch.shape[0]
             + lam * l2_norm_grad(eps.astype(batch.dtype)))
     return loss, grad.astype(eps.dtype)

@@ -5,8 +5,7 @@ Counting stays in integers until the final divisions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +48,6 @@ class FairnessReport:
     one_minus_di_abs: float
     group_counts: dict
     numerator_group: int = NUMERATOR_GROUP
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
     def csv_row(self) -> list[str]:
         return [f"{v:.6f}" for v in

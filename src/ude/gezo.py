@@ -33,21 +33,12 @@ class GezoConfig:
     def __post_init__(self):
         if self.local_iters < 1 or self.samples < 1:
             raise ValueError("local_iters and samples must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
         if not (0 < self.decay < 1):
             raise ValueError("decay must be in (0, 1)")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
-
-
-@dataclass
-class GezoState:
-    """Per-epoch optimizer state; reset at every epoch boundary."""
-
-    eps: np.ndarray
-    velocity: np.ndarray
-    step: float
-    best_loss: float
-    iteration: int = 0
 
 
 def greedy_gradient(oracle, sa_head: LinearHead, batch: np.ndarray,
@@ -82,25 +73,24 @@ def gezo_epoch(oracle, sa_head: LinearHead, images: np.ndarray,
     """One pass of local iterations over the edit; velocity, step size and
     best loss all start fresh."""
     n = images.shape[0]
-    state = GezoState(eps=eps_epoch.astype(np.float32),
-                      velocity=np.zeros_like(eps_epoch, dtype=np.float32),
-                      step=cfg.init_step, best_loss=math.inf)
+    eps = eps_epoch.astype(np.float32)
+    velocity = np.zeros_like(eps_epoch, dtype=np.float32)
+    step, best_loss = cfg.init_step, math.inf
     for r in range(1, cfg.local_iters + 1):
         idx = rng.permutation(n)[:cfg.batch_size]
-        d_best, state.best_loss = greedy_gradient(
-            oracle, sa_head, images[idx], sa_labels[idx], state.eps, state.step,
-            cfg.samples, cfg.lam, state.best_loss, rng)
+        d_best, best_loss = greedy_gradient(oracle, sa_head, images[idx], sa_labels[idx],
+                                            eps, step, cfg.samples, cfg.lam, best_loss,
+                                            rng)
         improved = d_best is not None
         if improved:
-            state.velocity = np.float32(cfg.momentum) * state.velocity + d_best
-            state.eps = state.eps + state.velocity
+            velocity = np.float32(cfg.momentum) * velocity + d_best
+            eps = eps + velocity
         else:
-            state.step = cfg.decay * state.step
-        state.iteration = r
+            step = cfg.decay * step
         if trace is not None:
             trace.append({"iteration": r, "improved": improved,
-                          "best_loss": state.best_loss, "step": state.step})
-    return state.eps
+                          "best_loss": best_loss, "step": step})
+    return eps
 
 
 def learn_ude_gezo(oracle, sa_head: LinearHead, images: np.ndarray,

@@ -19,7 +19,7 @@ from .numerics import (
     optimizer_step,
 )
 from .prng import Xorshift64Star, derive_seed
-from .tensor_io import load_tensor, save_tensor, tensor_digest
+from .tensor_io import load_tensor, save_tensor
 
 INPUT_DIM = 256  # 16x16 images
 HIDDEN_DIM = 64
@@ -57,9 +57,6 @@ class FrozenEncoder:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "w3": self.w3, "b3": self.b3}
 
-    def weights_digest(self) -> str:
-        return "".join(tensor_digest(p) for _, p in sorted(self.parameters().items()))
-
 
 def _draw_layer(rng: Xorshift64Star, fan_in: int, fan_out: int):
     # Glorot-uniform limit; weights filled row-major, then the bias vector,
@@ -88,31 +85,30 @@ def _cast_params(enc: FrozenEncoder, dtype):
                  for p in (enc.w1, enc.b1, enc.w2, enc.b2, enc.w3, enc.b3))
 
 
-def _forward_cached(enc: FrozenEncoder, batch: np.ndarray):
+def encoder_vjp(enc: FrozenEncoder, batch: np.ndarray):
+    """Embed a batch [B,D] -> z [B,E] and return (z, vjp), where vjp(upstream)
+    is the vector-Jacobian product d(embedding)/d(input)^T @ upstream, [B,D],
+    reusing this forward's activations."""
     if batch.ndim != 2 or batch.shape[1] != enc.input_dim:
         raise ValueError(f"batch must be [B,{enc.input_dim}], got {batch.shape}")
     w1, b1, w2, b2, w3, b3 = _cast_params(enc, batch.dtype)
     h1 = np.tanh(batch @ w1 + b1)
     h2 = np.tanh(h1 @ w2 + b2)
     z = h2 @ w3 + b3
-    return z, h1, h2
+
+    def vjp(upstream: np.ndarray) -> np.ndarray:
+        if upstream.shape != z.shape:
+            raise ValueError(f"upstream must be {z.shape}, got {upstream.shape}")
+        g2 = (upstream @ w3.T) * (1.0 - h2 * h2)
+        g1 = (g2 @ w2.T) * (1.0 - h1 * h1)
+        return g1 @ w1.T
+
+    return z, vjp
 
 
 def encoder_forward(enc: FrozenEncoder, batch: np.ndarray) -> np.ndarray:
     """Embed a batch [B,D] -> [B,E]; pure function of (weights, batch)."""
-    return _forward_cached(enc, batch)[0]
-
-
-def encoder_input_grad(enc: FrozenEncoder, batch: np.ndarray,
-                       upstream: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product d(embedding)/d(input)^T @ upstream, [B,D]."""
-    z, h1, h2 = _forward_cached(enc, batch)
-    if upstream.shape != z.shape:
-        raise ValueError(f"upstream must be {z.shape}, got {upstream.shape}")
-    w1, _, w2, _, w3, _ = _cast_params(enc, batch.dtype)
-    g2 = (upstream @ w3.T) * (1.0 - h2 * h2)
-    g1 = (g2 @ w2.T) * (1.0 - h1 * h1)
-    return g1 @ w1.T
+    return encoder_vjp(enc, batch)[0]
 
 
 @dataclass
@@ -124,14 +120,6 @@ class LinearHead:
 
     def copy(self) -> "LinearHead":
         return LinearHead(self.weight.copy(), self.bias.copy())
-
-    def param_bytes(self) -> bytes:
-        return self.weight.tobytes() + self.bias.tobytes()
-
-
-def zero_head(embed_dim: int = EMBED_DIM) -> LinearHead:
-    return LinearHead(np.zeros((embed_dim, NUM_CLASSES), dtype=np.float32),
-                      np.zeros(NUM_CLASSES, dtype=np.float32))
 
 
 def head_forward(head: LinearHead, z: np.ndarray) -> np.ndarray:

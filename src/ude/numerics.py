@@ -1,4 +1,4 @@
-"""Dense numerics shared by the whole pipeline: stabilized cross-entropy,
+"""Dense numerics shared by the whole pipeline: one stabilized cross-entropy,
 the L2 magnitude penalty, and SGD/Adam/AdamW steps with hand-written update
 rules (no autodiff anywhere in this package).
 """
@@ -12,37 +12,6 @@ import numpy as np
 L2_ORIGIN_EPS = 1e-12
 
 
-def _softmax_parts(logits: np.ndarray):
-    """(shifted logits, their exp, the row sums of the exp): the one place
-    the softmax is computed. All in C order, so rows can be indexed flat."""
-    logits = np.ascontiguousarray(logits)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, e.sum(axis=-1, keepdims=True)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    _, e, s = _softmax_parts(logits)
-    return e / s
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted, _, s = _softmax_parts(logits)
-    return shifted - np.log(s)
-
-
-def cross_entropy(logits: np.ndarray, true_class: int) -> float:
-    """-log softmax(logits)[true_class] for a single logit vector."""
-    logits = np.asarray(logits)
-    if logits.ndim != 1 or logits.shape[0] < 2:
-        raise ValueError("logits must be a vector with at least 2 classes")
-    if not (0 <= true_class < logits.shape[0]):
-        raise IndexError(f"class {true_class} out of range for K={logits.shape[0]}")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
-    return float(-log_softmax(logits)[true_class])
-
-
 def check_labels(labels, num_classes: int) -> np.ndarray:
     """labels as an array; IndexError unless every label is in [0, K)."""
     labels = np.asarray(labels)
@@ -51,44 +20,23 @@ def check_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
-def _label_positions(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Flat C-order position of each row's label entry in a [B,K] array."""
-    return np.arange(0, num_classes * len(labels), num_classes) + labels
-
-
-def _ce_loss(shifted, s, pos) -> np.ndarray:
+def cross_entropy_loss_and_grad(logits: np.ndarray, labels: np.ndarray):
+    """Per-sample CE losses [B] and their gradient softmax - onehot [B,K],
+    for logits [B,K] and integer labels [B], from one stabilized softmax.
+    Labels are not range-checked here: callers pass labels that went through
+    check_labels."""
+    logits = np.ascontiguousarray(logits)  # C order, so rows index flat
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    # flat position of each row's label entry
+    pos = np.arange(0, shifted.shape[-1] * len(labels), shifted.shape[-1]) + labels
     # negated difference, not log(s) - shifted[y]: where the two are equal
     # that would give +0.0 in place of -0.0
-    return -(shifted.ravel()[pos] - np.log(s).ravel())
-
-
-def _ce_grad(e, s, pos) -> np.ndarray:
-    g = e / s
-    g.ravel()[pos] -= 1.0
-    return g
-
-
-def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample CE losses for logits [B,K] and integer labels [B]."""
-    labels = check_labels(labels, logits.shape[-1])
-    shifted, _, s = _softmax_parts(logits)
-    return _ce_loss(shifted, s, _label_positions(labels, shifted.shape[-1]))
-
-
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(per-sample CE)/d(logits) = softmax - onehot, shape [B,K]."""
-    labels = check_labels(labels, logits.shape[-1])
-    _, e, s = _softmax_parts(logits)
-    return _ce_grad(e, s, _label_positions(labels, e.shape[-1]))
-
-
-def cross_entropy_loss_and_grad(logits: np.ndarray, labels: np.ndarray):
-    """(cross_entropy_batch, cross_entropy_grad) from one softmax, with the
-    same bytes as the two calls. Labels are not range-checked here: callers
-    pass labels that went through check_labels."""
-    shifted, e, s = _softmax_parts(logits)
-    pos = _label_positions(labels, shifted.shape[-1])
-    return _ce_loss(shifted, s, pos), _ce_grad(e, s, pos)
+    loss = -(shifted.ravel()[pos] - np.log(s).ravel())
+    grad = e / s
+    grad.ravel()[pos] -= 1.0
+    return loss, grad
 
 
 def l2_norm(eps: np.ndarray) -> float:

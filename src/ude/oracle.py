@@ -12,11 +12,13 @@ Wire protocol (little-endian):
     error:    magic "UDE1" | msg_type u8 = 0xFF | code u16 | len u16 | utf-8 message
 One request per round-trip; connections may be reused; the server serves
 each connection on its own thread and closes one that stays silent for
-SERVER_TIMEOUT_S, so an idle or stalled peer never holds up another. A
-matrix body larger than MAX_PAYLOAD_BYTES is refused from its header, before
-it is read: the server answers ERR_MALFORMED and closes, the client raises
-ProtocolError. The client also raises ProtocolError when a connect, send or
-receive waits longer than CLIENT_TIMEOUT_S.
+SERVER_TIMEOUT_S, so an idle or stalled peer never holds up another; a
+client whose reused connection ends before the first byte of an answer
+sends that request once more on a fresh one. A matrix body larger than
+MAX_PAYLOAD_BYTES is refused from its header, before it is read: the server
+answers ERR_MALFORMED and closes, the client raises ProtocolError. The
+client also raises ProtocolError when a connect, send or receive waits
+longer than CLIENT_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import threading
 
 import numpy as np
 
-from .models import FrozenEncoder, encoder_forward, encoder_input_grad
+from .models import FrozenEncoder, encoder_forward, encoder_vjp
 
 MAGIC = b"UDE1"
 MSG_EMBED = 0x01
@@ -89,7 +91,8 @@ class EmbeddingOracle:
     def embed(self, batch: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def embed_with_input_grad(self, batch: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    def embed_vjp(self, batch: np.ndarray):
+        """(embeddings, vjp) from one forward; see models.encoder_vjp."""
         raise CapabilityError("this oracle is forward-only; no input gradients")
 
     def close(self) -> None:
@@ -110,11 +113,14 @@ class InProcessOracle(EmbeddingOracle):
         self._count(batch.shape[0])
         return z
 
-    def embed_with_input_grad(self, batch, upstream):
+    def embed_vjp(self, batch):
+        """One logical query, like embed, that also returns the VJP."""
         if self.capability != FORWARD_WITH_INPUT_GRAD:
             raise CapabilityError("oracle is forward-only; use zeroth-order optimization")
         batch = self._check_batch(batch)
-        return encoder_input_grad(self.encoder, batch, upstream)
+        z, vjp = encoder_vjp(self.encoder, batch)
+        self._count(batch.shape[0])
+        return z, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +217,29 @@ class RemoteOracle(EmbeddingOracle):
             self._sock.close()
             self._sock = None
 
+    def _exchange(self, frame: bytes, rows: int, resend: bool) -> np.ndarray:
+        """Send one request and read its answer. With `resend`, a connection
+        that ends, by EOF or reset, before the first byte of the answer (a
+        reused one the server has closed as idle) is replaced by a fresh one
+        and the request sent once more; embed is pure, so that is safe."""
+        sock = self._connect()
+        try:
+            sock.sendall(frame)
+            ended = not sock.recv(1, socket.MSG_PEEK)
+        except (BrokenPipeError, ConnectionResetError):
+            if not resend:
+                raise
+            ended = True
+        if ended and resend:
+            self.close()
+            return self._exchange(frame, rows, resend=False)
+        return _read_response(sock, rows)
+
     def embed(self, batch: np.ndarray) -> np.ndarray:
         batch = self._check_batch(batch)
         try:
-            sock = self._connect()
-            sock.sendall(_pack_matrix(MSG_EMBED, batch))
-            z = _read_response(sock, batch.shape[0])
+            z = self._exchange(_pack_matrix(MSG_EMBED, batch), batch.shape[0],
+                               resend=self._sock is not None)
         except TimeoutError as exc:
             self.close()
             raise ProtocolError(f"no answer from {self.address} within "

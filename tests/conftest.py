@@ -6,6 +6,7 @@ import pytest
 
 from ude.datagen import CellCounts, SynthConfig, generate
 from ude.models import build_encoder
+from ude.tensor_io import tensor_digest
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +58,13 @@ def central_diff(f, x, h=1e-5):
         xm[i] -= h
         grad[i] = (f(xp) - f(xm)) / (2 * h)
     return grad
+
+
+def head_bytes(head):
+    """A head's weight and bias bytes, for exact comparisons."""
+    return head.weight.tobytes(), head.bias.tobytes()
+
+
+def encoder_digests(enc):
+    """The tensor_digest of each encoder parameter, in parameters() order."""
+    return [tensor_digest(p) for p in enc.parameters().values()]

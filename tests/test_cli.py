@@ -45,6 +45,15 @@ class TestExitCodes:
         bad.write_text(json.dumps({"bogus": 1}))
         assert main(["generate", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("mode,section", [("whitebox", "ude"), ("gezo", "gezo")])
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_empty_edit_epochs_or_batches_are_config_errors(self, tmp_path, capsys,
+                                                            mode, section, field):
+        cfg = write_tiny_config(tmp_path, mode=mode, **{section: {field: 0}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_whitebox_remote_is_config_error(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         assert main(["learn-edit", "--config", cfg, "--mode", "whitebox",

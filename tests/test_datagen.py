@@ -3,18 +3,16 @@ import pytest
 
 from ude.datagen import (
     DESK_TRAIN,
-    PLEURAL_EFFUSION_TRAIN,
     CellCounts,
     LabeledImageSet,
     SynthConfig,
-    amplify_bias,
     base_pattern,
-    export_csv,
     generate,
     load_dataset,
     save_dataset,
-    subgroup_positive_rate,
 )
+
+PLEURAL_EFFUSION_TRAIN = [[5000, 500], [500, 5000]]  # the bias-amplified grid n[y][a]
 
 
 class TestCellCounts:
@@ -27,19 +25,7 @@ class TestCellCounts:
             CellCounts(grid)
 
     def test_desk_train_is_scaled_pleural_effusion(self):
-        assert amplify_bias(PLEURAL_EFFUSION_TRAIN, 0.1).n == DESK_TRAIN.n
-
-    def test_amplify_preserves_ratio(self):
-        scaled = amplify_bias(CellCounts([[1000, 100], [100, 1000]]), 0.5)
-        assert scaled.n == [[500, 50], [50, 500]]
-
-    def test_amplify_rejects_collapse(self):
-        with pytest.raises(ValueError):
-            amplify_bias(CellCounts([[1000, 1], [1, 1000]]), 0.1)
-
-    def test_amplify_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            amplify_bias(DESK_TRAIN, 0.0)
+        assert DESK_TRAIN.n == [[v // 10 for v in row] for row in PLEURAL_EFFUSION_TRAIN]
 
 
 class TestSynthConfig:
@@ -101,8 +87,9 @@ class TestGenerate:
         assert np.allclose(diff[cfg.disease_region], cfg.signal_amp)
 
     def test_subgroup_rates_match_published_ratio(self):
-        data = generate(SynthConfig(), PLEURAL_EFFUSION_TRAIN, seed=1)
-        rates = subgroup_positive_rate(data)
+        # the disease rate of each group, #(y=1, a) / #(a), is the grid's
+        data = generate(SynthConfig(), CellCounts(PLEURAL_EFFUSION_TRAIN), seed=1)
+        rates = [float(np.mean(data.disease_labels[data.sa_labels == a])) for a in (0, 1)]
         assert rates[0] == pytest.approx(500 / 5500)
         assert rates[1] == pytest.approx(5000 / 5500)
 
@@ -129,11 +116,3 @@ class TestPersistence:
         assert np.array_equal(back.disease_labels, data.disease_labels)
         assert back.counts.n == data.counts.n
         assert back.config.sa_region == data.config.sa_region
-
-    def test_csv_export(self, tmp_path):
-        data = generate(SynthConfig(), CellCounts([[1, 1], [1, 1]]), seed=3)
-        path = tmp_path / "d.csv"
-        export_csv(path, data)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + 4
-        assert lines[0].startswith("sa,disease,px0")

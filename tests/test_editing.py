@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ude.oracle
 from ude.editing import (
     EditArtifact,
     UdeConfig,
@@ -17,7 +18,7 @@ from ude.editing import (
 from ude.models import INPUT_DIM, TrainConfig, head_accuracy, train_head
 from ude.oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError, InProcessOracle
 
-from conftest import central_diff
+from conftest import central_diff, head_bytes
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,24 @@ class TestWhiteboxLearning:
         assert len(art.loss_trace) == len(art.eps_norm_trace) == 4
         assert art.eps_norm_trace[-1] > 0
 
+    def test_one_vjp_and_no_separate_forward_per_batch(self, encoder, trained_sa,
+                                                      small_data, monkeypatch):
+        # each mini-batch is embedded once, for both the loss and its gradient
+        calls = {"encoder_vjp": 0, "encoder_forward": 0}
+        for name in calls:
+            def counted(*args, real=getattr(ude.oracle, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(ude.oracle, name, counted)
+        _, train, _ = small_data
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        cfg = UdeConfig(epochs=2, batch_size=64, seed=0)
+        learn_ude_whitebox(oracle, trained_sa, train.images, train.sa_labels, cfg)
+        n = len(train)
+        batches = cfg.epochs * -(-n // cfg.batch_size)
+        assert calls == {"encoder_vjp": batches, "encoder_forward": 0}
+        assert oracle.query_counter == (batches, cfg.epochs * n)
+
 
 class TestApplyEdit:
     def test_addition(self):
@@ -125,7 +144,7 @@ class TestDiseaseTraining:
                                          train.disease_labels, cfg)
         plain, _ = train_head(InProcessOracle(encoder), train.images,
                               train.disease_labels, cfg)
-        assert fair.param_bytes() == plain.param_bytes()
+        assert head_bytes(fair) == head_bytes(plain)
 
     def test_missing_labels(self, encoder, small_data):
         _, train, _ = small_data

@@ -95,4 +95,3 @@ class TestReport:
         assert row == [f"{v:.6f}" for v in (report.eo_neg, report.eo_pos,
                                             report.one_minus_di_abs,
                                             report.accuracy)]
-        assert "accuracy" in report.to_json()

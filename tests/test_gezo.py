@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ude.gezo import GezoConfig, GezoState, gezo_epoch, greedy_gradient, learn_ude_gezo
+from ude.gezo import GezoConfig, gezo_epoch, greedy_gradient, learn_ude_gezo
 from ude.models import INPUT_DIM, TrainConfig, head_accuracy, train_head
 from ude.oracle import InProcessOracle
 
@@ -89,24 +89,23 @@ class TestEpoch:
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
         cfg = GezoConfig(local_iters=12, batch_size=16, seed=0)
-        state = GezoState(eps=np.zeros(INPUT_DIM, dtype=np.float32),
-                          velocity=np.zeros(INPUT_DIM, dtype=np.float32),
-                          step=cfg.init_step, best_loss=-1e18)
+        eps = np.zeros(INPUT_DIM, dtype=np.float32)
+        step, best_loss = cfg.init_step, -1e18
         rng = np.random.default_rng(2)
         expected = cfg.init_step
         for _ in range(cfg.local_iters):
-            d, state.best_loss = greedy_gradient(
+            d, best_loss = greedy_gradient(
                 oracle, trained_sa, train.images[:16], train.sa_labels[:16],
-                state.eps, state.step, cfg.samples, cfg.lam, state.best_loss, rng)
+                eps, step, cfg.samples, cfg.lam, best_loss, rng)
             assert d is None
-            state.step = cfg.decay * state.step
+            step = cfg.decay * step
             expected = cfg.decay * expected
-            assert state.step == expected
+            assert step == expected
         # the closed form 0.01 * 0.95^R, evaluated as the same product chain
         s_ref = 0.01
         for _ in range(12):
             s_ref *= 0.95
-        assert state.step == s_ref
+        assert step == s_ref
 
     def test_momentum_zero_equals_plain_greedy(self, encoder, trained_sa,
                                                small_data):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ude.numerics import (
-    cross_entropy,
-    cross_entropy_batch,
-    cross_entropy_grad,
+    check_labels,
     cross_entropy_loss_and_grad,
     init_optimizer,
     l2_norm,
@@ -22,35 +20,41 @@ from conftest import central_diff
 finite_floats = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
 
 
+def _ce(logits, label: int) -> float:
+    """The CE of one logit vector, through the batched function."""
+    losses, _ = cross_entropy_loss_and_grad(np.asarray(logits)[None], np.array([label]))
+    return float(losses[0])
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        assert cross_entropy(np.array([0.0, 0.0]), 0) == pytest.approx(math.log(2))
+        assert _ce([0.0, 0.0], 0) == pytest.approx(math.log(2))
 
     def test_saturated_correct_class(self):
-        assert cross_entropy(np.array([100.0, 0.0]), 0) <= 1e-8
+        assert _ce([100.0, 0.0], 0) <= 1e-8
 
     def test_two_class_value(self):
         # -log(e^{-1} / (e^{1} + e^{-1})) = 2 + ln(1 + e^{-2})
         expected = 2.1269280110429727
-        assert cross_entropy(np.array([1.0, -1.0]), 1) == pytest.approx(expected, abs=1e-12)
+        assert _ce([1.0, -1.0], 1) == pytest.approx(expected, abs=1e-12)
 
     def test_class_out_of_range(self):
-        with pytest.raises(IndexError):
-            cross_entropy(np.array([0.0, 1.0]), 2)
-
-    def test_non_finite_logits(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([np.nan, 0.0]), 0)
+        labels = check_labels([0, 1, 1], 2)
+        assert isinstance(labels, np.ndarray) and labels.tolist() == [0, 1, 1]
+        for bad in (2, -1):
+            with pytest.raises(IndexError):
+                check_labels(np.array([0, bad]), 2)
 
     def test_large_logits_stable(self):
-        assert np.isfinite(cross_entropy(np.array([1000.0, -1000.0]), 1))
+        assert np.isfinite(_ce([1000.0, -1000.0], 1))
 
     @given(arrays(np.float64, st.integers(2, 6), elements=finite_floats))
     @settings(max_examples=100, deadline=None)
     def test_softmax_normalization(self, logits):
         # summing exp(-CE) over all label choices recovers 1
-        total = sum(math.exp(-cross_entropy(logits, k)) for k in range(len(logits)))
-        assert total == pytest.approx(1.0, abs=1e-6)
+        k = len(logits)
+        losses, _ = cross_entropy_loss_and_grad(np.tile(logits, (k, 1)), np.arange(k))
+        assert np.sum(np.exp(-losses)) == pytest.approx(1.0, abs=1e-6)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -58,22 +62,15 @@ class TestCrossEntropy:
             k = int(rng.integers(2, 6))
             logits = rng.normal(0, 3, k)
             label = int(rng.integers(k))
-            analytic = cross_entropy_grad(logits[None, :], [label])[0]
-            numeric = central_diff(lambda x: cross_entropy(x, label), logits)
+            analytic = cross_entropy_loss_and_grad(logits[None, :], np.array([label]))[1][0]
+            numeric = central_diff(lambda x: _ce(x, label), logits)
             assert np.max(np.abs(analytic - numeric)) < 1e-6 * max(1, np.max(np.abs(numeric)))
-
-    @pytest.mark.parametrize("fn", [cross_entropy_batch, cross_entropy_grad])
-    @pytest.mark.parametrize("bad", [2, -1])
-    def test_batch_label_out_of_range(self, fn, bad):
-        with pytest.raises(IndexError):
-            fn(np.zeros((2, 2), dtype=np.float32), np.array([0, bad]))
 
     def test_batch_matches_scalar(self):
         logits = np.array([[1.0, -1.0], [0.5, 0.5]])
-        labels = np.array([1, 0])
-        per_sample = cross_entropy_batch(logits, labels)
-        assert per_sample[0] == pytest.approx(cross_entropy(logits[0], 1))
-        assert per_sample[1] == pytest.approx(cross_entropy(logits[1], 0))
+        per_sample, _ = cross_entropy_loss_and_grad(logits, np.array([1, 0]))
+        assert per_sample[0] == pytest.approx(_ce(logits[0], 1))
+        assert per_sample[1] == pytest.approx(_ce(logits[1], 0))
 
 
 @st.composite
@@ -93,11 +90,9 @@ class TestFusedCrossEntropy:
     def test_same_bytes_as_separate_functions(self, case):
         logits, labels = case
         loss, grad = cross_entropy_loss_and_grad(logits, labels)
-        assert loss.tobytes() == cross_entropy_batch(logits, labels).tobytes()
-        assert grad.tobytes() == cross_entropy_grad(logits, labels).tobytes()
         f_loss, f_grad = cross_entropy_loss_and_grad(np.asfortranarray(logits), labels)
         assert (f_loss.tobytes(), f_grad.tobytes()) == (loss.tobytes(), grad.tobytes())
-        # and as the separate formulas: -log_softmax[y], softmax - onehot
+        # the same bytes as the separate formulas: -log_softmax[y], softmax - onehot
         rows = np.arange(len(labels))
         shifted = logits - np.max(logits, axis=-1, keepdims=True)
         sums = np.sum(np.exp(shifted), axis=-1, keepdims=True)

@@ -63,12 +63,16 @@ class TestInProcessOracle:
     def test_forward_only_refuses_gradients(self, encoder):
         oracle = InProcessOracle(encoder, capability=FORWARD_ONLY)
         with pytest.raises(CapabilityError):
-            oracle.embed_with_input_grad(_batch(2), np.zeros((2, 32)))
+            oracle.embed_vjp(_batch(2))
+        assert oracle.query_counter == (0, 0)
 
     def test_grad_capability_allows_gradients(self, encoder):
         oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
-        g = oracle.embed_with_input_grad(_batch(2), np.zeros((2, 32), dtype=np.float32))
-        assert g.shape == (2, INPUT_DIM)
+        x = _batch(2)
+        z, vjp = oracle.embed_vjp(x)
+        assert z.tobytes() == encoder_forward(encoder, x).tobytes()
+        assert vjp(np.zeros((2, 32), dtype=np.float32)).shape == (2, INPUT_DIM)
+        assert oracle.query_counter == (1, 2)  # one logical query, like embed
 
     def test_unknown_capability_rejected(self, encoder):
         with pytest.raises(ValueError):
@@ -141,7 +145,7 @@ class TestRemoteOracle:
         client = RemoteOracle(server.bound_address)
         assert client.capability == FORWARD_ONLY
         with pytest.raises(CapabilityError):
-            client.embed_with_input_grad(_batch(1), np.zeros((1, 32)))
+            client.embed_vjp(_batch(1))
         client.close()
 
     def test_dim_mismatch_error_code(self, server):
@@ -209,6 +213,38 @@ class TestRemoteOracle:
             client.close()
 
 
+class TestReconnect:
+    def test_idle_closed_connection_is_reopened(self, server, monkeypatch):
+        monkeypatch.setattr(ude.oracle, "SERVER_TIMEOUT_S", 0.2)
+        client = RemoteOracle(server.bound_address)
+        x = _batch(3)
+        try:
+            client.embed(x)
+            time.sleep(0.5)  # the server closes the idle connection
+            assert client.embed(x).tobytes() == encoder_forward(server.encoder, x).tobytes()
+            assert client.query_counter == (2, 2 * 3)
+        finally:
+            client.close()
+
+    def test_resends_once_on_a_reused_connection(self, server, monkeypatch):
+        client = RemoteOracle(server.bound_address)
+        requests = []
+
+        def fail(enc, batch):  # the server closes without an answer
+            requests.append(batch.shape[0])
+            raise RuntimeError("injected")
+
+        try:
+            client.embed(_batch(2))
+            monkeypatch.setattr(ude.oracle, "encoder_forward", fail)
+            with pytest.raises(ProtocolError):
+                client.embed(_batch(2))
+            assert requests == [2, 2]  # on the reused connection, then on one fresh one
+            assert client.query_counter == (1, 2)
+        finally:
+            client.close()
+
+
 def _connect(server) -> socket.socket:
     family, addr = parse_address(server.bound_address)
     sock = socket.socket(family, socket.SOCK_STREAM)
@@ -268,7 +304,7 @@ class TestWireProtocol:
         monkeypatch.setattr(ude.oracle, "encoder_forward", fail_once)
         client = RemoteOracle(server.bound_address)
         try:
-            with pytest.raises(ProtocolError):
+            with pytest.raises(ProtocolError):  # fresh, so not resent; a resend would work
                 client.embed(_batch(2))
             server._thread.join(timeout=0.5)
             assert server._thread.is_alive()

@@ -28,6 +28,8 @@ from ude.pipeline import (
     train_disease,
 )
 
+from conftest import encoder_digests, head_bytes
+
 
 def tiny_config(out_dir, **overrides) -> PipelineConfig:
     """A pipeline small enough for fast staged tests."""
@@ -163,7 +165,7 @@ class TestRunExperiment:
         from ude.oracle import InProcessOracle
 
         class StrictForward(InProcessOracle):
-            def embed_with_input_grad(self, batch, upstream):
+            def embed_vjp(self, batch):
                 raise CapabilityError("forward-only")
 
         cfg = tiny_config(tmp_path, mode="gezo")
@@ -202,7 +204,7 @@ class TestTrainDisease:
         assert oracle.rows == ([n, n] if with_edit else [n])
         assert (head is not None) == with_edit
         if with_edit:
-            assert head.param_bytes() != erm_head.param_bytes()
+            assert head_bytes(head) != head_bytes(erm_head)
 
 
 class TestSweep:
@@ -238,5 +240,5 @@ class TestSyntheticDefaults:
 
         cfg_a = tiny_config(tmp_path / "a", seed=1)
         cfg_b = tiny_config(tmp_path / "b", seed=2)
-        assert _ensure_encoder(cfg_a).weights_digest() == \
-            _ensure_encoder(cfg_b).weights_digest()
+        assert encoder_digests(_ensure_encoder(cfg_a)) == \
+            encoder_digests(_ensure_encoder(cfg_b))
