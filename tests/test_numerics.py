@@ -26,6 +26,16 @@ def _ce(logits, label: int) -> float:
     return float(losses[0])
 
 
+def cross_entropy_batch(logits, labels):
+    """Per-sample CE losses as src callers take them: labels checked first."""
+    return cross_entropy_loss_and_grad(logits, check_labels(labels, logits.shape[-1]))[0]
+
+
+def cross_entropy_grad(logits, labels):
+    """The CE gradient as src callers take it: labels checked first."""
+    return cross_entropy_loss_and_grad(logits, check_labels(labels, logits.shape[-1]))[1]
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         assert _ce([0.0, 0.0], 0) == pytest.approx(math.log(2))
@@ -65,6 +75,12 @@ class TestCrossEntropy:
             analytic = cross_entropy_loss_and_grad(logits[None, :], np.array([label]))[1][0]
             numeric = central_diff(lambda x: _ce(x, label), logits)
             assert np.max(np.abs(analytic - numeric)) < 1e-6 * max(1, np.max(np.abs(numeric)))
+
+    @pytest.mark.parametrize("fn", [cross_entropy_batch, cross_entropy_grad])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_batch_label_out_of_range(self, fn, bad):
+        with pytest.raises(IndexError):
+            fn(np.zeros((2, 2), dtype=np.float32), np.array([0, bad]))
 
     def test_batch_matches_scalar(self):
         logits = np.array([[1.0, -1.0], [0.5, 0.5]])
