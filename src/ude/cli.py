@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .editing import DivergenceError, load_edit, write_noise_map_csv
 from .fairness import UndefinedMetric
@@ -38,19 +39,12 @@ EXIT_DIVERGED = 6
 
 
 def _load_config(args) -> PipelineConfig:
-    if args.config:
-        cfg = PipelineConfig.from_json_file(args.config)
-    else:
-        cfg = PipelineConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "mode", None):
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), "mode": args.mode})
-    if getattr(args, "oracle", None):
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), "oracle": args.oracle})
-    return cfg
+    """The --config file's config, or the default, with the given flags
+    applied in one replace, so the config is validated once more."""
+    cfg = PipelineConfig.from_json_file(args.config) if args.config else PipelineConfig()
+    flags = {"seed": args.seed, "out_dir": args.out,
+             "mode": getattr(args, "mode", None), "oracle": getattr(args, "oracle", None)}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:

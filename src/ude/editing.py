@@ -52,7 +52,6 @@ class UdeConfig:
     # enough steps to push every input into encoder saturation, which destroys
     # downstream utility along with the group signal
     batch_size: int = 2048
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:
@@ -69,7 +68,7 @@ class EditArtifact:
     loss_trace: list[float]  # per-epoch mean objective
     eps_norm_trace: list[float]  # per-epoch ||eps||_2
     config: dict
-    seed: int
+    seed: int  # the learner's seed, derived from the run's seed
     mode: str = "whitebox"
     iteration_trace: list[dict] = field(default_factory=list)  # gezo only
 
@@ -103,9 +102,10 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
 
 
 def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
-                       sa_labels: np.ndarray, cfg: UdeConfig) -> EditArtifact:
+                       sa_labels: np.ndarray, cfg: UdeConfig, seed: int) -> EditArtifact:
     """Adam on the edit against a frozen group head, gradients through the
-    encoder. The head and encoder are never modified."""
+    encoder, mini-batches shuffled from `seed`. The head and encoder are
+    never modified."""
     if oracle.capability != FORWARD_WITH_INPUT_GRAD:
         raise CapabilityError("white-box edit learning needs input gradients; "
                               "use the zeroth-order optimizer instead")
@@ -114,7 +114,7 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
     n, dim = images.shape
     eps = np.zeros(dim, dtype=np.float32)
     opt = init_optimizer("adam", cfg.lr, eps.shape)
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0xED17))
+    rng = np.random.default_rng(derive_seed(seed, 0xED17))
 
     loss_trace, norm_trace = [], []
     for epoch in range(cfg.epochs):
@@ -132,7 +132,7 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
         norm_trace.append(l2_norm(eps))
         check_epoch_finite("whitebox", epoch, cfg.epochs, loss_trace[-1], eps)
     return EditArtifact(eps=eps, loss_trace=loss_trace, eps_norm_trace=norm_trace,
-                        config=vars(cfg).copy(), seed=cfg.seed, mode="whitebox")
+                        config=vars(cfg).copy(), seed=seed, mode="whitebox")
 
 
 def apply_edit(images: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -144,19 +144,17 @@ def apply_edit(images: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 
 def train_fair_disease(oracle, edits: list[np.ndarray], images: np.ndarray,
-                       disease_labels: np.ndarray, cfg: TrainConfig | None = None):
+                       disease_labels: np.ndarray, cfg: TrainConfig, seed: int):
     """Train one disease head per edit on embeddings of the inputs with that
     edit applied, all in one loop (models.fit_heads); only the heads are
     trainable. Returns one (head, trace) per edit. A zero edit is exactly
     the plain (unedited) baseline path."""
     if disease_labels is None:
         raise ValueError("disease labels required")
-    if cfg is None:
-        cfg = TrainConfig(optimizer="adamw", lr=1.25e-4, epochs=50)
     # one edited copy of the inputs alive at a time: each is dropped once
     # it is embedded
     z = np.stack([oracle.embed(apply_edit(images, eps)) for eps in edits])
-    return fit_heads(z, disease_labels, cfg)
+    return fit_heads(z, disease_labels, cfg, seed)
 
 
 def export_noise_map(eps: np.ndarray, top_fraction: float):

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .editing import apply_edit
 from .models import LinearHead, head_forward
 
 NUMERATOR_GROUP = 0  # group a=0 is the DI numerator; recorded in the report
@@ -96,15 +95,13 @@ def build_report(rec: EvalRecord) -> FairnessReport:
                           group_counts=counts)
 
 
-def evaluate(head: LinearHead, oracle, images: np.ndarray,
-             disease_labels: np.ndarray, sa_labels: np.ndarray,
-             eps: np.ndarray | None = None) -> FairnessReport:
-    """Full report for a head on (optionally edited) images. Predictions are
-    argmax over logits; equal logits predict class 0."""
+def evaluate(head: LinearHead, z: np.ndarray, disease_labels: np.ndarray,
+             sa_labels: np.ndarray) -> FairnessReport:
+    """Full report for a head on embeddings z [N,E]. Predictions are argmax
+    over logits; equal logits predict class 0."""
     if disease_labels is None or sa_labels is None:
         raise ValueError("both label arrays required")
-    x = images if eps is None else apply_edit(images, eps)
-    logits = head_forward(head, oracle.embed(x))
+    logits = head_forward(head, z)
     preds = np.argmax(logits, axis=1)  # np.argmax takes the first max: ties -> 0
     rec = EvalRecord(predictions=preds, labels=disease_labels, attrs=sa_labels)
     return build_report(rec)

@@ -28,7 +28,6 @@ class GezoConfig:
     batch_size: int = 64
     lam: float = 0.01
     epochs: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.local_iters < 1 or self.samples < 1:
@@ -94,14 +93,15 @@ def gezo_epoch(oracle, sa_head: LinearHead, images: np.ndarray,
 
 
 def learn_ude_gezo(oracle, sa_head: LinearHead, images: np.ndarray,
-                   sa_labels: np.ndarray, cfg: GezoConfig) -> EditArtifact:
-    """Run the per-epoch pass for cfg.epochs, threading the edit through.
-    Only forward oracle calls are ever issued."""
+                   sa_labels: np.ndarray, cfg: GezoConfig, seed: int) -> EditArtifact:
+    """Run the per-epoch pass for cfg.epochs, threading the edit through;
+    batches and perturbations are drawn from `seed`. Only forward oracle
+    calls are ever issued."""
     if sa_labels is None:
         raise ValueError("group labels required")
     dim = images.shape[1]
     eps = np.zeros(dim, dtype=np.float32)
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0x6E20))
+    rng = np.random.default_rng(derive_seed(seed, 0x6E20))
     loss_trace, norm_trace = [], []
     iteration_trace: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -115,5 +115,5 @@ def learn_ude_gezo(oracle, sa_head: LinearHead, images: np.ndarray,
         norm_trace.append(l2_norm(eps))
         check_epoch_finite("gezo", epoch, cfg.epochs, loss_trace[-1], eps)
     return EditArtifact(eps=eps, loss_trace=loss_trace, eps_norm_trace=norm_trace,
-                        config=vars(cfg).copy(), seed=cfg.seed, mode="gezo",
+                        config=vars(cfg).copy(), seed=seed, mode="gezo",
                         iteration_trace=iteration_trace)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    OptimizerState,
     check_labels,
     cross_entropy_loss_and_grad,
     init_optimizer,
@@ -134,11 +135,11 @@ class TrainConfig:
     lr: float = 1e-4
     epochs: int = 50
     batch_size: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        OptimizerState(self.optimizer, self.lr)  # rejects an unknown optimizer or lr
 
 
 def _stacked_views(flat: np.ndarray):
@@ -147,16 +148,16 @@ def _stacked_views(flat: np.ndarray):
     return flat[:, :-k].reshape(flat.shape[0], -1, k), flat[:, None, -k:]
 
 
-def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
+def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     """Train one linear head per embedding set z[k] of z [K,N,E], all on the
     same labels and mini-batch order, in one loop. Returns one (head,
     per-epoch mean CE trace) per set.
 
-    Embeddings are used in float32. Mini-batch order is a fresh seeded
-    shuffle per epoch. All parameters live in one [K, E*2+2] buffer and take
-    one optimizer step together: every optimizer here is elementwise and
-    every other op acts on each head's rows alone, so each head gets the
-    bytes it would get if trained alone.
+    Embeddings are used in float32. Mini-batch order is a fresh shuffle per
+    epoch, drawn from `seed`. All parameters live in one [K, E*2+2] buffer
+    and take one optimizer step together: every optimizer here is
+    elementwise and every other op acts on each head's rows alone, so each
+    head gets the bytes it would get if trained alone.
     """
     z = np.asarray(z, dtype=np.float32)
     if z.ndim != 3:
@@ -172,7 +173,7 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
     grads = np.empty_like(params)
     (w, b), (gw, gb) = _stacked_views(params), _stacked_views(grads)
     opt = init_optimizer(cfg.optimizer, cfg.lr, params.shape)
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EAD))
+    rng = np.random.default_rng(derive_seed(seed, 0x7EAD))
     # the epoch's shuffled embeddings, and its shuffled labels once per head,
     # so that a batch's labels for all K heads are one contiguous slice
     zs, ys = np.empty_like(z), np.empty((k, n), dtype=labels.dtype)
@@ -204,13 +205,14 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
     return [(LinearHead(wk, bk[0]).copy(), trace) for wk, bk, trace in zip(w, b, traces)]
 
 
-def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
+def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
+               seed: int):
     """Train a linear head on embeddings of images; the encoder stays
     untouched. Returns (head, per-epoch mean CE trace).
 
     The images are embedded once up front; see fit_heads for the loop.
     """
-    return fit_heads(oracle.embed(images)[None], labels, cfg)[0]
+    return fit_heads(oracle.embed(images)[None], labels, cfg, seed)[0]
 
 
 def head_accuracy(head: LinearHead, z: np.ndarray, labels: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -43,7 +43,6 @@ from .models import (
     LinearHead,
     TrainConfig,
     build_encoder,
-    encoder_forward,
     head_accuracy,
     load_encoder,
     load_head,
@@ -92,6 +91,9 @@ class PipelineConfig:
     gezo: GezoConfig = field(default_factory=GezoConfig)
 
     def __post_init__(self):
+        seeds = (self.seed, self.encoder_seed)
+        if not all(isinstance(s, (int, np.integer)) for s in seeds):
+            raise ConfigError("seed and encoder_seed must be integers")
         if self.mode not in ("whitebox", "gezo"):
             raise ConfigError(f"mode must be whitebox or gezo, got {self.mode!r}")
         if self.mode == "whitebox" and self.oracle != "inprocess":
@@ -103,12 +105,14 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be an object, got {type(raw).__name__}")
         raw = dict(raw)
         try:
             for key, ctor in (("synth", SynthConfig), ("sa_train", TrainConfig),
                               ("disease_train", TrainConfig), ("ude", UdeConfig),
                               ("gezo", GezoConfig)):
-                if key in raw and isinstance(raw[key], dict):
+                if key in raw:
                     raw[key] = ctor(**raw[key])
             for key in ("train_counts", "test_counts"):
                 if key in raw and not isinstance(raw[key], CellCounts):
@@ -208,8 +212,8 @@ def generate_data(cfg: PipelineConfig) -> tuple[LabeledImageSet, LabeledImageSet
 
 def train_sa(cfg: PipelineConfig, oracle, train: LabeledImageSet):
     """The group-attribute head on clean embeddings; (head, loss trace)."""
-    sa_cfg = replace(cfg.sa_train, seed=derive(cfg, TAG_SA_TRAIN))
-    return train_head(oracle, train.images, train.sa_labels, sa_cfg)
+    return train_head(oracle, train.images, train.sa_labels, cfg.sa_train,
+                      derive(cfg, TAG_SA_TRAIN))
 
 
 def learn_edit(cfg: PipelineConfig, oracle, sa_head: LinearHead,
@@ -218,9 +222,9 @@ def learn_edit(cfg: PipelineConfig, oracle, sa_head: LinearHead,
     seed = derive(cfg, TAG_EDIT)
     if cfg.mode == "whitebox":
         return learn_ude_whitebox(oracle, sa_head, train.images, train.sa_labels,
-                                  replace(cfg.ude, seed=seed))
+                                  cfg.ude, seed)
     return learn_ude_gezo(oracle, sa_head, train.images, train.sa_labels,
-                          replace(cfg.gezo, seed=seed))
+                          cfg.gezo, seed)
 
 
 def train_disease(cfg: PipelineConfig, oracle, train: LabeledImageSet,
@@ -228,28 +232,30 @@ def train_disease(cfg: PipelineConfig, oracle, train: LabeledImageSet,
     """The plain-baseline disease head (edit = 0) and, given an edit, the
     debiased head on edited inputs, trained in one loop; (erm_head, debiased
     head or None)."""
-    d_cfg = replace(cfg.disease_train, seed=derive(cfg, TAG_DISEASE))
+    d_cfg, seed = cfg.disease_train, derive(cfg, TAG_DISEASE)
     zeros = np.zeros(train.images.shape[1], dtype=np.float32)
     if eps is None:
         [(erm_head, _)] = train_fair_disease(oracle, [zeros], train.images,
-                                             train.disease_labels, d_cfg)
+                                             train.disease_labels, d_cfg, seed)
         return erm_head, None
     (erm_head, _), (head, _) = train_fair_disease(oracle, [zeros, eps], train.images,
-                                                  train.disease_labels, d_cfg)
+                                                  train.disease_labels, d_cfg, seed)
     return erm_head, head
 
 
 def evaluate_heads(oracle, test: LabeledImageSet, erm_head: LinearHead,
-                   head: LinearHead | None = None,
-                   eps: np.ndarray | None = None) -> dict[str, FairnessReport]:
+                   head: LinearHead | None = None, eps: np.ndarray | None = None):
     """Fairness reports on the balanced test set: "erm" for the plain head
-    and, given the debiased head, "ude" for it on edited inputs."""
-    reports = {"erm": evaluate(erm_head, oracle, test.images,
-                               test.disease_labels, test.sa_labels)}
+    and, given the debiased head, "ude" for it on edited inputs. Returns
+    (reports, clean test embeddings, edited test embeddings or None); the
+    test set is embedded once per report."""
+    z = oracle.embed(test.images)
+    reports = {"erm": evaluate(erm_head, z, test.disease_labels, test.sa_labels)}
+    z_edited = None
     if head is not None:
-        reports["ude"] = evaluate(head, oracle, test.images, test.disease_labels,
-                                  test.sa_labels, eps=eps)
-    return reports
+        z_edited = oracle.embed(apply_edit(test.images, eps))
+        reports["ude"] = evaluate(head, z_edited, test.disease_labels, test.sa_labels)
+    return reports, z, z_edited
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +328,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
         head = load_head(paths["disease_head"])
         eps = load_edit(paths["edit"]).eps
     with closing(make_oracle(cfg)) as oracle:
-        reports = evaluate_heads(oracle, test, load_head(paths["erm_head"]),
-                                 head, eps)
+        reports, _, _ = evaluate_heads(oracle, test, load_head(paths["erm_head"]),
+                                       head, eps)
     os.makedirs(paths["reports"], exist_ok=True)
     with open(os.path.join(paths["reports"], "evaluation.json"), "w") as fh:
         json.dump({k: asdict(r) for k, r in reports.items()}, fh, indent=2)
@@ -362,27 +368,28 @@ def run_experiment(cfg: PipelineConfig, oracle=None, grad_oracle=None) -> Experi
     """Run the whole pipeline in memory for one seed; no artifacts written.
 
     Every stage queries `oracle`, or else the one make_oracle builds for
-    cfg; `grad_oracle` overrides the edit stage's oracle.
+    cfg, in process around a freshly built encoder; `grad_oracle` overrides
+    the edit stage's oracle. The group head's accuracies are taken on the
+    evaluation stage's test-set embeddings.
     """
-    enc = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
     own = oracle is None
     if own:
+        enc = (build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
+               if cfg.oracle == "inprocess" else None)
         oracle = make_oracle(cfg, encoder=enc)
     try:
         train, test = generate_data(cfg)
         sa_head, _ = train_sa(cfg, oracle, train)
-        sa_acc_clean = head_accuracy(sa_head, encoder_forward(enc, test.images),
-                                     test.sa_labels)
         artifact = learn_edit(cfg, grad_oracle or oracle, sa_head, train)
-        sa_acc_edited = head_accuracy(
-            sa_head, encoder_forward(enc, apply_edit(test.images, artifact.eps)),
-            test.sa_labels)
         erm_head, fair_head = train_disease(cfg, oracle, train, artifact.eps)
-        reports = evaluate_heads(oracle, test, erm_head, fair_head, artifact.eps)
+        reports, z, z_edited = evaluate_heads(oracle, test, erm_head, fair_head,
+                                              artifact.eps)
     finally:
         if own:
             oracle.close()
-    return ExperimentResult(sa_acc_clean=sa_acc_clean, sa_acc_edited=sa_acc_edited,
+    return ExperimentResult(sa_acc_clean=head_accuracy(sa_head, z, test.sa_labels),
+                            sa_acc_edited=head_accuracy(sa_head, z_edited,
+                                                        test.sa_labels),
                             edit=artifact, erm_report=reports["erm"],
                             ude_report=reports["ude"], train=train, test=test)
 
@@ -392,19 +399,17 @@ SWEEP_PARAMS = ("lambda", "local_iters")
 
 def sweep_config(cfg: PipelineConfig, param: str, value: float,
                  seed: int) -> PipelineConfig:
-    """A copy of cfg with one sweep parameter set to value and the given seed;
-    sweeping local_iters forces GeZO mode."""
+    """A copy of cfg with one sweep parameter set to value and the given seed,
+    validated like any config; sweeping local_iters forces GeZO mode."""
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
-    sub = PipelineConfig.from_dict(cfg.to_dict())
-    sub.seed = seed
+    raw = {**cfg.to_dict(), "seed": seed}
     if param == "lambda":
-        sub.ude.lam = float(value)
-        sub.gezo.lam = float(value)
+        raw["ude"]["lam"] = raw["gezo"]["lam"] = float(value)
     else:
-        sub.mode = "gezo"
-        sub.gezo.local_iters = int(value)
-    return sub
+        raw["mode"] = "gezo"
+        raw["gezo"]["local_iters"] = int(value)
+    return PipelineConfig.from_dict(raw)
 
 
 def cmd_sweep(cfg: PipelineConfig, param: str, values: list[float]) -> list[dict]:

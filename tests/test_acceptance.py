@@ -78,10 +78,8 @@ def sa_context():
     enc = build_encoder(seed=cfg.encoder_seed)
     train = generate(cfg.synth, cfg.train_counts, derive(cfg, TAG_DATA_TRAIN))
     oracle = InProcessOracle(enc)
-    sa_cfg = TrainConfig(cfg.sa_train.optimizer, cfg.sa_train.lr,
-                         cfg.sa_train.epochs, cfg.sa_train.batch_size,
-                         seed=derive(cfg, TAG_SA_TRAIN))
-    head, _ = train_head(oracle, train.images, train.sa_labels, sa_cfg)
+    head, _ = train_head(oracle, train.images, train.sa_labels, cfg.sa_train,
+                         derive(cfg, TAG_SA_TRAIN))
     return enc, train, head
 
 
@@ -234,8 +232,8 @@ def test_criterion_06_gezo_parity(wb_results, gz_results, sa_context):
     # epoch, and no gradient call ever succeeds
     enc, train, head = sa_context
     oracle = InProcessOracle(enc)  # forward-only: any gradient request raises
-    cfg = GezoConfig(epochs=3, seed=0)
-    learn_ude_gezo(oracle, head, train.images, train.sa_labels, cfg)
+    cfg = GezoConfig(epochs=3)
+    learn_ude_gezo(oracle, head, train.images, train.sa_labels, cfg, 0)
     calls, _ = oracle.query_counter
     expected = cfg.epochs * cfg.local_iters * 2 * cfg.samples
     check(hits >= 3 and calls == expected,
@@ -263,7 +261,7 @@ def test_criterion_07_greedy_invariants(sa_context, gz_results, monkeypatch):
     import ude.gezo as gezo_mod
     monkeypatch.setattr(gezo_mod, "edit_objective_batch",
                         lambda *a, **k: math.inf)
-    cfg = GezoConfig(local_iters=10, seed=0)
+    cfg = GezoConfig(local_iters=10)
     trace = []
     oracle = InProcessOracle(enc)
     gezo_epoch(oracle, head, train.images, train.sa_labels,
@@ -278,7 +276,7 @@ def test_criterion_07_greedy_invariants(sa_context, gz_results, monkeypatch):
     monkeypatch.undo()
 
     # (c) with momentum 0 the epoch equals a momentum-free reference loop
-    cfg0 = GezoConfig(local_iters=6, momentum=0.0, batch_size=32, seed=0)
+    cfg0 = GezoConfig(local_iters=6, momentum=0.0, batch_size=32)
     eps_impl = gezo_epoch(InProcessOracle(enc), head, train.images,
                           train.sa_labels, np.zeros(INPUT_DIM, dtype=np.float32),
                           cfg0, np.random.default_rng(3))
@@ -370,11 +368,11 @@ def test_criterion_11_oracle_transport_fidelity(sa_context):
         batch = train.images[:32]
         embeds_equal = remote.embed(batch).tobytes() == local.embed(batch).tobytes()
 
-        cfg = GezoConfig(epochs=5, seed=0)
+        cfg = GezoConfig(epochs=5)
         art_remote = learn_ude_gezo(remote, head, train.images, train.sa_labels,
-                                    cfg)
+                                    cfg, 0)
         art_local = learn_ude_gezo(local, head, train.images, train.sa_labels,
-                                   cfg)
+                                   cfg, 0)
         eps_equal = art_remote.eps.tobytes() == art_local.eps.tobytes()
         remote.close()
     finally:
@@ -388,12 +386,12 @@ def test_criterion_12_reduction_identity(sa_context):
     from ude.editing import train_fair_disease
 
     enc, train, _ = sa_context
-    cfg = TrainConfig("adamw", 1.25e-4, epochs=50, batch_size=8, seed=123)
+    cfg = TrainConfig("adamw", 1.25e-4, epochs=50, batch_size=8)
     zeros = np.zeros(INPUT_DIM, dtype=np.float32)
     [(via_edit, _)] = train_fair_disease(InProcessOracle(enc), [zeros], train.images,
-                                         train.disease_labels, cfg)
+                                         train.disease_labels, cfg, 123)
     plain, _ = train_head(InProcessOracle(enc), train.images,
-                          train.disease_labels, cfg)
+                          train.disease_labels, cfg, 123)
     identical = head_bytes(via_edit) == head_bytes(plain)
 
     # the pipeline's baseline rows go through exactly this zero-edit path:

@@ -94,10 +94,31 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--param", "lambda",
                      "--values", "a,b"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("param,values", [("lambda", "-1"), ("local_iters", "0.5")])
+    def test_out_of_range_sweep_values(self, tmp_path, capsys, param, values):
+        cfg = write_tiny_config(tmp_path)
+        assert main(["sweep", "--config", cfg, "--param", param,
+                     "--values", values]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_sweep_uses_configured_remote_oracle(self, tmp_path):
         cfg = write_tiny_config(tmp_path, mode="gezo", oracle="127.0.0.1:1")
         assert main(["sweep", "--config", cfg, "--param", "lambda",
                      "--values", "0.01"]) == EXIT_REMOTE
+
+    @pytest.mark.parametrize("raw", [
+        [], {"synth": [1]}, {"seed": "x"}, {"disease_train": {"optimizer": "foo"}},
+        {"sa_train": {"seed": 5}}, {"disease_train": {"seed": 5}},
+        {"ude": {"seed": 5}}, {"gezo": {"seed": 5}},
+    ], ids=json.dumps)
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, raw):
+        # stage seeds derive from the global seed, so sub-configs take none
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_removed_clamp_key_is_config_error(self, tmp_path):
         cfg = write_tiny_config(tmp_path, ude={"clamp": [0, 1]})

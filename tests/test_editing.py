@@ -26,7 +26,7 @@ def trained_sa(encoder, small_data):
     _, train, _ = small_data
     oracle = InProcessOracle(encoder)
     head, _ = train_head(oracle, train.images, train.sa_labels,
-                         TrainConfig("adam", 1e-2, epochs=30, batch_size=16, seed=0))
+                         TrainConfig("adam", 1e-2, epochs=30, batch_size=16), 0)
     return head
 
 
@@ -73,14 +73,14 @@ class TestWhiteboxLearning:
         _, train, _ = small_data
         with pytest.raises(CapabilityError):
             learn_ude_whitebox(InProcessOracle(encoder), trained_sa, train.images,
-                               train.sa_labels, UdeConfig(epochs=1))
+                               train.sa_labels, UdeConfig(epochs=1), 0)
 
     def test_learns_concealing_edit(self, encoder, trained_sa, small_data):
         _, train, test = small_data
         grad_oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
         fwd = InProcessOracle(encoder)
         art = learn_ude_whitebox(grad_oracle, trained_sa, train.images,
-                                 train.sa_labels, UdeConfig(seed=0))
+                                 train.sa_labels, UdeConfig(), 0)
         clean = head_accuracy(trained_sa, fwd.embed(test.images), test.sa_labels)
         edited = head_accuracy(trained_sa, fwd.embed(test.images + art.eps),
                                test.sa_labels)
@@ -92,14 +92,14 @@ class TestWhiteboxLearning:
         def run():
             oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
             return learn_ude_whitebox(oracle, trained_sa, train.images,
-                                      train.sa_labels, UdeConfig(epochs=3, seed=4))
+                                      train.sa_labels, UdeConfig(epochs=3), 4)
         assert run().eps.tobytes() == run().eps.tobytes()
 
     def test_traces_and_metadata(self, encoder, trained_sa, small_data):
         _, train, _ = small_data
         oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
         art = learn_ude_whitebox(oracle, trained_sa, train.images, train.sa_labels,
-                                 UdeConfig(epochs=4, seed=1))
+                                 UdeConfig(epochs=4), 1)
         assert art.mode == "whitebox"
         assert len(art.loss_trace) == len(art.eps_norm_trace) == 4
         assert art.eps_norm_trace[-1] > 0
@@ -115,8 +115,8 @@ class TestWhiteboxLearning:
             monkeypatch.setattr(ude.oracle, name, counted)
         _, train, _ = small_data
         oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
-        cfg = UdeConfig(epochs=2, batch_size=64, seed=0)
-        learn_ude_whitebox(oracle, trained_sa, train.images, train.sa_labels, cfg)
+        cfg = UdeConfig(epochs=2, batch_size=64)
+        learn_ude_whitebox(oracle, trained_sa, train.images, train.sa_labels, cfg, 0)
         n = len(train)
         batches = cfg.epochs * -(-n // cfg.batch_size)
         assert calls == {"encoder_vjp": batches, "encoder_forward": 0}
@@ -138,12 +138,12 @@ class TestApplyEdit:
 class TestDiseaseTraining:
     def test_zero_edit_matches_plain_training(self, encoder, small_data):
         _, train, _ = small_data
-        cfg = TrainConfig("adamw", 1.25e-4, epochs=5, batch_size=16, seed=2)
+        cfg = TrainConfig("adamw", 1.25e-4, epochs=5, batch_size=16)
         zeros = np.zeros(INPUT_DIM, dtype=np.float32)
         [(fair, _)] = train_fair_disease(InProcessOracle(encoder), [zeros], train.images,
-                                         train.disease_labels, cfg)
+                                         train.disease_labels, cfg, 2)
         plain, _ = train_head(InProcessOracle(encoder), train.images,
-                              train.disease_labels, cfg)
+                              train.disease_labels, cfg, 2)
         assert head_bytes(fair) == head_bytes(plain)
 
     def test_missing_labels(self, encoder, small_data):
@@ -151,7 +151,7 @@ class TestDiseaseTraining:
         with pytest.raises(ValueError):
             train_fair_disease(InProcessOracle(encoder),
                                [np.zeros(INPUT_DIM, dtype=np.float32)],
-                               train.images, None)
+                               train.images, None, TrainConfig(), 0)
 
 
 class TestNoiseMap:

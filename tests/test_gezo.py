@@ -13,7 +13,7 @@ def trained_sa(encoder, small_data):
     _, train, _ = small_data
     oracle = InProcessOracle(encoder)
     head, _ = train_head(oracle, train.images, train.sa_labels,
-                         TrainConfig("adam", 1e-2, epochs=30, batch_size=16, seed=0))
+                         TrainConfig("adam", 1e-2, epochs=30, batch_size=16), 0)
     return head
 
 
@@ -74,7 +74,7 @@ class TestEpoch:
     def test_best_loss_monotone_within_epoch(self, encoder, trained_sa, small_data):
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
-        cfg = GezoConfig(local_iters=8, batch_size=32, seed=0)
+        cfg = GezoConfig(local_iters=8, batch_size=32)
         trace = []
         gezo_epoch(oracle, trained_sa, train.images, train.sa_labels,
                    np.zeros(INPUT_DIM, dtype=np.float32), cfg,
@@ -88,7 +88,7 @@ class TestEpoch:
         # fails to improve and the step decays geometrically, bit-exactly
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
-        cfg = GezoConfig(local_iters=12, batch_size=16, seed=0)
+        cfg = GezoConfig(local_iters=12, batch_size=16)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
         step, best_loss = cfg.init_step, -1e18
         rng = np.random.default_rng(2)
@@ -112,7 +112,7 @@ class TestEpoch:
         # with mu = 0 the epoch must match a reference loop that adds the best
         # perturbation directly, no velocity at all
         _, train, _ = small_data
-        cfg = GezoConfig(local_iters=6, momentum=0.0, batch_size=32, seed=0)
+        cfg = GezoConfig(local_iters=6, momentum=0.0, batch_size=32)
 
         eps_impl = gezo_epoch(InProcessOracle(encoder), trained_sa, train.images,
                               train.sa_labels, np.zeros(INPUT_DIM, dtype=np.float32),
@@ -150,8 +150,8 @@ class TestFullRun:
                                                small_data):
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)  # forward-only: gradients would raise
-        cfg = GezoConfig(local_iters=4, samples=3, epochs=2, batch_size=32, seed=0)
-        art = learn_ude_gezo(oracle, trained_sa, train.images, train.sa_labels, cfg)
+        cfg = GezoConfig(local_iters=4, samples=3, epochs=2, batch_size=32)
+        art = learn_ude_gezo(oracle, trained_sa, train.images, train.sa_labels, cfg, 0)
         calls, _ = oracle.query_counter
         assert calls == cfg.epochs * cfg.local_iters * 2 * cfg.samples
         assert art.mode == "gezo"
@@ -161,18 +161,18 @@ class TestFullRun:
 
     def test_deterministic(self, encoder, trained_sa, small_data):
         _, train, _ = small_data
-        cfg = GezoConfig(local_iters=3, samples=2, epochs=2, seed=5)
+        cfg = GezoConfig(local_iters=3, samples=2, epochs=2)
         a = learn_ude_gezo(InProcessOracle(encoder), trained_sa, train.images,
-                           train.sa_labels, cfg)
+                           train.sa_labels, cfg, 5)
         b = learn_ude_gezo(InProcessOracle(encoder), trained_sa, train.images,
-                           train.sa_labels, cfg)
+                           train.sa_labels, cfg, 5)
         assert a.eps.tobytes() == b.eps.tobytes()
 
     def test_reduces_concealment_accuracy(self, encoder, trained_sa, small_data):
         _, train, test = small_data
         oracle = InProcessOracle(encoder)
-        cfg = GezoConfig(seed=0)
-        art = learn_ude_gezo(oracle, trained_sa, train.images, train.sa_labels, cfg)
+        art = learn_ude_gezo(oracle, trained_sa, train.images, train.sa_labels,
+                             GezoConfig(), 0)
         clean = head_accuracy(trained_sa, oracle.embed(test.images), test.sa_labels)
         edited = head_accuracy(trained_sa, oracle.embed(test.images + art.eps),
                                test.sa_labels)

@@ -1,4 +1,5 @@
-"""No module of the package or of the tests imports a name it never uses."""
+"""No module of the package, the scripts or the tests imports a name it
+never uses."""
 
 import ast
 import pathlib
@@ -21,7 +22,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted([*ROOT.glob("src/ude/*.py"), *ROOT.glob("tests/*.py")]),
+@pytest.mark.parametrize("path", sorted(path for pattern in ("src/ude/*.py", "scripts/*.py",
+                                                             "tests/*.py")
+                                        for path in ROOT.glob(pattern)),
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -140,8 +140,8 @@ class TestHeadTraining:
     def test_train_head_learns_separable_embeddings(self, encoder, small_data):
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
-        cfg = TrainConfig("adam", 1e-2, epochs=30, batch_size=16, seed=0)
-        head, trace = train_head(oracle, train.images, train.sa_labels, cfg)
+        cfg = TrainConfig("adam", 1e-2, epochs=30, batch_size=16)
+        head, trace = train_head(oracle, train.images, train.sa_labels, cfg, 0)
         assert len(trace) == 30
         assert trace[-1] < trace[0]
         z = oracle.embed(train.images)
@@ -149,19 +149,19 @@ class TestHeadTraining:
 
     def test_train_head_deterministic(self, encoder, small_data):
         _, train, _ = small_data
-        cfg = TrainConfig("adam", 1e-3, epochs=3, batch_size=16, seed=7)
-        h1, _ = train_head(InProcessOracle(encoder), train.images, train.sa_labels, cfg)
-        h2, _ = train_head(InProcessOracle(encoder), train.images, train.sa_labels, cfg)
+        cfg = TrainConfig("adam", 1e-3, epochs=3, batch_size=16)
+        h1, _ = train_head(InProcessOracle(encoder), train.images, train.sa_labels, cfg, 7)
+        h2, _ = train_head(InProcessOracle(encoder), train.images, train.sa_labels, cfg, 7)
         assert head_bytes(h1) == head_bytes(h2)
 
     def test_train_head_empty_dataset(self, encoder):
         with pytest.raises(ValueError):
             train_head(InProcessOracle(encoder),
                        np.zeros((0, INPUT_DIM), dtype=np.float32),
-                       np.zeros(0, dtype=np.uint8), TrainConfig())
+                       np.zeros(0, dtype=np.uint8), TrainConfig(), 0)
 
 
-def reference_train_head(oracle, images, labels, cfg):
+def reference_train_head(oracle, images, labels, cfg, seed):
     """The loop train_head replaced, with its CE calls fused: one optimizer
     per tensor on every step."""
     n = images.shape[0]
@@ -173,7 +173,7 @@ def reference_train_head(oracle, images, labels, cfg):
     head = _zero_head(z.shape[1])
     opt_w = init_optimizer(cfg.optimizer, cfg.lr, head.weight.shape)
     opt_b = init_optimizer(cfg.optimizer, cfg.lr, head.bias.shape)
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0x7EAD))
+    rng = np.random.default_rng(derive_seed(seed, 0x7EAD))
     trace = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -195,12 +195,12 @@ class TestTrainHeadMatchesReference:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam", "adamw"])
     def test_same_bytes_and_trace(self, encoder, small_data, optimizer):
         _, train, _ = small_data
-        cfg = TrainConfig(optimizer, 1e-2, epochs=4, batch_size=16, seed=3)
+        cfg = TrainConfig(optimizer, 1e-2, epochs=4, batch_size=16)
         assert train.images.shape[0] % cfg.batch_size != 0  # a partial last batch
         head, trace = train_head(InProcessOracle(encoder), train.images,
-                                 train.sa_labels, cfg)
+                                 train.sa_labels, cfg, 3)
         ref_head, ref_trace = reference_train_head(InProcessOracle(encoder), train.images,
-                                                   train.sa_labels, cfg)
+                                                   train.sa_labels, cfg, 3)
         assert head.weight.dtype == ref_head.weight.dtype == np.float32
         assert head.weight.shape == ref_head.weight.shape
         assert head_bytes(head) == head_bytes(ref_head)
@@ -213,7 +213,7 @@ class TestTrainHeadMatchesReference:
         labels[-1] = bad
         with pytest.raises(IndexError):
             train_head(InProcessOracle(encoder), train.images, labels,
-                       TrainConfig(epochs=1, batch_size=16))
+                       TrainConfig(epochs=1, batch_size=16), 0)
 
 
 class _FixedEmbeddings:
@@ -248,13 +248,12 @@ class TestFitHeadsMatchesSeparateHeads:
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(k, n, EMBED_DIM)).astype(np.float32)
         labels = rng.integers(0, 2, size=n)
-        cfg = TrainConfig(optimizer, 5e-2, epochs=epochs, batch_size=batch_size,
-                          seed=seed)
-        fitted = fit_heads(z, labels, cfg)
+        cfg = TrainConfig(optimizer, 5e-2, epochs=epochs, batch_size=batch_size)
+        fitted = fit_heads(z, labels, cfg, seed)
         assert len(fitted) == k
         for zk, (head, trace) in zip(z, fitted):
             ref_head, ref_trace = reference_train_head(
-                _FixedEmbeddings(zk), np.empty((n, 1)), labels, cfg)
+                _FixedEmbeddings(zk), np.empty((n, 1)), labels, cfg, seed)
             assert head.weight.flags.owndata and head.bias.flags.owndata
             assert head_bytes(head) == head_bytes(ref_head)
             assert trace == ref_trace
@@ -288,11 +287,11 @@ class TestFitHeadsMatchesSeparateHeads:
     def test_rejects_bad_shapes(self):
         z = np.zeros((2, 5, EMBED_DIM), dtype=np.float32)
         with pytest.raises(ValueError):
-            fit_heads(z[0], np.zeros(5, dtype=np.int64), TrainConfig())
+            fit_heads(z[0], np.zeros(5, dtype=np.int64), TrainConfig(), 0)
         with pytest.raises(ValueError):
-            fit_heads(z, np.zeros(4, dtype=np.int64), TrainConfig())
+            fit_heads(z, np.zeros(4, dtype=np.int64), TrainConfig(), 0)
         with pytest.raises(ValueError):
-            fit_heads(z[:, :0], np.zeros(0, dtype=np.int64), TrainConfig())
+            fit_heads(z[:, :0], np.zeros(0, dtype=np.int64), TrainConfig(), 0)
 
 
 class TestPersistence:

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import ude.pipeline
 from ude.datagen import CellCounts, SynthConfig
+from ude.editing import apply_edit
 from ude.gezo import GezoConfig
-from ude.models import TrainConfig
+from ude.models import TrainConfig, build_encoder, head_accuracy
 from ude.oracle import (
     FORWARD_ONLY,
     FORWARD_WITH_INPUT_GRAD,
@@ -26,6 +28,7 @@ from ude.pipeline import (
     make_oracle,
     run_experiment,
     train_disease,
+    train_sa,
 )
 
 from conftest import encoder_digests, head_bytes
@@ -178,6 +181,30 @@ class TestRunExperiment:
         grad = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
         assert run_experiment(cfg, oracle=InProcessOracle(encoder),
                               grad_oracle=grad).edit.mode == "whitebox"
+
+
+    @pytest.mark.parametrize("mode", ["whitebox", "gezo"])
+    def test_given_oracles_are_the_only_path_to_an_encoder(self, tmp_path, monkeypatch,
+                                                           mode):
+        # an encoder other than the config's, so a second path would show
+        enc = build_encoder(seed=7)
+        oracle = InProcessOracle(enc)
+        grad = InProcessOracle(enc, capability=FORWARD_WITH_INPUT_GRAD)
+
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("run_experiment built its own encoder")
+
+        monkeypatch.setattr(ude.pipeline, "build_encoder", no_encoder)
+        cfg = tiny_config(tmp_path, mode=mode)
+        result = run_experiment(cfg, oracle=oracle,
+                                grad_oracle=grad if mode == "whitebox" else None)
+        sa_head, _ = train_sa(cfg, InProcessOracle(enc), result.train)
+        test = result.test
+        edited = apply_edit(test.images, result.edit.eps)
+        assert result.sa_acc_clean == head_accuracy(sa_head, oracle.embed(test.images),
+                                                    test.sa_labels)
+        assert result.sa_acc_edited == head_accuracy(sa_head, oracle.embed(edited),
+                                                     test.sa_labels)
 
 
 class TestTrainDisease:
