@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Verbs: generate, train-sa, learn-edit, train-disease, evaluate, sweep,
-serve, noise-map, run. Common flags: --config <json>, --seed, --out.
+serve, noise-map, run. Common flags: --config <json>, --seed, --out; the
+stage verbs and run also take --mode and --oracle.
 Exit codes: 0 ok, 2 config error, 3 capability error, 4 remote/protocol
 error (including a server that does not answer in time), 5 undefined metric,
 6 edit learning diverged (a non-finite loss or edit at the end of an epoch).
@@ -53,21 +54,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Universal debiased editing pipeline (desk scale)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kw):
-        p = sub.add_parser(name, help=help_text, **kw)
+    def add(name, help_text, oracle=False):
+        """A verb with the common flags; with `oracle`, also --mode and
+        --oracle."""
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON pipeline config")
         p.add_argument("--seed", type=int, help="global seed override")
         p.add_argument("--out", help="output directory override")
+        if oracle:
+            p.add_argument("--mode", choices=["whitebox", "gezo"])
+            p.add_argument("--oracle", help='"inprocess" or a server address host:port')
         return p
 
     add("generate", "write the synthetic train/test datasets")
-    add("train-sa", "train the group-attribute head on clean embeddings")
-    p = add("learn-edit", "learn the universal edit (white- or black-box)")
-    p.add_argument("--mode", choices=["whitebox", "gezo"])
-    p.add_argument("--oracle", help='"inprocess" or a server address host:port')
-    add("train-disease", "train the plain and debiased disease heads")
-    p = add("evaluate", "fairness reports for plain vs debiased heads")
-    p.add_argument("--oracle")
+    add("train-sa", "train the group-attribute head on clean embeddings", oracle=True)
+    add("learn-edit", "learn the universal edit (white- or black-box)", oracle=True)
+    add("train-disease", "train the plain and debiased disease heads", oracle=True)
+    add("evaluate", "fairness reports for plain vs debiased heads", oracle=True)
     p = add("sweep", "re-run the pipeline over a parameter grid")
     p.add_argument("--param", required=True, choices=["lambda", "local_iters"])
     p.add_argument("--values", required=True,
@@ -77,10 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("noise-map", "export the normalized noise map and top mask as CSV")
     p.add_argument("--edit", help="edit artifact directory (default <out>/edit)")
     p.add_argument("--top-fraction", type=float, default=0.2)
-    p = add("run", "full pipeline: generate, train-sa, learn-edit, "
-                   "train-disease, evaluate")
-    p.add_argument("--mode", choices=["whitebox", "gezo"])
-    p.add_argument("--oracle")
+    add("run", "full pipeline: generate, train-sa, learn-edit, train-disease, "
+               "evaluate", oracle=True)
     return parser
 
 

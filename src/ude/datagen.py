@@ -60,6 +60,11 @@ class SynthConfig:
             raise ValueError("sa_region and disease_region must be disjoint")
         if not self.sa_region or not self.disease_region:
             raise ValueError("regions must be nonempty")
+        if not isinstance(self.side, int) or self.side < 1:
+            raise ValueError(f"side must be an integer >= 1, got {self.side!r}")
+        for region in (self.sa_region, self.disease_region, self.shared_region):
+            if not all(isinstance(i, int) and 0 <= i < self.dim for i in region):
+                raise ValueError(f"region indices must be integers in [0, {self.dim})")
 
     @property
     def dim(self) -> int:

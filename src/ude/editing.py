@@ -17,6 +17,7 @@ import numpy as np
 
 from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
+    check_counts,
     check_labels,
     cross_entropy_loss_and_grad,
     init_optimizer,
@@ -58,8 +59,7 @@ class UdeConfig:
             raise ValueError("lam must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        check_counts(epochs=self.epochs, batch_size=self.batch_size)
 
 
 @dataclass

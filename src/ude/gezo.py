@@ -14,7 +14,7 @@ import numpy as np
 
 from .editing import EditArtifact, check_epoch_finite, edit_objective_batch
 from .models import LinearHead
-from .numerics import l2_norm
+from .numerics import check_counts, l2_norm
 from .prng import derive_seed
 
 
@@ -30,10 +30,8 @@ class GezoConfig:
     epochs: int = 50
 
     def __post_init__(self):
-        if self.local_iters < 1 or self.samples < 1:
-            raise ValueError("local_iters and samples must be >= 1")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        check_counts(local_iters=self.local_iters, samples=self.samples,
+                     epochs=self.epochs, batch_size=self.batch_size)
         if not (0 < self.decay < 1):
             raise ValueError("decay must be in (0, 1)")
         if not (0 <= self.momentum < 1):

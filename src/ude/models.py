@@ -9,11 +9,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .numerics import (
     OptimizerState,
+    check_counts,
     check_labels,
     cross_entropy_loss_and_grad,
     init_optimizer,
@@ -44,7 +46,6 @@ class FrozenEncoder:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    seed: int
 
     @property
     def input_dim(self) -> int:
@@ -68,15 +69,18 @@ def _draw_layer(rng: Xorshift64Star, fan_in: int, fan_out: int):
     return w, b
 
 
+@cache
 def build_encoder(seed: int, input_dim: int = INPUT_DIM, hidden_dim: int = HIDDEN_DIM,
                   embed_dim: int = EMBED_DIM) -> FrozenEncoder:
+    """The encoder `seed` names: a pure function of the arguments, built
+    once per process, and shared, since its weights are read-only."""
     dims = [(input_dim, hidden_dim), (hidden_dim, hidden_dim), (hidden_dim, embed_dim)]
     layers = []
     for i, (fi, fo) in enumerate(dims):
         rng = Xorshift64Star(derive_seed(seed, i))
         layers.append(_draw_layer(rng, fi, fo))
     (w1, b1), (w2, b2), (w3, b3) = layers
-    return FrozenEncoder(*(_frozen(p) for p in (w1, b1, w2, b2, w3, b3)), seed=seed)
+    return FrozenEncoder(*(_frozen(p) for p in (w1, b1, w2, b2, w3, b3)))
 
 
 def _cast_params(enc: FrozenEncoder, dtype):
@@ -137,8 +141,7 @@ class TrainConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        check_counts(epochs=self.epochs, batch_size=self.batch_size)
         OptimizerState(self.optimizer, self.lr)  # rejects an unknown optimizer or lr
 
 
@@ -240,27 +243,3 @@ def save_head(dirpath, head: LinearHead, meta: dict | None = None) -> None:
 def load_head(dirpath) -> LinearHead:
     return LinearHead(load_tensor(os.path.join(dirpath, "weight.udet")),
                       load_tensor(os.path.join(dirpath, "bias.udet")))
-
-
-def save_encoder(dirpath, enc: FrozenEncoder) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    params = enc.parameters()
-    manifest = {
-        "kind": "frozen_encoder",
-        "dtype": "f32",
-        "seed": enc.seed,
-        "params": {name: list(p.shape) for name, p in params.items()},
-    }
-    for name, p in params.items():
-        save_tensor(os.path.join(dirpath, f"{name}.udet"), p)
-    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-
-
-def load_encoder(dirpath) -> FrozenEncoder:
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    params = {name: _frozen(load_tensor(os.path.join(dirpath, f"{name}.udet")))
-              for name in manifest["params"]}
-    return FrozenEncoder(params["w1"], params["b1"], params["w2"], params["b2"],
-                         params["w3"], params["b3"], seed=manifest["seed"])

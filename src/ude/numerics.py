@@ -20,6 +20,15 @@ def check_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
+def check_counts(**counts) -> None:
+    """ValueError unless every count is an integer >= 1."""
+    for name, value in counts.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def cross_entropy_loss_and_grad(logits: np.ndarray, labels: np.ndarray):
     """Per-sample CE losses [B] and their gradient softmax - onehot [B,K],
     for logits [B,K] and integer labels [B], from one stabilized softmax.

@@ -44,9 +44,7 @@ from .models import (
     TrainConfig,
     build_encoder,
     head_accuracy,
-    load_encoder,
     load_head,
-    save_encoder,
     save_head,
     train_head,
 )
@@ -99,6 +97,8 @@ class PipelineConfig:
         if self.mode == "whitebox" and self.oracle != "inprocess":
             raise ConfigError("whitebox mode needs gradient access; remote oracles "
                               "are forward-only by protocol")
+        if self.train_counts.total == 0 or self.test_counts.total == 0:
+            raise ConfigError("train_counts and test_counts must not be all zero")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -136,16 +136,15 @@ def derive(cfg: PipelineConfig, tag: int) -> int:
     return derive_seed(cfg.seed, tag)
 
 
-def make_oracle(cfg: PipelineConfig, encoder=None):
+def make_oracle(cfg: PipelineConfig):
     """The oracle cfg.oracle names, with the capability cfg.mode needs: in
-    process, input gradients in white-box mode and forward-only otherwise;
-    remote, always forward-only. In process it wraps `encoder`, or the run's
-    saved encoder when none is given."""
+    process, around the encoder cfg.encoder_seed names, input gradients in
+    white-box mode and forward-only otherwise; remote, always forward-only."""
     if cfg.oracle != "inprocess":
         return RemoteOracle(cfg.oracle)
-    enc = encoder if encoder is not None else _ensure_encoder(cfg)
     cap = FORWARD_WITH_INPUT_GRAD if cfg.mode == "whitebox" else FORWARD_ONLY
-    return InProcessOracle(enc, capability=cap)
+    return InProcessOracle(build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim),
+                           capability=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,6 @@ def _paths(cfg: PipelineConfig) -> dict:
     return {
         "train_data": os.path.join(out, "data", "train"),
         "test_data": os.path.join(out, "data", "test"),
-        "encoder": os.path.join(out, "encoder"),
         "sa_head": os.path.join(out, "sa_head"),
         "edit": os.path.join(out, "edit"),
         "disease_head": os.path.join(out, "disease_head"),
@@ -189,15 +187,6 @@ def _write_manifest(cfg: PipelineConfig, stage: str, inputs: list, outputs: list
     }
     with open(os.path.join(paths["manifests"], f"{stage}.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
-
-
-def _ensure_encoder(cfg: PipelineConfig):
-    path = _paths(cfg)["encoder"]
-    if os.path.exists(os.path.join(path, "manifest.json")):
-        return load_encoder(path)
-    enc = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
-    save_encoder(path, enc)
-    return enc
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +269,7 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
     save_head(paths["sa_head"], head,
               meta={"task": "sensitive_attribute", "train_accuracy": acc,
                     "loss_trace": trace})
-    _write_manifest(cfg, "train_sa", [paths["train_data"], paths["encoder"]],
-                    [paths["sa_head"], paths["encoder"]])
+    _write_manifest(cfg, "train_sa", [paths["train_data"]], [paths["sa_head"]])
     return acc
 
 
@@ -291,8 +279,7 @@ def cmd_learn_edit(cfg: PipelineConfig) -> EditArtifact:
     with closing(make_oracle(cfg)) as oracle:
         artifact = learn_edit(cfg, oracle, load_head(paths["sa_head"]), train)
     save_edit(paths["edit"], artifact)
-    _write_manifest(cfg, "learn_edit",
-                    [paths["train_data"], paths["sa_head"], paths["encoder"]],
+    _write_manifest(cfg, "learn_edit", [paths["train_data"], paths["sa_head"]],
                     [paths["edit"]])
     return artifact
 
@@ -314,8 +301,7 @@ def cmd_train_disease(cfg: PipelineConfig) -> None:
         save_head(paths["disease_head"], head,
                   meta={"task": "disease", "edit": artifact.mode})
         outputs.append(paths["disease_head"])
-    _write_manifest(cfg, "train_disease",
-                    [paths["train_data"], paths["edit"], paths["encoder"]], outputs)
+    _write_manifest(cfg, "train_disease", [paths["train_data"], paths["edit"]], outputs)
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> dict:
@@ -338,16 +324,16 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
         writer.writerow(["method"] + CSV_HEADER)
         for name, rep in reports.items():
             writer.writerow([name] + rep.csv_row())
-    _write_manifest(cfg, "evaluate",
-                    [paths["test_data"], paths["erm_head"], paths["disease_head"],
-                     paths["edit"], paths["encoder"]],
+    _write_manifest(cfg, "evaluate", [paths["test_data"], paths["erm_head"],
+                                      paths["disease_head"], paths["edit"]],
                     [paths["reports"]])
     return reports
 
 
 def cmd_serve(cfg: PipelineConfig, address: str) -> OracleServer:
-    enc = _ensure_encoder(cfg)
-    return OracleServer(enc, address)
+    """A forward-only server around the encoder cfg.encoder_seed names."""
+    return OracleServer(build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim),
+                        address)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +354,12 @@ def run_experiment(cfg: PipelineConfig, oracle=None, grad_oracle=None) -> Experi
     """Run the whole pipeline in memory for one seed; no artifacts written.
 
     Every stage queries `oracle`, or else the one make_oracle builds for
-    cfg, in process around a freshly built encoder; `grad_oracle` overrides
-    the edit stage's oracle. The group head's accuracies are taken on the
-    evaluation stage's test-set embeddings.
+    cfg; `grad_oracle` overrides the edit stage's oracle. The group head's
+    accuracies are taken on the evaluation stage's test-set embeddings.
     """
     own = oracle is None
     if own:
-        enc = (build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
-               if cfg.oracle == "inprocess" else None)
-        oracle = make_oracle(cfg, encoder=enc)
+        oracle = make_oracle(cfg)
     try:
         train, test = generate_data(cfg)
         sa_head, _ = train_sa(cfg, oracle, train)
@@ -408,7 +391,7 @@ def sweep_config(cfg: PipelineConfig, param: str, value: float,
         raw["ude"]["lam"] = raw["gezo"]["lam"] = float(value)
     else:
         raw["mode"] = "gezo"
-        raw["gezo"]["local_iters"] = int(value)
+        raw["gezo"]["local_iters"] = int(value) if float(value).is_integer() else value
     return PipelineConfig.from_dict(raw)
 
 

@@ -94,7 +94,9 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--param", "lambda",
                      "--values", "a,b"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("param,values", [("lambda", "-1"), ("local_iters", "0.5")])
+    @pytest.mark.parametrize("param,values", [("lambda", "-1"), ("local_iters", "0.5"),
+                                              ("local_iters", "2.5"),
+                                              ("local_iters", "inf")])
     def test_out_of_range_sweep_values(self, tmp_path, capsys, param, values):
         cfg = write_tiny_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--param", param,
@@ -110,6 +112,11 @@ class TestExitCodes:
         [], {"synth": [1]}, {"seed": "x"}, {"disease_train": {"optimizer": "foo"}},
         {"sa_train": {"seed": 5}}, {"disease_train": {"seed": 5}},
         {"ude": {"seed": 5}}, {"gezo": {"seed": 5}},
+        {"sa_train": {"epochs": 1.5}}, {"disease_train": {"batch_size": 8.0}},
+        {"ude": {"epochs": 2.0}}, {"gezo": {"local_iters": 2.5}},
+        {"mode": "gezo", "gezo": {"samples": 2.0}},
+        {"synth": {"side": 3}}, {"synth": {"sa_region": [-1]}},
+        {"train_counts": [[0, 0], [0, 0]]}, {"test_counts": [[0, 0], [0, 0]]},
     ], ids=json.dumps)
     def test_malformed_config_is_config_error(self, tmp_path, capsys, raw):
         # stage seeds derive from the global seed, so sub-configs take none
@@ -139,9 +146,11 @@ class TestRun:
         out = capsys.readouterr().out
         assert "erm:" in out and "ude:" in out
         run_dir = tmp_path / "run"
-        for sub in ("data/train", "data/test", "encoder", "sa_head", "edit",
-                    "erm_head", "disease_head", "reports", "manifests"):
-            assert (run_dir / sub).exists(), sub
+        # the encoder is named by encoder_seed in the manifests, not copied
+        assert {p.name for p in run_dir.iterdir()} == {
+            "data", "sa_head", "edit", "erm_head", "disease_head", "reports",
+            "manifests"}
+        assert {p.name for p in (run_dir / "data").iterdir()} == {"train", "test"}
 
     @pytest.mark.parametrize("mode", ["whitebox", "gezo"])
     def test_staged_run_matches_in_memory(self, tmp_path, mode):
@@ -188,6 +197,28 @@ class TestRun:
             assert main(["run", "--config", cfg]) == EXIT_OK
         finally:
             server.shutdown()
+
+    def test_stage_verbs_take_mode_and_oracle(self, tmp_path, encoder):
+        """Each verb that queries the encoder takes --mode and --oracle, and
+        the verbs run one by one give the bytes of `ude run`."""
+        from ude.oracle import OracleServer
+
+        cfg = write_tiny_config(tmp_path)  # white-box, in process
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        server = OracleServer(encoder, "127.0.0.1:0")
+        server.start_background()
+        try:
+            flags = ["--config", cfg, "--mode", "gezo", "--oracle", server.bound_address]
+            assert main(["generate", "--config", cfg, "--out", str(staged)]) == EXIT_OK
+            for verb in ("train-sa", "learn-edit", "train-disease", "evaluate"):
+                assert main([verb, *flags, "--out", str(staged)]) == EXIT_OK, verb
+            assert main(["run", *flags, "--out", str(whole)]) == EXIT_OK
+        finally:
+            server.shutdown()
+        assert json.loads((staged / "edit" / "provenance.json").read_text())["mode"] \
+            == "gezo"
+        for name in ("edit/eps.udet", "reports/evaluation.json"):
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

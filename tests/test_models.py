@@ -17,9 +17,7 @@ from ude.models import (
     fit_heads,
     head_accuracy,
     head_forward,
-    load_encoder,
     load_head,
-    save_encoder,
     save_head,
     train_head,
 )
@@ -50,8 +48,9 @@ class TestEncoderConstruction:
 
     def test_deterministic_and_seed_sensitive(self):
         a = build_encoder(seed=3)
-        b = build_encoder(seed=3)
+        b = build_encoder.__wrapped__(seed=3)  # a fresh build, past the memo
         c = build_encoder(seed=4)
+        assert build_encoder(seed=3) is a
         assert encoder_digests(a) == encoder_digests(b)
         assert encoder_digests(a) != encoder_digests(c)
 
@@ -301,11 +300,3 @@ class TestPersistence:
         save_head(tmp_path / "h", head, meta={"task": "t"})
         back = load_head(tmp_path / "h")
         assert head_bytes(back) == head_bytes(head)
-
-    def test_encoder_round_trip(self, tmp_path, encoder):
-        save_encoder(tmp_path / "enc", encoder)
-        back = load_encoder(tmp_path / "enc")
-        assert encoder_digests(back) == encoder_digests(encoder)
-        assert back.seed == encoder.seed
-        x = np.random.default_rng(2).normal(size=(4, INPUT_DIM)).astype(np.float32)
-        assert np.array_equal(encoder_forward(back, x), encoder_forward(encoder, x))

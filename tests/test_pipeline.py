@@ -1,4 +1,6 @@
 import json
+from contextlib import closing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,13 @@ import ude.pipeline
 from ude.datagen import CellCounts, SynthConfig
 from ude.editing import apply_edit
 from ude.gezo import GezoConfig
-from ude.models import TrainConfig, build_encoder, head_accuracy
+from ude.models import (
+    TrainConfig,
+    build_encoder,
+    encoder_forward,
+    head_accuracy,
+    load_head,
+)
 from ude.oracle import (
     FORWARD_ONLY,
     FORWARD_WITH_INPUT_GRAD,
@@ -21,6 +29,7 @@ from ude.pipeline import (
     cmd_evaluate,
     cmd_generate,
     cmd_learn_edit,
+    cmd_serve,
     cmd_sweep,
     cmd_train_disease,
     cmd_train_sa,
@@ -88,10 +97,9 @@ class TestConfig:
         ("gezo", "inprocess", InProcessOracle, FORWARD_ONLY),
         ("gezo", "127.0.0.1:9", RemoteOracle, FORWARD_ONLY),
     ])
-    def test_oracle_capability_follows_mode(self, tmp_path, encoder, mode, address,
-                                            kind, capability):
-        oracle = make_oracle(tiny_config(tmp_path, mode=mode, oracle=address),
-                             encoder=encoder)
+    def test_oracle_capability_follows_mode(self, tmp_path, mode, address, kind,
+                                            capability):
+        oracle = make_oracle(tiny_config(tmp_path, mode=mode, oracle=address))
         assert type(oracle) is kind
         assert oracle.capability == capability
         if kind is RemoteOracle:
@@ -152,6 +160,36 @@ class TestStagedPipeline:
             eps = (tmp_path / name / "edit" / "eps.udet").read_bytes()
             digests.append(eps)
         assert digests[0] == digests[1]
+
+    def test_stage_uses_the_configured_encoder(self, tmp_path):
+        """A stage queries the encoder its config's encoder_seed names, also in
+        a directory that already holds another encoder_seed's run."""
+        heads = {}
+        for name in ("fresh", "reused"):
+            cfg = tiny_config(tmp_path / name)
+            cmd_generate(cfg)
+            if name == "reused":
+                cmd_train_sa(replace(cfg, encoder_seed=3))
+                heads["other"] = head_bytes(load_head(tmp_path / name / "sa_head"))
+            cmd_train_sa(cfg)
+            heads[name] = head_bytes(load_head(tmp_path / name / "sa_head"))
+        assert heads["reused"] == heads["fresh"] != heads["other"]
+        assert not (tmp_path / "reused" / "encoder").exists()
+
+    def test_serve_uses_the_configured_encoder(self, tmp_path):
+        cfg = tiny_config(tmp_path / "run")
+        cmd_generate(cfg)
+        cmd_train_sa(replace(cfg, encoder_seed=3))
+        x = np.random.default_rng(0).normal(size=(4, cfg.synth.dim)).astype(np.float32)
+        server = cmd_serve(cfg, "127.0.0.1:0")
+        server.start_background()
+        try:
+            with closing(RemoteOracle(server.bound_address)) as oracle:
+                z = oracle.embed(x)
+        finally:
+            server.shutdown()
+        enc = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
+        assert z.tobytes() == encoder_forward(enc, x).tobytes()
 
 
 class TestRunExperiment:
@@ -263,9 +301,7 @@ class TestSyntheticDefaults:
         assert isinstance(cfg.synth, SynthConfig)
 
     def test_encoder_shared_across_seeds(self, tmp_path):
-        from ude.pipeline import _ensure_encoder
-
         cfg_a = tiny_config(tmp_path / "a", seed=1)
         cfg_b = tiny_config(tmp_path / "b", seed=2)
-        assert encoder_digests(_ensure_encoder(cfg_a)) == \
-            encoder_digests(_ensure_encoder(cfg_b))
+        assert encoder_digests(make_oracle(cfg_a).encoder) == \
+            encoder_digests(make_oracle(cfg_b).encoder)
