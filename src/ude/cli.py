@@ -5,7 +5,8 @@ serve, noise-map, run. Common flags: --config <json>, --seed, --out; the
 stage verbs and run also take --mode and --oracle.
 Exit codes: 0 ok, 2 config error, 3 capability error, 4 remote/protocol
 error (including a server that does not answer in time), 5 undefined metric,
-6 edit learning diverged (a non-finite loss or edit at the end of an epoch).
+6 edit learning diverged (a non-finite loss or edit at the end of an epoch),
+7 a stage input (an artifact an earlier stage writes) is missing or corrupt.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .editing import DivergenceError, load_edit, write_noise_map_csv
 from .fairness import UndefinedMetric
 from .oracle import CapabilityError, ProtocolError
 from .pipeline import (
+    ArtifactError,
     ConfigError,
     PipelineConfig,
     cmd_evaluate,
@@ -29,6 +31,7 @@ from .pipeline import (
     cmd_sweep,
     cmd_train_disease,
     cmd_train_sa,
+    load_input,
 )
 
 EXIT_OK = 0
@@ -37,6 +40,7 @@ EXIT_CAPABILITY = 3
 EXIT_REMOTE = 4
 EXIT_METRIC = 5
 EXIT_DIVERGED = 6
+EXIT_ARTIFACT = 7
 
 
 def _load_config(args) -> PipelineConfig:
@@ -131,7 +135,7 @@ def _dispatch(args) -> int:
             server.shutdown()
     elif cmd == "noise-map":
         edit_dir = args.edit or os.path.join(cfg.out_dir, "edit")
-        artifact = load_edit(edit_dir)
+        artifact = load_input(load_edit, edit_dir)
         side = cfg.synth.side
         out = os.path.join(cfg.out_dir, "noise_map")
         degenerate = write_noise_map_csv(out, artifact.eps, side, args.top_fraction)
@@ -160,6 +164,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except ArtifactError as exc:
+        print(f"artifact error: {exc}", file=sys.stderr)
+        return EXIT_ARTIFACT
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,21 +47,27 @@ def default_shared_region(side: int = 16) -> list[int]:
 @dataclass
 class SynthConfig:
     side: int = 16
-    sa_region: list[int] = field(default_factory=default_sa_region)
-    disease_region: list[int] = field(default_factory=default_disease_region)
-    shared_region: list[int] = field(default_factory=default_shared_region)
+    # a region left out is the default block for `side`
+    sa_region: list[int] | None = None
+    disease_region: list[int] | None = None
+    shared_region: list[int] | None = None
     signal_amp: float = 1.5
     shared_amp_frac: float = 0.2
     noise_sigma: float = 0.4
     pattern_seed: int = 7
 
     def __post_init__(self):
+        if not isinstance(self.side, int) or self.side < 1:
+            raise ValueError(f"side must be an integer >= 1, got {self.side!r}")
+        for name, default in (("sa_region", default_sa_region),
+                              ("disease_region", default_disease_region),
+                              ("shared_region", default_shared_region)):
+            if getattr(self, name) is None:
+                setattr(self, name, default(self.side))
         if set(self.sa_region) & set(self.disease_region):
             raise ValueError("sa_region and disease_region must be disjoint")
         if not self.sa_region or not self.disease_region:
             raise ValueError("regions must be nonempty")
-        if not isinstance(self.side, int) or self.side < 1:
-            raise ValueError(f"side must be an integer >= 1, got {self.side!r}")
         for region in (self.sa_region, self.disease_region, self.shared_region):
             if not all(isinstance(i, int) and 0 <= i < self.dim for i in region):
                 raise ValueError(f"region indices must be integers in [0, {self.dim})")

@@ -74,15 +74,25 @@ class EditArtifact:
 
 
 def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
-                         sa_labels: np.ndarray, eps: np.ndarray, lam: float) -> float:
+                         sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """-mean CE of the group head on edited inputs, plus lam*||eps||_2.
 
     Needs only forward access; this is the loss both optimizers drive down.
+    A [D] edit gives a float. An [M,D] stack of edits gives the M losses,
+    [M] float64, each the bytes its edit alone gives, from one oracle call
+    of M logical queries, one head forward (per-candidate slices, so each
+    gets the product a lone call computes) and one cross-entropy.
     """
-    logits = head_forward(sa_head, oracle.embed(apply_edit(batch, eps)))
-    losses, _ = cross_entropy_loss_and_grad(logits,
-                                            check_labels(sa_labels, logits.shape[-1]))
-    return -float(np.mean(losses)) + lam * l2_norm(eps)
+    stack = np.atleast_2d(eps)
+    m, b = stack.shape[0], batch.shape[0]
+    rows = apply_edit(batch[None], stack[:, None]).reshape(m * b, -1)
+    z = oracle.embed(rows, queries=m)
+    logits = head_forward(sa_head, z.reshape(m, b, -1)).reshape(m * b, -1)
+    labels = check_labels(sa_labels, logits.shape[-1])
+    losses, _ = cross_entropy_loss_and_grad(logits, np.tile(labels, m))
+    means = np.mean(losses.reshape(m, b), axis=1).astype(np.float64)
+    out = -means + lam * np.array([l2_norm(e) for e in stack])
+    return float(out[0]) if np.ndim(eps) == 1 else out
 
 
 def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,

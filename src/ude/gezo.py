@@ -1,6 +1,7 @@
 """Greedy zeroth-order learning of the universal edit for forward-only
 oracles. Each local iteration samples C scaled Gaussian perturbations, tries
-each in both directions on a fresh mini-batch, greedily keeps the candidate
+each in both directions on a fresh mini-batch (all 2C candidates in one
+oracle call of 2C logical queries), greedily keeps the candidate
 beating the epoch-best objective, folds it into a momentum velocity, and
 decays the step size when nothing improves.
 """
@@ -45,22 +46,20 @@ def greedy_gradient(oracle, sa_head: LinearHead, batch: np.ndarray,
     """Try `samples` scaled perturbations in both directions on one batch;
     return (best direction perturbation or None, updated best loss).
 
-    Issues exactly 2*samples forward calls. Comparison is strict `<`, so on
-    ties the first candidate seen wins.
+    Issues 2*samples logical queries in one oracle call: the candidates
+    -delta_1, +delta_1, -delta_2, ... are scored as one stack. Comparison is
+    strict `<` in that order, so on ties the first candidate wins.
     """
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
+    deltas = (rng.standard_normal((samples, eps.shape[0])).astype(np.float32)
+              * np.float32(step))
+    signed = np.stack((-deltas, deltas), axis=1).reshape(2 * samples, -1)
+    losses = edit_objective_batch(oracle, sa_head, batch, sa_labels, eps + signed, lam)
     d_best = None
-    for _ in range(samples):
-        delta = (rng.standard_normal(eps.shape[0]).astype(np.float32)
-                 * np.float32(step))
-        for direction in (-1.0, 1.0):
-            candidate = eps + np.float32(direction) * delta
-            loss = edit_objective_batch(oracle, sa_head, batch, sa_labels,
-                                        candidate, lam)
-            if loss < best_loss:
-                best_loss = loss
-                d_best = np.float32(direction) * delta
+    for i, loss in enumerate(np.broadcast_to(losses, (2 * samples,)).tolist()):
+        if loss < best_loss:
+            best_loss, d_best = loss, signed[i]
     return d_best, best_loss
 
 

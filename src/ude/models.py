@@ -90,6 +90,16 @@ def _cast_params(enc: FrozenEncoder, dtype):
                  for p in (enc.w1, enc.b1, enc.w2, enc.b2, enc.w3, enc.b3))
 
 
+def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w for a [B,K] a. numpy computes a one-row product with gemv,
+    which sums in another order than the gemm of a taller one, so a lone row
+    goes through gemm paired with itself: a row's embedding then does not
+    depend on how many rows share its call."""
+    if a.shape[0] == 1:
+        return (np.concatenate((a, a)) @ w)[:1]
+    return a @ w
+
+
 def encoder_vjp(enc: FrozenEncoder, batch: np.ndarray):
     """Embed a batch [B,D] -> z [B,E] and return (z, vjp), where vjp(upstream)
     is the vector-Jacobian product d(embedding)/d(input)^T @ upstream, [B,D],
@@ -97,9 +107,9 @@ def encoder_vjp(enc: FrozenEncoder, batch: np.ndarray):
     if batch.ndim != 2 or batch.shape[1] != enc.input_dim:
         raise ValueError(f"batch must be [B,{enc.input_dim}], got {batch.shape}")
     w1, b1, w2, b2, w3, b3 = _cast_params(enc, batch.dtype)
-    h1 = np.tanh(batch @ w1 + b1)
-    h2 = np.tanh(h1 @ w2 + b2)
-    z = h2 @ w3 + b3
+    h1 = np.tanh(_rows_matmul(batch, w1) + b1)
+    h2 = np.tanh(_rows_matmul(h1, w2) + b2)
+    z = _rows_matmul(h2, w3) + b3
 
     def vjp(upstream: np.ndarray) -> np.ndarray:
         if upstream.shape != z.shape:

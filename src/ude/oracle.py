@@ -10,7 +10,11 @@ Wire protocol (little-endian):
     request:  magic "UDE1" | msg_type u8 = 0x01 | batch u32 | dim u32 | batch*dim f32
     response: magic "UDE1" | msg_type u8 = 0x81 | batch u32 | edim u32 | batch*edim f32
     error:    magic "UDE1" | msg_type u8 = 0xFF | code u16 | len u16 | utf-8 message
-One request per round-trip; connections may be reused; the server serves
+One request per round-trip, and one request may carry several logical
+queries: `embed(batch, queries=q)` sends the q queries' rows, in order, as
+one [B, D] matrix, and the oracle counts q queries of B/q rows each but one
+round trip; the wire format does not change. Connections may be reused; the
+server serves
 each connection on its own thread and closes one that stays silent for
 SERVER_TIMEOUT_S, so an idle or stalled peer never holds up another; a
 client whose reused connection ends before the first byte of an answer
@@ -31,6 +35,7 @@ import threading
 import numpy as np
 
 from .models import FrozenEncoder, encoder_forward, encoder_vjp
+from .numerics import check_counts
 
 MAGIC = b"UDE1"
 MSG_EMBED = 0x01
@@ -63,7 +68,11 @@ class ProtocolError(RuntimeError):
 
 
 class EmbeddingOracle:
-    """Base oracle: counts queries, validates batches, dispatches to a backing."""
+    """Base oracle: counts queries, validates batches, dispatches to a backing.
+
+    query_counter is the logical (queries, rows) cost; round_trips is the
+    number of physical embed/embed_vjp calls answered, each of which may
+    carry several logical queries."""
 
     capability = FORWARD_ONLY
 
@@ -71,24 +80,45 @@ class EmbeddingOracle:
         self._lock = threading.Lock()
         self._calls = 0
         self._samples = 0
+        self._round_trips = 0
 
     @property
     def query_counter(self) -> tuple[int, int]:
         with self._lock:
             return self._calls, self._samples
 
+    @property
+    def round_trips(self) -> int:
+        with self._lock:
+            return self._round_trips
+
     def _count(self, batch_size: int) -> None:
+        """One logical query of `batch_size` rows."""
         with self._lock:
             self._calls += 1
             self._samples += batch_size
 
-    def _check_batch(self, batch: np.ndarray) -> np.ndarray:
+    def _record(self, rows: int, queries: int) -> None:
+        """One answered call carrying `queries` logical queries of equal size."""
+        with self._lock:
+            self._round_trips += 1
+        for _ in range(queries):
+            self._count(rows // queries)
+
+    def _check_batch(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
+        """The batch as an array; ValueError unless it is a nonempty [B,D]
+        whose rows split evenly into `queries` >= 1 queries."""
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[0] == 0:
             raise ValueError(f"batch must be nonempty [B,D], got shape {batch.shape}")
+        check_counts(queries=queries)
+        if batch.shape[0] % queries:
+            raise ValueError(f"{batch.shape[0]} rows do not split into {queries} queries")
         return batch
 
-    def embed(self, batch: np.ndarray) -> np.ndarray:
+    def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
+        """Embeddings [B,E] of the rows of `batch`, counted as `queries`
+        logical queries of B/queries rows each and one round trip."""
         raise NotImplementedError
 
     def embed_vjp(self, batch: np.ndarray):
@@ -107,10 +137,10 @@ class InProcessOracle(EmbeddingOracle):
         self.encoder = encoder
         self.capability = capability
 
-    def embed(self, batch: np.ndarray) -> np.ndarray:
-        batch = self._check_batch(batch)
+    def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
+        batch = self._check_batch(batch, queries)
         z = encoder_forward(self.encoder, batch)
-        self._count(batch.shape[0])
+        self._record(batch.shape[0], queries)
         return z
 
     def embed_vjp(self, batch):
@@ -119,7 +149,7 @@ class InProcessOracle(EmbeddingOracle):
             raise CapabilityError("oracle is forward-only; use zeroth-order optimization")
         batch = self._check_batch(batch)
         z, vjp = encoder_vjp(self.encoder, batch)
-        self._count(batch.shape[0])
+        self._record(batch.shape[0], 1)
         return z, vjp
 
 
@@ -165,9 +195,10 @@ def _read_matrix(sock: socket.socket) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4").reshape(b, d).astype(np.float32, copy=False)
 
 
-def _read_response(sock: socket.socket, rows: int) -> np.ndarray:
+def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarray:
     """The embeddings answering a request of `rows` rows; ProtocolError for
-    an error frame, any other message type, or a different row count."""
+    an error frame, any other message type, a different row count, or, given
+    `cols`, a different column count."""
     msg_type = _read_type(sock)
     if msg_type == MSG_ERROR:
         code, length = struct.unpack("<HH", _recv_exact(sock, 4))
@@ -178,6 +209,9 @@ def _read_response(sock: socket.socket, rows: int) -> np.ndarray:
     z = _read_matrix(sock)
     if z.shape[0] != rows:
         raise ProtocolError(f"response has {z.shape[0]} rows for a request of {rows}")
+    if cols is not None and z.shape[1] != cols:
+        raise ProtocolError(f"response has {z.shape[1]} columns; earlier responses "
+                            f"had {cols}")
     return z
 
 
@@ -190,7 +224,8 @@ def parse_address(address: str):
 
 
 class RemoteOracle(EmbeddingOracle):
-    """Client to an embedding server; forward-only by construction."""
+    """Client to an embedding server; forward-only by construction. Every
+    response must have the embedding width of the first one."""
 
     capability = FORWARD_ONLY
 
@@ -198,6 +233,7 @@ class RemoteOracle(EmbeddingOracle):
         super().__init__()
         self.address = address
         self._sock = None
+        self._width = None
 
     def _connect(self) -> socket.socket:
         if self._sock is None:
@@ -233,10 +269,10 @@ class RemoteOracle(EmbeddingOracle):
         if ended and resend:
             self.close()
             return self._exchange(frame, rows, resend=False)
-        return _read_response(sock, rows)
+        return _read_response(sock, rows, self._width)
 
-    def embed(self, batch: np.ndarray) -> np.ndarray:
-        batch = self._check_batch(batch)
+    def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
+        batch = self._check_batch(batch, queries)
         try:
             z = self._exchange(_pack_matrix(MSG_EMBED, batch), batch.shape[0],
                                resend=self._sock is not None)
@@ -247,7 +283,8 @@ class RemoteOracle(EmbeddingOracle):
         except (OSError, ProtocolError):
             self.close()
             raise
-        self._count(batch.shape[0])
+        self._width = z.shape[1]
+        self._record(batch.shape[0], queries)
         return z
 
 

@@ -62,6 +62,10 @@ class ConfigError(ValueError):
     pass
 
 
+class ArtifactError(RuntimeError):
+    """A stage input is missing or cannot be read."""
+
+
 # seed-stream tags, mixed with the global seed via prng.derive_seed
 TAG_DATA_TRAIN = 0x01
 TAG_DATA_TEST = 0x02
@@ -127,7 +131,7 @@ class PipelineConfig:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
             raise ConfigError(f"invalid config file {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -162,6 +166,15 @@ def _paths(cfg: PipelineConfig) -> dict:
         "reports": os.path.join(out, "reports"),
         "manifests": os.path.join(out, "manifests"),
     }
+
+
+def load_input(loader, path):
+    """loader(path) for a stage input; ArtifactError when it is missing or
+    its files are unreadable or malformed."""
+    try:
+        return loader(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from exc
 
 
 def _file_digests(root) -> dict:
@@ -262,7 +275,7 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
     """Train the group-attribute head on clean embeddings; returns its
     training-set accuracy."""
     paths = _paths(cfg)
-    train = load_dataset(paths["train_data"])
+    train = load_input(load_dataset, paths["train_data"])
     with closing(make_oracle(cfg)) as oracle:
         head, trace = train_sa(cfg, oracle, train)
         acc = head_accuracy(head, oracle.embed(train.images), train.sa_labels)
@@ -275,9 +288,10 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
 
 def cmd_learn_edit(cfg: PipelineConfig) -> EditArtifact:
     paths = _paths(cfg)
-    train = load_dataset(paths["train_data"])
+    train = load_input(load_dataset, paths["train_data"])
+    sa_head = load_input(load_head, paths["sa_head"])
     with closing(make_oracle(cfg)) as oracle:
-        artifact = learn_edit(cfg, oracle, load_head(paths["sa_head"]), train)
+        artifact = learn_edit(cfg, oracle, sa_head, train)
     save_edit(paths["edit"], artifact)
     _write_manifest(cfg, "learn_edit", [paths["train_data"], paths["sa_head"]],
                     [paths["edit"]])
@@ -288,10 +302,10 @@ def cmd_train_disease(cfg: PipelineConfig) -> None:
     """Train the plain-baseline disease head and, when an edit artifact
     exists, the debiased head on edited inputs."""
     paths = _paths(cfg)
-    train = load_dataset(paths["train_data"])
+    train = load_input(load_dataset, paths["train_data"])
     artifact = None
     if os.path.exists(os.path.join(paths["edit"], "eps.udet")):
-        artifact = load_edit(paths["edit"])
+        artifact = load_input(load_edit, paths["edit"])
     with closing(make_oracle(cfg)) as oracle:
         erm_head, head = train_disease(cfg, oracle, train,
                                        None if artifact is None else artifact.eps)
@@ -308,14 +322,14 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
     """Side-by-side fairness reports for the plain and debiased disease heads
     on the balanced test set. With no debiased head, only the plain report."""
     paths = _paths(cfg)
-    test = load_dataset(paths["test_data"])
+    test = load_input(load_dataset, paths["test_data"])
+    erm_head = load_input(load_head, paths["erm_head"])
     head = eps = None
     if os.path.exists(os.path.join(paths["disease_head"], "manifest.json")):
-        head = load_head(paths["disease_head"])
-        eps = load_edit(paths["edit"]).eps
+        head = load_input(load_head, paths["disease_head"])
+        eps = load_input(load_edit, paths["edit"]).eps
     with closing(make_oracle(cfg)) as oracle:
-        reports, _, _ = evaluate_heads(oracle, test, load_head(paths["erm_head"]),
-                                       head, eps)
+        reports, _, _ = evaluate_heads(oracle, test, erm_head, head, eps)
     os.makedirs(paths["reports"], exist_ok=True)
     with open(os.path.join(paths["reports"], "evaluation.json"), "w") as fh:
         json.dump({k: asdict(r) for k, r in reports.items()}, fh, indent=2)

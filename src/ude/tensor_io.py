@@ -6,6 +6,7 @@ bit-exact for f32 input.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -43,13 +44,15 @@ def load_tensor(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise TensorFormatError("bad magic")
+    if len(blob) < 7 or len(blob) < 7 + 4 * blob[6]:
+        raise TensorFormatError("truncated header")
     version, rank = struct.unpack_from("<HB", blob, 4)
     if version != VERSION:
         raise TensorFormatError(f"unsupported version {version}")
     off = 7
-    dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
+    dims = struct.unpack_from(f"<{rank}I", blob, off)
     off += 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)
     if len(blob) != off + 4 * count:
         raise TensorFormatError("payload size mismatch")
     data = np.frombuffer(blob, dtype="<f4", count=count, offset=off)

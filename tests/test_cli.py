@@ -5,6 +5,7 @@ import pytest
 
 import ude.oracle
 from ude.cli import (
+    EXIT_ARTIFACT,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_METRIC,
@@ -126,6 +127,31 @@ class TestExitCodes:
         assert main(["generate", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["train-sa", "learn-edit", "train-disease",
+                                      "evaluate", "noise-map"])
+    def test_missing_stage_input_is_artifact_error(self, tmp_path, capsys, verb):
+        out = tmp_path / "absent"
+        assert main([verb, "--out", str(out)]) == EXIT_ARTIFACT
+        assert capsys.readouterr().err.startswith("artifact error: ")
+
+    @pytest.mark.parametrize("garble", [b"garbage", b"UDET\x01", b"UDET\x01\x00\x02",
+                                        b"UDET\x01\x00\x01\x05\x00\x00\x00"],
+                             ids=["magic", "no-rank", "no-dims", "no-payload"])
+    def test_corrupt_stage_input_is_artifact_error(self, tmp_path, capsys, garble):
+        cfg = write_tiny_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == EXIT_OK
+        (tmp_path / "run" / "data" / "train" / "images.udet").write_bytes(garble)
+        assert main(["train-sa", "--config", cfg]) == EXIT_ARTIFACT
+        assert capsys.readouterr().err.startswith("artifact error: ")
+        assert not (tmp_path / "run" / "sa_head").exists()
 
     def test_removed_clamp_key_is_config_error(self, tmp_path):
         cfg = write_tiny_config(tmp_path, ude={"clamp": [0, 1]})

@@ -40,6 +40,19 @@ class TestSynthConfig:
     def test_dim(self):
         assert SynthConfig().dim == 256
 
+    def test_default_regions_follow_side(self):
+        cfg = SynthConfig(side=20)
+        assert cfg.sa_region == [r * 20 + c for r in range(6) for c in range(6)]
+        assert cfg.disease_region == [r * 20 + c for r in range(16, 20)
+                                      for c in range(16, 20)]
+        assert cfg.shared_region == [r * 20 + c for r in range(8, 12)
+                                     for c in range(8, 12)]
+
+    @pytest.mark.parametrize("side", [1, 3, 5, 6, 9])
+    def test_side_too_small_for_default_regions(self, side):
+        with pytest.raises(ValueError):
+            SynthConfig(side=side)
+
 
 class TestGenerate:
     def test_counts_honored(self):

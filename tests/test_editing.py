@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ude.oracle
 from ude.editing import (
@@ -15,7 +17,7 @@ from ude.editing import (
     train_fair_disease,
     write_noise_map_csv,
 )
-from ude.models import INPUT_DIM, TrainConfig, head_accuracy, train_head
+from ude.models import EMBED_DIM, INPUT_DIM, LinearHead, TrainConfig, head_accuracy, train_head
 from ude.oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError, InProcessOracle
 
 from conftest import central_diff, head_bytes
@@ -51,6 +53,30 @@ class TestObjective:
                                  train.sa_labels[:8], eps, lam=1.0)
         assert b - a == pytest.approx(float(np.linalg.norm(eps.astype(np.float64))),
                                       rel=1e-5)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_gives_each_edit_alone_bytes_in_one_call(self, encoder, data):
+        m = data.draw(st.integers(1, 20), label="M")
+        b = data.draw(st.integers(1, 70), label="B")
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=b,
+                                             max_size=b), label="labels"),
+                          dtype=np.uint8)
+        scale = data.draw(st.sampled_from([0.0, 1e-3, 0.1, 3.0]), label="scale")
+        lam = data.draw(st.sampled_from([0.0, 0.01, 1.0]), label="lam")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        edits = (rng.standard_normal((m, INPUT_DIM)) * scale).astype(np.float32)
+        batch = rng.standard_normal((b, INPUT_DIM)).astype(np.float32)
+        head = LinearHead(rng.standard_normal((EMBED_DIM, 2)).astype(np.float32),
+                          rng.standard_normal(2).astype(np.float32))
+        oracle = InProcessOracle(encoder)
+        losses = edit_objective_batch(oracle, head, batch, labels, edits, lam)
+        assert (oracle.query_counter, oracle.round_trips) == ((m, m * b), 1)
+        assert losses.shape == (m,) and losses.dtype == np.float64
+        for eps, loss in zip(edits, losses):
+            alone = edit_objective_batch(oracle, head, batch, labels, eps, lam)
+            assert type(alone) is float
+            assert np.float64(alone).tobytes() == loss.tobytes()
 
     def test_grad_matches_finite_differences_f64(self, encoder, trained_sa,
                                                  small_data):

@@ -5,7 +5,7 @@ import pytest
 
 from ude.gezo import GezoConfig, gezo_epoch, greedy_gradient, learn_ude_gezo
 from ude.models import INPUT_DIM, TrainConfig, head_accuracy, train_head
-from ude.oracle import InProcessOracle
+from ude.oracle import InProcessOracle, OracleServer, RemoteOracle
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,35 @@ class TestFullRun:
         assert len(art.loss_trace) == cfg.epochs
         assert len(art.iteration_trace) == cfg.epochs * cfg.local_iters
         assert {t["epoch"] for t in art.iteration_trace} == {0, 1}
+
+    def test_one_round_trip_per_local_iteration_over_the_wire(
+            self, encoder, trained_sa, small_data, monkeypatch):
+        _, train, _ = small_data
+        cfg = GezoConfig(local_iters=3, samples=4, epochs=2, batch_size=16)
+        tally = []  # the count hook perfbench installs on RemoteOracle
+        count = RemoteOracle._count
+
+        def _count(oracle, batch_size, *args, **kwargs):
+            tally.append(batch_size)
+            return count(oracle, batch_size, *args, **kwargs)
+
+        monkeypatch.setattr(RemoteOracle, "_count", _count)
+        srv = OracleServer(encoder, "127.0.0.1:0")
+        srv.start_background()
+        client = RemoteOracle(srv.bound_address)
+        try:
+            remote = learn_ude_gezo(client, trained_sa, train.images, train.sa_labels,
+                                    cfg, 0)
+        finally:
+            client.close()
+            srv.shutdown()
+        local = learn_ude_gezo(InProcessOracle(encoder), trained_sa, train.images,
+                               train.sa_labels, cfg, 0)
+        queries = cfg.epochs * cfg.local_iters * 2 * cfg.samples
+        assert client.round_trips == cfg.epochs * cfg.local_iters
+        assert client.query_counter == (queries, queries * cfg.batch_size)
+        assert tally == [cfg.batch_size] * queries
+        assert remote.eps.tobytes() == local.eps.tobytes()
 
     def test_deterministic(self, encoder, trained_sa, small_data):
         _, train, _ = small_data

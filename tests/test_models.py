@@ -95,6 +95,14 @@ class TestEncoderForwardBackward:
         assert z1.shape == (5, EMBED_DIM)
         assert np.array_equal(z1, z2)
 
+    @given(rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_row_embedding_does_not_depend_on_its_batch(self, encoder, rows, seed):
+        x = np.random.default_rng(seed).normal(size=(rows, INPUT_DIM)).astype(np.float32)
+        z = encoder_forward(encoder, x)
+        for i in range(rows):
+            assert encoder_forward(encoder, x[i:i + 1]).tobytes() == z[i].tobytes()
+
     def test_forward_rejects_bad_shape(self, encoder):
         with pytest.raises(ValueError):
             encoder_forward(encoder, np.zeros((2, INPUT_DIM + 1), dtype=np.float32))

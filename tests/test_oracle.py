@@ -102,6 +102,34 @@ class TestInProcessOracle:
             InProcessOracle(encoder).embed(bad)
 
 
+@pytest.fixture(params=["inprocess", "remote"])
+def oracle(request, encoder):
+    """Each oracle class around the session encoder."""
+    if request.param == "inprocess":
+        yield InProcessOracle(encoder)
+        return
+    for srv in _serve(encoder):
+        client = RemoteOracle(srv.bound_address)
+        yield client
+        client.close()
+
+
+class TestLogicalQueries:
+    def test_one_call_counts_q_queries_and_one_round_trip(self, encoder, oracle):
+        x = _batch(6)
+        z = oracle.embed(x, queries=3)
+        assert z.tobytes() == encoder_forward(encoder, x).tobytes()
+        assert (oracle.query_counter, oracle.round_trips) == ((3, 6), 1)
+        oracle.embed(x)
+        assert (oracle.query_counter, oracle.round_trips) == ((4, 12), 2)
+
+    @pytest.mark.parametrize("queries", [0, -1, 4, 7])
+    def test_queries_must_split_the_rows(self, oracle, queries):
+        with pytest.raises(ValueError):
+            oracle.embed(_batch(6), queries=queries)
+        assert (oracle.query_counter, oracle.round_trips) == ((0, 0), 0)
+
+
 class TestAddressParsing:
     def test_inet(self):
         family, addr = parse_address("127.0.0.1:7447")
@@ -155,31 +183,43 @@ class TestRemoteOracle:
         assert exc.value.code == ERR_DIM_MISMATCH
         client.close()
 
-    @pytest.mark.parametrize("reply", ["short", "wrong_type"])
+    @pytest.mark.parametrize("reply", ["short", "wrong_type", "narrower"])
     def test_bad_response_is_protocol_error(self, reply):
-        # a stub server that answers B-1 rows, or a message of type 0x02
+        # a stub server that answers B-1 rows, or a message of type 0x02, or
+        # a first answer 32 columns wide and then, on the same connection,
+        # one 31 wide
+        message, replies = {
+            "short": ("2 rows", [(-1, MSG_EMBED_RESPONSE, 32)]),
+            "wrong_type": ("type 0x02", [(0, 0x02, 32)]),
+            "narrower": ("31 columns", [(0, MSG_EMBED_RESPONSE, 32),
+                                        (0, MSG_EMBED_RESPONSE, 31)]),
+        }[reply]
         listener = socket.create_server(("127.0.0.1", 0))
         x = _batch(3)
 
         def answer():
             conn, _ = listener.accept()
             with conn:
-                want = 13 + x.nbytes
-                got = b""
-                while len(got) < want:
-                    got += conn.recv(want - len(got))
-                rows, msg_type = ((x.shape[0] - 1, MSG_EMBED_RESPONSE) if reply == "short"
-                                  else (x.shape[0], 0x02))
-                z = np.zeros((rows, 32), dtype="<f4")
-                conn.sendall(MAGIC + struct.pack("<BII", msg_type, *z.shape) + z.tobytes())
+                for extra_rows, msg_type, width in replies:
+                    want = 13 + x.nbytes
+                    got = b""
+                    while len(got) < want:
+                        got += conn.recv(want - len(got))
+                    z = np.zeros((x.shape[0] + extra_rows, width), dtype="<f4")
+                    conn.sendall(MAGIC + struct.pack("<BII", msg_type, *z.shape)
+                                 + z.tobytes())
 
         stub = threading.Thread(target=answer, daemon=True)
         stub.start()
         client = RemoteOracle("127.0.0.1:%d" % listener.getsockname()[1])
         try:
-            with pytest.raises(ProtocolError):
+            for _ in replies[:-1]:
                 client.embed(x)
-            assert client.query_counter == (0, 0)
+            with pytest.raises(ProtocolError, match=message):
+                client.embed(x)
+            answered = len(replies) - 1
+            assert client.query_counter == (answered, answered * x.shape[0])
+            assert client._sock is None  # closed after the failed call
         finally:
             client.close()
             stub.join(timeout=5)
