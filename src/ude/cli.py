@@ -3,7 +3,10 @@
 Verbs: generate, train-sa, learn-edit, train-disease, evaluate, sweep,
 serve, noise-map, run. Common flags: --config <json>, --seed, --out; the
 stage verbs and run also take --mode and --oracle.
-Exit codes: 0 ok, 2 config error, 3 capability error, 4 remote/protocol
+Exit codes: 0 ok, 2 config error (including an --out that generate, run or
+sweep cannot create, an --oracle or serve --address port that is not an
+integer in [0, 65535], an address serve cannot listen on, and a noise-map
+--top-fraction outside (0, 1]), 3 capability error, 4 remote/protocol
 error (including a server that does not answer in time), 5 undefined metric,
 6 edit learning diverged (a non-finite loss or edit at the end of an epoch),
 7 a stage input (an artifact an earlier stage writes) is missing or corrupt.
@@ -134,11 +137,13 @@ def _dispatch(args) -> int:
         except KeyboardInterrupt:
             server.shutdown()
     elif cmd == "noise-map":
+        if not 0 < args.top_fraction <= 1:
+            raise ConfigError(f"--top-fraction must be in (0, 1], got {args.top_fraction}")
         edit_dir = args.edit or os.path.join(cfg.out_dir, "edit")
         artifact = load_input(load_edit, edit_dir)
-        side = cfg.synth.side
         out = os.path.join(cfg.out_dir, "noise_map")
-        degenerate = write_noise_map_csv(out, artifact.eps, side, args.top_fraction)
+        degenerate = write_noise_map_csv(out, artifact.eps, cfg.synth.side,
+                                         args.top_fraction)
         if degenerate:
             print("warning: constant edit; noise map is degenerate", file=sys.stderr)
         print(f"noise map written to {out}")

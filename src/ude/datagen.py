@@ -15,14 +15,12 @@ shortcut for the disease.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .prng import derive_seed
-from .tensor_io import load_tensor, save_tensor
+from .tensor_io import load_artifact, save_artifact
 
 
 def _block(side: int, row0: int, col0: int, size: int) -> list[int]:
@@ -105,21 +103,19 @@ DESK_TEST = CellCounts([[50, 50], [50, 50]])
 @dataclass
 class LabeledImageSet:
     images: np.ndarray  # [N, D] f32
-    sa_labels: np.ndarray | None = None  # a in {0,1}
-    disease_labels: np.ndarray | None = None  # y in {0,1}
-    config: SynthConfig | None = None
-    seed: int | None = None
-    counts: CellCounts | None = None
+    sa_labels: np.ndarray  # a in {0,1}
+    disease_labels: np.ndarray  # y in {0,1}
 
     def __post_init__(self):
+        if np.ndim(self.images) != 2:
+            raise ValueError(f"images must be [N, D], got shape {np.shape(self.images)}")
         n = self.images.shape[0]
         for name in ("sa_labels", "disease_labels"):
-            lab = getattr(self, name)
-            if lab is not None:
-                lab = np.asarray(lab, dtype=np.uint8)
-                if lab.shape != (n,) or np.any(lab > 1):
-                    raise ValueError(f"{name} must be binary with length {n}")
-                setattr(self, name, lab)
+            lab = np.asarray(getattr(self, name))
+            # checked before the cast, which would turn 0.5 into 0
+            if lab.shape != (n,) or np.any((lab != 0) & (lab != 1)):
+                raise ValueError(f"{name} must be 0/1 with length {n}")
+            setattr(self, name, lab.astype(np.uint8))
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -163,43 +159,15 @@ def generate(cfg: SynthConfig, counts: CellCounts, seed: int) -> LabeledImageSet
             sas.append(np.full(k, a, dtype=np.uint8))
     return LabeledImageSet(images=np.concatenate(images),
                            sa_labels=np.concatenate(sas),
-                           disease_labels=np.concatenate(ys),
-                           config=cfg, seed=seed, counts=counts)
+                           disease_labels=np.concatenate(ys))
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: one tensor_io artifact, labels stored as f32 tensors
 
 def save_dataset(dirpath, dataset: LabeledImageSet) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    manifest = {
-        "kind": "labeled_image_set",
-        "n": len(dataset),
-        "seed": dataset.seed,
-        "counts": dataset.counts.n if dataset.counts else None,
-        "config": None if dataset.config is None else asdict(dataset.config),
-        "has_sa_labels": dataset.sa_labels is not None,
-        "has_disease_labels": dataset.disease_labels is not None,
-    }
-    save_tensor(os.path.join(dirpath, "images.udet"), dataset.images)
-    if dataset.sa_labels is not None:
-        dataset.sa_labels.tofile(os.path.join(dirpath, "sa_labels.bin"))
-    if dataset.disease_labels is not None:
-        dataset.disease_labels.tofile(os.path.join(dirpath, "disease_labels.bin"))
-    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    save_artifact(dirpath, "labeled_image_set", vars(dataset))
 
 
 def load_dataset(dirpath) -> LabeledImageSet:
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    cfg = SynthConfig(**manifest["config"]) if manifest["config"] else None
-    images = load_tensor(os.path.join(dirpath, "images.udet"))
-    sa = disease = None
-    if manifest["has_sa_labels"]:
-        sa = np.fromfile(os.path.join(dirpath, "sa_labels.bin"), dtype=np.uint8)
-    if manifest["has_disease_labels"]:
-        disease = np.fromfile(os.path.join(dirpath, "disease_labels.bin"), dtype=np.uint8)
-    counts = CellCounts(manifest["counts"]) if manifest.get("counts") else None
-    return LabeledImageSet(images=images, sa_labels=sa, disease_labels=disease,
-                           config=cfg, seed=manifest["seed"], counts=counts)
+    return LabeledImageSet(**load_artifact(dirpath, "labeled_image_set")[0])

@@ -8,7 +8,6 @@ edited inputs, and exporting the per-pixel noise map.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from .numerics import (
 )
 from .oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError
 from .prng import derive_seed
-from .tensor_io import load_tensor, save_tensor
+from .tensor_io import load_artifact, save_artifact
 
 
 class DivergenceError(ArithmeticError):
@@ -119,8 +118,6 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
     if oracle.capability != FORWARD_WITH_INPUT_GRAD:
         raise CapabilityError("white-box edit learning needs input gradients; "
                               "use the zeroth-order optimizer instead")
-    if sa_labels is None:
-        raise ValueError("group labels required")
     n, dim = images.shape
     eps = np.zeros(dim, dtype=np.float32)
     opt = init_optimizer("adam", cfg.lr, eps.shape)
@@ -159,8 +156,6 @@ def train_fair_disease(oracle, edits: list[np.ndarray], images: np.ndarray,
     edit applied, all in one loop (models.fit_heads); only the heads are
     trainable. Returns one (head, trace) per edit. A zero edit is exactly
     the plain (unedited) baseline path."""
-    if disease_labels is None:
-        raise ValueError("disease labels required")
     # one edited copy of the inputs alive at a time: each is dropped once
     # it is embedded
     z = np.stack([oracle.embed(apply_edit(images, eps)) for eps in edits])
@@ -200,29 +195,13 @@ def write_noise_map_csv(dirpath, eps: np.ndarray, side: int, top_fraction: float
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: one tensor_io artifact, the traces in its provenance
 
 def save_edit(dirpath, artifact: EditArtifact) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    save_tensor(os.path.join(dirpath, "eps.udet"), artifact.eps)
-    provenance = {
-        "kind": "edit_artifact",
-        "mode": artifact.mode,
-        "seed": artifact.seed,
-        "config": artifact.config,
-        "loss_trace": artifact.loss_trace,
-        "eps_norm_trace": artifact.eps_norm_trace,
-        "iteration_trace": artifact.iteration_trace,
-    }
-    with open(os.path.join(dirpath, "provenance.json"), "w") as fh:
-        json.dump(provenance, fh, indent=2)
+    meta = vars(artifact).copy()
+    save_artifact(dirpath, "edit_artifact", {"eps": meta.pop("eps")}, **meta)
 
 
 def load_edit(dirpath) -> EditArtifact:
-    with open(os.path.join(dirpath, "provenance.json")) as fh:
-        prov = json.load(fh)
-    return EditArtifact(eps=load_tensor(os.path.join(dirpath, "eps.udet")),
-                        loss_trace=prov["loss_trace"],
-                        eps_norm_trace=prov["eps_norm_trace"],
-                        config=prov["config"], seed=prov["seed"], mode=prov["mode"],
-                        iteration_trace=prov.get("iteration_trace", []))
+    tensors, meta = load_artifact(dirpath, "edit_artifact")
+    return EditArtifact(**tensors, **meta)

@@ -99,8 +99,6 @@ def evaluate(head: LinearHead, z: np.ndarray, disease_labels: np.ndarray,
              sa_labels: np.ndarray) -> FairnessReport:
     """Full report for a head on embeddings z [N,E]. Predictions are argmax
     over logits; equal logits predict class 0."""
-    if disease_labels is None or sa_labels is None:
-        raise ValueError("both label arrays required")
     logits = head_forward(head, z)
     preds = np.argmax(logits, axis=1)  # np.argmax takes the first max: ties -> 0
     rec = EvalRecord(predictions=preds, labels=disease_labels, attrs=sa_labels)

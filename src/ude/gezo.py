@@ -94,8 +94,6 @@ def learn_ude_gezo(oracle, sa_head: LinearHead, images: np.ndarray,
     """Run the per-epoch pass for cfg.epochs, threading the edit through;
     batches and perturbations are drawn from `seed`. Only forward oracle
     calls are ever issued."""
-    if sa_labels is None:
-        raise ValueError("group labels required")
     dim = images.shape[1]
     eps = np.zeros(dim, dtype=np.float32)
     rng = np.random.default_rng(derive_seed(seed, 0x6E20))

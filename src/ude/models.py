@@ -5,9 +5,7 @@ with hand-derived forward and backward passes.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cache
 
@@ -22,7 +20,7 @@ from .numerics import (
     optimizer_step,
 )
 from .prng import Xorshift64Star, derive_seed
-from .tensor_io import load_tensor, save_tensor
+from .tensor_io import load_artifact, save_artifact
 
 INPUT_DIM = 256  # 16x16 images
 HIDDEN_DIM = 64
@@ -234,22 +232,11 @@ def head_accuracy(head: LinearHead, z: np.ndarray, labels: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# persistence: JSON manifest + one tensor file per parameter
+# persistence: one tensor_io artifact per head
 
-def save_head(dirpath, head: LinearHead, meta: dict | None = None) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    manifest = {
-        "kind": "linear_head",
-        "dtype": "f32",
-        "params": {"weight": list(head.weight.shape), "bias": list(head.bias.shape)},
-        "meta": meta or {},
-    }
-    save_tensor(os.path.join(dirpath, "weight.udet"), head.weight)
-    save_tensor(os.path.join(dirpath, "bias.udet"), head.bias)
-    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+def save_head(dirpath, head: LinearHead, **meta) -> None:
+    save_artifact(dirpath, "linear_head", vars(head), **meta)
 
 
 def load_head(dirpath) -> LinearHead:
-    return LinearHead(load_tensor(os.path.join(dirpath, "weight.udet")),
-                      load_tensor(os.path.join(dirpath, "bias.udet")))
+    return LinearHead(**load_artifact(dirpath, "linear_head")[0])

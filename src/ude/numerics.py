@@ -61,16 +61,19 @@ def l2_norm_grad(eps: np.ndarray) -> np.ndarray:
     return (eps / n).astype(eps.dtype)
 
 
+# Adam/AdamW hyperparameters other than the learning rate
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_STAB = 1e-8
+WEIGHT_DECAY = 0.01  # AdamW only
+
+
 @dataclass
 class OptimizerState:
     """SGD / Adam / AdamW state for a single parameter tensor."""
 
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_stab: float = 1e-8
-    weight_decay: float = 0.01
     m: np.ndarray = field(default=None, repr=False)
     v: np.ndarray = field(default=None, repr=False)
     t: int = 0
@@ -80,12 +83,10 @@ class OptimizerState:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
 
 
-def init_optimizer(kind: str, lr: float, shape, dtype=np.float32, **kw) -> OptimizerState:
-    state = OptimizerState(kind=kind, lr=lr, **kw)
+def init_optimizer(kind: str, lr: float, shape, dtype=np.float32) -> OptimizerState:
+    state = OptimizerState(kind=kind, lr=lr)
     if kind in ("adam", "adamw"):
         state.m = np.zeros(shape, dtype=dtype)
         state.v = np.zeros(shape, dtype=dtype)
@@ -103,10 +104,10 @@ def optimizer_step(state: OptimizerState, param: np.ndarray, grad: np.ndarray) -
         raise ValueError("optimizer moments do not match parameter shape")
     if state.kind == "adamw":
         # decoupled decay applied before the Adam update
-        param = param - state.lr * state.weight_decay * param
+        param = param - state.lr * WEIGHT_DECAY * param
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_stab)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    return param - state.lr * m_hat / (np.sqrt(v_hat) + EPS_STAB)

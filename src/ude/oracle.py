@@ -216,9 +216,12 @@ def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarr
 
 
 def parse_address(address: str):
-    """"host:port" -> AF_INET tuple; anything else -> AF_UNIX path."""
+    """"host:port" -> AF_INET tuple; anything else -> AF_UNIX path.
+    ValueError for a port that is not an integer in [0, 65535]."""
     if ":" in address:
         host, port = address.rsplit(":", 1)
+        if not (port.isdigit() and int(port) <= 65535):
+            raise ValueError(f"port must be an integer in [0, 65535], got {port!r}")
         return socket.AF_INET, (host or "127.0.0.1", int(port))
     return socket.AF_UNIX, address
 

@@ -54,8 +54,10 @@ from .oracle import (
     InProcessOracle,
     OracleServer,
     RemoteOracle,
+    parse_address,
 )
 from .prng import derive_seed
+from .tensor_io import PROVENANCE
 
 
 class ConfigError(ValueError):
@@ -101,6 +103,11 @@ class PipelineConfig:
         if self.mode == "whitebox" and self.oracle != "inprocess":
             raise ConfigError("whitebox mode needs gradient access; remote oracles "
                               "are forward-only by protocol")
+        if self.oracle != "inprocess":
+            try:
+                parse_address(self.oracle)
+            except ValueError as exc:
+                raise ConfigError(f"bad oracle address: {exc}") from exc
         if self.train_counts.total == 0 or self.test_counts.total == 0:
             raise ConfigError("train_counts and test_counts must not be all zero")
 
@@ -168,12 +175,22 @@ def _paths(cfg: PipelineConfig) -> dict:
     }
 
 
+def make_out_dir(path) -> str:
+    """path, created if absent; ConfigError when it cannot be, so that an
+    unusable --out is rejected before any work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
 def load_input(loader, path):
     """loader(path) for a stage input; ArtifactError when it is missing or
     its files are unreadable or malformed."""
     try:
         return loader(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
 
 
@@ -265,6 +282,7 @@ def evaluate_heads(oracle, test: LabeledImageSet, erm_head: LinearHead,
 
 def cmd_generate(cfg: PipelineConfig) -> None:
     paths = _paths(cfg)
+    make_out_dir(cfg.out_dir)
     train, test = generate_data(cfg)
     save_dataset(paths["train_data"], train)
     save_dataset(paths["test_data"], test)
@@ -279,9 +297,8 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
     with closing(make_oracle(cfg)) as oracle:
         head, trace = train_sa(cfg, oracle, train)
         acc = head_accuracy(head, oracle.embed(train.images), train.sa_labels)
-    save_head(paths["sa_head"], head,
-              meta={"task": "sensitive_attribute", "train_accuracy": acc,
-                    "loss_trace": trace})
+    save_head(paths["sa_head"], head, task="sensitive_attribute",
+              train_accuracy=acc, loss_trace=trace)
     _write_manifest(cfg, "train_sa", [paths["train_data"]], [paths["sa_head"]])
     return acc
 
@@ -304,16 +321,15 @@ def cmd_train_disease(cfg: PipelineConfig) -> None:
     paths = _paths(cfg)
     train = load_input(load_dataset, paths["train_data"])
     artifact = None
-    if os.path.exists(os.path.join(paths["edit"], "eps.udet")):
+    if os.path.exists(os.path.join(paths["edit"], PROVENANCE)):
         artifact = load_input(load_edit, paths["edit"])
     with closing(make_oracle(cfg)) as oracle:
         erm_head, head = train_disease(cfg, oracle, train,
                                        None if artifact is None else artifact.eps)
-    save_head(paths["erm_head"], erm_head, meta={"task": "disease", "edit": "zero"})
+    save_head(paths["erm_head"], erm_head, task="disease", edit="zero")
     outputs = [paths["erm_head"]]
     if head is not None:
-        save_head(paths["disease_head"], head,
-                  meta={"task": "disease", "edit": artifact.mode})
+        save_head(paths["disease_head"], head, task="disease", edit=artifact.mode)
         outputs.append(paths["disease_head"])
     _write_manifest(cfg, "train_disease", [paths["train_data"], paths["edit"]], outputs)
 
@@ -325,7 +341,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
     test = load_input(load_dataset, paths["test_data"])
     erm_head = load_input(load_head, paths["erm_head"])
     head = eps = None
-    if os.path.exists(os.path.join(paths["disease_head"], "manifest.json")):
+    if os.path.exists(os.path.join(paths["disease_head"], PROVENANCE)):
         head = load_input(load_head, paths["disease_head"])
         eps = load_input(load_edit, paths["edit"]).eps
     with closing(make_oracle(cfg)) as oracle:
@@ -345,9 +361,13 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
 
 
 def cmd_serve(cfg: PipelineConfig, address: str) -> OracleServer:
-    """A forward-only server around the encoder cfg.encoder_seed names."""
-    return OracleServer(build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim),
-                        address)
+    """A forward-only server around the encoder cfg.encoder_seed names;
+    ConfigError when it cannot listen on `address`."""
+    encoder = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
+    try:
+        return OracleServer(encoder, address)
+    except (ValueError, OSError) as exc:  # a malformed address, or one in use
+        raise ConfigError(f"cannot serve on {address}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +431,20 @@ def sweep_config(cfg: PipelineConfig, param: str, value: float,
 
 def cmd_sweep(cfg: PipelineConfig, param: str, values: list[float]) -> list[dict]:
     """Re-run the pipeline per value; rows carry the debiased classifier's
-    metrics. Each value gets a fresh seed mixed from (global seed, index)."""
+    metrics. Each value gets a fresh seed mixed from (global seed, index).
+    Every value and the output directory are checked before any run."""
+    if not values:
+        raise ConfigError("no sweep values")
+    subs = [sweep_config(cfg, param, value, derive_seed(cfg.seed, TAG_SWEEP, i))
+            for i, value in enumerate(values)]
+    reports = make_out_dir(_paths(cfg)["reports"])
     rows = []
-    for i, value in enumerate(values):
-        sub = sweep_config(cfg, param, value, derive_seed(cfg.seed, TAG_SWEEP, i))
+    for value, sub in zip(values, subs):
         rep = run_experiment(sub).ude_report
         rows.append({"param": param, "value": value, "seed": sub.seed,
                      "EO_n": rep.eo_neg, "EO_p": rep.eo_pos,
                      "DI": rep.one_minus_di_abs, "Acc": rep.accuracy})
-    os.makedirs(_paths(cfg)["reports"], exist_ok=True)
-    out_csv = os.path.join(_paths(cfg)["reports"], f"sweep_{param}.csv")
+    out_csv = os.path.join(reports, f"sweep_{param}.csv")
     with open(out_csv, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -1,9 +1,11 @@
 import json
+import shutil
 from dataclasses import asdict
 
 import pytest
 
 import ude.oracle
+import ude.pipeline
 from ude.cli import (
     EXIT_ARTIFACT,
     EXIT_CONFIG,
@@ -33,6 +35,34 @@ def write_tiny_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+# stage input -> (a verb that reads it, what that verb writes, its files)
+STAGE_INPUTS = {
+    "data/train": ("train-sa", ["sa_head", "manifests/train_sa.json"],
+                   ["provenance.json", "images.udet", "sa_labels.udet",
+                    "disease_labels.udet"]),
+    "data/test": ("evaluate", ["reports", "manifests/evaluate.json"],
+                  ["provenance.json", "images.udet", "sa_labels.udet",
+                   "disease_labels.udet"]),
+    "sa_head": ("learn-edit", ["edit", "manifests/learn_edit.json"],
+                ["provenance.json", "weight.udet", "bias.udet"]),
+    "edit": ("train-disease", ["erm_head", "disease_head",
+                               "manifests/train_disease.json"],
+             ["provenance.json", "eps.udet"]),
+    "erm_head": ("evaluate", ["reports", "manifests/evaluate.json"],
+                 ["provenance.json", "weight.udet", "bias.udet"]),
+    "disease_head": ("evaluate", ["reports", "manifests/evaluate.json"],
+                     ["provenance.json", "weight.udet", "bias.udet"]),
+}
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """The output directory of one tiny white-box `ude run`."""
+    base = tmp_path_factory.mktemp("full")
+    assert main(["run", "--config", write_tiny_config(base)]) == EXIT_OK
+    return base / "run"
 
 
 class TestExitCodes:
@@ -95,6 +125,18 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--param", "lambda",
                      "--values", "a,b"]) == EXIT_CONFIG
 
+    def test_sweep_checks_every_value_first(self, tmp_path, capsys, monkeypatch):
+        def no_work(cfg):
+            raise AssertionError("a pipeline ran before every value was checked")
+
+        monkeypatch.setattr(ude.pipeline, "generate_data", no_work)
+        cfg = write_tiny_config(tmp_path)
+        for values in (",", "0.01,-1"):
+            assert main(["sweep", "--config", cfg, "--param", "lambda",
+                         "--values", values]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("param,values", [("lambda", "-1"), ("local_iters", "0.5"),
                                               ("local_iters", "2.5"),
                                               ("local_iters", "inf")])
@@ -152,6 +194,74 @@ class TestExitCodes:
         assert main(["train-sa", "--config", cfg]) == EXIT_ARTIFACT
         assert capsys.readouterr().err.startswith("artifact error: ")
         assert not (tmp_path / "run" / "sa_head").exists()
+
+    @pytest.mark.parametrize("artifact,garble", [
+        (artifact, (name, how)) for artifact, (_, _, names) in STAGE_INPUTS.items()
+        for name in names for how in ("garbage", "truncated")],
+        ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+    def test_every_file_of_a_stage_input_is_checked(self, tmp_path, capsys, full_run,
+                                                     artifact, garble):
+        """A garbled or truncated file of any artifact a stage reads stops
+        that stage with exit 7 before it writes anything."""
+        verb, outputs, names = STAGE_INPUTS[artifact]
+        cfg = write_tiny_config(tmp_path)
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        assert sorted(p.name for p in (run_dir / artifact).iterdir()) == sorted(names)
+        for out in outputs:
+            if out.endswith(".json"):
+                (run_dir / out).unlink()
+            else:
+                shutil.rmtree(run_dir / out)
+        name, how = garble
+        path = run_dir / artifact / name
+        blob = path.read_bytes()
+        path.write_bytes(b"garbage" if how == "garbage" else blob[:len(blob) // 2])
+        assert main([verb, "--config", cfg]) == EXIT_ARTIFACT
+        assert capsys.readouterr().err.startswith("artifact error: ")
+        assert not any((run_dir / out).exists() for out in outputs)
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5", "-0.2", "nan"])
+    def test_noise_map_top_fraction_is_checked_first(self, tmp_path, capsys, fraction):
+        # no edit under --out: the flag is rejected before the edit is read
+        assert main(["noise-map", "--out", str(tmp_path / "absent"),
+                     "--top-fraction", fraction]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("address", ["127.0.0.1:x", "127.0.0.1:99999", "127.0.0.1:-1"])
+    def test_malformed_address_is_config_error(self, tmp_path, capsys, address):
+        assert main(["serve", "--address", address]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        out = tmp_path / "run"
+        assert main(["run", "--mode", "gezo", "--oracle", address,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_serve_on_an_address_in_use_is_config_error(self, encoder, capsys):
+        from ude.oracle import OracleServer
+
+        server = OracleServer(encoder, "127.0.0.1:0")
+        try:
+            assert main(["serve", "--address", server.bound_address]) == EXIT_CONFIG
+        finally:
+            server.shutdown()
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("argv", [["generate"], ["run"],
+                                      ["sweep", "--param", "lambda", "--values", "0.01"]],
+                             ids=lambda argv: argv[0])
+    def test_out_that_cannot_be_created_is_config_error(self, tmp_path, capsys,
+                                                        monkeypatch, argv):
+        def no_work(cfg):
+            raise AssertionError("data generated before --out was checked")
+
+        monkeypatch.setattr(ude.pipeline, "generate_data", no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        cfg = write_tiny_config(tmp_path)
+        assert main([*argv, "--config", cfg, "--out", str(blocker / "run")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_removed_clamp_key_is_config_error(self, tmp_path):
         cfg = write_tiny_config(tmp_path, ude={"clamp": [0, 1]})

@@ -108,15 +108,38 @@ class TestGenerate:
 
 
 class TestLabeledImageSet:
+    IMAGES = np.zeros((2, 4), dtype=np.float32)
+
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError):
-            LabeledImageSet(images=np.zeros((2, 4), dtype=np.float32),
-                            sa_labels=np.array([0, 2]))
+            LabeledImageSet(self.IMAGES, sa_labels=np.array([0, 2]),
+                            disease_labels=np.array([0, 1]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            LabeledImageSet(images=np.zeros((2, 4), dtype=np.float32),
+            LabeledImageSet(self.IMAGES, sa_labels=np.array([0, 1]),
                             disease_labels=np.array([0, 1, 1]))
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.0], [0.9, 0.0], [0.0, np.nan], [-1, 0]])
+    @pytest.mark.parametrize("name", ["sa_labels", "disease_labels"])
+    def test_rejects_labels_the_uint8_cast_would_round(self, name, bad):
+        labels = {"sa_labels": np.array([0, 1]), "disease_labels": np.array([1, 0]),
+                  name: np.array(bad)}
+        with pytest.raises(ValueError, match=name):
+            LabeledImageSet(self.IMAGES, **labels)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 4, 1)])
+    def test_rejects_images_that_are_not_a_matrix(self, shape):
+        with pytest.raises(ValueError, match="images"):
+            LabeledImageSet(np.zeros(shape, dtype=np.float32), sa_labels=np.array([0, 1]),
+                            disease_labels=np.array([0, 1]))
+
+    def test_labels_are_uint8(self):
+        data = LabeledImageSet(self.IMAGES, sa_labels=np.array([0.0, 1.0]),
+                               disease_labels=[True, False])
+        assert data.sa_labels.dtype == data.disease_labels.dtype == np.uint8
+        assert data.sa_labels.tolist() == [0, 1]
+        assert data.disease_labels.tolist() == [1, 0]
 
 
 class TestPersistence:
@@ -127,5 +150,6 @@ class TestPersistence:
         assert np.array_equal(back.images, data.images)
         assert np.array_equal(back.sa_labels, data.sa_labels)
         assert np.array_equal(back.disease_labels, data.disease_labels)
-        assert back.counts.n == data.counts.n
-        assert back.config.sa_region == data.config.sa_region
+        assert back.sa_labels.dtype == back.disease_labels.dtype == np.uint8
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "disease_labels.udet", "images.udet", "provenance.json", "sa_labels.udet"]

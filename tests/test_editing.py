@@ -172,13 +172,6 @@ class TestDiseaseTraining:
                               train.disease_labels, cfg, 2)
         assert head_bytes(fair) == head_bytes(plain)
 
-    def test_missing_labels(self, encoder, small_data):
-        _, train, _ = small_data
-        with pytest.raises(ValueError):
-            train_fair_disease(InProcessOracle(encoder),
-                               [np.zeros(INPUT_DIM, dtype=np.float32)],
-                               train.images, None, TrainConfig(), 0)
-
 
 class TestNoiseMap:
     def test_normalization_and_mask(self):

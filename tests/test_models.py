@@ -305,6 +305,6 @@ class TestPersistence:
     def test_head_round_trip(self, tmp_path):
         head = _zero_head(8)
         head.weight += np.float32(0.25)
-        save_head(tmp_path / "h", head, meta={"task": "t"})
+        save_head(tmp_path / "h", head, task="t")
         back = load_head(tmp_path / "h")
         assert head_bytes(back) == head_bytes(head)

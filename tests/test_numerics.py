@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ude.numerics import (
+    WEIGHT_DECAY,
     check_labels,
     cross_entropy_loss_and_grad,
     init_optimizer,
@@ -173,10 +174,10 @@ class TestOptimizers:
         assert np.array_equal(step_pos, -step_neg)
 
     def test_adamw_decoupled_decay(self):
-        state = init_optimizer("adamw", 0.1, (1,), weight_decay=0.5)
+        state = init_optimizer("adamw", 0.1, (1,))
         out = optimizer_step(state, np.array([2.0]), np.array([0.0]))
         # decay shrinks the parameter even with zero gradient
-        assert out == pytest.approx([2.0 * (1 - 0.1 * 0.5)])
+        assert out == pytest.approx([2.0 * (1 - 0.1 * WEIGHT_DECAY)])
 
     def test_shape_mismatch(self):
         state = init_optimizer("adam", 0.01, (2,))
@@ -184,8 +185,7 @@ class TestOptimizers:
             optimizer_step(state, np.zeros(2), np.zeros(3))
 
     @pytest.mark.parametrize("bad", [dict(kind="rmsprop", lr=0.1),
-                                     dict(kind="adam", lr=-1.0),
-                                     dict(kind="adam", lr=0.1, beta1=1.0)])
+                                     dict(kind="adam", lr=-1.0)])
     def test_invalid_config(self, bad):
         with pytest.raises(ValueError):
-            init_optimizer(bad.pop("kind"), bad.pop("lr"), (1,), **bad)
+            init_optimizer(bad["kind"], bad["lr"], (1,))

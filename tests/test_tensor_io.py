@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -8,8 +9,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from ude.tensor_io import (
     MAGIC,
+    PROVENANCE,
     TensorFormatError,
+    load_artifact,
     load_tensor,
+    save_artifact,
     save_tensor,
     tensor_bytes,
     tensor_digest,
@@ -83,3 +87,52 @@ def test_digest_tracks_content():
     assert tensor_digest(a) == tensor_digest(b)
     b[0] = 1.0
     assert tensor_digest(a) != tensor_digest(b)
+
+
+class TestArtifact:
+    TENSORS = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+               "b": np.ones(3, dtype=np.float32)}
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        save_artifact(tmp_path, "thing", self.TENSORS, seed=4, trace=[0.5, 0.25])
+        return tmp_path
+
+    def edit_provenance(self, path, **changes):
+        prov = json.loads((path / PROVENANCE).read_text())
+        (path / PROVENANCE).write_text(json.dumps({**prov, **changes}))
+
+    def test_round_trip(self, saved):
+        tensors, meta = load_artifact(saved, "thing")
+        assert {k: v.tobytes() for k, v in tensors.items()} == \
+            {k: v.tobytes() for k, v in self.TENSORS.items()}
+        assert meta == {"seed": 4, "trace": [0.5, 0.25]}
+        assert json.loads((saved / PROVENANCE).read_text()) == {
+            "kind": "thing", "tensors": {"w": [2, 3], "b": [3]}, "seed": 4,
+            "trace": [0.5, 0.25]}
+
+    def test_wrong_kind(self, saved):
+        with pytest.raises(TensorFormatError, match="other"):
+            load_artifact(saved, "other")
+
+    def test_shape_mismatch(self, saved):
+        self.edit_provenance(saved, tensors={"w": [3, 2], "b": [3]})
+        with pytest.raises(TensorFormatError, match="shape"):
+            load_artifact(saved, "thing")
+
+    def test_missing_tensor_file(self, saved):
+        (saved / "b.udet").unlink()
+        with pytest.raises(FileNotFoundError):
+            load_artifact(saved, "thing")
+
+    @pytest.mark.parametrize("raw", ["[]", '"thing"', "3", "null", "{broken", "\udcff"])
+    def test_provenance_not_a_json_object(self, saved, raw):
+        (saved / PROVENANCE).write_text(raw, errors="surrogateescape")
+        with pytest.raises(TensorFormatError):
+            load_artifact(saved, "thing")
+
+    @pytest.mark.parametrize("tensors", [None, [], "w"])
+    def test_provenance_without_a_tensor_listing(self, saved, tensors):
+        self.edit_provenance(saved, tensors=tensors)
+        with pytest.raises(TensorFormatError):
+            load_artifact(saved, "thing")
