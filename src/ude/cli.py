@@ -9,7 +9,8 @@ integer in [0, 65535], an address serve cannot listen on, and a noise-map
 --top-fraction outside (0, 1]), 3 capability error, 4 remote/protocol
 error (including a server that does not answer in time), 5 undefined metric,
 6 edit learning diverged (a non-finite loss or edit at the end of an epoch),
-7 a stage input (an artifact an earlier stage writes) is missing or corrupt.
+7 a stage input (an artifact an earlier stage writes) is missing or corrupt,
+or a head in it is not [E, 2] / [2].
 """
 
 from __future__ import annotations

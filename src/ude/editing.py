@@ -18,11 +18,14 @@ from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
     check_counts,
     check_labels,
-    cross_entropy_loss_and_grad,
+    cross_entropy_batch,
+    cross_entropy_grad,
     init_optimizer,
     l2_norm,
     l2_norm_grad,
+    one_hot,
     optimizer_step,
+    softmax_terms,
 )
 from .oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError
 from .prng import derive_seed
@@ -80,17 +83,18 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
     A [D] edit gives a float. An [M,D] stack of edits gives the M losses,
     [M] float64, each the bytes its edit alone gives, from one oracle call
     of M logical queries, one head forward (per-candidate slices, so each
-    gets the product a lone call computes) and one cross-entropy.
+    gets the product a lone call computes), one cross-entropy and one norm
+    call.
     """
     stack = np.atleast_2d(eps)
     m, b = stack.shape[0], batch.shape[0]
     rows = apply_edit(batch[None], stack[:, None]).reshape(m * b, -1)
     z = oracle.embed(rows, queries=m)
-    logits = head_forward(sa_head, z.reshape(m, b, -1)).reshape(m * b, -1)
+    logits = head_forward(sa_head, z.reshape(m, b, -1))
     labels = check_labels(sa_labels, logits.shape[-1])
-    losses, _ = cross_entropy_loss_and_grad(logits, np.tile(labels, m))
-    means = np.mean(losses.reshape(m, b), axis=1).astype(np.float64)
-    out = -means + lam * np.array([l2_norm(e) for e in stack])
+    shifted, _, sums = softmax_terms(logits)
+    means = np.mean(cross_entropy_batch(shifted, sums, labels), axis=1).astype(np.float64)
+    out = -means + lam * l2_norm(stack)
     return float(out[0]) if np.ndim(eps) == 1 else out
 
 
@@ -101,9 +105,11 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
     which embeds the batch once for both."""
     zb, vjp = oracle.embed_vjp(apply_edit(batch, eps))
     logits = head_forward(sa_head, zb)
-    losses, g = cross_entropy_loss_and_grad(logits,
-                                            check_labels(sa_labels, logits.shape[-1]))
-    loss = -float(np.mean(losses)) + lam * l2_norm(eps)
+    labels = check_labels(sa_labels, logits.shape[-1])
+    shifted, exps, sums = softmax_terms(logits)
+    loss = -float(np.mean(cross_entropy_batch(shifted, sums, labels))) + lam * l2_norm(eps)
+    g = cross_entropy_grad(exps, sums, one_hot(labels, logits.shape[-1], logits.dtype),
+                           out=exps)
     gx = vjp(g @ sa_head.weight.astype(batch.dtype).T)
     grad = (-gx.sum(axis=0) / batch.shape[0]
             + lam * l2_norm_grad(eps.astype(batch.dtype)))
@@ -134,7 +140,7 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
                                              sa_labels[idx], eps, cfg.lam)
             total += loss
             nb += 1
-            eps = optimizer_step(opt, eps, grad)
+            optimizer_step(opt, eps, grad)
         loss_trace.append(total / nb)
         norm_trace.append(l2_norm(eps))
         check_epoch_finite("whitebox", epoch, cfg.epochs, loss_trace[-1], eps)

@@ -15,9 +15,12 @@ from .numerics import (
     OptimizerState,
     check_counts,
     check_labels,
-    cross_entropy_loss_and_grad,
+    cross_entropy_batch,
+    cross_entropy_grad,
     init_optimizer,
+    one_hot,
     optimizer_step,
+    softmax_terms,
 )
 from .prng import Xorshift64Star, derive_seed
 from .tensor_io import load_artifact, save_artifact
@@ -131,6 +134,14 @@ class LinearHead:
     weight: np.ndarray  # [E, 2]
     bias: np.ndarray  # [2]
 
+    def __post_init__(self):
+        if np.ndim(self.weight) != 2 or np.shape(self.weight)[1] != NUM_CLASSES:
+            raise ValueError(f"head weight must be [E,{NUM_CLASSES}], "
+                             f"got shape {np.shape(self.weight)}")
+        if np.shape(self.bias) != (NUM_CLASSES,):
+            raise ValueError(f"head bias must be [{NUM_CLASSES}], "
+                             f"got shape {np.shape(self.bias)}")
+
     def copy(self) -> "LinearHead":
         return LinearHead(self.weight.copy(), self.bias.copy())
 
@@ -153,10 +164,11 @@ class TrainConfig:
         OptimizerState(self.optimizer, self.lr)  # rejects an unknown optimizer or lr
 
 
-def _stacked_views(flat: np.ndarray):
-    """(weights [K,E,2], biases [K,1,2]) as views into a [K, E*2+2] buffer."""
-    k = NUM_CLASSES
-    return flat[:, :-k].reshape(flat.shape[0], -1, k), flat[:, None, -k:]
+def _stacked_views(flat: np.ndarray, k: int):
+    """(weights [K,E,2], biases [K,1,2]) as contiguous views into a flat
+    [K*E*2 + K*2] buffer: all weights first, then all biases."""
+    split = flat.size - k * NUM_CLASSES
+    return flat[:split].reshape(k, -1, NUM_CLASSES), flat[split:].reshape(k, 1, NUM_CLASSES)
 
 
 def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
@@ -165,55 +177,80 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     per-epoch mean CE trace) per set.
 
     Embeddings are used in float32. Mini-batch order is a fresh shuffle per
-    epoch, drawn from `seed`. All parameters live in one [K, E*2+2] buffer
-    and take one optimizer step together: every optimizer here is
+    epoch, drawn from `seed`. All parameters live in one flat buffer and
+    take one in-place optimizer step together: every optimizer here is
     elementwise and every other op acts on each head's rows alone, so each
     head gets the bytes it would get if trained alone.
+
+    A step issues only the ops that depend on the parameters, each into a
+    contiguous buffer allocated here once: the logits, the two-column
+    softmax, the gradient against a one-hot built once per epoch, and the
+    optimizer step. The shifted logits and softmax sums of every step are
+    kept; the epoch's per-sample losses and per-batch loss sums are
+    computed from them after its last step.
     """
     z = np.asarray(z, dtype=np.float32)
     if z.ndim != 3:
         raise ValueError(f"embeddings must be [K,N,E], got shape {z.shape}")
-    k, n, _ = z.shape
+    k, n, e = z.shape
     if n == 0:
         raise ValueError("empty dataset")
     labels = check_labels(labels, NUM_CLASSES)
     if labels.shape != (n,):
         raise ValueError(f"labels must be [{n}], got shape {labels.shape}")
 
-    params = np.zeros((k, z.shape[2] * NUM_CLASSES + NUM_CLASSES), dtype=np.float32)
+    params = np.zeros(k * (e + 1) * NUM_CLASSES, dtype=np.float32)
     grads = np.empty_like(params)
-    (w, b), (gw, gb) = _stacked_views(params), _stacked_views(grads)
+    (w, b), (gw, gb) = _stacked_views(params, k), _stacked_views(grads, k)
     opt = init_optimizer(cfg.optimizer, cfg.lr, params.shape)
     rng = np.random.default_rng(derive_seed(seed, 0x7EAD))
-    # the epoch's shuffled embeddings, and its shuffled labels once per head,
-    # so that a batch's labels for all K heads are one contiguous slice
-    zs, ys = np.empty_like(z), np.empty((k, n), dtype=labels.dtype)
-    starts = range(0, n, cfg.batch_size)
-    batch_sums = np.empty((len(starts), k), dtype=np.float32)
-    traces = [[] for _ in range(k)]
-    for _ in range(cfg.epochs):
+    zs, ys = np.empty_like(z), np.empty_like(labels)  # the epoch's shuffled data
+    # Batches of one size form a group: the full batches, then a partial
+    # last one. Per batch, a group holds each head's one-hot targets, filled
+    # once per epoch, and keeps the step's shifted logits [K,B,2] and softmax
+    # sums [K,B] for the epoch's losses. Its steps share one buffer for the
+    # exps, then the gradient, and the batch size as an array of that shape:
+    # every per-step op then combines arrays of one shape, which costs less
+    # than broadcasting, and gives the same bytes.
+    full, rest = divmod(n, cfg.batch_size)
+    groups, batches = [], []
+    for count, size in ((full, cfg.batch_size), (1, rest)):
+        if count * size == 0:
+            continue
+        start = len(batches) * cfg.batch_size
+        shape = (k, size, NUM_CLASSES)
+        targets, shifted = (np.empty((count, *shape), dtype=np.float32) for _ in range(2))
+        sums = np.empty((count, k, size), dtype=np.float32)
+        grad, divisor = np.empty(shape, dtype=np.float32), np.full(shape, size, np.float32)
+        groups.append((targets, shifted, sums,
+                       ys[start:start + count * size].reshape(count, 1, size)))
+        for j in range(count):
+            zb = zs[:, start + j * size:start + (j + 1) * size]
+            batches.append((zb, zb.transpose(0, 2, 1), shifted[j], sums[j], targets[j],
+                            grad, divisor))
+    traces = np.empty((k, cfg.epochs))
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         np.take(z, order, axis=1, out=zs)
-        np.take(labels, order, out=ys[0])
-        ys[1:] = ys[0]
-        for i, start in enumerate(starts):
-            stop = start + cfg.batch_size
-            zb = zs[:, start:stop]
-            logits = np.matmul(zb, w) + b
-            losses, g = cross_entropy_loss_and_grad(logits.reshape(-1, NUM_CLASSES),
-                                                    ys[:, start:stop].ravel())
-            losses.reshape(k, -1).sum(axis=1, out=batch_sums[i])
-            g /= zb.shape[1]
-            g = g.reshape(logits.shape)
-            np.matmul(zb.transpose(0, 2, 1), g, out=gw)
-            g.sum(axis=1, keepdims=True, out=gb)
-            params[:] = optimizer_step(opt, params, grads)
+        np.take(labels, order, out=ys)
+        for targets, _, _, y in groups:
+            np.copyto(targets, one_hot(y, NUM_CLASSES, np.float32))
+        for zb, zb_t, logits, s, target, g, divisor in batches:
+            np.matmul(zb, w, out=logits)
+            np.add(logits, b, out=logits)
+            softmax_terms(logits, logits, g, s)  # shifts the logits in place
+            cross_entropy_grad(g, s, target, out=g)
+            np.divide(g, divisor, out=g)
+            np.matmul(zb_t, g, out=gw)
+            np.add.reduce(g, axis=1, keepdims=True, out=gb)
+            optimizer_step(opt, params, grads)
+        batch_sums = np.concatenate([cross_entropy_batch(shifted, sums, y).sum(axis=-1)
+                                     for _, shifted, sums, y in groups])
         # float64 running sums of the batch sums in batch order: the bytes a
         # Python float accumulator gives
-        totals = np.cumsum(batch_sums, axis=0, dtype=np.float64)[-1]
-        for trace, total in zip(traces, totals):
-            trace.append(float(total) / n)
-    return [(LinearHead(wk, bk[0]).copy(), trace) for wk, bk, trace in zip(w, b, traces)]
+        traces[:, epoch] = np.cumsum(batch_sums, axis=0, dtype=np.float64)[-1] / n
+    return [(LinearHead(wk, bk[0]).copy(), trace.tolist())
+            for wk, bk, trace in zip(w, b, traces)]
 
 
 def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig,

@@ -5,8 +5,11 @@ once per mode and are shared across the directional criteria. Thresholds were
 calibrated once against the default configuration and are frozen here.
 """
 
+import hashlib
+import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -408,3 +411,58 @@ def test_criterion_12_reduction_identity(sa_context):
     check(identical and structural, "criterion 12 (reduction identity)",
           f"zero-edit training bit-identical to plain baseline: {identical}; "
           f"baseline reports produced through the zero-edit path: {structural}")
+
+
+# (mode, seed) -> sha256 of the default-config edit's eps bytes and of the
+# ERM and debiased reports' asdict JSON. A change that is not meant to move
+# the default-config numbers (a speedup, a refactor) must leave them as they are.
+PINNED_OUTPUTS = {
+    ("whitebox", 1): ("949e95b2ce393a6a177e38ab862be31263c97f522a001572da6694d3fa275d21",
+                     "b0db1ad98cb5a445737d795d24f5344e9aa5c3a476be458289f0429db4573189",
+                     "1ce0bbd11d80c4bafd302abadaf54b40dd424a5b3f8e6601c8b627cacfee042a"),
+    ("whitebox", 2): ("20e8921ced82d93bd1b5d00c8d41a5ad5d3f5a0a327a34600dbea775898fda0c",
+                     "8d99298558a87046e5b6d3de9a7a8ca0499c6438c258efe3efa1cbfd2919002a",
+                     "3ac51c68dd0d12f03d97c3f9e64465131a783338d0d52377666ac35db015fae9"),
+    ("whitebox", 3): ("5d248d3b20c78db54ba228ee89b14fc191d929c324c712168c4d54abf5c12315",
+                     "14e892766431ed124b908de357d86417382e0764c6894ac9e1cfce24123f1320",
+                     "8e949e136f81db53bed39572a37152af3b27648f4316346703042f6cf142fb3e"),
+    ("whitebox", 4): ("875d42916f6cc752bf2ca4b40043fb5db08f86d9a3174970c83d5a2bda527574",
+                     "62b73d262e34c3c18717455ee1e2fd7651bd704270b0804a326132b4866b1ab8",
+                     "607718357659c34d9cd791c926a7b231e62f70d8e9cb53f9997332787e77481d"),
+    ("whitebox", 5): ("314455b9cbab27a77eec5186264ecf6e6401980505c93d5d6239d7ca4e8602e9",
+                     "97e5e44a6cec81e15ae31b2bc33b96497e493248fc5db9c948574062aed53489",
+                     "691f74c980f53faccfc3221733fad1e6cab10674804ecbc79b6d41d7d42b6214"),
+    ("gezo", 1): ("95c6704b27dde55a19bc5a505373045cd4cd33f81f01ef02b1c29157b8f7fe7a",
+                 "b0db1ad98cb5a445737d795d24f5344e9aa5c3a476be458289f0429db4573189",
+                 "6e735e34de7f6674ef007f47a816739edc121ea708fb26ecdfb4bbb716c1f5c6"),
+    ("gezo", 2): ("808fdd2041f616d651b25f7e3fccac3084c201c4dd080e05657ff7f84d61067a",
+                 "8d99298558a87046e5b6d3de9a7a8ca0499c6438c258efe3efa1cbfd2919002a",
+                 "f5fbfbff858bf94cc90bf8d5765990927712b0512d02f10a881dee89c68fbe1a"),
+    ("gezo", 3): ("cdfd0d34084d9956c4af84543108055a9b8a1087e2e0600a1ed4fce7d15ede61",
+                 "14e892766431ed124b908de357d86417382e0764c6894ac9e1cfce24123f1320",
+                 "a8f5166e3122cca0ad03973cf0c28127af27e6728051277b2267285cf44f39b6"),
+    ("gezo", 4): ("66204ec58cbab6b8f691891a8cdeab80c394709a90d667bb59aef9ca286c1d4b",
+                 "62b73d262e34c3c18717455ee1e2fd7651bd704270b0804a326132b4866b1ab8",
+                 "cc1cb6aa770756373fd32c8c05d08f9f318f895014ee9ade60be7fadef500b79"),
+    ("gezo", 5): ("888805945ba67af6f72b478754d613b25c6930a7d959af99489be05cf276afe2",
+                 "97e5e44a6cec81e15ae31b2bc33b96497e493248fc5db9c948574062aed53489",
+                 "92e538d0bf0b0bd7de4cd6531680ff0de937f3701d1562c0bdb998a32141b1d8"),
+}
+
+
+def _output_digests(result) -> tuple[str, str, str]:
+    reports = (json.dumps(asdict(r), sort_keys=True).encode()
+               for r in (result.erm_report, result.ude_report))
+    return tuple(hashlib.sha256(blob).hexdigest()
+                 for blob in (result.edit.eps.tobytes(), *reports))
+
+
+def test_default_config_outputs_are_pinned(wb_results, gz_results):
+    results = {("whitebox", seed): r for seed, (r, _) in wb_results.items()}
+    results.update({("gezo", seed): r for seed, r in gz_results.items()})
+    changed = sorted(key for key, r in results.items()
+                     if _output_digests(r) != PINNED_OUTPUTS[key])
+    check(sorted(results) == sorted(PINNED_OUTPUTS) and not changed,
+          "default-config outputs pinned",
+          f"{len(results)} runs; edits or reports that differ from the pinned "
+          f"bytes: {changed or 'none'}")

@@ -2,6 +2,7 @@ import json
 import shutil
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import ude.oracle
@@ -16,7 +17,9 @@ from ude.cli import (
     main,
 )
 from ude.editing import save_edit
+from ude.models import load_head
 from ude.pipeline import PipelineConfig, run_experiment
+from ude.tensor_io import save_artifact
 
 
 def write_tiny_config(tmp_path, **overrides):
@@ -220,6 +223,21 @@ class TestExitCodes:
         assert main([verb, "--config", cfg]) == EXIT_ARTIFACT
         assert capsys.readouterr().err.startswith("artifact error: ")
         assert not any((run_dir / out).exists() for out in outputs)
+
+    def test_head_of_the_wrong_shape_is_artifact_error(self, tmp_path, capsys, full_run):
+        """A well-formed artifact whose head is not binary ([E,3] weight, [3]
+        bias) stops learn-edit with exit 7 before it writes anything."""
+        cfg = write_tiny_config(tmp_path)
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        shutil.rmtree(run_dir / "edit")
+        head = load_head(run_dir / "sa_head")
+        save_artifact(run_dir / "sa_head", "linear_head",
+                      {"weight": np.zeros((head.weight.shape[0], 3), np.float32),
+                       "bias": np.zeros(3, np.float32)})
+        assert main(["learn-edit", "--config", cfg]) == EXIT_ARTIFACT
+        assert capsys.readouterr().err.startswith("artifact error: ")
+        assert not (run_dir / "edit").exists()
 
     @pytest.mark.parametrize("fraction", ["0", "1.5", "-0.2", "nan"])
     def test_noise_map_top_fraction_is_checked_first(self, tmp_path, capsys, fraction):

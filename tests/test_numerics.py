@@ -9,11 +9,14 @@ from hypothesis.extra.numpy import arrays
 from ude.numerics import (
     WEIGHT_DECAY,
     check_labels,
-    cross_entropy_loss_and_grad,
+    cross_entropy_batch,
+    cross_entropy_grad,
     init_optimizer,
     l2_norm,
     l2_norm_grad,
+    one_hot,
     optimizer_step,
+    softmax_terms,
 )
 
 from conftest import central_diff
@@ -21,20 +24,29 @@ from conftest import central_diff
 finite_floats = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
 
 
+def losses_and_grad(logits, labels):
+    """Per-sample CE losses and their gradient through the softmax and the
+    two halves, as src callers compose them."""
+    logits, labels = np.asarray(logits), np.asarray(labels)
+    shifted, exps, sums = softmax_terms(logits)
+    return (cross_entropy_batch(shifted, sums, labels),
+            cross_entropy_grad(exps, sums, one_hot(labels, logits.shape[-1], logits.dtype)))
+
+
 def _ce(logits, label: int) -> float:
     """The CE of one logit vector, through the batched function."""
-    losses, _ = cross_entropy_loss_and_grad(np.asarray(logits)[None], np.array([label]))
+    losses, _ = losses_and_grad(np.asarray(logits)[None], np.array([label]))
     return float(losses[0])
 
 
-def cross_entropy_batch(logits, labels):
+def checked_losses(logits, labels):
     """Per-sample CE losses as src callers take them: labels checked first."""
-    return cross_entropy_loss_and_grad(logits, check_labels(labels, logits.shape[-1]))[0]
+    return losses_and_grad(logits, check_labels(labels, logits.shape[-1]))[0]
 
 
-def cross_entropy_grad(logits, labels):
+def checked_grad(logits, labels):
     """The CE gradient as src callers take it: labels checked first."""
-    return cross_entropy_loss_and_grad(logits, check_labels(labels, logits.shape[-1]))[1]
+    return losses_and_grad(logits, check_labels(labels, logits.shape[-1]))[1]
 
 
 class TestCrossEntropy:
@@ -64,7 +76,7 @@ class TestCrossEntropy:
     def test_softmax_normalization(self, logits):
         # summing exp(-CE) over all label choices recovers 1
         k = len(logits)
-        losses, _ = cross_entropy_loss_and_grad(np.tile(logits, (k, 1)), np.arange(k))
+        losses, _ = losses_and_grad(np.tile(logits, (k, 1)), np.arange(k))
         assert np.sum(np.exp(-losses)) == pytest.approx(1.0, abs=1e-6)
 
     def test_grad_matches_finite_differences(self):
@@ -73,11 +85,12 @@ class TestCrossEntropy:
             k = int(rng.integers(2, 6))
             logits = rng.normal(0, 3, k)
             label = int(rng.integers(k))
-            analytic = cross_entropy_loss_and_grad(logits[None, :], np.array([label]))[1][0]
+            analytic = losses_and_grad(logits[None, :], np.array([label]))[1][0]
             numeric = central_diff(lambda x: _ce(x, label), logits)
             assert np.max(np.abs(analytic - numeric)) < 1e-6 * max(1, np.max(np.abs(numeric)))
 
-    @pytest.mark.parametrize("fn", [cross_entropy_batch, cross_entropy_grad])
+    @pytest.mark.parametrize("fn", [checked_losses, checked_grad],
+                             ids=["cross_entropy_batch", "cross_entropy_grad"])
     @pytest.mark.parametrize("bad", [2, -1])
     def test_batch_label_out_of_range(self, fn, bad):
         with pytest.raises(IndexError):
@@ -85,7 +98,7 @@ class TestCrossEntropy:
 
     def test_batch_matches_scalar(self):
         logits = np.array([[1.0, -1.0], [0.5, 0.5]])
-        per_sample, _ = cross_entropy_loss_and_grad(logits, np.array([1, 0]))
+        per_sample, _ = losses_and_grad(logits, np.array([1, 0]))
         assert per_sample[0] == pytest.approx(_ce(logits[0], 1))
         assert per_sample[1] == pytest.approx(_ce(logits[1], 0))
 
@@ -106,8 +119,8 @@ class TestFusedCrossEntropy:
     @settings(max_examples=300, deadline=None)
     def test_same_bytes_as_separate_functions(self, case):
         logits, labels = case
-        loss, grad = cross_entropy_loss_and_grad(logits, labels)
-        f_loss, f_grad = cross_entropy_loss_and_grad(np.asfortranarray(logits), labels)
+        loss, grad = losses_and_grad(logits, labels)
+        f_loss, f_grad = losses_and_grad(np.asfortranarray(logits), labels)
         assert (f_loss.tobytes(), f_grad.tobytes()) == (loss.tobytes(), grad.tobytes())
         # the same bytes as the separate formulas: -log_softmax[y], softmax - onehot
         rows = np.arange(len(labels))
@@ -133,6 +146,17 @@ class TestL2Norm:
 
     def test_signs(self):
         assert l2_norm_grad(np.array([-3.0, 4.0])) == pytest.approx([-0.6, 0.8])
+
+    @given(arrays(np.float32, st.tuples(st.integers(1, 16), st.integers(1, 300)),
+                  elements=st.floats(-1e3, 1e3, width=32)))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_same_bytes_as_each_row(self, stack):
+        # each row the bytes of the one-edit formula, a float64 sum of squares
+        rows = [float(np.sqrt(np.sum(row.astype(np.float64) ** 2))) for row in stack]
+        norms = l2_norm(stack)
+        assert norms.dtype == np.float64 and norms.shape == stack.shape[:1]
+        assert norms.tobytes() == np.array(rows).tobytes()
+        assert [l2_norm(row) for row in stack] == rows
 
     @given(arrays(np.float64, st.integers(1, 8),
                   elements=st.floats(-10, 10, allow_nan=False)))
@@ -169,8 +193,8 @@ class TestOptimizers:
         p = np.zeros(4)
         s1 = init_optimizer("adam", 0.01, (4,), dtype=np.float64)
         s2 = init_optimizer("adam", 0.01, (4,), dtype=np.float64)
-        step_pos = optimizer_step(s1, p, grad)
-        step_neg = optimizer_step(s2, p, -grad)
+        step_pos = optimizer_step(s1, p.copy(), grad)
+        step_neg = optimizer_step(s2, p.copy(), -grad)
         assert np.array_equal(step_pos, -step_neg)
 
     def test_adamw_decoupled_decay(self):
