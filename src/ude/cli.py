@@ -1,22 +1,23 @@
 """Command-line entry point.
 
 Verbs: generate, train-sa, learn-edit, train-disease, evaluate, sweep,
-serve, noise-map, run. Common flags: --config <json>, --seed, --out; the
-stage verbs and run also take --mode and --oracle.
-Exit codes: 0 ok, 2 config error (including an --out that generate, run or
-sweep cannot create, an --oracle or serve --address port that is not an
-integer in [0, 65535], an address serve cannot listen on, and a noise-map
---top-fraction outside (0, 1]), 3 capability error, 4 remote/protocol
-error (including a server that does not answer in time), 5 undefined metric,
-6 edit learning diverged (a non-finite loss or edit at the end of an epoch),
+serve, noise-map, run. Common flags: --config <json>, --out and, except on
+serve and noise-map, --seed; the stage verbs and run also take --mode and
+--oracle, and sweep takes --seeds, the seeds every value runs on.
+Exit codes: 0 ok, 2 config error (including a non-finite config float, an
+--out that generate, run or sweep cannot create, an --oracle or serve
+--address port that is not an integer in [0, 65535], an address serve
+cannot listen on, a noise-map --top-fraction outside (0, 1], and sweep
+--seed with --seeds), 3 capability error, 4 remote/protocol error
+(including a server that does not answer in time), 5 undefined metric, 6
+edit learning diverged (a non-finite loss or edit at the end of an epoch),
 7 a stage input (an artifact an earlier stage writes) is missing or corrupt,
-or a head in it is not [E, 2] / [2].
+a head in it is not [E, 2] / [2], or a noise-map edit is not [side * side].
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -51,7 +52,7 @@ def _load_config(args) -> PipelineConfig:
     """The --config file's config, or the default, with the given flags
     applied in one replace, so the config is validated once more."""
     cfg = PipelineConfig.from_json_file(args.config) if args.config else PipelineConfig()
-    flags = {"seed": args.seed, "out_dir": args.out,
+    flags = {"seed": getattr(args, "seed", None), "out_dir": args.out,
              "mode": getattr(args, "mode", None), "oracle": getattr(args, "oracle", None)}
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
@@ -62,12 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Universal debiased editing pipeline (desk scale)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, oracle=False):
+    def add(name, help_text, oracle=False, seed=True):
         """A verb with the common flags; with `oracle`, also --mode and
-        --oracle."""
+        --oracle; without `seed`, no --seed."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON pipeline config")
-        p.add_argument("--seed", type=int, help="global seed override")
+        if seed:
+            p.add_argument("--seed", type=int, help="global seed override")
         p.add_argument("--out", help="output directory override")
         if oracle:
             p.add_argument("--mode", choices=["whitebox", "gezo"])
@@ -83,9 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=["lambda", "local_iters"])
     p.add_argument("--values", required=True,
                    help="comma-separated values, e.g. 0,0.01,0.1,1")
-    p = add("serve", "run the forward-only embedding server")
+    p.add_argument("--seeds", help="comma-separated seeds every value runs on "
+                                   "(default: one seed per value, from --seed)")
+    p = add("serve", "run the forward-only embedding server", seed=False)
     p.add_argument("--address", default="127.0.0.1:7447")
-    p = add("noise-map", "export the normalized noise map and top mask as CSV")
+    p = add("noise-map", "export the normalized noise map and top mask as CSV",
+            seed=False)
     p.add_argument("--edit", help="edit artifact directory (default <out>/edit)")
     p.add_argument("--top-fraction", type=float, default=0.2)
     add("run", "full pipeline: generate, train-sa, learn-edit, train-disease, "
@@ -97,6 +102,17 @@ def _print_reports(reports) -> None:
     for name, rep in reports.items():
         print(f"{name}: acc={rep.accuracy:.3f} EO_n={rep.eo_neg:.3f} "
               f"EO_p={rep.eo_pos:.3f} |1-DI|={rep.one_minus_di_abs:.3f}")
+
+
+def _print_sweep(param: str, rows: list, per_value: int) -> None:
+    """One line per value: the means over its seeds' rows."""
+    print(f"{param:>12} {'|eps|':>7} {'Acc':>7} {'EO_p':>7} {'|1-DI|':>7}"
+          f"   (mean over {per_value} seed(s) per value)")
+    for i in range(0, len(rows), per_value):
+        runs = rows[i:i + per_value]
+        means = [sum(r[key] for r in runs) / per_value
+                 for key in ("eps_norm", "Acc", "EO_p", "DI")]
+        print(f"{runs[0]['value']:>12g} " + " ".join(f"{m:>7.3f}" for m in means))
 
 
 def _stage_verbs() -> dict:
@@ -123,12 +139,16 @@ def _dispatch(args) -> int:
         for stage, show in stages.values() if cmd == "run" else [stages[cmd]]:
             show(stage(cfg))
     elif cmd == "sweep":
+        if args.seed is not None and args.seeds is not None:
+            raise ConfigError("--seed and --seeds exclude each other")
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
+            seeds = None if args.seeds is None else [
+                int(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError as exc:
-            raise ConfigError(f"bad sweep values: {exc}") from exc
-        rows = cmd_sweep(cfg, args.param, values)
-        print(json.dumps(rows, indent=2))
+            raise ConfigError(f"bad sweep values or seeds: {exc}") from exc
+        rows = cmd_sweep(cfg, args.param, values, seeds)
+        _print_sweep(args.param, rows, len(seeds) if seeds else 1)
     elif cmd == "serve":
         server = cmd_serve(cfg, args.address)
         print(f"serving embeddings (forward-only) on {server.bound_address}",
@@ -142,6 +162,9 @@ def _dispatch(args) -> int:
             raise ConfigError(f"--top-fraction must be in (0, 1], got {args.top_fraction}")
         edit_dir = args.edit or os.path.join(cfg.out_dir, "edit")
         artifact = load_input(load_edit, edit_dir)
+        if artifact.eps.shape != (cfg.synth.dim,):
+            raise ArtifactError(f"edit in {edit_dir} has shape {artifact.eps.shape}, "
+                                f"not [{cfg.synth.dim}] for side {cfg.synth.side}")
         out = os.path.join(cfg.out_dir, "noise_map")
         degenerate = write_noise_map_csv(out, artifact.eps, cfg.synth.side,
                                          args.top_fraction)

@@ -57,6 +57,9 @@ class SynthConfig:
     def __post_init__(self):
         if not isinstance(self.side, int) or self.side < 1:
             raise ValueError(f"side must be an integer >= 1, got {self.side!r}")
+        for name in ("signal_amp", "shared_amp_frac", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name, default in (("sa_region", default_sa_region),
                               ("disease_region", default_disease_region),
                               ("shared_region", default_shared_region)):
@@ -85,6 +88,8 @@ class CellCounts:
         arr = np.asarray(self.n)
         if arr.shape != (2, 2) or np.any(arr < 0):
             raise ValueError("counts must be a nonnegative 2x2 grid")
+        if not all(isinstance(v, (int, np.integer)) for row in self.n for v in row):
+            raise ValueError(f"counts must be integers, got {self.n}")
         self.n = [[int(v) for v in row] for row in self.n]
 
     @property

@@ -57,10 +57,10 @@ class UdeConfig:
     batch_size: int = 2048
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         check_counts(epochs=self.epochs, batch_size=self.batch_size)
 
 

@@ -33,6 +33,10 @@ class GezoConfig:
     def __post_init__(self):
         check_counts(local_iters=self.local_iters, samples=self.samples,
                      epochs=self.epochs, batch_size=self.batch_size)
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.init_step < math.inf:
+            raise ValueError(f"init_step must be finite and > 0, got {self.init_step}")
         if not (0 < self.decay < 1):
             raise ValueError("decay must be in (0, 1)")
         if not (0 <= self.momentum < 1):

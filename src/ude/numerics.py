@@ -120,8 +120,8 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam", "adamw"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         self.shape = tuple(self.shape)
         stacked = (2, *self.shape)
         self.moments = np.zeros(stacked, dtype=self.dtype)  # m, v

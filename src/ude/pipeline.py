@@ -429,21 +429,27 @@ def sweep_config(cfg: PipelineConfig, param: str, value: float,
     return PipelineConfig.from_dict(raw)
 
 
-def cmd_sweep(cfg: PipelineConfig, param: str, values: list[float]) -> list[dict]:
-    """Re-run the pipeline per value; rows carry the debiased classifier's
-    metrics. Each value gets a fresh seed mixed from (global seed, index).
-    Every value and the output directory are checked before any run."""
-    if not values:
-        raise ConfigError("no sweep values")
-    subs = [sweep_config(cfg, param, value, derive_seed(cfg.seed, TAG_SWEEP, i))
-            for i, value in enumerate(values)]
+def cmd_sweep(cfg: PipelineConfig, param: str, values: list[float],
+              seeds: list[int] | None = None) -> list[dict]:
+    """Re-run the pipeline per (value, seed); one row per run, value-major,
+    with the debiased classifier's metrics and the final |eps|_2. Every
+    value runs on `seeds`, so values are compared on the same data; without
+    them, value i runs on one seed mixed from (global seed, i). Every config
+    and the output directory are checked before any run."""
+    if not values or (seeds is not None and not seeds):
+        raise ConfigError("no sweep values or seeds")
+    runs = [(value, sweep_config(cfg, param, value, seed))
+            for i, value in enumerate(values)
+            for seed in (seeds or [derive_seed(cfg.seed, TAG_SWEEP, i)])]
     reports = make_out_dir(_paths(cfg)["reports"])
     rows = []
-    for value, sub in zip(values, subs):
-        rep = run_experiment(sub).ude_report
+    for value, sub in runs:
+        res = run_experiment(sub)
+        rep = res.ude_report
         rows.append({"param": param, "value": value, "seed": sub.seed,
                      "EO_n": rep.eo_neg, "EO_p": rep.eo_pos,
-                     "DI": rep.one_minus_di_abs, "Acc": rep.accuracy})
+                     "DI": rep.one_minus_di_abs, "Acc": rep.accuracy,
+                     "eps_norm": res.edit.eps_norm_trace[-1]})
     out_csv = os.path.join(reports, f"sweep_{param}.csv")
     with open(out_csv, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from dataclasses import asdict
@@ -18,8 +19,11 @@ from ude.cli import (
 )
 from ude.editing import save_edit
 from ude.models import load_head
-from ude.pipeline import PipelineConfig, run_experiment
+from ude.pipeline import PipelineConfig, run_experiment, sweep_config
 from ude.tensor_io import save_artifact
+
+
+NAN, INF = float("nan"), float("inf")  # json writes them as NaN and Infinity
 
 
 def write_tiny_config(tmp_path, **overrides):
@@ -125,8 +129,12 @@ class TestExitCodes:
 
     def test_bad_sweep_values(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
-        assert main(["sweep", "--config", cfg, "--param", "lambda",
-                     "--values", "a,b"]) == EXIT_CONFIG
+        for flags in (["--values", "a,b"], ["--values", "0.01", "--seeds", "a"],
+                      ["--values", "0.01", "--seeds", "1.5"],
+                      ["--values", "0.01", "--seeds", ","],
+                      ["--values", "0.01", "--seeds", "1", "--seed", "2"]):
+            assert main(["sweep", "--config", cfg, "--param", "lambda",
+                         *flags]) == EXIT_CONFIG, flags
 
     def test_sweep_checks_every_value_first(self, tmp_path, capsys, monkeypatch):
         def no_work(cfg):
@@ -134,13 +142,20 @@ class TestExitCodes:
 
         monkeypatch.setattr(ude.pipeline, "generate_data", no_work)
         cfg = write_tiny_config(tmp_path)
-        for values in (",", "0.01,-1"):
+        for flags in (["--values", ","], ["--values", "0.01,-1"],
+                      ["--values", "0.01,1", "--seeds", "1,a"],
+                      ["--values", "0.01,1", "--seeds", "1,1.5"],
+                      ["--values", "0.01", "--seeds", ""],
+                      ["--values", "0.01", "--seeds", ","],
+                      ["--values", "0.01", "--seeds", "1", "--seed", "2"]):
             assert main(["sweep", "--config", cfg, "--param", "lambda",
-                         "--values", values]) == EXIT_CONFIG
+                         *flags]) == EXIT_CONFIG, flags
             assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("param,values", [("lambda", "-1"), ("local_iters", "0.5"),
+    @pytest.mark.parametrize("param,values", [("lambda", "-1"), ("lambda", "nan"),
+                                              ("lambda", "inf"),
+                                              ("local_iters", "0.5"),
                                               ("local_iters", "2.5"),
                                               ("local_iters", "inf")])
     def test_out_of_range_sweep_values(self, tmp_path, capsys, param, values):
@@ -163,6 +178,13 @@ class TestExitCodes:
         {"mode": "gezo", "gezo": {"samples": 2.0}},
         {"synth": {"side": 3}}, {"synth": {"sa_region": [-1]}},
         {"train_counts": [[0, 0], [0, 0]]}, {"test_counts": [[0, 0], [0, 0]]},
+        {"sa_train": {"lr": NAN}}, {"disease_train": {"lr": INF}},
+        {"ude": {"lr": NAN}}, {"ude": {"lam": NAN}}, {"ude": {"lam": INF}},
+        {"gezo": {"lam": NAN}}, {"gezo": {"lam": INF}}, {"gezo": {"init_step": NAN}},
+        {"gezo": {"init_step": INF}}, {"gezo": {"init_step": 0}},
+        {"synth": {"signal_amp": NAN}}, {"synth": {"shared_amp_frac": INF}},
+        {"synth": {"noise_sigma": -INF}}, {"train_counts": [[INF, 6], [6, 60]]},
+        {"test_counts": [[15.5, 15], [15, 15]]},
     ], ids=json.dumps)
     def test_malformed_config_is_config_error(self, tmp_path, capsys, raw):
         # stage seeds derive from the global seed, so sub-configs take none
@@ -238,6 +260,24 @@ class TestExitCodes:
         assert main(["learn-edit", "--config", cfg]) == EXIT_ARTIFACT
         assert capsys.readouterr().err.startswith("artifact error: ")
         assert not (run_dir / "edit").exists()
+
+    def test_noise_map_of_an_edit_of_another_side_is_artifact_error(self, tmp_path,
+                                                                     capsys, full_run):
+        """An edit learned at side 16 does not reshape to a side-12 map."""
+        cfg = write_tiny_config(tmp_path, synth={"side": 12})
+        assert main(["noise-map", "--config", cfg, "--edit",
+                     str(full_run / "edit")]) == EXIT_ARTIFACT
+        assert capsys.readouterr().err.startswith("artifact error: ")
+        assert not (tmp_path / "run" / "noise_map").exists()
+
+    @pytest.mark.parametrize("argv", [["serve", "--address", "127.0.0.1:x"],
+                                      ["noise-map"]], ids=lambda argv: argv[0])
+    def test_verbs_that_read_no_seed_take_no_seed_flag(self, tmp_path, argv):
+        # a malformed address and an absent edit: a verb that accepted the
+        # flag would stop at them instead of serving or exporting
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1", "--out", str(tmp_path / "absent")])
+        assert exc.value.code == EXIT_CONFIG
 
     @pytest.mark.parametrize("fraction", ["0", "1.5", "-0.2", "nan"])
     def test_noise_map_top_fraction_is_checked_first(self, tmp_path, capsys, fraction):
@@ -373,6 +413,36 @@ class TestRun:
             == "gezo"
         for name in ("edit/eps.udet", "reports/evaluation.json"):
             assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+    def test_sweep_over_seeds(self, tmp_path, capsys):
+        """`sweep --seeds` runs every value on every seed: one CSV row per
+        (value, seed), value-major, each the run_experiment of its config,
+        and one printed line per value with the means over its seeds."""
+        cfg = write_tiny_config(tmp_path)
+        assert main(["sweep", "--config", cfg, "--param", "lambda",
+                     "--values", "0.01,1.0", "--seeds", "1,2"]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        with open(tmp_path / "run" / "reports" / "sweep_lambda.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["param", "value", "seed", "EO_n", "EO_p",
+                                         "DI", "Acc", "eps_norm"]
+            rows = list(reader)
+        expected = []
+        for value in (0.01, 1.0):
+            for seed in (1, 2):
+                res = run_experiment(sweep_config(PipelineConfig.from_json_file(cfg),
+                                                  "lambda", value, seed))
+                rep = res.ude_report
+                expected.append({"param": "lambda", "value": value, "seed": seed,
+                                 "EO_n": rep.eo_neg, "EO_p": rep.eo_pos,
+                                 "DI": rep.one_minus_di_abs, "Acc": rep.accuracy,
+                                 "eps_norm": res.edit.eps_norm_trace[-1]})
+        assert rows == [{k: str(v) for k, v in row.items()} for row in expected]
+        assert len(printed) == 3
+        for line, runs in zip(printed[1:], (expected[:2], expected[2:])):
+            means = [sum(r[key] for r in runs) / 2
+                     for key in ("eps_norm", "Acc", "EO_p", "DI")]
+            assert line.split() == [f"{runs[0]['value']:g}", *(f"{m:.3f}" for m in means)]
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

@@ -281,7 +281,8 @@ class TestSweep:
         cfg = tiny_config(tmp_path / "run")
         rows = cmd_sweep(cfg, "lambda", [0.01, 1.0])
         assert [r["value"] for r in rows] == [0.01, 1.0]
-        assert all({"EO_n", "EO_p", "DI", "Acc", "seed"} <= set(r) for r in rows)
+        assert all({"EO_n", "EO_p", "DI", "Acc", "seed", "eps_norm"} <= set(r)
+                   for r in rows)
         csv_lines = (tmp_path / "run" / "reports" / "sweep_lambda.csv") \
             .read_text().strip().splitlines()
         assert len(csv_lines) == 3
