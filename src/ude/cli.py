@@ -4,15 +4,17 @@ Verbs: generate, train-sa, learn-edit, train-disease, evaluate, sweep,
 serve, noise-map, run. Common flags: --config <json>, --out and, except on
 serve and noise-map, --seed; the stage verbs and run also take --mode and
 --oracle, and sweep takes --seeds, the seeds every value runs on.
-Exit codes: 0 ok, 2 config error (including a non-finite config float, an
---out that generate, run or sweep cannot create, an --oracle or serve
---address port that is not an integer in [0, 65535], an address serve
-cannot listen on, a noise-map --top-fraction outside (0, 1], and sweep
---seed with --seeds), 3 capability error, 4 remote/protocol error
-(including a server that does not answer in time), 5 undefined metric, 6
-edit learning diverged (a non-finite loss or edit at the end of an epoch),
-7 a stage input (an artifact an earlier stage writes) is missing or corrupt,
-a head in it is not [E, 2] / [2], or a noise-map edit is not [side * side].
+Exit codes: 0 ok, 2 config error (including a non-finite config float, a
+synth.pattern_seed that is not an integer, an --out that generate, run or
+sweep cannot create, an --oracle or serve --address port that is not an
+integer in [0, 65535], an address serve cannot listen on, a noise-map
+--top-fraction outside (0, 1], and sweep --seed with --seeds), 3
+capability error, 4 remote/protocol error (including a server that does not
+answer in time), 5 undefined metric, 6 edit learning or head training
+diverged (a non-finite loss, edit or head parameter at the end of an
+epoch), 7 a stage input (an artifact an earlier stage writes) is missing or
+corrupt, a head in it is not [E, 2] / [2] or its E is not the embedding
+width of the config's encoder, or a noise-map edit is not [side * side].
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .editing import DivergenceError, load_edit, write_noise_map_csv
+from .editing import load_edit, write_noise_map_csv
 from .fairness import UndefinedMetric
+from .numerics import DivergenceError
 from .oracle import CapabilityError, ProtocolError
 from .pipeline import (
     ArtifactError,

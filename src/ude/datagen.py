@@ -57,6 +57,8 @@ class SynthConfig:
     def __post_init__(self):
         if not isinstance(self.side, int) or self.side < 1:
             raise ValueError(f"side must be an integer >= 1, got {self.side!r}")
+        if not isinstance(self.pattern_seed, int):
+            raise ValueError(f"pattern_seed must be an integer, got {self.pattern_seed!r}")
         for name in ("signal_amp", "shared_amp_frac", "noise_sigma"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

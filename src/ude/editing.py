@@ -17,6 +17,7 @@ import numpy as np
 from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
     check_counts,
+    check_epoch_finite,
     check_labels,
     cross_entropy_batch,
     cross_entropy_grad,
@@ -30,20 +31,6 @@ from .numerics import (
 from .oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError
 from .prng import derive_seed
 from .tensor_io import load_artifact, save_artifact
-
-
-class DivergenceError(ArithmeticError):
-    """Edit learning reached a non-finite loss or edit."""
-
-
-def check_epoch_finite(mode: str, epoch: int, epochs: int, loss: float,
-                       eps: np.ndarray) -> None:
-    """DivergenceError, naming the mode and the 1-based epoch, unless the
-    epoch's loss and the edit at its end are finite."""
-    bad = np.count_nonzero(~np.isfinite(eps))
-    if bad or not math.isfinite(loss):
-        raise DivergenceError(f"{mode} edit learning diverged in epoch {epoch + 1} "
-                              f"of {epochs}: loss {loss}, {bad} non-finite edit values")
 
 
 @dataclass
@@ -143,7 +130,8 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
             optimizer_step(opt, eps, grad)
         loss_trace.append(total / nb)
         norm_trace.append(l2_norm(eps))
-        check_epoch_finite("whitebox", epoch, cfg.epochs, loss_trace[-1], eps)
+        check_epoch_finite("whitebox edit learning", epoch, cfg.epochs, loss_trace[-1],
+                           eps)
     return EditArtifact(eps=eps, loss_trace=loss_trace, eps_norm_trace=norm_trace,
                         config=vars(cfg).copy(), seed=seed, mode="whitebox")
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .editing import EditArtifact, check_epoch_finite, edit_objective_batch
+from .editing import EditArtifact, edit_objective_batch
 from .models import LinearHead
-from .numerics import check_counts, l2_norm
+from .numerics import check_counts, check_epoch_finite, l2_norm
 from .prng import derive_seed
 
 
@@ -112,7 +112,7 @@ def learn_ude_gezo(oracle, sa_head: LinearHead, images: np.ndarray,
         iteration_trace.extend(epoch_trace)
         loss_trace.append(epoch_trace[-1]["best_loss"])
         norm_trace.append(l2_norm(eps))
-        check_epoch_finite("gezo", epoch, cfg.epochs, loss_trace[-1], eps)
+        check_epoch_finite("gezo edit learning", epoch, cfg.epochs, loss_trace[-1], eps)
     return EditArtifact(eps=eps, loss_trace=loss_trace, eps_norm_trace=norm_trace,
                         config=vars(cfg).copy(), seed=seed, mode="gezo",
                         iteration_trace=iteration_trace)

@@ -13,13 +13,14 @@ import numpy as np
 
 from .numerics import (
     OptimizerState,
+    bind_optimizer_step,
     check_counts,
+    check_epoch_finite,
     check_labels,
     cross_entropy_batch,
     cross_entropy_grad,
     init_optimizer,
     one_hot,
-    optimizer_step,
     softmax_terms,
 )
 from .prng import Xorshift64Star, derive_seed
@@ -164,30 +165,31 @@ class TrainConfig:
         OptimizerState(self.optimizer, self.lr)  # rejects an unknown optimizer or lr
 
 
-def _stacked_views(flat: np.ndarray, k: int):
-    """(weights [K,E,2], biases [K,1,2]) as contiguous views into a flat
-    [K*E*2 + K*2] buffer: all weights first, then all biases."""
-    split = flat.size - k * NUM_CLASSES
-    return flat[:split].reshape(k, -1, NUM_CLASSES), flat[split:].reshape(k, 1, NUM_CLASSES)
-
-
 def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     """Train one linear head per embedding set z[k] of z [K,N,E], all on the
     same labels and mini-batch order, in one loop. Returns one (head,
     per-epoch mean CE trace) per set.
 
     Embeddings are used in float32. Mini-batch order is a fresh shuffle per
-    epoch, drawn from `seed`. All parameters live in one flat buffer and
-    take one in-place optimizer step together: every optimizer here is
-    elementwise and every other op acts on each head's rows alone, so each
-    head gets the bytes it would get if trained alone.
+    epoch, drawn from `seed`. Each head's parameters are one [E+1, 2] block,
+    its weight rows and then its bias row, and all K blocks live in one
+    [K, E+1, 2] buffer that takes one in-place optimizer step: every
+    optimizer here is elementwise and every other op acts on each head's
+    rows alone, so each head gets the bytes it would get if trained alone.
 
     A step issues only the ops that depend on the parameters, each into a
-    contiguous buffer allocated here once: the logits, the two-column
-    softmax, the gradient against a one-hot built once per epoch, and the
-    optimizer step. The shifted logits and softmax sums of every step are
-    kept; the epoch's per-sample losses and per-batch loss sums are
-    computed from them after its last step.
+    buffer allocated here once: the logits z @ w + b, the two-column
+    softmax with its row max and sum laid out like the logits, the gradient
+    against a one-hot built once per epoch, one backward matmul of the
+    shuffled embeddings with a ones column appended ([K,E+1,B] @ [K,B,2]),
+    which gives the weight and the bias gradients together, and the
+    optimizer step, bound to the buffers once. The shifted logits and
+    softmax sums of every step are kept; the epoch's per-sample losses and
+    per-batch loss sums are computed from them after its last step.
+
+    DivergenceError, naming the head and the 1-based epoch, when a head's
+    mean loss over an epoch or its parameters at the end of one are not
+    finite.
     """
     z = np.asarray(z, dtype=np.float32)
     if z.ndim != 3:
@@ -199,19 +201,23 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     if labels.shape != (n,):
         raise ValueError(f"labels must be [{n}], got shape {labels.shape}")
 
-    params = np.zeros(k * (e + 1) * NUM_CLASSES, dtype=np.float32)
+    params = np.zeros((k, e + 1, NUM_CLASSES), dtype=np.float32)
     grads = np.empty_like(params)
-    (w, b), (gw, gb) = _stacked_views(params, k), _stacked_views(grads, k)
-    opt = init_optimizer(cfg.optimizer, cfg.lr, params.shape)
+    w, b = params[:, :e], params[:, e:]
+    step = bind_optimizer_step(init_optimizer(cfg.optimizer, cfg.lr, params.shape),
+                               params, grads)
     rng = np.random.default_rng(derive_seed(seed, 0x7EAD))
-    zs, ys = np.empty_like(z), np.empty_like(labels)  # the epoch's shuffled data
+    # the embeddings with a ones column, the bias row's input, and the
+    # epoch's shuffled copies of them and of the labels
+    z = np.concatenate((z, np.ones((k, n, 1), dtype=np.float32)), axis=2)
+    zs, ys = np.empty_like(z), np.empty_like(labels)
     # Batches of one size form a group: the full batches, then a partial
     # last one. Per batch, a group holds each head's one-hot targets, filled
-    # once per epoch, and keeps the step's shifted logits [K,B,2] and softmax
-    # sums [K,B] for the epoch's losses. Its steps share one buffer for the
-    # exps, then the gradient, and the batch size as an array of that shape:
-    # every per-step op then combines arrays of one shape, which costs less
-    # than broadcasting, and gives the same bytes.
+    # once per epoch, and keeps the step's shifted logits and softmax sums,
+    # [K,B,2] each, for the epoch's losses. Its steps share one buffer for
+    # the exps, then the gradient, and the batch size as an array of that
+    # shape: every per-step op but the bias add then combines arrays of one
+    # shape, which costs less than broadcasting, and gives the same bytes.
     full, rest = divmod(n, cfg.batch_size)
     groups, batches = [], []
     for count, size in ((full, cfg.batch_size), (1, rest)):
@@ -219,16 +225,18 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
             continue
         start = len(batches) * cfg.batch_size
         shape = (k, size, NUM_CLASSES)
-        targets, shifted = (np.empty((count, *shape), dtype=np.float32) for _ in range(2))
-        sums = np.empty((count, k, size), dtype=np.float32)
+        targets, shifted, sums = (np.empty((count, *shape), dtype=np.float32)
+                                  for _ in range(3))
         grad, divisor = np.empty(shape, dtype=np.float32), np.full(shape, size, np.float32)
         groups.append((targets, shifted, sums,
                        ys[start:start + count * size].reshape(count, 1, size)))
         for j in range(count):
             zb = zs[:, start + j * size:start + (j + 1) * size]
-            batches.append((zb, zb.transpose(0, 2, 1), shifted[j], sums[j], targets[j],
-                            grad, divisor))
+            batches.append((zb[..., :e], zb.transpose(0, 2, 1), shifted[j], sums[j],
+                            targets[j], grad, divisor))
     traces = np.empty((k, cfg.epochs))
+    # looked up once; outputs passed positionally (see bind_optimizer_step)
+    matmul, add, divide = np.matmul, np.add, np.divide
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         np.take(z, order, axis=1, out=zs)
@@ -236,19 +244,21 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
         for targets, _, _, y in groups:
             np.copyto(targets, one_hot(y, NUM_CLASSES, np.float32))
         for zb, zb_t, logits, s, target, g, divisor in batches:
-            np.matmul(zb, w, out=logits)
-            np.add(logits, b, out=logits)
+            matmul(zb, w, logits)
+            add(logits, b, logits)
             softmax_terms(logits, logits, g, s)  # shifts the logits in place
             cross_entropy_grad(g, s, target, out=g)
-            np.divide(g, divisor, out=g)
-            np.matmul(zb_t, g, out=gw)
-            np.add.reduce(g, axis=1, keepdims=True, out=gb)
-            optimizer_step(opt, params, grads)
+            divide(g, divisor, g)
+            matmul(zb_t, g, grads)
+            step()
         batch_sums = np.concatenate([cross_entropy_batch(shifted, sums, y).sum(axis=-1)
                                      for _, shifted, sums, y in groups])
         # float64 running sums of the batch sums in batch order: the bytes a
         # Python float accumulator gives
         traces[:, epoch] = np.cumsum(batch_sums, axis=0, dtype=np.float64)[-1] / n
+        for j in range(k):
+            check_epoch_finite(f"head {j + 1} of {k} training", epoch, cfg.epochs,
+                               traces[j, epoch], params[j])
     return [(LinearHead(wk, bk[0]).copy(), trace.tolist())
             for wk, bk, trace in zip(w, b, traces)]
 

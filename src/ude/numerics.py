@@ -1,11 +1,13 @@
 """Dense numerics shared by the whole pipeline: one stabilized cross-entropy,
 split into the softmax both halves share, a gradient half and a loss half;
 the L2 magnitude penalty; and SGD/Adam/AdamW steps with hand-written update
-rules (no autodiff anywhere in this package).
+rules (no autodiff anywhere in this package); and the per-epoch check that
+a training loop has not diverged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,54 +32,84 @@ def check_counts(**counts) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+class DivergenceError(ArithmeticError):
+    """Training reached a non-finite loss or parameter."""
+
+
+def check_epoch_finite(what: str, epoch: int, epochs: int, loss: float,
+                       values: np.ndarray) -> None:
+    """DivergenceError, naming what was trained and the 1-based epoch,
+    unless the epoch's loss and the values at its end are finite."""
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad or not math.isfinite(loss):
+        raise DivergenceError(f"{what} diverged in epoch {epoch + 1} of {epochs}: "
+                              f"loss {loss}, {bad} non-finite values")
+
+
 def one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
     """[..., K] rows of the identity picked by labels [...]."""
     return np.eye(num_classes, dtype=dtype)[labels]
 
 
+def _across_columns(ufunc, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The row result of a commutative `ufunc` over the K columns of x
+    [..., K], left to right, in every column of `out` (shaped like x). For
+    two columns it is one op against the columns swapped, so column 0
+    holds ufunc(x0, x1) and column 1 ufunc(x1, x0): the same value, and the
+    same bytes but for a tie of opposite-signed zeros in a max or a NaN
+    pair's payload."""
+    if x.shape[-1] == 2:
+        return ufunc(x, x[..., ::-1], out=out)
+    row = ufunc(x[..., 0], x[..., 1])
+    for j in range(2, x.shape[-1]):
+        ufunc(row, x[..., j], out=row)
+    out[...] = row[..., None]
+    return out
+
+
 def softmax_terms(logits: np.ndarray, shifted=None, exps=None, sums=None):
     """(logits - row max, their exps, the row sums of the exps) for logits
     [..., K], K >= 2: the stabilized softmax both cross-entropy halves start
-    from. Results go into the given buffers (`shifted` may be `logits`
-    itself) or fresh arrays.
+    from. `sums` has the logits' shape, each row's sum in every column, so
+    that the shift and the normalisation are same-shape ops. Results go
+    into the given buffers (`shifted` may be `logits` itself) or fresh
+    arrays.
 
     The row max and sum are elementwise ops over the K columns, left to
-    right, not reductions: for two classes they give the bytes of a
-    last-axis max and sum at a fraction of the cost.
+    right, not reductions: for two classes one op each, against the columns
+    swapped, gives the bytes of a last-axis max and sum at a fraction of the
+    cost (a zero tie's sign aside, which changes no exp, loss or gradient).
     """
     if sums is None:
-        sums = np.empty(logits.shape[:-1], dtype=logits.dtype)
-    np.maximum(logits[..., 0], logits[..., 1], out=sums)
-    for j in range(2, logits.shape[-1]):
-        np.maximum(sums, logits[..., j], out=sums)
-    shifted = np.subtract(logits, sums[..., None], out=shifted)
+        sums = np.empty_like(logits)
+    _across_columns(np.maximum, logits, sums)  # the row max, until the exps
+    shifted = np.subtract(logits, sums, out=shifted)
     exps = np.exp(shifted, out=exps)
-    np.add(exps[..., 0], exps[..., 1], out=sums)
-    for j in range(2, logits.shape[-1]):
-        np.add(sums, exps[..., j], out=sums)
+    _across_columns(np.add, exps, sums)
     return shifted, exps, sums
 
 
 def cross_entropy_grad(exps: np.ndarray, sums: np.ndarray, onehot: np.ndarray,
                        out=None) -> np.ndarray:
     """Gradient half: d CE / d logits = softmax - onehot, [..., K], from the
-    exps and sums of softmax_terms; into `out` (which may be `exps`) if given."""
-    grad = np.divide(exps, sums[..., None], out=out)
+    logits-shaped exps and sums of softmax_terms, so both ops combine arrays
+    of one shape; into `out` (which may be `exps`) if given."""
+    grad = np.divide(exps, sums, out=out)
     return np.subtract(grad, onehot, out=grad)
 
 
 def cross_entropy_batch(shifted: np.ndarray, sums: np.ndarray,
                         labels: np.ndarray) -> np.ndarray:
-    """Loss half: the per-sample CE -log softmax[label], shaped like `sums`,
-    from the shifted logits and sums of softmax_terms. Labels broadcast
-    against `sums` and are not range-checked here: callers pass labels that
-    went through check_labels."""
+    """Loss half: the per-sample CE -log softmax[label], [...] for logits
+    [..., K], from the shifted logits and sums of softmax_terms. Labels
+    broadcast against `sums[..., 0]` and are not range-checked here: callers
+    pass labels that went through check_labels."""
     picked = shifted[..., 0]
     for j in range(1, shifted.shape[-1]):
         picked = np.where(labels == j, shifted[..., j], picked)
     # negated difference, not log(s) - shifted[y]: where the two are equal
     # that would give +0.0 in place of -0.0
-    return -(picked - np.log(sums))
+    return -(picked - np.log(sums[..., 0]))
 
 
 def l2_norm(eps: np.ndarray):
@@ -107,9 +139,11 @@ WEIGHT_DECAY = 0.01  # AdamW only
 class OptimizerState:
     """SGD / Adam / AdamW state for one parameter tensor of `shape`: the step
     count, Adam's first and second moments stacked in one [2, *shape]
-    buffer, and a scratch buffer of the same shape that every step writes
-    its temporaries into. All arrays have `dtype`, in which each update is
-    computed."""
+    buffer, the step's two bias corrections 1 - BETA**t, each filled across
+    its half of a buffer of that shape, and a scratch buffer of that shape
+    that every step writes its temporaries into. All arrays have `dtype`,
+    in which each update is computed. Steps are taken by optimizer_step, or
+    by the function bind_optimizer_step returns."""
 
     kind: str
     lr: float
@@ -126,7 +160,7 @@ class OptimizerState:
         stacked = (2, *self.shape)
         self.moments = np.zeros(stacked, dtype=self.dtype)  # m, v
         self.scratch = np.empty(stacked, dtype=self.dtype)
-        self.corrections = np.empty(2, dtype=self.dtype)  # 1 - BETA**t, per step
+        self.corrections = np.empty(stacked, dtype=self.dtype)
 
         # Each constant as a full array in the update's dtype: a same-shape op
         # costs less than one that broadcasts or converts a Python scalar,
@@ -138,10 +172,6 @@ class OptimizerState:
         self.lr_decay, self.lr_full, self.eps_full = full(
             self.lr * WEIGHT_DECAY, self.lr, EPS_STAB)
         self.decays, self.gains = full(BETA1, BETA2), full(1.0 - BETA1, 1.0 - BETA2)
-        # views taken once: indexing on every step costs about as much as an op
-        self._step, self._denom = self.scratch[0, ...], self.scratch[1, ...]
-        self._per_moment_corrections = self.corrections.reshape(
-            (2,) + (1,) * len(self.shape))
 
 
 def init_optimizer(kind: str, lr: float, shape, dtype=np.float32) -> OptimizerState:
@@ -161,30 +191,51 @@ def optimizer_step(state: OptimizerState, param: np.ndarray, grad: np.ndarray) -
              param - lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + EPS_STAB)
     m and v go through each op together, as one stacked buffer.
     """
+    return bind_optimizer_step(state, param, grad)()
+
+
+def bind_optimizer_step(state: OptimizerState, param: np.ndarray, grad: np.ndarray):
+    """A function of no arguments that takes optimizer_step(state, param,
+    grad) on each call, for a caller that updates one `param` buffer from
+    one `grad` buffer many times: the shapes are checked, and the state's
+    buffers, views and constants looked up, once, here. Each op takes its
+    output as its third positional argument: the `out=` keyword costs more
+    per call than the arithmetic of these small ops."""
     if param.shape != grad.shape:
         raise ValueError(f"param/grad shape mismatch {param.shape} vs {grad.shape}")
     if param.shape != state.shape:
         raise ValueError("optimizer state does not match parameter shape")
-    step, denom = state._step, state._denom
+    multiply, subtract = np.multiply, np.subtract
+    scratch, lr_full = state.scratch, state.lr_full
+    step, denom = scratch[0, ...], scratch[1, ...]
     if state.kind == "sgd":
-        np.multiply(state.lr_full, grad, out=step)
-        return np.subtract(param, step, out=param)
+        def sgd_step():
+            multiply(lr_full, grad, step)
+            return subtract(param, step, param)
+        return sgd_step
 
-    if state.kind == "adamw":
-        # decoupled decay applied before the Adam update
-        np.multiply(state.lr_decay, param, out=step)
-        np.subtract(param, step, out=param)
-    state.t += 1
-    moments, scratch, corrections = state.moments, state.scratch, state.corrections
-    np.multiply(state.decays, moments, out=moments)
-    np.multiply(state.gains, grad, out=scratch)
-    np.multiply(denom, grad, out=denom)
-    np.add(moments, scratch, out=moments)
-    corrections[0] = 1.0 - BETA1 ** state.t
-    corrections[1] = 1.0 - BETA2 ** state.t
-    np.divide(moments, state._per_moment_corrections, out=scratch)  # m_hat, v_hat
-    np.sqrt(denom, out=denom)
-    np.add(denom, state.eps_full, out=denom)
-    np.multiply(state.lr_full, step, out=step)
-    np.divide(step, denom, out=step)
-    return np.subtract(param, step, out=param)
+    add, divide, sqrt = np.add, np.divide, np.sqrt
+    moments, corrections = state.moments, state.corrections
+    decays, gains, eps_full = state.decays, state.gains, state.eps_full
+    decay, lr_decay = state.kind == "adamw", state.lr_decay
+    fill_m, fill_v = corrections[0, ...].fill, corrections[1, ...].fill
+
+    def adam_step():
+        if decay:
+            # decoupled decay applied before the Adam update
+            multiply(lr_decay, param, step)
+            subtract(param, step, param)
+        state.t = t = state.t + 1
+        multiply(decays, moments, moments)
+        multiply(gains, grad, scratch)
+        multiply(denom, grad, denom)
+        add(moments, scratch, moments)
+        fill_m(1.0 - BETA1 ** t)
+        fill_v(1.0 - BETA2 ** t)
+        divide(moments, corrections, scratch)  # m_hat, v_hat
+        sqrt(denom, denom)
+        add(denom, eps_full, denom)
+        multiply(lr_full, step, step)
+        divide(step, denom, step)
+        return subtract(param, step, param)
+    return adam_step

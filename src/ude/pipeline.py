@@ -194,6 +194,18 @@ def load_input(loader, path):
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
 
 
+def load_head_input(cfg: PipelineConfig, path) -> LinearHead:
+    """The head a stage reads from `path`; ArtifactError, before any oracle
+    call, when it cannot be read or does not take the embeddings of the
+    encoder cfg names (its weight rows are not that encoder's width)."""
+    head = load_input(load_head, path)
+    width = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim).embed_dim
+    if head.weight.shape[0] != width:
+        raise ArtifactError(f"head in {path} takes {head.weight.shape[0]}-dim embeddings, "
+                            f"but encoder {cfg.encoder_seed} gives {width}")
+    return head
+
+
 def _file_digests(root) -> dict:
     digests = {}
     for dirpath, _, files in os.walk(root):
@@ -306,7 +318,7 @@ def cmd_train_sa(cfg: PipelineConfig) -> float:
 def cmd_learn_edit(cfg: PipelineConfig) -> EditArtifact:
     paths = _paths(cfg)
     train = load_input(load_dataset, paths["train_data"])
-    sa_head = load_input(load_head, paths["sa_head"])
+    sa_head = load_head_input(cfg, paths["sa_head"])
     with closing(make_oracle(cfg)) as oracle:
         artifact = learn_edit(cfg, oracle, sa_head, train)
     save_edit(paths["edit"], artifact)
@@ -339,10 +351,10 @@ def cmd_evaluate(cfg: PipelineConfig) -> dict:
     on the balanced test set. With no debiased head, only the plain report."""
     paths = _paths(cfg)
     test = load_input(load_dataset, paths["test_data"])
-    erm_head = load_input(load_head, paths["erm_head"])
+    erm_head = load_head_input(cfg, paths["erm_head"])
     head = eps = None
     if os.path.exists(os.path.join(paths["disease_head"], PROVENANCE)):
-        head = load_input(load_head, paths["disease_head"])
+        head = load_head_input(cfg, paths["disease_head"])
         eps = load_input(load_edit, paths["edit"]).eps
     with closing(make_oracle(cfg)) as oracle:
         reports, _, _ = evaluate_heads(oracle, test, erm_head, head, eps)

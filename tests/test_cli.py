@@ -127,6 +127,25 @@ class TestExitCodes:
         assert f"{mode} edit learning diverged in epoch" in err
         assert not (tmp_path / "run" / "edit").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("verb,section,heads", [
+        ("train-sa", "sa_train", ["sa_head"]),
+        ("run", "disease_train", ["erm_head", "disease_head"]),
+    ])
+    def test_diverging_head_training_stops_at_the_epoch(self, tmp_path, capsys, verb,
+                                                        section, heads):
+        cfg = write_tiny_config(tmp_path, **{section: {
+            "optimizer": "sgd", "lr": 1e38, "epochs": 3, "batch_size": 8}})
+        if verb != "run":
+            assert main(["generate", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert main([verb, "--config", cfg]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: head 1 of ")
+        assert "training diverged in epoch 1 of 3" in err
+        assert not any((tmp_path / "run" / head).exists() for head in heads)
+
     def test_bad_sweep_values(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         for flags in (["--values", "a,b"], ["--values", "0.01", "--seeds", "a"],
@@ -184,7 +203,7 @@ class TestExitCodes:
         {"gezo": {"init_step": INF}}, {"gezo": {"init_step": 0}},
         {"synth": {"signal_amp": NAN}}, {"synth": {"shared_amp_frac": INF}},
         {"synth": {"noise_sigma": -INF}}, {"train_counts": [[INF, 6], [6, 60]]},
-        {"test_counts": [[15.5, 15], [15, 15]]},
+        {"test_counts": [[15.5, 15], [15, 15]]}, {"synth": {"pattern_seed": 1.5}},
     ], ids=json.dumps)
     def test_malformed_config_is_config_error(self, tmp_path, capsys, raw):
         # stage seeds derive from the global seed, so sub-configs take none
@@ -246,17 +265,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("artifact error: ")
         assert not any((run_dir / out).exists() for out in outputs)
 
-    def test_head_of_the_wrong_shape_is_artifact_error(self, tmp_path, capsys, full_run):
+    @pytest.mark.parametrize("rows,classes", [(None, 3), (16, 2)],
+                             ids=["not-binary", "not-the-encoder-width"])
+    def test_head_of_the_wrong_shape_is_artifact_error(self, tmp_path, capsys, full_run,
+                                                       rows, classes):
         """A well-formed artifact whose head is not binary ([E,3] weight, [3]
-        bias) stops learn-edit with exit 7 before it writes anything."""
+        bias), or does not take the encoder's E-dim embeddings ([16,2]
+        weight), stops learn-edit with exit 7 before it writes anything."""
         cfg = write_tiny_config(tmp_path)
         run_dir = tmp_path / "run"
         shutil.copytree(full_run, run_dir)
         shutil.rmtree(run_dir / "edit")
-        head = load_head(run_dir / "sa_head")
+        rows = rows or load_head(run_dir / "sa_head").weight.shape[0]
         save_artifact(run_dir / "sa_head", "linear_head",
-                      {"weight": np.zeros((head.weight.shape[0], 3), np.float32),
-                       "bias": np.zeros(3, np.float32)})
+                      {"weight": np.zeros((rows, classes), np.float32),
+                       "bias": np.zeros(classes, np.float32)})
         assert main(["learn-edit", "--config", cfg]) == EXIT_ARTIFACT
         assert capsys.readouterr().err.startswith("artifact error: ")
         assert not (run_dir / "edit").exists()

@@ -321,6 +321,14 @@ class TestFitHeadsMatchesSeparateHeads:
              epochs=2, seed=1)  # no partial last batch
     @example(k=1, optimizer="adam", batch_size=9, full_batches=0, remainder=5,
              epochs=2, seed=2)  # only a partial batch
+    # batches of more rows than the drawn range: the bias gradient is the
+    # ones row of the backward matmul, which must sum the B rows in order
+    @example(k=2, optimizer="adamw", batch_size=16, full_batches=3, remainder=5,
+             epochs=2, seed=3)
+    @example(k=3, optimizer="sgd", batch_size=33, full_batches=2, remainder=20,
+             epochs=2, seed=4)
+    @example(k=1, optimizer="adam", batch_size=64, full_batches=2, remainder=0,
+             epochs=2, seed=5)
     @settings(max_examples=80, deadline=None)
     def test_same_bytes_and_traces_as_one_run_per_head(
             self, k, optimizer, batch_size, full_batches, remainder, epochs, seed):
@@ -345,21 +353,23 @@ class TestFitHeadsMatchesSeparateHeads:
     @settings(max_examples=200, deadline=None)
     def test_stacked_step_same_bytes_as_per_head_step(self, case):
         """One fit_heads step on [K,B,2] logits: the in-place two-column
-        softmax, the gradient against same-shape one-hot targets, the
-        division by a same-shape batch size, the [K,E,B] @ [K,B,2] weight
-        gradient, the axis-1 bias gradient and, after the epoch, the losses
-        from the kept shifted logits and sums and their last-axis batch sums,
-        against each head's textbook 2-D step."""
+        softmax with logits-shaped sums, the gradient against same-shape
+        one-hot targets, the division by a same-shape batch size, and one
+        [K,E+1,B] @ [K,B,2] backward matmul over the embeddings with a ones
+        column, whose rows are the weight gradient and then the bias
+        gradient; after the epoch, the losses from the kept shifted logits
+        and sums and their last-axis batch sums. Each head against its
+        textbook 2-D step."""
         logits, labels, seed = case
         k, b, _ = logits.shape
         zb = np.random.default_rng(seed).normal(size=(k, b, EMBED_DIM)).astype(np.float32)
-        shifted, g, sums = logits.copy(), np.empty_like(logits), np.empty((k, b), np.float32)
+        zb = np.concatenate((zb, np.ones((k, b, 1), np.float32)), axis=2)
+        shifted, g, sums = logits.copy(), np.empty_like(logits), np.empty_like(logits)
         targets = np.broadcast_to(np.eye(2, dtype=np.float32)[labels], logits.shape).copy()
         assert softmax_terms(shifted, shifted, g, sums)[0] is shifted
         cross_entropy_grad(g, sums, targets, out=g)
         np.divide(g, np.full(g.shape, b, np.float32), out=g)
-        gw = np.matmul(zb.transpose(0, 2, 1), g)
-        gb = np.add.reduce(g, axis=1, keepdims=True)
+        grads = np.matmul(zb.transpose(0, 2, 1), g)
         losses = cross_entropy_batch(shifted[None], sums[None], labels[None, None])[0]
         batch_sums = losses.sum(axis=-1)
         for j in range(k):
@@ -368,8 +378,8 @@ class TestFitHeadsMatchesSeparateHeads:
             assert losses[j].tobytes() == ref_losses.tobytes()
             assert batch_sums[j].tobytes() == ref_losses.sum().tobytes()
             assert g[j].tobytes() == ref_g.tobytes()
-            assert gw[j].tobytes() == (zb[j].T @ ref_g).tobytes()
-            assert gb[j, 0].tobytes() == ref_g.sum(axis=0).tobytes()
+            assert grads[j, :-1].tobytes() == (zb[j, :, :-1].T @ ref_g).tobytes()
+            assert grads[j, -1].tobytes() == ref_g.sum(axis=0).tobytes()
 
     def test_rejects_bad_shapes(self):
         z = np.zeros((2, 5, EMBED_DIM), dtype=np.float32)

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from ude.numerics import (
     WEIGHT_DECAY,
+    _across_columns,
     check_labels,
     cross_entropy_batch,
     cross_entropy_grad,
@@ -131,6 +132,62 @@ class TestFusedCrossEntropy:
         assert loss.tobytes() == (-(shifted - np.log(sums))[rows, labels]).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
         assert loss.dtype == grad.dtype == np.float32
+
+
+def column_loop_softmax(logits):
+    """The softmax terms from a row max and sum of one column per op, left to
+    right, in [...] buffers that the shift and the normalisation broadcast:
+    (row max, shifted, exps, row sums, losses, gradient) for labels 0."""
+    maxes = np.maximum(logits[..., 0], logits[..., 1])
+    for j in range(2, logits.shape[-1]):
+        maxes = np.maximum(maxes, logits[..., j])
+    shifted = logits - maxes[..., None]
+    exps = np.exp(shifted)
+    sums = np.add(exps[..., 0], exps[..., 1])
+    for j in range(2, logits.shape[-1]):
+        sums = np.add(sums, exps[..., j])
+    grad = exps / sums[..., None]
+    grad[..., 0] -= 1.0
+    return maxes, shifted, exps, sums, -(shifted[..., 0] - np.log(sums)), grad
+
+
+# every float32 but the NaNs of other payloads, with the special values often
+special_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45]),
+    st.floats(width=32, allow_nan=False))
+
+
+class TestLogitsShapedSums:
+    @given(arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(2, 6)),
+                  elements=special_floats))
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0], [np.inf, -np.inf], [np.nan, 1.0],
+                       [1.0, np.nan], [np.inf, np.inf], [-np.inf, -np.inf]],
+                      dtype=np.float32))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_columns_hold_the_bytes_of_the_column_ops(self, logits):
+        """Each column of the logits-shaped row max and sum holds the bytes
+        of the one-column-per-op max and sum; for two classes the max's
+        column 1 is max(x1, x0), which differs only in the sign of a zero
+        tie. The exps, losses and gradient are the column ops' bytes."""
+        maxes, shifted, exps, sums, losses, grad = column_loop_softmax(logits)
+        row_max = _across_columns(np.maximum, logits, np.empty_like(logits))
+        got_shifted, got_exps, got_sums = softmax_terms(logits)
+        assert got_sums.shape == row_max.shape == logits.shape
+        zero_tie = (logits.shape[-1] == 2) & (logits[:, 0] == 0) & (logits[:, 1] == 0)
+        for j in range(logits.shape[-1]):
+            assert got_sums[:, j].tobytes() == sums.tobytes()
+            exact = ~zero_tie if j == 1 else np.ones_like(zero_tie)
+            assert row_max[exact, j].tobytes() == maxes[exact].tobytes()
+            assert np.all(row_max[~exact, j] == 0)
+        assert got_exps.tobytes() == exps.tobytes()
+        assert got_shifted[~zero_tie].tobytes() == shifted[~zero_tie].tobytes()
+        labels = np.zeros(len(logits), dtype=np.int64)
+        got_losses = cross_entropy_batch(got_shifted, got_sums, labels)
+        onehot = one_hot(labels, logits.shape[-1], logits.dtype)
+        assert got_losses.tobytes() == losses.tobytes()
+        assert cross_entropy_grad(got_exps, got_sums, onehot).tobytes() == grad.tobytes()
 
 
 class TestL2Norm:
