@@ -4,9 +4,10 @@ Verbs: generate, train-sa, learn-edit, train-disease, evaluate, sweep,
 serve, noise-map, run. Common flags: --config <json>, --out and, except on
 serve and noise-map, --seed; the stage verbs and run also take --mode and
 --oracle, and sweep takes --seeds, the seeds every value runs on.
-Exit codes: 0 ok, 2 config error (including a non-finite config float, a
-synth.pattern_seed that is not an integer, an --out that generate, run or
-sweep cannot create, an --oracle or serve --address port that is not an
+Exit codes: 0 ok, 2 config error (including a non-finite config float or a
+synth amplitude beyond 1e6, a non-integer or boolean seed, count or region index, a count grid object
+without "n", a non-string out_dir, an --out that generate, run or sweep
+cannot create, an --oracle or serve --address port that is not an
 integer in [0, 65535], an address serve cannot listen on, a noise-map
 --top-fraction outside (0, 1], and sweep --seed with --seeds), 3
 capability error, 4 remote/protocol error (including a server that does not

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import is_integer
 from .prng import derive_seed
 from .tensor_io import load_artifact, save_artifact
 
@@ -42,6 +43,11 @@ def default_shared_region(side: int = 16) -> list[int]:
     return _block(side, mid, mid, 4)  # center 4x4
 
 
+# bound on |signal_amp|, |shared_amp_frac| and |noise_sigma|: far beyond the
+# [0, 1) pixel scale, and small enough that no float32 pixel overflows
+MAX_AMPLITUDE = 1e6
+
+
 @dataclass
 class SynthConfig:
     side: int = 16
@@ -55,25 +61,28 @@ class SynthConfig:
     pattern_seed: int = 7
 
     def __post_init__(self):
-        if not isinstance(self.side, int) or self.side < 1:
+        if not is_integer(self.side) or self.side < 1:
             raise ValueError(f"side must be an integer >= 1, got {self.side!r}")
-        if not isinstance(self.pattern_seed, int):
+        if not is_integer(self.pattern_seed):
             raise ValueError(f"pattern_seed must be an integer, got {self.pattern_seed!r}")
         for name in ("signal_amp", "shared_amp_frac", "noise_sigma"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not abs(value) <= MAX_AMPLITUDE:  # a TypeError for a non-number
+                raise ValueError(f"{name} must be a number of magnitude at most "
+                                 f"{MAX_AMPLITUDE:g}, got {value!r}")
         for name, default in (("sa_region", default_sa_region),
                               ("disease_region", default_disease_region),
                               ("shared_region", default_shared_region)):
             if getattr(self, name) is None:
                 setattr(self, name, default(self.side))
+        for region in (self.sa_region, self.disease_region, self.shared_region):
+            if not (isinstance(region, list)
+                    and all(is_integer(i) and 0 <= i < self.dim for i in region)):
+                raise ValueError(f"regions must be lists of integers in [0, {self.dim})")
         if set(self.sa_region) & set(self.disease_region):
             raise ValueError("sa_region and disease_region must be disjoint")
         if not self.sa_region or not self.disease_region:
             raise ValueError("regions must be nonempty")
-        for region in (self.sa_region, self.disease_region, self.shared_region):
-            if not all(isinstance(i, int) and 0 <= i < self.dim for i in region):
-                raise ValueError(f"region indices must be integers in [0, {self.dim})")
 
     @property
     def dim(self) -> int:
@@ -90,7 +99,7 @@ class CellCounts:
         arr = np.asarray(self.n)
         if arr.shape != (2, 2) or np.any(arr < 0):
             raise ValueError("counts must be a nonnegative 2x2 grid")
-        if not all(isinstance(v, (int, np.integer)) for row in self.n for v in row):
+        if not all(is_integer(v) for row in self.n for v in row):
             raise ValueError(f"counts must be integers, got {self.n}")
         self.n = [[int(v) for v in row] for row in self.n]
 

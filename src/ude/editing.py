@@ -16,16 +16,16 @@ import numpy as np
 
 from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
+    bind_optimizer_step,
     check_counts,
     check_epoch_finite,
     check_labels,
+    check_optimizer,
     cross_entropy_batch,
     cross_entropy_grad,
-    init_optimizer,
     l2_norm,
     l2_norm_grad,
     one_hot,
-    optimizer_step,
     softmax_terms,
 )
 from .oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError
@@ -46,8 +46,7 @@ class UdeConfig:
     def __post_init__(self):
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        check_optimizer("adam", self.lr)
         check_counts(epochs=self.epochs, batch_size=self.batch_size)
 
 
@@ -112,8 +111,8 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
         raise CapabilityError("white-box edit learning needs input gradients; "
                               "use the zeroth-order optimizer instead")
     n, dim = images.shape
-    eps = np.zeros(dim, dtype=np.float32)
-    opt = init_optimizer("adam", cfg.lr, eps.shape)
+    eps, grad = np.zeros(dim, dtype=np.float32), np.empty(dim, dtype=np.float32)
+    step = bind_optimizer_step("adam", cfg.lr, eps, grad)
     rng = np.random.default_rng(derive_seed(seed, 0xED17))
 
     loss_trace, norm_trace = [], []
@@ -123,11 +122,11 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
         nb = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grad = edit_objective_grad(oracle, sa_head, images[idx],
-                                             sa_labels[idx], eps, cfg.lam)
+            loss, grad[...] = edit_objective_grad(oracle, sa_head, images[idx],
+                                                  sa_labels[idx], eps, cfg.lam)
             total += loss
             nb += 1
-            optimizer_step(opt, eps, grad)
+            step()
         loss_trace.append(total / nb)
         norm_trace.append(l2_norm(eps))
         check_epoch_finite("whitebox edit learning", epoch, cfg.epochs, loss_trace[-1],

@@ -12,14 +12,13 @@ from functools import cache
 import numpy as np
 
 from .numerics import (
-    OptimizerState,
     bind_optimizer_step,
     check_counts,
     check_epoch_finite,
     check_labels,
+    check_optimizer,
     cross_entropy_batch,
     cross_entropy_grad,
-    init_optimizer,
     one_hot,
     softmax_terms,
 )
@@ -162,7 +161,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_counts(epochs=self.epochs, batch_size=self.batch_size)
-        OptimizerState(self.optimizer, self.lr)  # rejects an unknown optimizer or lr
+        check_optimizer(self.optimizer, self.lr)
 
 
 def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
@@ -183,9 +182,11 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     against a one-hot built once per epoch, one backward matmul of the
     shuffled embeddings with a ones column appended ([K,E+1,B] @ [K,B,2]),
     which gives the weight and the bias gradients together, and the
-    optimizer step, bound to the buffers once. The shifted logits and
-    softmax sums of every step are kept; the epoch's per-sample losses and
-    per-batch loss sums are computed from them after its last step.
+    in-place optimizer step that numerics.bind_optimizer_step binds to the
+    parameter and gradient buffers once, the optimizer's state in its
+    closure. The shifted logits and softmax sums of every step are kept;
+    the epoch's per-sample losses and per-batch loss sums are computed from
+    them after its last step.
 
     DivergenceError, naming the head and the 1-based epoch, when a head's
     mean loss over an epoch or its parameters at the end of one are not
@@ -204,8 +205,7 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     params = np.zeros((k, e + 1, NUM_CLASSES), dtype=np.float32)
     grads = np.empty_like(params)
     w, b = params[:, :e], params[:, e:]
-    step = bind_optimizer_step(init_optimizer(cfg.optimizer, cfg.lr, params.shape),
-                               params, grads)
+    step = bind_optimizer_step(cfg.optimizer, cfg.lr, params, grads)
     rng = np.random.default_rng(derive_seed(seed, 0x7EAD))
     # the embeddings with a ones column, the bias row's input, and the
     # epoch's shuffled copies of them and of the labels

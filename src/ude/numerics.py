@@ -8,7 +8,6 @@ a training loop has not diverged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +22,16 @@ def check_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer and not a bool, which
+    Python counts as an int but a config means as true or false."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_counts(**counts) -> None:
     """ValueError unless every count is an integer >= 1."""
     for name, value in counts.items():
-        if not isinstance(value, int):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -135,97 +140,69 @@ EPS_STAB = 1e-8
 WEIGHT_DECAY = 0.01  # AdamW only
 
 
-@dataclass
-class OptimizerState:
-    """SGD / Adam / AdamW state for one parameter tensor of `shape`: the step
-    count, Adam's first and second moments stacked in one [2, *shape]
-    buffer, the step's two bias corrections 1 - BETA**t, each filled across
-    its half of a buffer of that shape, and a scratch buffer of that shape
-    that every step writes its temporaries into. All arrays have `dtype`,
-    in which each update is computed. Steps are taken by optimizer_step, or
-    by the function bind_optimizer_step returns."""
-
-    kind: str
-    lr: float
-    shape: tuple = ()
-    dtype: type = np.float32
-    t: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("sgd", "adam", "adamw"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        self.shape = tuple(self.shape)
-        stacked = (2, *self.shape)
-        self.moments = np.zeros(stacked, dtype=self.dtype)  # m, v
-        self.scratch = np.empty(stacked, dtype=self.dtype)
-        self.corrections = np.empty(stacked, dtype=self.dtype)
-
-        # Each constant as a full array in the update's dtype: a same-shape op
-        # costs less than one that broadcasts or converts a Python scalar,
-        # and gives the same bytes, since a Python scalar is converted to the
-        # array's dtype before the op.
-        def full(*values):
-            return np.stack([np.full(self.shape, v, dtype=self.dtype) for v in values])
-
-        self.lr_decay, self.lr_full, self.eps_full = full(
-            self.lr * WEIGHT_DECAY, self.lr, EPS_STAB)
-        self.decays, self.gains = full(BETA1, BETA2), full(1.0 - BETA1, 1.0 - BETA2)
+def check_optimizer(kind: str, lr: float) -> None:
+    """ValueError unless kind is sgd, adam or adamw and lr is finite and > 0."""
+    if kind not in ("sgd", "adam", "adamw"):
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
 
 
-def init_optimizer(kind: str, lr: float, shape, dtype=np.float32) -> OptimizerState:
-    return OptimizerState(kind=kind, lr=lr, shape=shape, dtype=dtype)
-
-
-def optimizer_step(state: OptimizerState, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One update of `param`, in place; mutates `state` and returns `param`.
+def bind_optimizer_step(kind: str, lr: float, param: np.ndarray, grad: np.ndarray):
+    """The in-place SGD / Adam / AdamW update of `param` from `grad`, as a
+    function of no arguments that returns `param`. The kind, lr and shapes
+    are checked once, here, and the state lives in its closure: the step
+    count, Adam's m and v stacked in one [2, *shape] buffer (they go through
+    each op together), the bias corrections 1 - BETA**t filled across the
+    halves of another, and a scratch buffer for every temporary, all in the
+    dtype of `param`, in which each update is computed.
 
     The textbook expressions in their textbook order, each op writing into
-    the state's buffers instead of a fresh array, so that a step gives the
-    bytes the allocating formulas give:
+    those buffers, so that a step gives the bytes the allocating formulas
+    give:
       sgd:   param - lr * grad
       adamw: param - (lr * WEIGHT_DECAY) * param, then the Adam step
       adam:  m = BETA1 * m + (1 - BETA1) * grad
              v = BETA2 * v + (1 - BETA2) * grad * grad
              param - lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + EPS_STAB)
-    m and v go through each op together, as one stacked buffer.
+    Each op takes its output as its third positional argument: the `out=`
+    keyword costs more per call than the arithmetic of these small ops.
     """
-    return bind_optimizer_step(state, param, grad)()
-
-
-def bind_optimizer_step(state: OptimizerState, param: np.ndarray, grad: np.ndarray):
-    """A function of no arguments that takes optimizer_step(state, param,
-    grad) on each call, for a caller that updates one `param` buffer from
-    one `grad` buffer many times: the shapes are checked, and the state's
-    buffers, views and constants looked up, once, here. Each op takes its
-    output as its third positional argument: the `out=` keyword costs more
-    per call than the arithmetic of these small ops."""
+    check_optimizer(kind, lr)
     if param.shape != grad.shape:
         raise ValueError(f"param/grad shape mismatch {param.shape} vs {grad.shape}")
-    if param.shape != state.shape:
-        raise ValueError("optimizer state does not match parameter shape")
+    stacked, dtype = (2, *param.shape), param.dtype
+    scratch = np.empty(stacked, dtype)
+
+    # Each constant as a full array in the update's dtype: a same-shape op
+    # costs less than one with a Python scalar, and gives the same bytes,
+    # since the scalar is converted to the array's dtype before the op.
+    def full(*values):
+        return np.stack([np.full(param.shape, v, dtype) for v in values])
+
+    lr_decay, lr_full, eps_full = full(lr * WEIGHT_DECAY, lr, EPS_STAB)
     multiply, subtract = np.multiply, np.subtract
-    scratch, lr_full = state.scratch, state.lr_full
     step, denom = scratch[0, ...], scratch[1, ...]
-    if state.kind == "sgd":
+    if kind == "sgd":
         def sgd_step():
             multiply(lr_full, grad, step)
             return subtract(param, step, param)
         return sgd_step
 
     add, divide, sqrt = np.add, np.divide, np.sqrt
-    moments, corrections = state.moments, state.corrections
-    decays, gains, eps_full = state.decays, state.gains, state.eps_full
-    decay, lr_decay = state.kind == "adamw", state.lr_decay
+    moments, corrections = np.zeros(stacked, dtype), np.empty(stacked, dtype)
+    decays, gains = full(BETA1, BETA2), full(1.0 - BETA1, 1.0 - BETA2)
+    decay = kind == "adamw"
     fill_m, fill_v = corrections[0, ...].fill, corrections[1, ...].fill
+    t = 0
 
     def adam_step():
+        nonlocal t
         if decay:
             # decoupled decay applied before the Adam update
             multiply(lr_decay, param, step)
             subtract(param, step, param)
-        state.t = t = state.t + 1
+        t += 1
         multiply(decays, moments, moments)
         multiply(gains, grad, scratch)
         multiply(denom, grad, denom)

@@ -48,6 +48,7 @@ from .models import (
     save_head,
     train_head,
 )
+from .numerics import is_integer
 from .oracle import (
     FORWARD_ONLY,
     FORWARD_WITH_INPUT_GRAD,
@@ -95,9 +96,10 @@ class PipelineConfig:
     gezo: GezoConfig = field(default_factory=GezoConfig)
 
     def __post_init__(self):
-        seeds = (self.seed, self.encoder_seed)
-        if not all(isinstance(s, (int, np.integer)) for s in seeds):
+        if not (is_integer(self.seed) and is_integer(self.encoder_seed)):
             raise ConfigError("seed and encoder_seed must be integers")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.mode not in ("whitebox", "gezo"):
             raise ConfigError(f"mode must be whitebox or gezo, got {self.mode!r}")
         if self.mode == "whitebox" and self.oracle != "inprocess":
@@ -127,8 +129,8 @@ class PipelineConfig:
                     raw[key] = ctor(**raw[key])
             for key in ("train_counts", "test_counts"):
                 if key in raw and not isinstance(raw[key], CellCounts):
-                    grid = raw[key]["n"] if isinstance(raw[key], dict) else raw[key]
-                    raw[key] = CellCounts(grid)
+                    grid = raw[key]
+                    raw[key] = CellCounts(**grid) if isinstance(grid, dict) else CellCounts(grid)
             return cls(**raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc

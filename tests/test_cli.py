@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import shutil
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ude.oracle
 import ude.pipeline
@@ -19,7 +23,7 @@ from ude.cli import (
 )
 from ude.editing import save_edit
 from ude.models import load_head
-from ude.pipeline import PipelineConfig, run_experiment, sweep_config
+from ude.pipeline import ConfigError, PipelineConfig, run_experiment, sweep_config
 from ude.tensor_io import save_artifact
 
 
@@ -62,6 +66,51 @@ STAGE_INPUTS = {
     "disease_head": ("evaluate", ["reports", "manifests/evaluate.json"],
                      ["provenance.json", "weight.udet", "bias.udet"]),
 }
+
+
+# what a config leaf or sub-object is replaced with; ints small enough that
+# no count or side makes generate outgrow the default config by much
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 32), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-2, 32), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.integers(-2, 32), max_size=2))
+
+
+@st.composite
+def mutated_configs(draw):
+    """PipelineConfig().to_dict() with one or two of its leaves or
+    sub-objects (at any depth, list items included) replaced."""
+    raw = PipelineConfig().to_dict()
+    for _ in range(draw(st.integers(1, 2))):
+        node, key = raw, draw(st.sampled_from(sorted(raw)))
+        while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+        node[key] = draw(CONFIG_VALUES)
+    return raw
+
+
+@given(raw=mutated_configs())
+@example(raw={"synth": {"sa_region": [True]}})
+@example(raw={"seed": True})
+@example(raw={"sa_train": {"epochs": True}})
+@example(raw={"train_counts": {"m": 1}})
+@example(raw={"out_dir": 5})
+@settings(max_examples=150, deadline=None)
+def test_generate_exits_0_exactly_on_an_accepted_config(raw):
+    text = json.dumps(raw)  # NaN and Infinity included
+    try:
+        PipelineConfig.from_dict(json.loads(text))
+        expected = EXIT_OK
+    except ConfigError:
+        expected = EXIT_CONFIG
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert main(["generate", "--config", path, "--out",
+                     os.path.join(tmp, "run")]) == expected
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +253,9 @@ class TestExitCodes:
         {"synth": {"signal_amp": NAN}}, {"synth": {"shared_amp_frac": INF}},
         {"synth": {"noise_sigma": -INF}}, {"train_counts": [[INF, 6], [6, 60]]},
         {"test_counts": [[15.5, 15], [15, 15]]}, {"synth": {"pattern_seed": 1.5}},
+        {"synth": {"sa_region": [True]}}, {"seed": True}, {"sa_train": {"epochs": True}},
+        {"train_counts": {"m": 1}}, {"out_dir": 5}, {"synth": {"signal_amp": [1]}},
+        {"synth": {"shared_region": ""}}, {"synth": {"noise_sigma": 3.4e38}},
     ], ids=json.dumps)
     def test_malformed_config_is_config_error(self, tmp_path, capsys, raw):
         # stage seeds derive from the global seed, so sub-configs take none

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ude.numerics import (
+    BETA1,
+    BETA2,
+    EPS_STAB,
     WEIGHT_DECAY,
     _across_columns,
+    bind_optimizer_step,
     check_labels,
     cross_entropy_batch,
     cross_entropy_grad,
-    init_optimizer,
     l2_norm,
     l2_norm_grad,
     one_hot,
-    optimizer_step,
     softmax_terms,
 )
 
@@ -227,46 +229,61 @@ class TestL2Norm:
         assert np.allclose(l2_norm_grad(eps), numeric, atol=1e-5)
 
 
+def one_step(kind, lr, param, grad):
+    """param after one bound step from grad, each written into the buffers
+    the step is bound to."""
+    param = np.array(param, dtype=float)
+    bound_grad = np.empty_like(param)
+    step = bind_optimizer_step(kind, lr, param, bound_grad)
+    bound_grad[...] = grad
+    assert step() is param
+    return param
+
+
 class TestOptimizers:
     def test_sgd_definition(self):
-        state = init_optimizer("sgd", 0.1, (1,))
-        out = optimizer_step(state, np.array([1.0]), np.array([2.0]))
+        out = one_step("sgd", 0.1, [1.0], [2.0])
         assert out == pytest.approx([0.8])
 
     def test_adam_first_step(self):
         # m1=0.1, v1=0.001, bias-corrected m=v=1 -> step = lr/(1+eps)
-        state = init_optimizer("adam", 0.01, (1,), dtype=np.float64)
-        out = optimizer_step(state, np.array([0.0]), np.array([1.0]))
+        out = one_step("adam", 0.01, [0.0], [1.0])
         assert out == pytest.approx([-0.01], rel=1e-6)
 
     def test_adam_zero_grad_keeps_param(self):
-        state = init_optimizer("adam", 0.01, (1,))
-        out = optimizer_step(state, np.array([1.5]), np.array([0.0]))
+        out = one_step("adam", 0.01, [1.5], [0.0])
         assert out == pytest.approx([1.5])
 
     def test_adam_sign_equivariance(self):
         rng = np.random.default_rng(5)
         grad = rng.normal(size=4)
         p = np.zeros(4)
-        s1 = init_optimizer("adam", 0.01, (4,), dtype=np.float64)
-        s2 = init_optimizer("adam", 0.01, (4,), dtype=np.float64)
-        step_pos = optimizer_step(s1, p.copy(), grad)
-        step_neg = optimizer_step(s2, p.copy(), -grad)
+        step_pos = one_step("adam", 0.01, p, grad)
+        step_neg = one_step("adam", 0.01, p, -grad)
         assert np.array_equal(step_pos, -step_neg)
 
     def test_adamw_decoupled_decay(self):
-        state = init_optimizer("adamw", 0.1, (1,))
-        out = optimizer_step(state, np.array([2.0]), np.array([0.0]))
+        out = one_step("adamw", 0.1, [2.0], [0.0])
         # decay shrinks the parameter even with zero gradient
         assert out == pytest.approx([2.0 * (1 - 0.1 * WEIGHT_DECAY)])
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adamw"])
+    def test_float64_param_gets_float64_update(self, kind):
+        grad = np.array([1 / 3])
+        out = one_step(kind, 0.1, [0.0], grad)  # no decay from 0
+        m, v = (1 - BETA1) * grad, (1 - BETA2) * grad * grad
+        expected = -(0.1 * grad) if kind == "sgd" else \
+            -(0.1 * (m / (1 - BETA1)) / (np.sqrt(v / (1 - BETA2)) + EPS_STAB))
+        assert out.dtype == np.float64
+        assert out.tobytes() == expected.tobytes()
+        assert expected.astype(np.float32) != expected  # not a float32 update
+
     def test_shape_mismatch(self):
-        state = init_optimizer("adam", 0.01, (2,))
         with pytest.raises(ValueError):
-            optimizer_step(state, np.zeros(2), np.zeros(3))
+            bind_optimizer_step("adam", 0.01, np.zeros(2), np.zeros(3))
 
     @pytest.mark.parametrize("bad", [dict(kind="rmsprop", lr=0.1),
                                      dict(kind="adam", lr=-1.0)])
     def test_invalid_config(self, bad):
         with pytest.raises(ValueError):
-            init_optimizer(bad["kind"], bad["lr"], (1,))
+            bind_optimizer_step(bad["kind"], bad["lr"], np.zeros(1), np.zeros(1))
