@@ -1,21 +1,23 @@
 """Command-line entry point.
 
-Verbs: generate, train-sa, learn-edit, train-disease, evaluate, sweep,
-serve, noise-map, run. Common flags: --config <json>, --out and, except on
+Verbs: generate, train-sa, learn-edit, train-disease, evaluate (each runs
+its stage of pipeline.STAGES against --out), run (all five, one oracle),
+sweep, serve, noise-map. Common flags: --config <json>, --out and, except on
 serve and noise-map, --seed; the stage verbs and run also take --mode and
 --oracle, and sweep takes --seeds, the seeds every value runs on.
-Exit codes: 0 ok, 2 config error (including a non-finite config float or a
-synth amplitude beyond 1e6, a non-integer or boolean seed, count or region index, a count grid object
-without "n", a non-string out_dir, an --out that generate, run or sweep
-cannot create, an --oracle or serve --address port that is not an
-integer in [0, 65535], an address serve cannot listen on, a noise-map
---top-fraction outside (0, 1], and sweep --seed with --seeds), 3
-capability error, 4 remote/protocol error (including a server that does not
-answer in time), 5 undefined metric, 6 edit learning or head training
-diverged (a non-finite loss, edit or head parameter at the end of an
-epoch), 7 a stage input (an artifact an earlier stage writes) is missing or
-corrupt, a head in it is not [E, 2] / [2] or its E is not the embedding
-width of the config's encoder, or a noise-map edit is not [side * side].
+Exit codes: 0 ok, 2 config error (including a non-finite or boolean config
+float or a synth amplitude beyond 1e6, a non-integer or boolean seed, count
+or region index, a count grid object without "n", a non-string out_dir, an
+--out that generate, run or sweep cannot create, an --oracle or serve
+--address port that is not an integer in [0, 65535], an address serve
+cannot listen on, a noise-map --top-fraction outside (0, 1], and sweep
+--seed with --seeds), 3 capability error, 4 remote/protocol error
+(including a server that does not answer in time), 5 undefined metric, 6
+edit learning or head training diverged (a non-finite loss, edit or head
+parameter at the end of an epoch), 7 a stage input (an artifact an earlier
+stage writes) is missing or corrupt, a head in it is not [E, 2] / [2] or
+its E is not the embedding width of the config's encoder, or a noise-map
+edit is not [side * side].
 """
 
 from __future__ import annotations
@@ -30,17 +32,15 @@ from .fairness import UndefinedMetric
 from .numerics import DivergenceError
 from .oracle import CapabilityError, ProtocolError
 from .pipeline import (
+    STAGES,
     ArtifactError,
     ConfigError,
     PipelineConfig,
-    cmd_evaluate,
-    cmd_generate,
-    cmd_learn_edit,
+    RunDirectory,
     cmd_serve,
     cmd_sweep,
-    cmd_train_disease,
-    cmd_train_sa,
     load_input,
+    run_stages,
 )
 
 EXIT_OK = 0
@@ -102,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_reports(reports) -> None:
-    for name, rep in reports.items():
-        print(f"{name}: acc={rep.accuracy:.3f} EO_n={rep.eo_neg:.3f} "
-              f"EO_p={rep.eo_pos:.3f} |1-DI|={rep.one_minus_di_abs:.3f}")
-
-
 def _print_sweep(param: str, rows: list, per_value: int) -> None:
     """One line per value: the means over its seeds' rows."""
     print(f"{param:>12} {'|eps|':>7} {'Acc':>7} {'EO_p':>7} {'|1-DI|':>7}"
@@ -119,29 +113,26 @@ def _print_sweep(param: str, rows: list, per_value: int) -> None:
         print(f"{runs[0]['value']:>12g} " + " ".join(f"{m:>7.3f}" for m in means))
 
 
-def _stage_verbs() -> dict:
-    """verb -> (stage command, printer of its result), in pipeline order.
-    Built per call, so wrappers later installed on this module's names (a
-    tracer, a test's monkeypatch) take effect."""
-    return {
-        "generate": (cmd_generate, lambda _: None),
-        "train-sa": (cmd_train_sa, lambda acc: print(
-            f"group head training accuracy: {acc:.4f}")),
-        "learn-edit": (cmd_learn_edit, lambda artifact: print(
-            f"edit learned ({artifact.mode}); final |eps|_2 = "
-            f"{artifact.eps_norm_trace[-1]:.4f}")),
-        "train-disease": (cmd_train_disease, lambda _: None),
-        "evaluate": (cmd_evaluate, _print_reports),
-    }
+def _show(stage: str, run: RunDirectory) -> None:
+    """What `ude run` and the stage verbs print as a stage finishes."""
+    if stage == "train_sa":
+        print(f"group head training accuracy: {run['sa_train_accuracy']:.4f}")
+    elif stage == "learn_edit":
+        edit = run["edit"]
+        print(f"edit learned ({edit.mode}); final |eps|_2 = {edit.eps_norm_trace[-1]:.4f}")
+    elif stage == "evaluate":
+        for name, rep in run["reports"].items():
+            print(f"{name}: acc={rep.accuracy:.3f} EO_n={rep.eo_neg:.3f} "
+                  f"EO_p={rep.eo_pos:.3f} |1-DI|={rep.one_minus_di_abs:.3f}")
 
 
 def _dispatch(args) -> int:
     cfg = _load_config(args)
     cmd = args.command
-    stages = _stage_verbs()
-    if cmd == "run" or cmd in stages:
-        for stage, show in stages.values() if cmd == "run" else [stages[cmd]]:
-            show(stage(cfg))
+    stage = cmd.replace("-", "_")
+    if cmd == "run" or stage in STAGES:
+        run_stages(cfg, STAGES if cmd == "run" else [stage], RunDirectory(cfg),
+                   after=_show)
     elif cmd == "sweep":
         if args.seed is not None and args.seeds is not None:
             raise ConfigError("--seed and --seeds exclude each other")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import is_integer
+from .numerics import is_integer, is_real
 from .prng import derive_seed
 from .tensor_io import load_artifact, save_artifact
 
@@ -67,7 +67,7 @@ class SynthConfig:
             raise ValueError(f"pattern_seed must be an integer, got {self.pattern_seed!r}")
         for name in ("signal_amp", "shared_amp_frac", "noise_sigma"):
             value = getattr(self, name)
-            if not abs(value) <= MAX_AMPLITUDE:  # a TypeError for a non-number
+            if not (is_real(value) and abs(value) <= MAX_AMPLITUDE):
                 raise ValueError(f"{name} must be a number of magnitude at most "
                                  f"{MAX_AMPLITUDE:g}, got {value!r}")
         for name, default in (("sa_region", default_sa_region),

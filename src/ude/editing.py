@@ -23,6 +23,7 @@ from .numerics import (
     check_optimizer,
     cross_entropy_batch,
     cross_entropy_grad,
+    is_real,
     l2_norm,
     l2_norm_grad,
     one_hot,
@@ -44,8 +45,8 @@ class UdeConfig:
     batch_size: int = 2048
 
     def __post_init__(self):
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (is_real(self.lam) and 0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         check_optimizer("adam", self.lr)
         check_counts(epochs=self.epochs, batch_size=self.batch_size)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .editing import EditArtifact, edit_objective_batch
 from .models import LinearHead
-from .numerics import check_counts, check_epoch_finite, l2_norm
+from .numerics import check_counts, check_epoch_finite, is_real, l2_norm
 from .prng import derive_seed
 
 
@@ -33,14 +33,14 @@ class GezoConfig:
     def __post_init__(self):
         check_counts(local_iters=self.local_iters, samples=self.samples,
                      epochs=self.epochs, batch_size=self.batch_size)
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0 < self.init_step < math.inf:
-            raise ValueError(f"init_step must be finite and > 0, got {self.init_step}")
-        if not (0 < self.decay < 1):
-            raise ValueError("decay must be in (0, 1)")
-        if not (0 <= self.momentum < 1):
-            raise ValueError("momentum must be in [0, 1)")
+        if not (is_real(self.lam) and 0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        if not (is_real(self.init_step) and 0 < self.init_step < math.inf):
+            raise ValueError(f"init_step must be finite and > 0, got {self.init_step!r}")
+        if not (is_real(self.decay) and 0 < self.decay < 1):
+            raise ValueError(f"decay must be in (0, 1), got {self.decay!r}")
+        if not (is_real(self.momentum) and 0 <= self.momentum < 1):
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
 
 
 def greedy_gradient(oracle, sa_head: LinearHead, batch: np.ndarray,

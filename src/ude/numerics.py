@@ -28,6 +28,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether value is an integer, as is_integer has it, or a Python or
+    numpy float: a number, and not a bool."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def check_counts(**counts) -> None:
     """ValueError unless every count is an integer >= 1."""
     for name, value in counts.items():
@@ -141,11 +147,12 @@ WEIGHT_DECAY = 0.01  # AdamW only
 
 
 def check_optimizer(kind: str, lr: float) -> None:
-    """ValueError unless kind is sgd, adam or adamw and lr is finite and > 0."""
+    """ValueError unless kind is sgd, adam or adamw and lr is a number,
+    finite and > 0."""
     if kind not in ("sgd", "adam", "adamw"):
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    if not 0 < lr < math.inf:
-        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    if not (is_real(lr) and 0 < lr < math.inf):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
 
 
 def bind_optimizer_step(kind: str, lr: float, param: np.ndarray, grad: np.ndarray):

@@ -1,8 +1,11 @@
-"""Pipeline orchestration: one set of stage functions (data generation, head
-training, edit learning, evaluation), persisted stage by stage with run
-manifests by the cmd_* commands, so every artifact can be reproduced
-byte-for-byte from its recorded config and seeds, and chained in memory by
-run_experiment.
+"""Pipeline orchestration. The pipeline's stages (generate the data, train
+the group head, learn the edit, train the disease heads, evaluate) are
+declared once, in STAGES: each stage's name (its CLI verb, with "-" for
+"_"), the artifacts it reads and writes, and one body. run_stages runs a
+list of them against a store with one oracle. A RunDirectory store loads inputs from an
+output directory and saves each stage's outputs with a manifest, so every
+artifact can be reproduced byte-for-byte from its recorded config and seeds;
+a plain dict keeps them in memory, which is how run_experiment runs them.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ import csv
 import hashlib
 import json
 import os
-from contextlib import closing
+from collections.abc import Callable
+from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -160,23 +164,6 @@ def make_oracle(cfg: PipelineConfig):
                            capability=cap)
 
 
-# ---------------------------------------------------------------------------
-# artifact layout helpers
-
-def _paths(cfg: PipelineConfig) -> dict:
-    out = cfg.out_dir
-    return {
-        "train_data": os.path.join(out, "data", "train"),
-        "test_data": os.path.join(out, "data", "test"),
-        "sa_head": os.path.join(out, "sa_head"),
-        "edit": os.path.join(out, "edit"),
-        "disease_head": os.path.join(out, "disease_head"),
-        "erm_head": os.path.join(out, "erm_head"),
-        "reports": os.path.join(out, "reports"),
-        "manifests": os.path.join(out, "manifests"),
-    }
-
-
 def make_out_dir(path) -> str:
     """path, created if absent; ConfigError when it cannot be, so that an
     unusable --out is rejected before any work."""
@@ -196,16 +183,121 @@ def load_input(loader, path):
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
 
 
-def load_head_input(cfg: PipelineConfig, path) -> LinearHead:
-    """The head a stage reads from `path`; ArtifactError, before any oracle
-    call, when it cannot be read or does not take the embeddings of the
-    encoder cfg names (its weight rows are not that encoder's width)."""
-    head = load_input(load_head, path)
-    width = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim).embed_dim
-    if head.weight.shape[0] != width:
-        raise ArtifactError(f"head in {path} takes {head.weight.shape[0]}-dim embeddings, "
-                            f"but encoder {cfg.encoder_seed} gives {width}")
-    return head
+# ---------------------------------------------------------------------------
+# the stages: each body(cfg, oracle, store) takes the stage's inputs from the
+# store and puts its outputs there
+
+def _generate(cfg: PipelineConfig, oracle, store) -> None:
+    """The biased training set and the balanced test set."""
+    if isinstance(store, RunDirectory):
+        make_out_dir(cfg.out_dir)
+    store["train_data"] = generate(cfg.synth, cfg.train_counts, derive(cfg, TAG_DATA_TRAIN))
+    store["test_data"] = generate(cfg.synth, cfg.test_counts, derive(cfg, TAG_DATA_TEST))
+
+
+def _train_sa(cfg: PipelineConfig, oracle, store) -> None:
+    """The group-attribute head on clean embeddings, and its loss trace."""
+    train = store["train_data"]
+    store["sa_head"], store["sa_loss_trace"] = train_head(
+        oracle, train.images, train.sa_labels, cfg.sa_train, derive(cfg, TAG_SA_TRAIN))
+    if isinstance(store, RunDirectory):
+        # The saved head records its training-set accuracy, which the CLI
+        # prints: one more embed of the training set, which in-memory runs
+        # skip. perfbench pins the query counts of both paths.
+        store["sa_train_accuracy"] = head_accuracy(
+            store["sa_head"], oracle.embed(train.images), train.sa_labels)
+
+
+def _learn_edit(cfg: PipelineConfig, oracle, store) -> None:
+    """The universal edit; white-box mode needs an input-gradient oracle."""
+    train = store["train_data"]
+    learn, edit_cfg = ((learn_ude_whitebox, cfg.ude) if cfg.mode == "whitebox"
+                       else (learn_ude_gezo, cfg.gezo))
+    store["edit"] = learn(oracle, store["sa_head"], train.images, train.sa_labels,
+                          edit_cfg, derive(cfg, TAG_EDIT))
+
+
+def train_disease(cfg: PipelineConfig, oracle, store) -> None:
+    """The plain-baseline disease head (edit = 0) and, when the store holds
+    an edit, the debiased head on edited inputs, trained in one loop."""
+    train, d_cfg, seed = store["train_data"], cfg.disease_train, derive(cfg, TAG_DISEASE)
+    zeros = np.zeros(train.images.shape[1], dtype=np.float32)
+    if "edit" not in store:
+        [(store["erm_head"], _)] = train_fair_disease(oracle, [zeros], train.images,
+                                                      train.disease_labels, d_cfg, seed)
+        return
+    (store["erm_head"], _), (store["disease_head"], _) = train_fair_disease(
+        oracle, [zeros, store["edit"].eps], train.images, train.disease_labels, d_cfg, seed)
+
+
+def _evaluate(cfg: PipelineConfig, oracle, store) -> None:
+    """Fairness reports on the balanced test set: "erm" for the plain disease
+    head and, when there is a debiased head, "ude" for it on edited inputs.
+    Every input is taken before the test set is embedded, once per report."""
+    test, erm_head = store["test_data"], store["erm_head"]
+    head = store["disease_head"] if "disease_head" in store else None
+    eps = None if head is None else store["edit"].eps
+    z = store["test_embeddings"] = oracle.embed(test.images)
+    reports = store["reports"] = {
+        "erm": evaluate(erm_head, z, test.disease_labels, test.sa_labels)}
+    if head is not None:
+        z = store["edited_test_embeddings"] = oracle.embed(apply_edit(test.images, eps))
+        reports["ude"] = evaluate(head, z, test.disease_labels, test.sa_labels)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A stage: the artifacts it reads, in its manifest's order, those it
+    may write, and its body; its CLI verb is its name with "-" for "_"."""
+    name: str
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    body: Callable
+
+
+# the pipeline, in order
+STAGES = {stage.name: stage for stage in (
+    Stage("generate", (), ("train_data", "test_data"), _generate),
+    Stage("train_sa", ("train_data",), ("sa_head",), _train_sa),
+    Stage("learn_edit", ("train_data", "sa_head"), ("edit",), _learn_edit),
+    Stage("train_disease", ("train_data", "edit"), ("erm_head", "disease_head"),
+          train_disease),
+    Stage("evaluate", ("test_data", "erm_head", "disease_head", "edit"), ("reports",),
+          _evaluate),
+)}
+
+
+def _save_reports(dirpath, reports: dict) -> None:
+    os.makedirs(dirpath, exist_ok=True)
+    with open(os.path.join(dirpath, "evaluation.json"), "w") as fh:
+        json.dump({k: asdict(r) for k, r in reports.items()}, fh, indent=2)
+    with open(os.path.join(dirpath, "evaluation.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method"] + CSV_HEADER)
+        for name, rep in reports.items():
+            writer.writerow([name] + rep.csv_row())
+
+
+# artifact -> (its path under the output directory, its loader, its saver,
+# which takes the path and the store that holds the artifact)
+ARTIFACTS = {
+    "train_data": (os.path.join("data", "train"), load_dataset,
+                   lambda path, run: save_dataset(path, run["train_data"])),
+    "test_data": (os.path.join("data", "test"), load_dataset,
+                  lambda path, run: save_dataset(path, run["test_data"])),
+    "sa_head": ("sa_head", load_head,
+                lambda path, run: save_head(path, run["sa_head"], task="sensitive_attribute",
+                                            train_accuracy=run["sa_train_accuracy"],
+                                            loss_trace=run["sa_loss_trace"])),
+    "edit": ("edit", load_edit, lambda path, run: save_edit(path, run["edit"])),
+    "erm_head": ("erm_head", load_head,
+                 lambda path, run: save_head(path, run["erm_head"], task="disease",
+                                             edit="zero")),
+    "disease_head": ("disease_head", load_head,
+                     lambda path, run: save_head(path, run["disease_head"], task="disease",
+                                                 edit=run["edit"].mode)),
+    "reports": ("reports", None, lambda path, run: _save_reports(path, run["reports"])),
+}
 
 
 def _file_digests(root) -> dict:
@@ -218,160 +310,79 @@ def _file_digests(root) -> dict:
     return digests
 
 
-def _write_manifest(cfg: PipelineConfig, stage: str, inputs: list, outputs: list) -> None:
-    paths = _paths(cfg)
-    os.makedirs(paths["manifests"], exist_ok=True)
-    manifest = {
-        "stage": stage,
-        "version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.to_dict(),
-        "inputs": {p: _file_digests(p) for p in inputs if os.path.exists(p)},
-        "outputs": {p: _file_digests(p) for p in outputs if os.path.exists(p)},
-    }
-    with open(os.path.join(paths["manifests"], f"{stage}.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+class RunDirectory(dict):
+    """The store of an output directory, cfg.out_dir. An artifact a stage
+    reads is loaded on first use; save() writes what a stage put in the
+    store, then the stage's manifest."""
+
+    def __init__(self, cfg: PipelineConfig):
+        super().__init__()
+        self.cfg = cfg
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.cfg.out_dir, ARTIFACTS[name][0])
+
+    def __contains__(self, name) -> bool:
+        """Whether the artifact is held or saved in the directory."""
+        return name in self.keys() or os.path.exists(os.path.join(self.path(name),
+                                                                  PROVENANCE))
+
+    def __missing__(self, name: str):
+        """The artifact loaded from the directory; ArtifactError, before any
+        oracle call, when it cannot be read or is a head that does not take
+        the embeddings of the encoder cfg names (of that encoder's width)."""
+        path, cfg = self.path(name), self.cfg
+        value = load_input(ARTIFACTS[name][1], path)
+        if isinstance(value, LinearHead):
+            rows = value.weight.shape[0]
+            width = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim).embed_dim
+            if rows != width:
+                raise ArtifactError(f"head in {path} takes {rows}-dim embeddings, but "
+                                    f"encoder {cfg.encoder_seed} gives {width}")
+        self[name] = value
+        return value
+
+    def save(self, stage: Stage) -> None:
+        written = [name for name in stage.writes if name in self.keys()]
+        for name in written:
+            ARTIFACTS[name][2](self.path(name), self)
+        self.write_manifest(stage.name, stage.reads, written)
+
+    def write_manifest(self, name: str, reads, writes) -> None:
+        """<out>/manifests/<name>.json: the config and the file digests of
+        the artifacts read and written that exist."""
+        manifests = os.path.join(self.cfg.out_dir, "manifests")
+        os.makedirs(manifests, exist_ok=True)
+        manifest = {"stage": name, "version": __version__, "seed": self.cfg.seed,
+                    "config": self.cfg.to_dict()}
+        for side, artifacts in (("inputs", reads), ("outputs", writes)):
+            manifest[side] = {p: _file_digests(p) for p in map(self.path, artifacts)
+                              if os.path.exists(p)}
+        with open(os.path.join(manifests, f"{name}.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2)
 
 
-# ---------------------------------------------------------------------------
-# stages: pure functions from inputs to outputs. The cmd_* functions persist
-# them stage by stage; run_experiment chains them in memory.
-
-def generate_data(cfg: PipelineConfig) -> tuple[LabeledImageSet, LabeledImageSet]:
-    """The biased training set and the balanced test set."""
-    return (generate(cfg.synth, cfg.train_counts, derive(cfg, TAG_DATA_TRAIN)),
-            generate(cfg.synth, cfg.test_counts, derive(cfg, TAG_DATA_TEST)))
-
-
-def train_sa(cfg: PipelineConfig, oracle, train: LabeledImageSet):
-    """The group-attribute head on clean embeddings; (head, loss trace)."""
-    return train_head(oracle, train.images, train.sa_labels, cfg.sa_train,
-                      derive(cfg, TAG_SA_TRAIN))
-
-
-def learn_edit(cfg: PipelineConfig, oracle, sa_head: LinearHead,
-               train: LabeledImageSet) -> EditArtifact:
-    """The universal edit; white-box mode needs an input-gradient oracle."""
-    seed = derive(cfg, TAG_EDIT)
-    if cfg.mode == "whitebox":
-        return learn_ude_whitebox(oracle, sa_head, train.images, train.sa_labels,
-                                  cfg.ude, seed)
-    return learn_ude_gezo(oracle, sa_head, train.images, train.sa_labels,
-                          cfg.gezo, seed)
-
-
-def train_disease(cfg: PipelineConfig, oracle, train: LabeledImageSet,
-                  eps: np.ndarray | None = None):
-    """The plain-baseline disease head (edit = 0) and, given an edit, the
-    debiased head on edited inputs, trained in one loop; (erm_head, debiased
-    head or None)."""
-    d_cfg, seed = cfg.disease_train, derive(cfg, TAG_DISEASE)
-    zeros = np.zeros(train.images.shape[1], dtype=np.float32)
-    if eps is None:
-        [(erm_head, _)] = train_fair_disease(oracle, [zeros], train.images,
-                                             train.disease_labels, d_cfg, seed)
-        return erm_head, None
-    (erm_head, _), (head, _) = train_fair_disease(oracle, [zeros, eps], train.images,
-                                                  train.disease_labels, d_cfg, seed)
-    return erm_head, head
-
-
-def evaluate_heads(oracle, test: LabeledImageSet, erm_head: LinearHead,
-                   head: LinearHead | None = None, eps: np.ndarray | None = None):
-    """Fairness reports on the balanced test set: "erm" for the plain head
-    and, given the debiased head, "ude" for it on edited inputs. Returns
-    (reports, clean test embeddings, edited test embeddings or None); the
-    test set is embedded once per report."""
-    z = oracle.embed(test.images)
-    reports = {"erm": evaluate(erm_head, z, test.disease_labels, test.sa_labels)}
-    z_edited = None
-    if head is not None:
-        z_edited = oracle.embed(apply_edit(test.images, eps))
-        reports["ude"] = evaluate(head, z_edited, test.disease_labels, test.sa_labels)
-    return reports, z, z_edited
-
-
-# ---------------------------------------------------------------------------
-# staged commands: load inputs, run one stage, save outputs and a manifest
-
-def cmd_generate(cfg: PipelineConfig) -> None:
-    paths = _paths(cfg)
-    make_out_dir(cfg.out_dir)
-    train, test = generate_data(cfg)
-    save_dataset(paths["train_data"], train)
-    save_dataset(paths["test_data"], test)
-    _write_manifest(cfg, "generate", [], [paths["train_data"], paths["test_data"]])
-
-
-def cmd_train_sa(cfg: PipelineConfig) -> float:
-    """Train the group-attribute head on clean embeddings; returns its
-    training-set accuracy."""
-    paths = _paths(cfg)
-    train = load_input(load_dataset, paths["train_data"])
-    with closing(make_oracle(cfg)) as oracle:
-        head, trace = train_sa(cfg, oracle, train)
-        acc = head_accuracy(head, oracle.embed(train.images), train.sa_labels)
-    save_head(paths["sa_head"], head, task="sensitive_attribute",
-              train_accuracy=acc, loss_trace=trace)
-    _write_manifest(cfg, "train_sa", [paths["train_data"]], [paths["sa_head"]])
-    return acc
-
-
-def cmd_learn_edit(cfg: PipelineConfig) -> EditArtifact:
-    paths = _paths(cfg)
-    train = load_input(load_dataset, paths["train_data"])
-    sa_head = load_head_input(cfg, paths["sa_head"])
-    with closing(make_oracle(cfg)) as oracle:
-        artifact = learn_edit(cfg, oracle, sa_head, train)
-    save_edit(paths["edit"], artifact)
-    _write_manifest(cfg, "learn_edit", [paths["train_data"], paths["sa_head"]],
-                    [paths["edit"]])
-    return artifact
-
-
-def cmd_train_disease(cfg: PipelineConfig) -> None:
-    """Train the plain-baseline disease head and, when an edit artifact
-    exists, the debiased head on edited inputs."""
-    paths = _paths(cfg)
-    train = load_input(load_dataset, paths["train_data"])
-    artifact = None
-    if os.path.exists(os.path.join(paths["edit"], PROVENANCE)):
-        artifact = load_input(load_edit, paths["edit"])
-    with closing(make_oracle(cfg)) as oracle:
-        erm_head, head = train_disease(cfg, oracle, train,
-                                       None if artifact is None else artifact.eps)
-    save_head(paths["erm_head"], erm_head, task="disease", edit="zero")
-    outputs = [paths["erm_head"]]
-    if head is not None:
-        save_head(paths["disease_head"], head, task="disease", edit=artifact.mode)
-        outputs.append(paths["disease_head"])
-    _write_manifest(cfg, "train_disease", [paths["train_data"], paths["edit"]], outputs)
-
-
-def cmd_evaluate(cfg: PipelineConfig) -> dict:
-    """Side-by-side fairness reports for the plain and debiased disease heads
-    on the balanced test set. With no debiased head, only the plain report."""
-    paths = _paths(cfg)
-    test = load_input(load_dataset, paths["test_data"])
-    erm_head = load_head_input(cfg, paths["erm_head"])
-    head = eps = None
-    if os.path.exists(os.path.join(paths["disease_head"], PROVENANCE)):
-        head = load_head_input(cfg, paths["disease_head"])
-        eps = load_input(load_edit, paths["edit"]).eps
-    with closing(make_oracle(cfg)) as oracle:
-        reports, _, _ = evaluate_heads(oracle, test, erm_head, head, eps)
-    os.makedirs(paths["reports"], exist_ok=True)
-    with open(os.path.join(paths["reports"], "evaluation.json"), "w") as fh:
-        json.dump({k: asdict(r) for k, r in reports.items()}, fh, indent=2)
-    with open(os.path.join(paths["reports"], "evaluation.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method"] + CSV_HEADER)
-        for name, rep in reports.items():
-            writer.writerow([name] + rep.csv_row())
-    _write_manifest(cfg, "evaluate", [paths["test_data"], paths["erm_head"],
-                                      paths["disease_head"], paths["edit"]],
-                    [paths["reports"]])
-    return reports
+def run_stages(cfg: PipelineConfig, names, store, oracle=None, grad_oracle=None,
+               after=None):
+    """Run the named stages, in the order given, against `store` (a
+    RunDirectory, or a dict for a run in memory) and return it. The stages
+    query one oracle: `oracle`, or else the one make_oracle builds for cfg,
+    opened at the first stage that reads an input and closed at the end;
+    `grad_oracle`, if given, serves the edit stage instead. A RunDirectory
+    saves each stage's outputs and manifest as the stage finishes; then
+    after(stage name, store) is called."""
+    with ExitStack() as owned:
+        for name in names:
+            stage = STAGES[name]
+            if oracle is None and stage.reads:  # generate queries nothing
+                oracle = owned.enter_context(closing(make_oracle(cfg)))
+            edit_oracle = name == "learn_edit" and grad_oracle is not None
+            stage.body(cfg, grad_oracle if edit_oracle else oracle, store)
+            if isinstance(store, RunDirectory):
+                store.save(stage)
+            if after is not None:
+                after(name, store)
+    return store
 
 
 def cmd_serve(cfg: PipelineConfig, address: str) -> OracleServer:
@@ -399,30 +410,19 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: PipelineConfig, oracle=None, grad_oracle=None) -> ExperimentResult:
-    """Run the whole pipeline in memory for one seed; no artifacts written.
+    """Run every stage in memory for one seed; no artifacts written.
 
     Every stage queries `oracle`, or else the one make_oracle builds for
     cfg; `grad_oracle` overrides the edit stage's oracle. The group head's
     accuracies are taken on the evaluation stage's test-set embeddings.
     """
-    own = oracle is None
-    if own:
-        oracle = make_oracle(cfg)
-    try:
-        train, test = generate_data(cfg)
-        sa_head, _ = train_sa(cfg, oracle, train)
-        artifact = learn_edit(cfg, grad_oracle or oracle, sa_head, train)
-        erm_head, fair_head = train_disease(cfg, oracle, train, artifact.eps)
-        reports, z, z_edited = evaluate_heads(oracle, test, erm_head, fair_head,
-                                              artifact.eps)
-    finally:
-        if own:
-            oracle.close()
-    return ExperimentResult(sa_acc_clean=head_accuracy(sa_head, z, test.sa_labels),
-                            sa_acc_edited=head_accuracy(sa_head, z_edited,
-                                                        test.sa_labels),
-                            edit=artifact, erm_report=reports["erm"],
-                            ude_report=reports["ude"], train=train, test=test)
+    run = run_stages(cfg, STAGES, {}, oracle, grad_oracle)
+    sa_head, test, reports = run["sa_head"], run["test_data"], run["reports"]
+    return ExperimentResult(
+        sa_acc_clean=head_accuracy(sa_head, run["test_embeddings"], test.sa_labels),
+        sa_acc_edited=head_accuracy(sa_head, run["edited_test_embeddings"], test.sa_labels),
+        edit=run["edit"], erm_report=reports["erm"], ude_report=reports["ude"],
+        train=run["train_data"], test=test)
 
 
 SWEEP_PARAMS = ("lambda", "local_iters")
@@ -455,7 +455,7 @@ def cmd_sweep(cfg: PipelineConfig, param: str, values: list[float],
     runs = [(value, sweep_config(cfg, param, value, seed))
             for i, value in enumerate(values)
             for seed in (seeds or [derive_seed(cfg.seed, TAG_SWEEP, i)])]
-    reports = make_out_dir(_paths(cfg)["reports"])
+    reports = make_out_dir(os.path.join(cfg.out_dir, "reports"))
     rows = []
     for value, sub in runs:
         res = run_experiment(sub)
@@ -469,5 +469,5 @@ def cmd_sweep(cfg: PipelineConfig, param: str, values: list[float],
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    _write_manifest(cfg, f"sweep_{param}", [], [_paths(cfg)["reports"]])
+    RunDirectory(cfg).write_manifest(f"sweep_{param}", (), ("reports",))
     return rows

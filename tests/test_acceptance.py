@@ -398,16 +398,17 @@ def test_criterion_12_reduction_identity(sa_context):
     identical = head_bytes(via_edit) == head_bytes(plain)
 
     # the pipeline's baseline rows go through exactly this zero-edit path:
-    # the one disease stage trains both heads through it, and the staged and
-    # in-memory runners both call that stage
+    # the one disease stage trains both heads through it, it is the stage
+    # table's train-disease body, and the CLI and the in-memory run both go
+    # through the one runner of that table
     import inspect
 
-    from ude import pipeline
+    from ude import cli, pipeline
     src = inspect.getsource(pipeline.train_disease)
     structural = (src.count("train_fair_disease(") >= 2 and "zeros" in src
-                  and all("train_disease" in runner.__code__.co_names
-                          for runner in (pipeline.cmd_train_disease,
-                                         pipeline.run_experiment)))
+                  and pipeline.STAGES["train_disease"].body is pipeline.train_disease
+                  and all("run_stages" in runner.__code__.co_names
+                          for runner in (cli._dispatch, pipeline.run_experiment)))
     check(identical and structural, "criterion 12 (reduction identity)",
           f"zero-edit training bit-identical to plain baseline: {identical}; "
           f"baseline reports produced through the zero-edit path: {structural}")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -19,11 +20,19 @@ from ude.cli import (
     EXIT_METRIC,
     EXIT_OK,
     EXIT_REMOTE,
+    build_parser,
     main,
 )
 from ude.editing import save_edit
 from ude.models import load_head
-from ude.pipeline import ConfigError, PipelineConfig, run_experiment, sweep_config
+from ude.pipeline import (
+    STAGES,
+    ConfigError,
+    PipelineConfig,
+    make_oracle,
+    run_experiment,
+    sweep_config,
+)
 from ude.tensor_io import save_artifact
 
 
@@ -97,6 +106,8 @@ def mutated_configs(draw):
 @example(raw={"sa_train": {"epochs": True}})
 @example(raw={"train_counts": {"m": 1}})
 @example(raw={"out_dir": 5})
+@example(raw={"sa_train": {"lr": True}})
+@example(raw={"ude": {"lam": False}})
 @settings(max_examples=150, deadline=None)
 def test_generate_exits_0_exactly_on_an_accepted_config(raw):
     text = json.dumps(raw)  # NaN and Infinity included
@@ -205,10 +216,10 @@ class TestExitCodes:
                          *flags]) == EXIT_CONFIG, flags
 
     def test_sweep_checks_every_value_first(self, tmp_path, capsys, monkeypatch):
-        def no_work(cfg):
+        def no_work(*args):
             raise AssertionError("a pipeline ran before every value was checked")
 
-        monkeypatch.setattr(ude.pipeline, "generate_data", no_work)
+        monkeypatch.setattr(ude.pipeline, "generate", no_work)
         cfg = write_tiny_config(tmp_path)
         for flags in (["--values", ","], ["--values", "0.01,-1"],
                       ["--values", "0.01,1", "--seeds", "1,a"],
@@ -256,6 +267,8 @@ class TestExitCodes:
         {"synth": {"sa_region": [True]}}, {"seed": True}, {"sa_train": {"epochs": True}},
         {"train_counts": {"m": 1}}, {"out_dir": 5}, {"synth": {"signal_amp": [1]}},
         {"synth": {"shared_region": ""}}, {"synth": {"noise_sigma": 3.4e38}},
+        {"sa_train": {"lr": True}}, {"ude": {"lam": False}}, {"gezo": {"init_step": True}},
+        {"gezo": {"momentum": False}}, {"synth": {"signal_amp": True}},
     ], ids=json.dumps)
     def test_malformed_config_is_config_error(self, tmp_path, capsys, raw):
         # stage seeds derive from the global seed, so sub-configs take none
@@ -386,10 +399,10 @@ class TestExitCodes:
                              ids=lambda argv: argv[0])
     def test_out_that_cannot_be_created_is_config_error(self, tmp_path, capsys,
                                                         monkeypatch, argv):
-        def no_work(cfg):
+        def no_work(*args):
             raise AssertionError("data generated before --out was checked")
 
-        monkeypatch.setattr(ude.pipeline, "generate_data", no_work)
+        monkeypatch.setattr(ude.pipeline, "generate", no_work)
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
         cfg = write_tiny_config(tmp_path)
@@ -407,8 +420,77 @@ class TestExitCodes:
             assert main([verb, "--config", cfg]) == EXIT_OK
         assert main(["evaluate", "--config", cfg]) == EXIT_METRIC
 
+    def test_undefined_metric_in_a_run_keeps_the_earlier_stages(self, tmp_path, capsys):
+        """`ude run` prints and saves each stage as it finishes, so a run that
+        stops at evaluation leaves the earlier stages' lines and manifests."""
+        cfg = write_tiny_config(tmp_path, test_counts=[[30, 0], [30, 0]])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) \
+            == EXIT_METRIC
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0].split(" (")[0] for line in lines] == [
+            "group head training accuracy", "edit learned"]
+        assert sorted(p.name for p in (tmp_path / "whole" / "manifests").iterdir()) == [
+            "generate.json", "learn_edit.json", "train_disease.json", "train_sa.json"]
+
+
+# stage manifest -> (its inputs, its outputs) relative to --out, as `ude run`
+# writes them, in order
+RUN_MANIFESTS = {
+    "generate": ([], ["data/train", "data/test"]),
+    "train_sa": (["data/train"], ["sa_head"]),
+    "learn_edit": (["data/train", "sa_head"], ["edit"]),
+    "train_disease": (["data/train", "edit"], ["erm_head", "disease_head"]),
+    "evaluate": (["data/test", "erm_head", "disease_head", "edit"], ["reports"]),
+}
+
+
+def test_the_cli_has_a_verb_for_every_stage_of_the_table():
+    """The verbs other than sweep, serve, noise-map and run are the stages
+    of the table, hyphenated and in its order, and run's help lists them."""
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    verbs = [name.replace("_", "-") for name in STAGES]
+    assert [verb for verb in sub.choices
+            if verb not in ("sweep", "serve", "noise-map", "run")] == verbs
+    [run_help] = [a.help for a in sub._choices_actions if a.dest == "run"]
+    assert run_help == "full pipeline: " + ", ".join(verbs)
+
 
 class TestRun:
+    @pytest.mark.parametrize("mode", ["whitebox", "gezo"])
+    def test_run_builds_one_oracle(self, tmp_path, monkeypatch, encoder, mode):
+        from ude.oracle import OracleServer
+
+        built = []
+
+        def counting(cfg):
+            built.append(cfg.oracle)
+            return make_oracle(cfg)
+
+        monkeypatch.setattr(ude.pipeline, "make_oracle", counting)
+        server = OracleServer(encoder, "127.0.0.1:0")
+        server.start_background()
+        try:
+            address = "inprocess" if mode == "whitebox" else server.bound_address
+            cfg = write_tiny_config(tmp_path, mode=mode, oracle=address)
+            assert main(["run", "--config", cfg]) == EXIT_OK
+        finally:
+            server.shutdown()
+        assert built == [address]
+
+    @pytest.mark.parametrize("mode", ["whitebox", "gezo"])
+    def test_run_manifest_layout(self, tmp_path, mode):
+        cfg = write_tiny_config(tmp_path, mode=mode)
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        out = tmp_path / "run"
+        layout = {}
+        for path in sorted((out / "manifests").iterdir()):
+            manifest = json.loads(path.read_text())
+            layout[manifest["stage"]] = tuple(
+                [os.path.relpath(key, out) for key in manifest[side]]
+                for side in ("inputs", "outputs"))
+        assert layout == {stage: tuple(sides) for stage, sides in RUN_MANIFESTS.items()}
+
     def test_full_whitebox_run(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
         assert main(["run", "--config", cfg]) == EXIT_OK

@@ -7,7 +7,7 @@ import pytest
 
 import ude.pipeline
 from ude.datagen import CellCounts, SynthConfig
-from ude.editing import apply_edit
+from ude.editing import EditArtifact, apply_edit
 from ude.gezo import GezoConfig
 from ude.models import (
     TrainConfig,
@@ -26,18 +26,13 @@ from ude.oracle import (
 from ude.pipeline import (
     ConfigError,
     PipelineConfig,
-    cmd_evaluate,
-    cmd_generate,
-    cmd_learn_edit,
+    RunDirectory,
     cmd_serve,
     cmd_sweep,
-    cmd_train_disease,
-    cmd_train_sa,
-    generate_data,
     make_oracle,
     run_experiment,
+    run_stages,
     train_disease,
-    train_sa,
 )
 
 from conftest import encoder_digests, head_bytes
@@ -58,6 +53,12 @@ def tiny_config(out_dir, **overrides) -> PipelineConfig:
     cfg = PipelineConfig(**base)
     cfg.ude.epochs = 10
     return cfg
+
+
+def staged(cfg, *names) -> RunDirectory:
+    """The named stages run against cfg's output directory, as the stage
+    verbs run them."""
+    return run_stages(cfg, names, RunDirectory(cfg))
 
 
 class TestConfig:
@@ -109,13 +110,13 @@ class TestConfig:
 class TestStagedPipeline:
     def test_whitebox_stages_end_to_end(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
-        cmd_generate(cfg)
-        acc = cmd_train_sa(cfg)
+        staged(cfg, "generate")
+        acc = staged(cfg, "train_sa")["sa_train_accuracy"]
         assert 0 <= acc <= 1
-        artifact = cmd_learn_edit(cfg)
+        artifact = staged(cfg, "learn_edit")["edit"]
         assert artifact.mode == "whitebox"
-        cmd_train_disease(cfg)
-        reports = cmd_evaluate(cfg)
+        staged(cfg, "train_disease")
+        reports = staged(cfg, "evaluate")["reports"]
         assert set(reports) == {"erm", "ude"}
         eval_json = json.loads(
             (tmp_path / "run" / "reports" / "evaluation.json").read_text())
@@ -125,22 +126,22 @@ class TestStagedPipeline:
 
     def test_gezo_stage(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", mode="gezo")
-        cmd_generate(cfg)
-        cmd_train_sa(cfg)
-        artifact = cmd_learn_edit(cfg)
+        staged(cfg, "generate")
+        staged(cfg, "train_sa")
+        artifact = staged(cfg, "learn_edit")["edit"]
         assert artifact.mode == "gezo"
 
     def test_evaluate_without_edit_reports_erm_only(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
-        cmd_generate(cfg)
-        cmd_train_sa(cfg)
-        cmd_train_disease(cfg)
-        reports = cmd_evaluate(cfg)
+        staged(cfg, "generate")
+        staged(cfg, "train_sa")
+        staged(cfg, "train_disease")
+        reports = staged(cfg, "evaluate")["reports"]
         assert set(reports) == {"erm"}
 
     def test_manifests_record_output_digests(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
-        cmd_generate(cfg)
+        staged(cfg, "generate")
         manifest = json.loads(
             (tmp_path / "run" / "manifests" / "generate.json").read_text())
         assert manifest["stage"] == "generate"
@@ -154,9 +155,9 @@ class TestStagedPipeline:
         digests = []
         for name in ("a", "b"):
             cfg = tiny_config(tmp_path / name)
-            cmd_generate(cfg)
-            cmd_train_sa(cfg)
-            cmd_learn_edit(cfg)
+            staged(cfg, "generate")
+            staged(cfg, "train_sa")
+            staged(cfg, "learn_edit")
             eps = (tmp_path / name / "edit" / "eps.udet").read_bytes()
             digests.append(eps)
         assert digests[0] == digests[1]
@@ -167,19 +168,19 @@ class TestStagedPipeline:
         heads = {}
         for name in ("fresh", "reused"):
             cfg = tiny_config(tmp_path / name)
-            cmd_generate(cfg)
+            staged(cfg, "generate")
             if name == "reused":
-                cmd_train_sa(replace(cfg, encoder_seed=3))
+                staged(replace(cfg, encoder_seed=3), "train_sa")
                 heads["other"] = head_bytes(load_head(tmp_path / name / "sa_head"))
-            cmd_train_sa(cfg)
+            staged(cfg, "train_sa")
             heads[name] = head_bytes(load_head(tmp_path / name / "sa_head"))
         assert heads["reused"] == heads["fresh"] != heads["other"]
         assert not (tmp_path / "reused" / "encoder").exists()
 
     def test_serve_uses_the_configured_encoder(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
-        cmd_generate(cfg)
-        cmd_train_sa(replace(cfg, encoder_seed=3))
+        staged(cfg, "generate")
+        staged(replace(cfg, encoder_seed=3), "train_sa")
         x = np.random.default_rng(0).normal(size=(4, cfg.synth.dim)).astype(np.float32)
         server = cmd_serve(cfg, "127.0.0.1:0")
         server.start_background()
@@ -236,7 +237,8 @@ class TestRunExperiment:
         cfg = tiny_config(tmp_path, mode=mode)
         result = run_experiment(cfg, oracle=oracle,
                                 grad_oracle=grad if mode == "whitebox" else None)
-        sa_head, _ = train_sa(cfg, InProcessOracle(enc), result.train)
+        sa_head = run_stages(cfg, ["train_sa"], {"train_data": result.train},
+                             InProcessOracle(enc))["sa_head"]
         test = result.test
         edited = apply_edit(test.images, result.edit.eps)
         assert result.sa_acc_clean == head_accuracy(sa_head, oracle.embed(test.images),
@@ -261,15 +263,18 @@ class TestTrainDisease:
                 return super().embed(batch)
 
         cfg = tiny_config(tmp_path)
-        train, _ = generate_data(cfg)
-        eps = np.full(train.images.shape[1], 0.1, dtype=np.float32) if with_edit else None
+        run = run_stages(cfg, ["generate"], {})
+        train = run["train_data"]
+        if with_edit:
+            eps = np.full(train.images.shape[1], 0.1, dtype=np.float32)
+            run["edit"] = EditArtifact(eps, [], [], {}, seed=0)
         oracle = Recording(encoder)
-        erm_head, head = train_disease(cfg, oracle, train, eps)
+        train_disease(cfg, oracle, run)
         n = train.images.shape[0]
         assert oracle.rows == ([n, n] if with_edit else [n])
-        assert (head is not None) == with_edit
+        assert ("disease_head" in run) == with_edit
         if with_edit:
-            assert head_bytes(head) != head_bytes(erm_head)
+            assert head_bytes(run["disease_head"]) != head_bytes(run["erm_head"])
 
 
 class TestSweep:
