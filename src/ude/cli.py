@@ -6,13 +6,14 @@ sweep, serve, noise-map. Common flags: --config <json>, --out and, except on
 serve and noise-map, --seed; the stage verbs and run also take --mode and
 --oracle, and sweep takes --seeds, the seeds every value runs on.
 Exit codes: 0 ok, 2 config error (including a non-finite or boolean config
-float or a synth amplitude beyond 1e6, a non-integer or boolean seed, count
-or region index, a count grid object without "n", a non-string out_dir, an
---out that generate, run or sweep cannot create, an --oracle or serve
---address port that is not an integer in [0, 65535], an address serve
-cannot listen on, a noise-map --top-fraction outside (0, 1], and sweep
---seed with --seeds), 3 capability error, 4 remote/protocol error
-(including a server that does not answer in time), 5 undefined metric, 6
+float, a synth amplitude beyond 1e6 or a negative noise_sigma, a
+non-integer or boolean seed, count or region index, a count grid object
+without "n", a non-string out_dir, an --out that a stage verb, run or sweep
+cannot create, an empty --oracle or serve --address or one whose port is
+not an integer in [0, 65535], an address serve cannot listen on, a
+noise-map --top-fraction outside (0, 1], and sweep --seed with --seeds), 3
+capability error, 4 remote/protocol error (including a server that cannot
+be reached or does not answer in time), 5 undefined metric, 6
 edit learning or head training diverged (a non-finite loss, edit or head
 parameter at the end of an epoch), 7 a stage input (an artifact an earlier
 stage writes) is missing or corrupt, a head in it is not [E, 2] / [2] or

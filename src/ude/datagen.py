@@ -43,7 +43,7 @@ def default_shared_region(side: int = 16) -> list[int]:
     return _block(side, mid, mid, 4)  # center 4x4
 
 
-# bound on |signal_amp|, |shared_amp_frac| and |noise_sigma|: far beyond the
+# bound on |signal_amp|, |shared_amp_frac| and noise_sigma: far beyond the
 # [0, 1) pixel scale, and small enough that no float32 pixel overflows
 MAX_AMPLITUDE = 1e6
 
@@ -65,11 +65,12 @@ class SynthConfig:
             raise ValueError(f"side must be an integer >= 1, got {self.side!r}")
         if not is_integer(self.pattern_seed):
             raise ValueError(f"pattern_seed must be an integer, got {self.pattern_seed!r}")
-        for name in ("signal_amp", "shared_amp_frac", "noise_sigma"):
+        for name, low in (("signal_amp", -MAX_AMPLITUDE),
+                          ("shared_amp_frac", -MAX_AMPLITUDE), ("noise_sigma", 0)):
             value = getattr(self, name)
-            if not (is_real(value) and abs(value) <= MAX_AMPLITUDE):
-                raise ValueError(f"{name} must be a number of magnitude at most "
-                                 f"{MAX_AMPLITUDE:g}, got {value!r}")
+            if not (is_real(value) and low <= value <= MAX_AMPLITUDE):
+                raise ValueError(f"{name} must be a number in [{low:g}, "
+                                 f"{MAX_AMPLITUDE:g}], got {value!r}")
         for name, default in (("sa_region", default_sa_region),
                               ("disease_region", default_disease_region),
                               ("shared_region", default_shared_region)):
@@ -168,8 +169,7 @@ def generate(cfg: SynthConfig, counts: CellCounts, seed: int) -> LabeledImageSet
                     + a * cfg.signal_amp * m_sa
                     + y * cfg.signal_amp * m_dis
                     + (a + y) * cfg.shared_amp_frac * cfg.signal_amp * m_shared)
-            noise = rng.normal(0.0, cfg.noise_sigma, (k, cfg.dim)) if cfg.noise_sigma > 0 \
-                else np.zeros((k, cfg.dim))
+            noise = rng.normal(0.0, cfg.noise_sigma, (k, cfg.dim))
             images.append((mean[None, :] + noise).astype(np.float32))
             ys.append(np.full(k, y, dtype=np.uint8))
             sas.append(np.full(k, a, dtype=np.uint8))

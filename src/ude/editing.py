@@ -78,7 +78,7 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
     rows = apply_edit(batch[None], stack[:, None]).reshape(m * b, -1)
     z = oracle.embed(rows, queries=m)
     logits = head_forward(sa_head, z.reshape(m, b, -1))
-    labels = check_labels(sa_labels, logits.shape[-1])
+    labels = check_labels(sa_labels)
     shifted, _, sums = softmax_terms(logits)
     means = np.mean(cross_entropy_batch(shifted, sums, labels), axis=1).astype(np.float64)
     out = -means + lam * l2_norm(stack)
@@ -92,11 +92,10 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
     which embeds the batch once for both."""
     zb, vjp = oracle.embed_vjp(apply_edit(batch, eps))
     logits = head_forward(sa_head, zb)
-    labels = check_labels(sa_labels, logits.shape[-1])
+    labels = check_labels(sa_labels)
     shifted, exps, sums = softmax_terms(logits)
     loss = -float(np.mean(cross_entropy_batch(shifted, sums, labels))) + lam * l2_norm(eps)
-    g = cross_entropy_grad(exps, sums, one_hot(labels, logits.shape[-1], logits.dtype),
-                           out=exps)
+    g = cross_entropy_grad(exps, sums, one_hot(labels, logits.dtype), out=exps)
     gx = vjp(g @ sa_head.weight.astype(batch.dtype).T)
     grad = (-gx.sum(axis=0) / batch.shape[0]
             + lam * l2_norm_grad(eps.astype(batch.dtype)))

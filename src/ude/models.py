@@ -12,6 +12,7 @@ from functools import cache
 import numpy as np
 
 from .numerics import (
+    NUM_CLASSES,
     bind_optimizer_step,
     check_counts,
     check_epoch_finite,
@@ -28,7 +29,6 @@ from .tensor_io import load_artifact, save_artifact
 INPUT_DIM = 256  # 16x16 images
 HIDDEN_DIM = 64
 EMBED_DIM = 32
-NUM_CLASSES = 2
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -198,7 +198,7 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     k, n, e = z.shape
     if n == 0:
         raise ValueError("empty dataset")
-    labels = check_labels(labels, NUM_CLASSES)
+    labels = check_labels(labels)
     if labels.shape != (n,):
         raise ValueError(f"labels must be [{n}], got shape {labels.shape}")
 
@@ -242,7 +242,7 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
         np.take(z, order, axis=1, out=zs)
         np.take(labels, order, out=ys)
         for targets, _, _, y in groups:
-            np.copyto(targets, one_hot(y, NUM_CLASSES, np.float32))
+            np.copyto(targets, one_hot(y, np.float32))
         for zb, zb_t, logits, s, target, g, divisor in batches:
             matmul(zb, w, logits)
             add(logits, b, logits)

@@ -1,8 +1,9 @@
-"""Dense numerics shared by the whole pipeline: one stabilized cross-entropy,
-split into the softmax both halves share, a gradient half and a loss half;
-the L2 magnitude penalty; and SGD/Adam/AdamW steps with hand-written update
-rules (no autodiff anywhere in this package); and the per-epoch check that
-a training loop has not diverged.
+"""Dense numerics shared by the whole pipeline: one stabilized two-class
+cross-entropy (every head is binary: two groups, disease or not), split into
+the softmax both halves share, a gradient half and a loss half; the L2
+magnitude penalty; and SGD/Adam/AdamW steps with hand-written update rules
+(no autodiff anywhere in this package); and the per-epoch check that a
+training loop has not diverged.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import math
 import numpy as np
 
 L2_ORIGIN_EPS = 1e-12
+NUM_CLASSES = 2  # the columns of every head's logits
 
 
-def check_labels(labels, num_classes: int) -> np.ndarray:
-    """labels as an array; IndexError unless every label is in [0, K)."""
+def check_labels(labels) -> np.ndarray:
+    """labels as an array; IndexError unless every label is 0 or 1."""
     labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels >= num_classes):
+    if np.any(labels < 0) or np.any(labels >= NUM_CLASSES):
         raise IndexError("label out of range")
     return labels
 
@@ -57,52 +59,35 @@ def check_epoch_finite(what: str, epoch: int, epochs: int, loss: float,
                               f"loss {loss}, {bad} non-finite values")
 
 
-def one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
-    """[..., K] rows of the identity picked by labels [...]."""
-    return np.eye(num_classes, dtype=dtype)[labels]
-
-
-def _across_columns(ufunc, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The row result of a commutative `ufunc` over the K columns of x
-    [..., K], left to right, in every column of `out` (shaped like x). For
-    two columns it is one op against the columns swapped, so column 0
-    holds ufunc(x0, x1) and column 1 ufunc(x1, x0): the same value, and the
-    same bytes but for a tie of opposite-signed zeros in a max or a NaN
-    pair's payload."""
-    if x.shape[-1] == 2:
-        return ufunc(x, x[..., ::-1], out=out)
-    row = ufunc(x[..., 0], x[..., 1])
-    for j in range(2, x.shape[-1]):
-        ufunc(row, x[..., j], out=row)
-    out[...] = row[..., None]
-    return out
+def one_hot(labels: np.ndarray, dtype) -> np.ndarray:
+    """[..., 2] rows of the identity picked by labels [...]."""
+    return np.eye(NUM_CLASSES, dtype=dtype)[labels]
 
 
 def softmax_terms(logits: np.ndarray, shifted=None, exps=None, sums=None):
     """(logits - row max, their exps, the row sums of the exps) for logits
-    [..., K], K >= 2: the stabilized softmax both cross-entropy halves start
-    from. `sums` has the logits' shape, each row's sum in every column, so
-    that the shift and the normalisation are same-shape ops. Results go
-    into the given buffers (`shifted` may be `logits` itself) or fresh
-    arrays.
+    [..., 2]: the stabilized softmax both cross-entropy halves start from.
+    `sums` has the logits' shape, each row's sum in every column, so that
+    the shift and the normalisation are same-shape ops. Results go into the
+    given buffers (`shifted` may be `logits` itself) or fresh arrays.
 
-    The row max and sum are elementwise ops over the K columns, left to
-    right, not reductions: for two classes one op each, against the columns
-    swapped, gives the bytes of a last-axis max and sum at a fraction of the
+    The row max and sum are one op each against the columns swapped, not
+    reductions: the bytes of a last-axis max and sum at a fraction of the
     cost (a zero tie's sign aside, which changes no exp, loss or gradient).
     """
     if sums is None:
         sums = np.empty_like(logits)
-    _across_columns(np.maximum, logits, sums)  # the row max, until the exps
+    # out= as a keyword: numpy deprecates a third positional argument here
+    np.maximum(logits, logits[..., ::-1], out=sums)  # the row max, until the exps
     shifted = np.subtract(logits, sums, out=shifted)
     exps = np.exp(shifted, out=exps)
-    _across_columns(np.add, exps, sums)
+    np.add(exps, exps[..., ::-1], out=sums)
     return shifted, exps, sums
 
 
 def cross_entropy_grad(exps: np.ndarray, sums: np.ndarray, onehot: np.ndarray,
                        out=None) -> np.ndarray:
-    """Gradient half: d CE / d logits = softmax - onehot, [..., K], from the
+    """Gradient half: d CE / d logits = softmax - onehot, [..., 2], from the
     logits-shaped exps and sums of softmax_terms, so both ops combine arrays
     of one shape; into `out` (which may be `exps`) if given."""
     grad = np.divide(exps, sums, out=out)
@@ -112,12 +97,10 @@ def cross_entropy_grad(exps: np.ndarray, sums: np.ndarray, onehot: np.ndarray,
 def cross_entropy_batch(shifted: np.ndarray, sums: np.ndarray,
                         labels: np.ndarray) -> np.ndarray:
     """Loss half: the per-sample CE -log softmax[label], [...] for logits
-    [..., K], from the shifted logits and sums of softmax_terms. Labels
+    [..., 2], from the shifted logits and sums of softmax_terms. Labels
     broadcast against `sums[..., 0]` and are not range-checked here: callers
     pass labels that went through check_labels."""
-    picked = shifted[..., 0]
-    for j in range(1, shifted.shape[-1]):
-        picked = np.where(labels == j, shifted[..., j], picked)
+    picked = np.where(labels == 1, shifted[..., 1], shifted[..., 0])
     # negated difference, not log(s) - shifted[y]: where the two are equal
     # that would give +0.0 in place of -0.0
     return -(picked - np.log(sums[..., 0]))

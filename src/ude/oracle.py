@@ -217,7 +217,10 @@ def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarr
 
 def parse_address(address: str):
     """"host:port" -> AF_INET tuple; anything else -> AF_UNIX path.
-    ValueError for a port that is not an integer in [0, 65535]."""
+    ValueError for an empty address (which would bind an abstract socket no
+    client can name) and for a port that is not an integer in [0, 65535]."""
+    if not address:
+        raise ValueError("empty address")
     if ":" in address:
         host, port = address.rsplit(":", 1)
         if not (port.isdigit() and int(port) <= 65535):
@@ -245,9 +248,12 @@ class RemoteOracle(EmbeddingOracle):
             try:
                 sock.settimeout(CLIENT_TIMEOUT_S)
                 sock.connect(addr)
-            except OSError:
+            except OSError as exc:
                 sock.close()
-                raise
+                # embed names a timeout; a refusal is a ConnectionError already
+                if isinstance(exc, (TimeoutError, ConnectionError)):
+                    raise
+                raise ProtocolError(f"cannot connect to {self.address}: {exc}") from exc
             self._sock = sock
         return self._sock
 

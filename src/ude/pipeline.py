@@ -2,10 +2,11 @@
 the group head, learn the edit, train the disease heads, evaluate) are
 declared once, in STAGES: each stage's name (its CLI verb, with "-" for
 "_"), the artifacts it reads and writes, and one body. run_stages runs a
-list of them against a store with one oracle. A RunDirectory store loads inputs from an
-output directory and saves each stage's outputs with a manifest, so every
-artifact can be reproduced byte-for-byte from its recorded config and seeds;
-a plain dict keeps them in memory, which is how run_experiment runs them.
+list of them against a store with one oracle. A RunDirectory store loads a
+stage's saved inputs from an output directory before the stage runs and
+saves its outputs with a manifest, so every artifact can be reproduced
+byte-for-byte from its recorded config and seeds; a plain dict keeps them
+in memory, which is how run_experiment runs them.
 """
 
 from __future__ import annotations
@@ -189,8 +190,6 @@ def load_input(loader, path):
 
 def _generate(cfg: PipelineConfig, oracle, store) -> None:
     """The biased training set and the balanced test set."""
-    if isinstance(store, RunDirectory):
-        make_out_dir(cfg.out_dir)
     store["train_data"] = generate(cfg.synth, cfg.train_counts, derive(cfg, TAG_DATA_TRAIN))
     store["test_data"] = generate(cfg.synth, cfg.test_counts, derive(cfg, TAG_DATA_TEST))
 
@@ -235,7 +234,7 @@ def _evaluate(cfg: PipelineConfig, oracle, store) -> None:
     head and, when there is a debiased head, "ude" for it on edited inputs.
     Every input is taken before the test set is embedded, once per report."""
     test, erm_head = store["test_data"], store["erm_head"]
-    head = store["disease_head"] if "disease_head" in store else None
+    head = store.get("disease_head")
     eps = None if head is None else store["edit"].eps
     z = store["test_embeddings"] = oracle.embed(test.images)
     reports = store["reports"] = {
@@ -311,39 +310,42 @@ def _file_digests(root) -> dict:
 
 
 class RunDirectory(dict):
-    """The store of an output directory, cfg.out_dir. An artifact a stage
-    reads is loaded on first use; save() writes what a stage put in the
-    store, then the stage's manifest."""
+    """The store of an output directory, cfg.out_dir, created here. load()
+    takes in a stage's inputs saved there, so that `in`, get() and [] agree
+    on what the stage reads; save() writes what a stage put in the store,
+    then the stage's manifest."""
 
     def __init__(self, cfg: PipelineConfig):
         super().__init__()
         self.cfg = cfg
+        make_out_dir(cfg.out_dir)
 
     def path(self, name: str) -> str:
         return os.path.join(self.cfg.out_dir, ARTIFACTS[name][0])
 
-    def __contains__(self, name) -> bool:
-        """Whether the artifact is held or saved in the directory."""
-        return name in self.keys() or os.path.exists(os.path.join(self.path(name),
-                                                                  PROVENANCE))
-
     def __missing__(self, name: str):
-        """The artifact loaded from the directory; ArtifactError, before any
-        oracle call, when it cannot be read or is a head that does not take
-        the embeddings of the encoder cfg names (of that encoder's width)."""
-        path, cfg = self.path(name), self.cfg
-        value = load_input(ARTIFACTS[name][1], path)
-        if isinstance(value, LinearHead):
-            rows = value.weight.shape[0]
-            width = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim).embed_dim
-            if rows != width:
-                raise ArtifactError(f"head in {path} takes {rows}-dim embeddings, but "
-                                    f"encoder {cfg.encoder_seed} gives {width}")
-        self[name] = value
-        return value
+        raise ArtifactError(f"missing stage input {name}: nothing saved in {self.path(name)}")
+
+    def load(self, stage: Stage) -> None:
+        """Take in each input of `stage` saved in the directory and not held;
+        ArtifactError, before any oracle call, when one cannot be read or is
+        a head that does not take the embeddings of the encoder cfg names
+        (of that encoder's width)."""
+        cfg = self.cfg
+        for name in stage.reads:
+            path = self.path(name)
+            if name in self or not os.path.exists(os.path.join(path, PROVENANCE)):
+                continue
+            value = self[name] = load_input(ARTIFACTS[name][1], path)
+            if isinstance(value, LinearHead):
+                rows = value.weight.shape[0]
+                width = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim).embed_dim
+                if rows != width:
+                    raise ArtifactError(f"head in {path} takes {rows}-dim embeddings, but "
+                                        f"encoder {cfg.encoder_seed} gives {width}")
 
     def save(self, stage: Stage) -> None:
-        written = [name for name in stage.writes if name in self.keys()]
+        written = [name for name in stage.writes if name in self]
         for name in written:
             ARTIFACTS[name][2](self.path(name), self)
         self.write_manifest(stage.name, stage.reads, written)
@@ -369,11 +371,13 @@ def run_stages(cfg: PipelineConfig, names, store, oracle=None, grad_oracle=None,
     query one oracle: `oracle`, or else the one make_oracle builds for cfg,
     opened at the first stage that reads an input and closed at the end;
     `grad_oracle`, if given, serves the edit stage instead. A RunDirectory
-    saves each stage's outputs and manifest as the stage finishes; then
-    after(stage name, store) is called."""
+    loads a stage's saved inputs before it runs and saves its outputs and
+    manifest as it finishes; then after(stage name, store) is called."""
     with ExitStack() as owned:
         for name in names:
             stage = STAGES[name]
+            if isinstance(store, RunDirectory):
+                store.load(stage)
             if oracle is None and stage.reads:  # generate queries nothing
                 oracle = owned.enter_context(closing(make_oracle(cfg)))
             edit_oracle = name == "learn_edit" and grad_oracle is not None

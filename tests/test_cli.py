@@ -29,6 +29,7 @@ from ude.pipeline import (
     STAGES,
     ConfigError,
     PipelineConfig,
+    RunDirectory,
     make_oracle,
     run_experiment,
     sweep_config,
@@ -108,6 +109,7 @@ def mutated_configs(draw):
 @example(raw={"out_dir": 5})
 @example(raw={"sa_train": {"lr": True}})
 @example(raw={"ude": {"lam": False}})
+@example(raw={"synth": {"noise_sigma": -0.4}})
 @settings(max_examples=150, deadline=None)
 def test_generate_exits_0_exactly_on_an_accepted_config(raw):
     text = json.dumps(raw)  # NaN and Infinity included
@@ -130,6 +132,17 @@ def full_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("full")
     assert main(["run", "--config", write_tiny_config(base)]) == EXIT_OK
     return base / "run"
+
+
+def test_a_run_directory_holds_only_what_it_has_loaded(tmp_path, full_run):
+    """On a finished run, `in` and get() agree on the edit before the
+    evaluate stage's inputs are loaded, when the store holds nothing, and
+    after, when it holds the saved edit."""
+    shutil.copytree(full_run, tmp_path / "run")
+    store = RunDirectory(PipelineConfig.from_json_file(write_tiny_config(tmp_path)))
+    for loaded in (False, True):
+        assert ("edit" in store) == (store.get("edit") is not None) == loaded
+        store.load(STAGES["evaluate"])
 
 
 class TestExitCodes:
@@ -163,6 +176,13 @@ class TestExitCodes:
         assert main(["train-sa", "--config", cfg]) == EXIT_OK
         assert main(["learn-edit", "--config", cfg, "--mode", "gezo",
                      "--oracle", "127.0.0.1:1"]) == EXIT_REMOTE
+
+    def test_remote_error_when_socket_path_is_missing(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        assert main(["run", "--config", cfg, "--mode", "gezo",
+                     "--oracle", str(tmp_path / "absent.sock")]) == EXIT_REMOTE
+        err = capsys.readouterr().err
+        assert err.startswith("remote error: ") and "absent.sock" in err
 
     def test_remote_error_when_server_never_answers(self, tmp_path, silent_server,
                                                      monkeypatch, capsys):
@@ -269,6 +289,7 @@ class TestExitCodes:
         {"synth": {"shared_region": ""}}, {"synth": {"noise_sigma": 3.4e38}},
         {"sa_train": {"lr": True}}, {"ude": {"lam": False}}, {"gezo": {"init_step": True}},
         {"gezo": {"momentum": False}}, {"synth": {"signal_amp": True}},
+        {"synth": {"noise_sigma": -0.4}},
     ], ids=json.dumps)
     def test_malformed_config_is_config_error(self, tmp_path, capsys, raw):
         # stage seeds derive from the global seed, so sub-configs take none
@@ -374,7 +395,8 @@ class TestExitCodes:
                      "--top-fraction", fraction]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
-    @pytest.mark.parametrize("address", ["127.0.0.1:x", "127.0.0.1:99999", "127.0.0.1:-1"])
+    @pytest.mark.parametrize("address", ["127.0.0.1:x", "127.0.0.1:99999", "127.0.0.1:-1",
+                                         ""])
     def test_malformed_address_is_config_error(self, tmp_path, capsys, address):
         assert main(["serve", "--address", address]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")

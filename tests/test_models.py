@@ -218,7 +218,7 @@ def reference_train_head(oracle, images, labels, cfg, seed):
     n = images.shape[0]
     if n == 0:
         raise ValueError("empty dataset")
-    labels = check_labels(labels, 2)
+    labels = check_labels(labels)
     z = oracle.embed(images)
 
     head = _zero_head(z.shape[1])

@@ -11,7 +11,6 @@ from ude.numerics import (
     BETA2,
     EPS_STAB,
     WEIGHT_DECAY,
-    _across_columns,
     bind_optimizer_step,
     check_labels,
     cross_entropy_batch,
@@ -33,7 +32,7 @@ def losses_and_grad(logits, labels):
     logits, labels = np.asarray(logits), np.asarray(labels)
     shifted, exps, sums = softmax_terms(logits)
     return (cross_entropy_batch(shifted, sums, labels),
-            cross_entropy_grad(exps, sums, one_hot(labels, logits.shape[-1], logits.dtype)))
+            cross_entropy_grad(exps, sums, one_hot(labels, logits.dtype)))
 
 
 def _ce(logits, label: int) -> float:
@@ -44,12 +43,12 @@ def _ce(logits, label: int) -> float:
 
 def checked_losses(logits, labels):
     """Per-sample CE losses as src callers take them: labels checked first."""
-    return losses_and_grad(logits, check_labels(labels, logits.shape[-1]))[0]
+    return losses_and_grad(logits, check_labels(labels))[0]
 
 
 def checked_grad(logits, labels):
     """The CE gradient as src callers take it: labels checked first."""
-    return losses_and_grad(logits, check_labels(labels, logits.shape[-1]))[1]
+    return losses_and_grad(logits, check_labels(labels))[1]
 
 
 class TestCrossEntropy:
@@ -65,29 +64,27 @@ class TestCrossEntropy:
         assert _ce([1.0, -1.0], 1) == pytest.approx(expected, abs=1e-12)
 
     def test_class_out_of_range(self):
-        labels = check_labels([0, 1, 1], 2)
+        labels = check_labels([0, 1, 1])
         assert isinstance(labels, np.ndarray) and labels.tolist() == [0, 1, 1]
         for bad in (2, -1):
             with pytest.raises(IndexError):
-                check_labels(np.array([0, bad]), 2)
+                check_labels(np.array([0, bad]))
 
     def test_large_logits_stable(self):
         assert np.isfinite(_ce([1000.0, -1000.0], 1))
 
-    @given(arrays(np.float64, st.integers(2, 6), elements=finite_floats))
+    @given(arrays(np.float64, 2, elements=finite_floats))
     @settings(max_examples=100, deadline=None)
     def test_softmax_normalization(self, logits):
-        # summing exp(-CE) over all label choices recovers 1
-        k = len(logits)
-        losses, _ = losses_and_grad(np.tile(logits, (k, 1)), np.arange(k))
+        # summing exp(-CE) over both label choices recovers 1
+        losses, _ = losses_and_grad(np.tile(logits, (2, 1)), np.arange(2))
         assert np.sum(np.exp(-losses)) == pytest.approx(1.0, abs=1e-6)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            k = int(rng.integers(2, 6))
-            logits = rng.normal(0, 3, k)
-            label = int(rng.integers(k))
+            logits = rng.normal(0, 3, 2)
+            label = int(rng.integers(2))
             analytic = losses_and_grad(logits[None, :], np.array([label]))[1][0]
             numeric = central_diff(lambda x: _ce(x, label), logits)
             assert np.max(np.abs(analytic - numeric)) < 1e-6 * max(1, np.max(np.abs(numeric)))
@@ -136,21 +133,16 @@ class TestFusedCrossEntropy:
         assert loss.dtype == grad.dtype == np.float32
 
 
-def column_loop_softmax(logits):
-    """The softmax terms from a row max and sum of one column per op, left to
-    right, in [...] buffers that the shift and the normalisation broadcast:
-    (row max, shifted, exps, row sums, losses, gradient) for labels 0."""
-    maxes = np.maximum(logits[..., 0], logits[..., 1])
-    for j in range(2, logits.shape[-1]):
-        maxes = np.maximum(maxes, logits[..., j])
-    shifted = logits - maxes[..., None]
+def column_softmax(logits):
+    """The softmax terms from a row max and sum of one op on the two columns,
+    in [...] buffers that the shift and the normalisation broadcast:
+    (shifted, exps, row sums, losses, gradient) for labels 0."""
+    shifted = logits - np.maximum(logits[..., 0], logits[..., 1])[..., None]
     exps = np.exp(shifted)
     sums = np.add(exps[..., 0], exps[..., 1])
-    for j in range(2, logits.shape[-1]):
-        sums = np.add(sums, exps[..., j])
     grad = exps / sums[..., None]
     grad[..., 0] -= 1.0
-    return maxes, shifted, exps, sums, -(shifted[..., 0] - np.log(sums)), grad
+    return shifted, exps, sums, -(shifted[..., 0] - np.log(sums)), grad
 
 
 # every float32 but the NaNs of other payloads, with the special values often
@@ -160,7 +152,7 @@ special_floats = st.one_of(
 
 
 class TestLogitsShapedSums:
-    @given(arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(2, 6)),
+    @given(arrays(np.float32, st.tuples(st.integers(1, 12), st.just(2)),
                   elements=special_floats))
     @example(np.array([[0.0, -0.0], [-0.0, 0.0], [np.inf, -np.inf], [np.nan, 1.0],
                        [1.0, np.nan], [np.inf, np.inf], [-np.inf, -np.inf]],
@@ -169,25 +161,23 @@ class TestLogitsShapedSums:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_columns_hold_the_bytes_of_the_column_ops(self, logits):
-        """Each column of the logits-shaped row max and sum holds the bytes
-        of the one-column-per-op max and sum; for two classes the max's
-        column 1 is max(x1, x0), which differs only in the sign of a zero
-        tie. The exps, losses and gradient are the column ops' bytes."""
-        maxes, shifted, exps, sums, losses, grad = column_loop_softmax(logits)
-        row_max = _across_columns(np.maximum, logits, np.empty_like(logits))
+        """Each column of the logits-shaped row sum holds the bytes of the
+        one-op sum of the two columns; the row max's column 1 is
+        max(x1, x0), which differs only in the sign of a zero tie, and so
+        does the shifted logit there. The exps, losses and gradient are the
+        column ops' bytes."""
+        shifted, exps, sums, losses, grad = column_softmax(logits)
         got_shifted, got_exps, got_sums = softmax_terms(logits)
-        assert got_sums.shape == row_max.shape == logits.shape
-        zero_tie = (logits.shape[-1] == 2) & (logits[:, 0] == 0) & (logits[:, 1] == 0)
-        for j in range(logits.shape[-1]):
+        assert got_sums.shape == logits.shape
+        zero_tie = (logits[:, 0] == 0) & (logits[:, 1] == 0)
+        for j in range(2):
             assert got_sums[:, j].tobytes() == sums.tobytes()
-            exact = ~zero_tie if j == 1 else np.ones_like(zero_tie)
-            assert row_max[exact, j].tobytes() == maxes[exact].tobytes()
-            assert np.all(row_max[~exact, j] == 0)
         assert got_exps.tobytes() == exps.tobytes()
         assert got_shifted[~zero_tie].tobytes() == shifted[~zero_tie].tobytes()
+        assert np.all(got_shifted[zero_tie] == 0)
         labels = np.zeros(len(logits), dtype=np.int64)
         got_losses = cross_entropy_batch(got_shifted, got_sums, labels)
-        onehot = one_hot(labels, logits.shape[-1], logits.dtype)
+        onehot = one_hot(labels, logits.dtype)
         assert got_losses.tobytes() == losses.tobytes()
         assert cross_entropy_grad(got_exps, got_sums, onehot).tobytes() == grad.tobytes()
 
