@@ -1,8 +1,8 @@
 """White-box learning of the universal edit: a single image-shaped noise
 tensor added to every input, trained by Adam to maximize the frozen
 group-attribute head's cross-entropy while an L2 penalty keeps it small.
-Also the downstream pieces: applying the edit, training the disease head on
-edited inputs, and exporting the per-pixel noise map.
+Also the downstream pieces: training the disease head on edited inputs
+(models.apply_edit) and exporting the per-pixel noise map.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import LinearHead, TrainConfig, fit_heads, head_forward
+from .models import LinearHead, TrainConfig, apply_edit, fit_heads, head_forward
 from .numerics import (
     bind_optimizer_step,
     check_counts,
@@ -68,15 +68,15 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
 
     Needs only forward access; this is the loss both optimizers drive down.
     A [D] edit gives a float. An [M,D] stack of edits gives the M losses,
-    [M] float64, each the bytes its edit alone gives, from one oracle call
-    of M logical queries, one head forward (per-candidate slices, so each
-    gets the product a lone call computes), one cross-entropy and one norm
-    call.
+    [M] float64, each the bytes its edit alone gives, from one
+    oracle.embed_edits call of M logical queries (a remote oracle sends the
+    batch once and the M edits), one head forward (per-candidate slices, so
+    each gets the product a lone call computes), one cross-entropy and one
+    norm call.
     """
     stack = np.atleast_2d(eps)
     m, b = stack.shape[0], batch.shape[0]
-    rows = apply_edit(batch[None], stack[:, None]).reshape(m * b, -1)
-    z = oracle.embed(rows, queries=m)
+    z = oracle.embed_edits(batch, stack)
     logits = head_forward(sa_head, z.reshape(m, b, -1))
     labels = check_labels(sa_labels)
     shifted, _, sums = softmax_terms(logits)
@@ -133,14 +133,6 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
                            eps)
     return EditArtifact(eps=eps, loss_trace=loss_trace, eps_norm_trace=norm_trace,
                         config=vars(cfg).copy(), seed=seed, mode="whitebox")
-
-
-def apply_edit(images: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """images + eps in the images' dtype; the one place an edit meets an
-    input."""
-    if images.shape[-1] != eps.shape[-1]:
-        raise ValueError(f"edit dim {eps.shape[-1]} != image dim {images.shape[-1]}")
-    return images + eps.astype(images.dtype)
 
 
 def train_fair_disease(oracle, edits: list[np.ndarray], images: np.ndarray,

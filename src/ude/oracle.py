@@ -7,21 +7,32 @@ message type at all, so black-box access is enforced by the wire format
 rather than by convention.
 
 Wire protocol (little-endian):
-    request:  magic "UDE1" | msg_type u8 = 0x01 | batch u32 | dim u32 | batch*dim f32
+    embed:    magic "UDE1" | msg_type u8 = 0x01 | batch u32 | dim u32 | batch*dim f32
+    edits:    magic "UDE1" | msg_type u8 = 0x03 | batch u32 | edits u32 | dim u32
+              | batch*dim f32 | edits*dim f32
     response: magic "UDE1" | msg_type u8 = 0x81 | batch u32 | edim u32 | batch*edim f32
     error:    magic "UDE1" | msg_type u8 = 0xFF | code u16 | len u16 | utf-8 message
 One request per round-trip, and one request may carry several logical
 queries: `embed(batch, queries=q)` sends the q queries' rows, in order, as
 one [B, D] matrix, and the oracle counts q queries of B/q rows each but one
-round trip; the wire format does not change. Connections may be reused; the
-server serves
+round trip. `embed_edits(batch, edits)` sends a [B, D] batch once and M
+edits; the server builds the M*B edited rows, edit-major, with the
+client's own models.apply_edit and answers them as one ordinary response,
+counted as M queries of B rows and one round trip. Every matrix frame goes
+out in one sendmsg call straight from its arrays, and every body is read
+straight into the array it fills. Connections may be reused; the server
+serves
 each connection on its own thread and closes one that stays silent for
 SERVER_TIMEOUT_S, so an idle or stalled peer never holds up another; a
 client whose reused connection ends before the first byte of an answer
-sends that request once more on a fresh one. A matrix body larger than
-MAX_PAYLOAD_BYTES is refused from its header, before it is read: the server
-answers ERR_MALFORMED and closes, the client raises ProtocolError. The
-client also raises ProtocolError when a connect, send or receive waits
+sends that request once more on a fresh one. A request whose bodies, or
+whose edited rows, would take more than MAX_PAYLOAD_BYTES is refused from
+its header, before any body byte is read: the server answers ERR_MALFORMED
+and closes. An empty batch, no edits or a dim other than the encoder's get
+ERR_DIM_MISMATCH, and the connection stays open. The client checks a
+response's header, its row count and, after the first response, its
+width, before it reads the body, and raises ProtocolError for any
+mismatch, for an oversize body and when a connect, send or receive waits
 longer than CLIENT_TIMEOUT_S.
 """
 
@@ -34,11 +45,12 @@ import threading
 
 import numpy as np
 
-from .models import FrozenEncoder, encoder_forward, encoder_vjp
+from .models import FrozenEncoder, apply_edit, encoder_forward, encoder_vjp
 from .numerics import check_counts
 
 MAGIC = b"UDE1"
 MSG_EMBED = 0x01
+MSG_EMBED_EDITS = 0x03
 MSG_EMBED_RESPONSE = 0x81
 MSG_ERROR = 0xFF
 ERR_DIM_MISMATCH = 1
@@ -99,7 +111,9 @@ class EmbeddingOracle:
             self._samples += batch_size
 
     def _record(self, rows: int, queries: int) -> None:
-        """One answered call carrying `queries` logical queries of equal size."""
+        """One answered call carrying `queries` logical queries of equal size;
+        each goes through _count, so a tally that wraps _count sees every
+        logical query."""
         with self._lock:
             self._round_trips += 1
         for _ in range(queries):
@@ -116,10 +130,29 @@ class EmbeddingOracle:
             raise ValueError(f"{batch.shape[0]} rows do not split into {queries} queries")
         return batch
 
+    def _check_edits(self, batch: np.ndarray, edits: np.ndarray):
+        """(batch, edits) as arrays; ValueError unless the batch is a
+        nonempty [B,D] and the edits a nonempty [M,D]."""
+        batch = self._check_batch(batch)
+        edits = np.asarray(edits)
+        if edits.ndim != 2 or edits.shape[0] == 0 or edits.shape[1] != batch.shape[1]:
+            raise ValueError(f"edits must be nonempty [M,{batch.shape[1]}], "
+                             f"got shape {edits.shape}")
+        return batch, edits
+
     def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
         """Embeddings [B,E] of the rows of `batch`, counted as `queries`
         logical queries of B/queries rows each and one round trip."""
         raise NotImplementedError
+
+    def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
+        """Embeddings [M*B,E] of the [B,D] `batch` under each of the [M,D]
+        `edits`, edit-major: rows i*B to (i+1)*B-1 embed
+        apply_edit(batch, edits[i]). Counted as M logical queries of B rows
+        and one round trip, as embed(rows, queries=M) counts them."""
+        batch, edits = self._check_edits(batch, edits)
+        rows = apply_edit(batch[None], edits[:, None]).reshape(-1, batch.shape[1])
+        return self.embed(rows, queries=edits.shape[0])
 
     def embed_vjp(self, batch: np.ndarray):
         """(embeddings, vjp) from one forward; see models.encoder_vjp."""
@@ -156,21 +189,37 @@ class InProcessOracle(EmbeddingOracle):
 # ---------------------------------------------------------------------------
 # framing helpers
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray:
-    buf = bytearray(n)
-    view = memoryview(buf)
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
     while view:
         got = sock.recv_into(view)
         if not got:
             raise ProtocolError("connection closed mid-frame")
         view = view[got:]
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    _recv_into(sock, memoryview(buf))
     return buf
 
 
-def _pack_matrix(msg_type: int, mat: np.ndarray) -> bytes:
-    b, d = mat.shape
-    return (MAGIC + struct.pack("<BII", msg_type, b, d)
-            + np.ascontiguousarray(mat, dtype="<f4").tobytes())
+def _flat_bytes(mat: np.ndarray) -> np.ndarray:
+    """The matrix as little-endian f32, viewed as flat uint8 (a zero-size
+    memoryview cannot be cast to bytes); a view of `mat` itself when it is
+    contiguous f32 already."""
+    return np.ascontiguousarray(mat, dtype="<f4").reshape(-1).view(np.uint8)
+
+
+def _send_frame(sock: socket.socket, header: bytes, *bodies: np.ndarray) -> None:
+    """Sends a frame's header and its matrices' f32 bodies with one sendmsg
+    call, without copying them into one buffer; sendall finishes a partial
+    send."""
+    parts = [header, *map(_flat_bytes, bodies)]
+    sent = sock.sendmsg(parts)
+    for part in parts:
+        if sent < len(part):
+            sock.sendall(part[sent:])
+        sent = max(sent - len(part), 0)
 
 
 def _pack_error(code: int, message: str) -> bytes:
@@ -186,19 +235,47 @@ def _read_type(sock: socket.socket) -> int:
     return header[4]
 
 
-def _read_matrix(sock: socket.socket) -> np.ndarray:
-    """Reads the [batch, dim] f32 body that follows a matrix frame's type."""
-    b, d = struct.unpack("<II", _recv_exact(sock, 8))
-    if 4 * b * d > MAX_PAYLOAD_BYTES:
-        raise ProtocolError(f"{b}x{d} f32 matrix exceeds {MAX_PAYLOAD_BYTES} bytes")
-    data = _recv_exact(sock, 4 * b * d)
-    return np.frombuffer(data, dtype="<f4").reshape(b, d).astype(np.float32, copy=False)
+def _read_sizes(sock: socket.socket, count: int) -> tuple[int, ...]:
+    """Reads the `count` u32 sizes that follow a frame's type."""
+    return struct.unpack(f"<{count}I", _recv_exact(sock, 4 * count))
+
+
+def _check_payload(rows: int, cols: int, what: str) -> None:
+    """ProtocolError when a [rows, cols] f32 matrix exceeds MAX_PAYLOAD_BYTES."""
+    if 4 * rows * cols > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(f"{what}: {rows}x{cols} f32 exceeds {MAX_PAYLOAD_BYTES} bytes")
+
+
+def _read_body(sock: socket.socket, rows: int, cols: int) -> np.ndarray:
+    """Reads a [rows, cols] f32 body straight into a new array."""
+    mat = np.empty((rows, cols), dtype="<f4")
+    _recv_into(sock, memoryview(_flat_bytes(mat)))
+    return mat.astype(np.float32, copy=False)
+
+
+def _read_request(sock: socket.socket):
+    """(batch, edits or None) of an embed or embed-edits request. Refuses
+    from the header, with ProtocolError, any other message type and a
+    request whose bodies, or whose edited rows, exceed MAX_PAYLOAD_BYTES."""
+    msg_type = _read_type(sock)
+    if msg_type == MSG_EMBED:
+        b, d = _read_sizes(sock, 2)
+        _check_payload(b, d, "batch")
+        return _read_body(sock, b, d), None
+    if msg_type == MSG_EMBED_EDITS:
+        b, m, d = _read_sizes(sock, 3)
+        _check_payload(b + m, d, "batch and edits")
+        _check_payload(m * b, d, "edited rows")
+        return _read_body(sock, b, d), _read_body(sock, m, d)
+    # the body's layout is unknown, so the stream cannot be resynced
+    raise ProtocolError(f"unsupported type 0x{msg_type:02x}")
 
 
 def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarray:
     """The embeddings answering a request of `rows` rows; ProtocolError for
     an error frame, any other message type, a different row count, or, given
-    `cols`, a different column count."""
+    `cols`, a different column count, each raised from the header before
+    any body byte is read or allocated."""
     msg_type = _read_type(sock)
     if msg_type == MSG_ERROR:
         code, length = struct.unpack("<HH", _recv_exact(sock, 4))
@@ -206,13 +283,14 @@ def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarr
         raise ProtocolError(f"server error {code}: {message}", code=code)
     if msg_type != MSG_EMBED_RESPONSE:
         raise ProtocolError(f"unexpected message type 0x{msg_type:02x}")
-    z = _read_matrix(sock)
-    if z.shape[0] != rows:
-        raise ProtocolError(f"response has {z.shape[0]} rows for a request of {rows}")
-    if cols is not None and z.shape[1] != cols:
-        raise ProtocolError(f"response has {z.shape[1]} columns; earlier responses "
+    b, d = _read_sizes(sock, 2)
+    if b != rows:
+        raise ProtocolError(f"response has {b} rows for a request of {rows}")
+    if cols is not None and d != cols:
+        raise ProtocolError(f"response has {d} columns; earlier responses "
                             f"had {cols}")
-    return z
+    _check_payload(b, d, "response")
+    return _read_body(sock, b, d)
 
 
 def parse_address(address: str):
@@ -250,10 +328,12 @@ class RemoteOracle(EmbeddingOracle):
                 sock.connect(addr)
             except OSError as exc:
                 sock.close()
-                # embed names a timeout; a refusal is a ConnectionError already
-                if isinstance(exc, (TimeoutError, ConnectionError)):
-                    raise
-                raise ProtocolError(f"cannot connect to {self.address}: {exc}") from exc
+                if isinstance(exc, TimeoutError):
+                    raise  # the query names it
+                message = f"cannot connect to {self.address}"
+                if isinstance(exc, ConnectionError):  # a refusal stays one
+                    raise type(exc)(exc.errno, f"{message}: {exc.strerror}") from exc
+                raise ProtocolError(f"{message}: {exc}") from exc
             self._sock = sock
         return self._sock
 
@@ -262,14 +342,16 @@ class RemoteOracle(EmbeddingOracle):
             self._sock.close()
             self._sock = None
 
-    def _exchange(self, frame: bytes, rows: int, resend: bool) -> np.ndarray:
-        """Send one request and read its answer. With `resend`, a connection
-        that ends, by EOF or reset, before the first byte of the answer (a
-        reused one the server has closed as idle) is replaced by a fresh one
-        and the request sent once more; embed is pure, so that is safe."""
+    def _exchange(self, rows: int, resend: bool, header: bytes,
+                  *bodies: np.ndarray) -> np.ndarray:
+        """Send one request and read its answer of `rows` rows. With
+        `resend`, a connection that ends, by EOF or reset, before the first
+        byte of the answer (a reused one the server has closed as idle) is
+        replaced by a fresh one and the request sent once more; every
+        request is pure, so that is safe."""
         sock = self._connect()
         try:
-            sock.sendall(frame)
+            _send_frame(sock, header, *bodies)
             ended = not sock.recv(1, socket.MSG_PEEK)
         except (BrokenPipeError, ConnectionResetError):
             if not resend:
@@ -277,14 +359,15 @@ class RemoteOracle(EmbeddingOracle):
             ended = True
         if ended and resend:
             self.close()
-            return self._exchange(frame, rows, resend=False)
+            return self._exchange(rows, False, header, *bodies)
         return _read_response(sock, rows, self._width)
 
-    def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
-        batch = self._check_batch(batch, queries)
+    def _query(self, rows: int, queries: int, header: bytes,
+               *bodies: np.ndarray) -> np.ndarray:
+        """One round trip of `queries` logical queries answered by `rows`
+        embeddings; the connection is closed after any failure."""
         try:
-            z = self._exchange(_pack_matrix(MSG_EMBED, batch), batch.shape[0],
-                               resend=self._sock is not None)
+            z = self._exchange(rows, self._sock is not None, header, *bodies)
         except TimeoutError as exc:
             self.close()
             raise ProtocolError(f"no answer from {self.address} within "
@@ -293,8 +376,22 @@ class RemoteOracle(EmbeddingOracle):
             self.close()
             raise
         self._width = z.shape[1]
-        self._record(batch.shape[0], queries)
+        self._record(rows, queries)
         return z
+
+    def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
+        batch = self._check_batch(batch, queries)
+        return self._query(batch.shape[0], queries,
+                           MAGIC + struct.pack("<BII", MSG_EMBED, *batch.shape), batch)
+
+    def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
+        """As EmbeddingOracle.embed_edits, with the edits applied by the
+        server: the request carries the batch once and the M edits."""
+        batch, edits = self._check_edits(batch, edits)
+        (b, d), m = batch.shape, edits.shape[0]
+        return self._query(m * b, m,
+                           MAGIC + struct.pack("<BIII", MSG_EMBED_EDITS, b, m, d),
+                           batch, edits)
 
 
 class _EmbedHandler(socketserver.BaseRequestHandler):
@@ -317,19 +414,20 @@ class _EmbedHandler(socketserver.BaseRequestHandler):
         if not conn.recv(1, socket.MSG_PEEK):
             return False
         try:
-            msg_type = _read_type(conn)
-            if msg_type != MSG_EMBED:
-                # the body's layout is unknown, so the stream cannot be resynced
-                raise ProtocolError(f"unsupported type 0x{msg_type:02x}")
-            batch = _read_matrix(conn)
+            batch, edits = _read_request(conn)
             input_dim = self.server.encoder.input_dim
             if batch.shape[0] == 0 or batch.shape[1] != input_dim:
                 conn.sendall(_pack_error(
                     ERR_DIM_MISMATCH,
                     f"expected nonempty [B,{input_dim}], got {batch.shape}"))
                 return True
+            if edits is not None:
+                if edits.shape[0] == 0:
+                    conn.sendall(_pack_error(ERR_DIM_MISMATCH, "expected at least one edit"))
+                    return True
+                batch = apply_edit(batch[None], edits[:, None]).reshape(-1, input_dim)
             z = encoder_forward(self.server.encoder, batch)
-            conn.sendall(_pack_matrix(MSG_EMBED_RESPONSE, z))
+            _send_frame(conn, MAGIC + struct.pack("<BII", MSG_EMBED_RESPONSE, *z.shape), z)
             return True
         except ProtocolError as exc:
             conn.sendall(_pack_error(exc.code, str(exc)))

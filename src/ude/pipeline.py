@@ -36,7 +36,6 @@ from .datagen import (
 from .editing import (
     EditArtifact,
     UdeConfig,
-    apply_edit,
     learn_ude_whitebox,
     load_edit,
     save_edit,
@@ -47,6 +46,7 @@ from .gezo import GezoConfig, learn_ude_gezo
 from .models import (
     LinearHead,
     TrainConfig,
+    apply_edit,
     build_encoder,
     head_accuracy,
     load_head,

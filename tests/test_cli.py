@@ -170,12 +170,15 @@ class TestExitCodes:
         assert main(["learn-edit", "--config", cfg, "--mode", "whitebox",
                      "--oracle", "127.0.0.1:9"]) == EXIT_CONFIG
 
-    def test_remote_error_when_server_down(self, tmp_path):
+    def test_remote_error_when_server_down(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, mode="gezo")
         assert main(["generate", "--config", cfg]) == EXIT_OK
         assert main(["train-sa", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
         assert main(["learn-edit", "--config", cfg, "--mode", "gezo",
                      "--oracle", "127.0.0.1:1"]) == EXIT_REMOTE
+        err = capsys.readouterr().err
+        assert err.startswith("remote error: ") and "127.0.0.1:1" in err
 
     def test_remote_error_when_socket_path_is_missing(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)

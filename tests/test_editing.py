@@ -7,7 +7,6 @@ import ude.oracle
 from ude.editing import (
     EditArtifact,
     UdeConfig,
-    apply_edit,
     edit_objective_batch,
     edit_objective_grad,
     export_noise_map,
@@ -17,7 +16,15 @@ from ude.editing import (
     train_fair_disease,
     write_noise_map_csv,
 )
-from ude.models import EMBED_DIM, INPUT_DIM, LinearHead, TrainConfig, head_accuracy, train_head
+from ude.models import (
+    EMBED_DIM,
+    INPUT_DIM,
+    LinearHead,
+    TrainConfig,
+    apply_edit,
+    head_accuracy,
+    train_head,
+)
 from ude.oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError, InProcessOracle
 
 from conftest import central_diff, head_bytes

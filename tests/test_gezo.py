@@ -1,11 +1,14 @@
 import math
+import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
 
 from ude.gezo import GezoConfig, gezo_epoch, greedy_gradient, learn_ude_gezo
 from ude.models import INPUT_DIM, TrainConfig, head_accuracy, train_head
-from ude.oracle import InProcessOracle, OracleServer, RemoteOracle
+from ude.oracle import MAGIC, MSG_EMBED_RESPONSE, InProcessOracle, OracleServer, RemoteOracle
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +190,44 @@ class TestFullRun:
         assert client.query_counter == (queries, queries * cfg.batch_size)
         assert tally == [cfg.batch_size] * queries
         assert remote.eps.tobytes() == local.eps.tobytes()
+
+    def test_a_default_local_iteration_sends_one_batch_and_2c_edits(self, trained_sa,
+                                                                    small_data):
+        # a stub server that counts the request's bytes and answers zeros
+        _, train, _ = small_data
+        cfg = GezoConfig()
+        listener = socket.create_server(("127.0.0.1", 0))
+        received = []
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                head = conn.recv(17, socket.MSG_WAITALL)
+                b, m, d = struct.unpack_from("<III", head, 5)
+                body = conn.recv(4 * (b + m) * d, socket.MSG_WAITALL)
+                received.append(len(head) + len(body))
+                z = np.zeros((m * b, 32), dtype="<f4")
+                conn.sendall(MAGIC + struct.pack("<BII", MSG_EMBED_RESPONSE, *z.shape)
+                             + z.tobytes())
+                conn.settimeout(10)
+                conn.recv(1)  # until the client hangs up
+
+        stub = threading.Thread(target=answer, daemon=True)
+        stub.start()
+        client = RemoteOracle("127.0.0.1:%d" % listener.getsockname()[1])
+        idx = np.arange(cfg.batch_size)
+        try:
+            greedy_gradient(client, trained_sa, train.images[idx], train.sa_labels[idx],
+                            np.zeros(INPUT_DIM, np.float32), cfg.init_step, cfg.samples,
+                            cfg.lam, math.inf, np.random.default_rng(0))
+        finally:
+            client.close()
+            stub.join(timeout=5)
+            listener.close()
+        # header 17 bytes, a [64, 256] batch and [16, 256] edits in f32; the
+        # 1,024 edited rows as one [1024, 256] matrix took 1,048,589
+        assert received == [17 + 4 * (64 + 16) * 256] == [81_937]
+        assert (client.round_trips, client.query_counter) == (1, (16, 1024))
 
     def test_deterministic(self, encoder, trained_sa, small_data):
         _, train, _ = small_data

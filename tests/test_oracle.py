@@ -7,17 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ude.oracle
-from ude.models import INPUT_DIM, encoder_forward
+from ude.models import INPUT_DIM, apply_edit, encoder_forward
 from ude.oracle import (
     FORWARD_ONLY,
     FORWARD_WITH_INPUT_GRAD,
     MAGIC,
     MAX_PAYLOAD_BYTES,
     MSG_EMBED,
+    MSG_EMBED_EDITS,
     MSG_EMBED_RESPONSE,
     MSG_ERROR,
     ERR_DIM_MISMATCH,
@@ -130,6 +131,37 @@ class TestLogicalQueries:
         assert (oracle.query_counter, oracle.round_trips) == ((0, 0), 0)
 
 
+class TestEmbedEdits:
+    @given(b=st.integers(1, 8), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_the_bytes_and_counts_of_embed_on_the_edited_rows(self, oracle, b, m,
+                                                              seed, scale):
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(size=(b, INPUT_DIM)).astype(np.float32)
+        edits = (rng.normal(size=(m, INPUT_DIM)) * scale).astype(np.float32)
+        (calls, samples), trips = oracle.query_counter, oracle.round_trips
+        got = oracle.embed_edits(batch, edits)
+        assert oracle.query_counter == (calls + m, samples + m * b)
+        assert oracle.round_trips == trips + 1
+        rows = apply_edit(batch[None], edits[:, None]).reshape(m * b, -1)
+        assert got.tobytes() == oracle.embed(rows, queries=m).tobytes()
+
+    @pytest.mark.parametrize("batch,edits", [
+        ((2, INPUT_DIM), (3, INPUT_DIM + 1)),
+        ((2, INPUT_DIM), (0, INPUT_DIM)),
+        ((0, INPUT_DIM), (3, INPUT_DIM)),
+        ((2, INPUT_DIM), (INPUT_DIM,)),
+    ], ids=["dim", "no-edits", "empty-batch", "one-edit-unstacked"])
+    def test_bad_shapes_raise_before_any_query(self, oracle, batch, edits):
+        with pytest.raises(ValueError):
+            oracle.embed_edits(np.zeros(batch, np.float32), np.zeros(edits, np.float32))
+        assert (oracle.query_counter, oracle.round_trips) == ((0, 0), 0)
+        if isinstance(oracle, RemoteOracle):
+            assert oracle._sock is None  # nothing was sent
+
+
 class TestAddressParsing:
     def test_inet(self):
         family, addr = parse_address("127.0.0.1:7447")
@@ -226,6 +258,40 @@ class TestRemoteOracle:
             listener.close()
         assert not stub.is_alive()
 
+    def test_response_header_is_checked_before_its_body(self, monkeypatch):
+        # a stub server that declares one row too many and then sends no
+        # body; a client that read the body first would wait out its timeout
+        monkeypatch.setattr(ude.oracle, "CLIENT_TIMEOUT_S", 5.0)
+        listener = socket.create_server(("127.0.0.1", 0))
+        x = _batch(3)
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                want = 13 + x.nbytes
+                got = b""
+                while len(got) < want:
+                    got += conn.recv(want - len(got))
+                conn.sendall(MAGIC + struct.pack("<BII", MSG_EMBED_RESPONSE,
+                                                 x.shape[0] + 1, 32))
+                conn.settimeout(10)
+                conn.recv(1)  # until the client hangs up
+
+        stub = threading.Thread(target=answer, daemon=True)
+        stub.start()
+        client = RemoteOracle("127.0.0.1:%d" % listener.getsockname()[1])
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(ProtocolError, match="4 rows for a request of 3"):
+                client.embed(x)
+            assert time.perf_counter() - t0 < 1.0
+            assert client._sock is None
+        finally:
+            client.close()
+            stub.join(timeout=5)
+            listener.close()
+        assert not stub.is_alive()
+
     def test_connection_refused(self):
         client = RemoteOracle("127.0.0.1:1")
         with pytest.raises(OSError):
@@ -284,6 +350,25 @@ class TestReconnect:
         finally:
             client.close()
 
+    def test_edits_resend_once_on_a_reused_connection(self, server, monkeypatch):
+        client = RemoteOracle(server.bound_address)
+        requests = []
+
+        def fail(enc, batch):  # the server closes without an answer
+            requests.append(batch.shape[0])
+            raise RuntimeError("injected")
+
+        edits = _batch(3, rng_seed=1)
+        try:
+            client.embed_edits(_batch(2), edits)
+            monkeypatch.setattr(ude.oracle, "encoder_forward", fail)
+            with pytest.raises(ProtocolError):
+                client.embed_edits(_batch(2), edits)
+            assert requests == [6, 6]  # on the reused connection, then on one fresh one
+            assert (client.query_counter, client.round_trips) == ((3, 6), 1)
+        finally:
+            client.close()
+
 
 def _connect(server) -> socket.socket:
     family, addr = parse_address(server.bound_address)
@@ -317,11 +402,20 @@ class TestWireProtocol:
         code, = struct.unpack_from("<H", resp, 5)
         assert code == ERR_MALFORMED
 
-    @pytest.mark.parametrize("batch,dim", [(0xFFFFFFFF, 0xFFFFFFFF),
-                                           (MAX_PAYLOAD_BYTES // (4 * INPUT_DIM) + 1,
-                                            INPUT_DIM)])
-    def test_oversize_header_is_refused_and_server_survives(self, server, batch, dim):
-        resp = self._raw(server, MAGIC + struct.pack("<BII", MSG_EMBED, batch, dim))
+    ROWS_OVER = MAX_PAYLOAD_BYTES // (4 * INPUT_DIM) + 1
+
+    @pytest.mark.parametrize("header", [
+        struct.pack("<BII", MSG_EMBED, 0xFFFFFFFF, 0xFFFFFFFF),
+        struct.pack("<BII", MSG_EMBED, ROWS_OVER, INPUT_DIM),
+        # the two bodies together are one row too large
+        struct.pack("<BIII", MSG_EMBED_EDITS, ROWS_OVER // 2, ROWS_OVER - ROWS_OVER // 2,
+                    INPUT_DIM),
+        # small bodies whose edited rows would not fit
+        struct.pack("<BIII", MSG_EMBED_EDITS, 512, ROWS_OVER // 512 + 1, INPUT_DIM),
+    ], ids=[f"{0xFFFFFFFF}-{0xFFFFFFFF}", f"{ROWS_OVER}-{INPUT_DIM}", "edits-bodies",
+            "edits-expansion"])
+    def test_oversize_header_is_refused_and_server_survives(self, server, header):
+        resp = self._raw(server, MAGIC + header)
         assert resp[:5] == MAGIC + bytes([MSG_ERROR])
         code, = struct.unpack_from("<H", resp, 5)
         assert code == ERR_MALFORMED
@@ -351,6 +445,45 @@ class TestWireProtocol:
             assert client.embed(_batch(2)).shape == (2, 32)
         finally:
             client.close()
+
+    @pytest.mark.parametrize("header", [
+        struct.pack("<BII", MSG_EMBED, 0, INPUT_DIM),
+        struct.pack("<BIII", MSG_EMBED_EDITS, 1, 0, INPUT_DIM),
+        struct.pack("<BIII", MSG_EMBED_EDITS, 0, 2, INPUT_DIM),
+    ], ids=["embed-no-rows", "edits-no-edits", "edits-no-rows"])
+    def test_zero_row_request_keeps_the_connection(self, server, header):
+        sizes = struct.unpack_from(f"<{(len(header) - 1) // 4}I", header, 1)
+        body = np.zeros(sum(sizes[:-1]) * INPUT_DIM, dtype="<f4").tobytes()
+        x = _batch(1)
+        with _connect(server) as sock:
+            sock.settimeout(5)
+            sock.sendall(MAGIC + header + body)
+            msg_type, payload = _read_frame(sock)
+            assert msg_type == MSG_ERROR
+            assert struct.unpack_from("<H", payload)[0] == ERR_DIM_MISMATCH
+            sock.sendall(MAGIC + struct.pack("<BII", MSG_EMBED, 1, INPUT_DIM) + x.tobytes())
+            msg_type, payload = _read_frame(sock)
+        assert msg_type == MSG_EMBED_RESPONSE
+        assert payload[8:] == encoder_forward(server.encoder, x).tobytes()
+
+    def test_a_frame_larger_than_the_send_buffer_arrives_whole(self):
+        # with a timeout, as both ends of the protocol set one, sendmsg
+        # sends what fits in the buffer; the rest must follow
+        x, y = _batch(64), _batch(16, rng_seed=1)
+        a, b = socket.socketpair()
+        with a, b:
+            a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            a.settimeout(5)
+            b.settimeout(5)
+            sender = threading.Thread(target=ude.oracle._send_frame, args=(a, b"head", x, y),
+                                      daemon=True)
+            sender.start()
+            got = b""
+            while len(got) < 4 + x.nbytes + y.nbytes and (chunk := b.recv(65536)):
+                got += chunk
+            sender.join(timeout=5)
+        assert not sender.is_alive()
+        assert got == b"head" + x.tobytes() + y.tobytes()
 
     def test_bad_magic_closes_with_error(self, server):
         resp = self._raw(server, b"XXXX" + b"\x00" * 16)
@@ -384,6 +517,19 @@ class TestConcurrentConnections:
             assert sock.recv(1) == b""
 
 
+def _read_frame(sock: socket.socket) -> tuple[int, bytes]:
+    """One response or error frame: its type and everything after it."""
+    head = sock.recv(9, socket.MSG_WAITALL)
+    assert head[:4] == MAGIC
+    if head[4] == MSG_EMBED_RESPONSE:
+        head += sock.recv(4, socket.MSG_WAITALL)
+        b, d = struct.unpack_from("<II", head, 5)
+        size = 4 * b * d
+    else:
+        size = struct.unpack_from("<H", head, 7)[0]
+    return head[4], head[5:] + sock.recv(size, socket.MSG_WAITALL)
+
+
 def _assert_whole_frames(reply: bytes) -> None:
     """A reply stream must be whole embedding or error frames, each starting
     with MAGIC."""
@@ -403,14 +549,18 @@ def _assert_whole_frames(reply: bytes) -> None:
 @st.composite
 def _request_like(draw):
     """A frame with a right or wrong magic and message type, at most 8 x 512
-    declared, and a body of finite f32 values."""
+    declared (and, for an embed-edits frame, at most 8 edits), and a body of
+    finite f32 values."""
     magic = draw(st.just(MAGIC) | st.sampled_from([b"UDE2", b"\x00" * 4]))
-    msg_type = draw(st.just(MSG_EMBED) | st.integers(0, 255))
+    msg_type = draw(st.sampled_from([MSG_EMBED, MSG_EMBED_EDITS]) | st.integers(0, 255))
     batch = draw(st.integers(0, 8))
+    edits = draw(st.integers(0, 8)) if msg_type == MSG_EMBED_EDITS else None
     dim = draw(st.just(INPUT_DIM) | st.integers(0, 512))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    body = rng.standard_normal(batch * dim).astype("<f4").tobytes()
-    return magic + struct.pack("<BII", msg_type, batch, dim) + body
+    body = rng.standard_normal((batch + (edits or 0)) * dim).astype("<f4").tobytes()
+    if edits is None:
+        return magic + struct.pack("<BII", msg_type, batch, dim) + body
+    return magic + struct.pack("<BIII", msg_type, batch, edits, dim) + body
 
 
 # garbage never holds MAGIC, so no header it runs into declares a large body

@@ -7,10 +7,11 @@ import pytest
 
 import ude.pipeline
 from ude.datagen import CellCounts, SynthConfig
-from ude.editing import EditArtifact, apply_edit
+from ude.editing import EditArtifact
 from ude.gezo import GezoConfig
 from ude.models import (
     TrainConfig,
+    apply_edit,
     build_encoder,
     encoder_forward,
     head_accuracy,
