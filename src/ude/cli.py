@@ -8,13 +8,15 @@ serve and noise-map, --seed; the stage verbs and run also take --mode and
 Exit codes: 0 ok, 2 config error (including a non-finite or boolean config
 float, a synth amplitude beyond 1e6 or a negative noise_sigma, a
 non-integer or boolean seed, count or region index, a count grid object
-without "n", a non-string out_dir, an --out that a stage verb, run or sweep
-cannot create, an empty --oracle or serve --address or one whose port is
-not an integer in [0, 65535], an address serve cannot listen on, a
-noise-map --top-fraction outside (0, 1], and sweep --seed with --seeds), 3
+without "n", a non-string out_dir or oracle, an --out that a stage verb,
+run or sweep cannot create, an empty --oracle or serve --address or one
+whose port is not an integer in [0, 65535], an address serve cannot listen
+on, a noise-map --top-fraction outside (0, 1], and sweep --seed with
+--seeds; the config is checked with --seed, --out, --mode and --oracle set
+over the file's fields, each of which must be well-formed on its own), 3
 capability error, 4 remote/protocol error (including a server that cannot
-be reached or does not answer in time), 5 undefined metric, 6
-edit learning or head training diverged (a non-finite loss, edit or head
+be reached or does not answer in time), 5 undefined metric, 6 edit
+learning or head training diverged (a non-finite loss, edit or head
 parameter at the end of an epoch), 7 a stage input (an artifact an earlier
 stage writes) is missing or corrupt, a head in it is not [E, 2] / [2] or
 its E is not the embedding width of the config's encoder, or a noise-map
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .editing import load_edit, write_noise_map_csv
 from .fairness import UndefinedMetric
@@ -54,12 +55,13 @@ EXIT_ARTIFACT = 7
 
 
 def _load_config(args) -> PipelineConfig:
-    """The --config file's config, or the default, with the given flags
-    applied in one replace, so the config is validated once more."""
-    cfg = PipelineConfig.from_json_file(args.config) if args.config else PipelineConfig()
+    """The --config file's config, or the default, with the given flags set
+    over its fields before the result is checked (PipelineConfig.from_dict)."""
     flags = {"seed": getattr(args, "seed", None), "out_dir": args.out,
              "mode": getattr(args, "mode", None), "oracle": getattr(args, "oracle", None)}
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    flags = {k: v for k, v in flags.items() if v is not None}
+    return (PipelineConfig.from_json_file(args.config, **flags) if args.config
+            else PipelineConfig.from_dict({}, **flags))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,8 @@
 tensor added to every input, trained by Adam to maximize the frozen
 group-attribute head's cross-entropy while an L2 penalty keeps it small.
 Also the downstream pieces: training the disease head on edited inputs
-(models.apply_edit) and exporting the per-pixel noise map.
+and exporting the per-pixel noise map. Every edit reaches an input through
+the oracle (embed_edits, embed_vjp), which adds it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import LinearHead, TrainConfig, apply_edit, fit_heads, head_forward
+from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
     bind_optimizer_step,
     check_counts,
@@ -75,9 +76,7 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
     norm call.
     """
     stack = np.atleast_2d(eps)
-    m, b = stack.shape[0], batch.shape[0]
-    z = oracle.embed_edits(batch, stack)
-    logits = head_forward(sa_head, z.reshape(m, b, -1))
+    logits = head_forward(sa_head, oracle.embed_edits(batch, stack))
     labels = check_labels(sa_labels)
     shifted, _, sums = softmax_terms(logits)
     means = np.mean(cross_entropy_batch(shifted, sums, labels), axis=1).astype(np.float64)
@@ -89,8 +88,8 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
                         sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """(objective, d objective / d eps) on one batch, gradients through the
     encoder: -(1/B) sum_i dCE_i/dx_i + lam * eps/||eps||. One oracle query,
-    which embeds the batch once for both."""
-    zb, vjp = oracle.embed_vjp(apply_edit(batch, eps))
+    which embeds the edited batch once for both."""
+    zb, vjp = oracle.embed_vjp(batch, eps)
     logits = head_forward(sa_head, zb)
     labels = check_labels(sa_labels)
     shifted, exps, sums = softmax_terms(logits)
@@ -140,10 +139,9 @@ def train_fair_disease(oracle, edits: list[np.ndarray], images: np.ndarray,
     """Train one disease head per edit on embeddings of the inputs with that
     edit applied, all in one loop (models.fit_heads); only the heads are
     trainable. Returns one (head, trace) per edit. A zero edit is exactly
-    the plain (unedited) baseline path."""
-    # one edited copy of the inputs alive at a time: each is dropped once
-    # it is embedded
-    z = np.stack([oracle.embed(apply_edit(images, eps)) for eps in edits])
+    the plain (unedited) baseline path. One oracle call per edit, so one
+    edited copy of the inputs is alive at a time."""
+    z = np.concatenate([oracle.embed_edits(images, eps[None]) for eps in edits])
     return fit_heads(z, disease_labels, cfg, seed)
 
 

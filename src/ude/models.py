@@ -1,7 +1,6 @@
 """The frozen embedding encoder (a fixed 2-hidden-layer tanh MLP standing in
-for a hosted foundation-model encoder), the edit it is queried through, and
-the trainable binary linear heads, with hand-derived forward and backward
-passes.
+for a hosted foundation-model encoder) and the trainable binary linear
+heads, with hand-derived forward and backward passes.
 """
 
 from __future__ import annotations
@@ -126,14 +125,6 @@ def encoder_vjp(enc: FrozenEncoder, batch: np.ndarray):
 def encoder_forward(enc: FrozenEncoder, batch: np.ndarray) -> np.ndarray:
     """Embed a batch [B,D] -> [B,E]; pure function of (weights, batch)."""
     return encoder_vjp(enc, batch)[0]
-
-
-def apply_edit(images: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """images + eps in the images' dtype; the one place an edit meets an
-    input, on the client and in the embedding server alike."""
-    if images.shape[-1] != eps.shape[-1]:
-        raise ValueError(f"edit dim {eps.shape[-1]} != image dim {images.shape[-1]}")
-    return images + eps.astype(images.dtype)
 
 
 @dataclass

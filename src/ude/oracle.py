@@ -12,28 +12,24 @@ Wire protocol (little-endian):
               | batch*dim f32 | edits*dim f32
     response: magic "UDE1" | msg_type u8 = 0x81 | batch u32 | edim u32 | batch*edim f32
     error:    magic "UDE1" | msg_type u8 = 0xFF | code u16 | len u16 | utf-8 message
-One request per round-trip, and one request may carry several logical
-queries: `embed(batch, queries=q)` sends the q queries' rows, in order, as
-one [B, D] matrix, and the oracle counts q queries of B/q rows each but one
-round trip. `embed_edits(batch, edits)` sends a [B, D] batch once and M
-edits; the server builds the M*B edited rows, edit-major, with the
-client's own models.apply_edit and answers them as one ordinary response,
-counted as M queries of B rows and one round trip. Every matrix frame goes
-out in one sendmsg call straight from its arrays, and every body is read
-straight into the array it fills. Connections may be reused; the server
-serves
-each connection on its own thread and closes one that stays silent for
-SERVER_TIMEOUT_S, so an idle or stalled peer never holds up another; a
-client whose reused connection ends before the first byte of an answer
-sends that request once more on a fresh one. A request whose bodies, or
-whose edited rows, would take more than MAX_PAYLOAD_BYTES is refused from
-its header, before any body byte is read: the server answers ERR_MALFORMED
-and closes. An empty batch, no edits or a dim other than the encoder's get
-ERR_DIM_MISMATCH, and the connection stays open. The client checks a
-response's header, its row count and, after the first response, its
-width, before it reads the body, and raises ProtocolError for any
-mismatch, for an oversize body and when a connect, send or receive waits
-longer than CLIENT_TIMEOUT_S.
+One request per round-trip. `embed_edits(batch, edits)` sends a [B, D]
+batch once and M edits; the server builds the M*B edited rows with
+_apply_edits, as the in-process oracle does, and answers them as one
+ordinary response, counted as M queries of B rows and one round trip.
+Every matrix frame goes out in one sendmsg call straight from its arrays,
+and every body is read straight into the array it fills. Connections may
+be reused; the server serves each connection on its own thread and closes
+one that stays silent for SERVER_TIMEOUT_S, so an idle or stalled peer
+never holds up another; a client whose reused connection ends before the
+first byte of an answer sends that request once more on a fresh one. A
+request whose bodies, or whose edited rows, would take more than
+MAX_PAYLOAD_BYTES is refused from its header, before any body byte is
+read: the server answers ERR_MALFORMED and closes. An empty batch, no
+edits or a dim other than the encoder's get ERR_DIM_MISMATCH, and the
+connection stays open. The client checks a response's header, its row
+count and, after the first response, its width, before it reads the body,
+and raises ProtocolError for any mismatch, for an oversize body and when a
+connect, send or receive waits longer than CLIENT_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -45,8 +41,7 @@ import threading
 
 import numpy as np
 
-from .models import FrozenEncoder, apply_edit, encoder_forward, encoder_vjp
-from .numerics import check_counts
+from .models import FrozenEncoder, encoder_forward, encoder_vjp
 
 MAGIC = b"UDE1"
 MSG_EMBED = 0x01
@@ -69,6 +64,13 @@ FORWARD_ONLY = "forward_only"
 FORWARD_WITH_INPUT_GRAD = "forward_with_input_grad"
 
 
+def _apply_edits(batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
+    """The [M*B, D] rows of the [B, D] batch under each of the [M, D]
+    edits, edit-major, in the batch's dtype: the one place an edit meets an
+    input, in the in-process oracle and the embedding server alike."""
+    return (batch[None] + edits[:, None].astype(batch.dtype)).reshape(-1, batch.shape[1])
+
+
 class CapabilityError(RuntimeError):
     """Gradient access requested from a forward-only oracle."""
 
@@ -83,8 +85,8 @@ class EmbeddingOracle:
     """Base oracle: counts queries, validates batches, dispatches to a backing.
 
     query_counter is the logical (queries, rows) cost; round_trips is the
-    number of physical embed/embed_vjp calls answered, each of which may
-    carry several logical queries."""
+    number of physical embed, embed_edits and embed_vjp calls answered, each
+    of which may carry several logical queries."""
 
     capability = FORWARD_ONLY
 
@@ -119,15 +121,11 @@ class EmbeddingOracle:
         for _ in range(queries):
             self._count(rows // queries)
 
-    def _check_batch(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
-        """The batch as an array; ValueError unless it is a nonempty [B,D]
-        whose rows split evenly into `queries` >= 1 queries."""
+    def _check_batch(self, batch: np.ndarray) -> np.ndarray:
+        """The batch as an array; ValueError unless it is a nonempty [B,D]."""
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[0] == 0:
             raise ValueError(f"batch must be nonempty [B,D], got shape {batch.shape}")
-        check_counts(queries=queries)
-        if batch.shape[0] % queries:
-            raise ValueError(f"{batch.shape[0]} rows do not split into {queries} queries")
         return batch
 
     def _check_edits(self, batch: np.ndarray, edits: np.ndarray):
@@ -140,22 +138,18 @@ class EmbeddingOracle:
                              f"got shape {edits.shape}")
         return batch, edits
 
-    def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
-        """Embeddings [B,E] of the rows of `batch`, counted as `queries`
-        logical queries of B/queries rows each and one round trip."""
+    def embed(self, batch: np.ndarray) -> np.ndarray:
+        """Embeddings [B,E] of `batch`: one logical query, one round trip."""
         raise NotImplementedError
 
     def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
-        """Embeddings [M*B,E] of the [B,D] `batch` under each of the [M,D]
-        `edits`, edit-major: rows i*B to (i+1)*B-1 embed
-        apply_edit(batch, edits[i]). Counted as M logical queries of B rows
-        and one round trip, as embed(rows, queries=M) counts them."""
-        batch, edits = self._check_edits(batch, edits)
-        rows = apply_edit(batch[None], edits[:, None]).reshape(-1, batch.shape[1])
-        return self.embed(rows, queries=edits.shape[0])
+        """Embeddings [M,B,E] of the [B,D] `batch` under each of the [M,D]
+        `edits`: [i] embeds batch + edits[i]. Counted as M logical queries
+        of B rows and one round trip."""
+        raise NotImplementedError
 
-    def embed_vjp(self, batch: np.ndarray):
-        """(embeddings, vjp) from one forward; see models.encoder_vjp."""
+    def embed_vjp(self, batch: np.ndarray, eps: np.ndarray):
+        """(embeddings, vjp) of batch + eps; see models.encoder_vjp."""
         raise CapabilityError("this oracle is forward-only; no input gradients")
 
     def close(self) -> None:
@@ -170,18 +164,23 @@ class InProcessOracle(EmbeddingOracle):
         self.encoder = encoder
         self.capability = capability
 
-    def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
-        batch = self._check_batch(batch, queries)
-        z = encoder_forward(self.encoder, batch)
-        self._record(batch.shape[0], queries)
+    def embed(self, batch: np.ndarray) -> np.ndarray:
+        z = encoder_forward(self.encoder, self._check_batch(batch))
+        self._record(z.shape[0], 1)
         return z
 
-    def embed_vjp(self, batch):
-        """One logical query, like embed, that also returns the VJP."""
+    def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
+        batch, edits = self._check_edits(batch, edits)
+        z = encoder_forward(self.encoder, _apply_edits(batch, edits))
+        self._record(z.shape[0], edits.shape[0])
+        return z.reshape(edits.shape[0], batch.shape[0], -1)
+
+    def embed_vjp(self, batch, eps):
+        """One logical query, like embed_edits with one edit, plus the VJP."""
         if self.capability != FORWARD_WITH_INPUT_GRAD:
             raise CapabilityError("oracle is forward-only; use zeroth-order optimization")
-        batch = self._check_batch(batch)
-        z, vjp = encoder_vjp(self.encoder, batch)
+        batch, edits = self._check_edits(batch, np.asarray(eps)[None])
+        z, vjp = encoder_vjp(self.encoder, _apply_edits(batch, edits))
         self._record(batch.shape[0], 1)
         return z, vjp
 
@@ -379,9 +378,9 @@ class RemoteOracle(EmbeddingOracle):
         self._record(rows, queries)
         return z
 
-    def embed(self, batch: np.ndarray, queries: int = 1) -> np.ndarray:
-        batch = self._check_batch(batch, queries)
-        return self._query(batch.shape[0], queries,
+    def embed(self, batch: np.ndarray) -> np.ndarray:
+        batch = self._check_batch(batch)
+        return self._query(batch.shape[0], 1,
                            MAGIC + struct.pack("<BII", MSG_EMBED, *batch.shape), batch)
 
     def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
@@ -389,9 +388,8 @@ class RemoteOracle(EmbeddingOracle):
         server: the request carries the batch once and the M edits."""
         batch, edits = self._check_edits(batch, edits)
         (b, d), m = batch.shape, edits.shape[0]
-        return self._query(m * b, m,
-                           MAGIC + struct.pack("<BIII", MSG_EMBED_EDITS, b, m, d),
-                           batch, edits)
+        return self._query(m * b, m, MAGIC + struct.pack("<BIII", MSG_EMBED_EDITS, b, m, d),
+                           batch, edits).reshape(m, b, -1)
 
 
 class _EmbedHandler(socketserver.BaseRequestHandler):
@@ -425,7 +423,7 @@ class _EmbedHandler(socketserver.BaseRequestHandler):
                 if edits.shape[0] == 0:
                     conn.sendall(_pack_error(ERR_DIM_MISMATCH, "expected at least one edit"))
                     return True
-                batch = apply_edit(batch[None], edits[:, None]).reshape(-1, input_dim)
+                batch = _apply_edits(batch, edits)
             z = encoder_forward(self.server.encoder, batch)
             _send_frame(conn, MAGIC + struct.pack("<BII", MSG_EMBED_RESPONSE, *z.shape), z)
             return True

@@ -46,7 +46,6 @@ from .gezo import GezoConfig, learn_ude_gezo
 from .models import (
     LinearHead,
     TrainConfig,
-    apply_edit,
     build_encoder,
     head_accuracy,
     load_head,
@@ -101,31 +100,41 @@ class PipelineConfig:
     gezo: GezoConfig = field(default_factory=GezoConfig)
 
     def __post_init__(self):
-        if not (is_integer(self.seed) and is_integer(self.encoder_seed)):
-            raise ConfigError("seed and encoder_seed must be integers")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
-        if self.mode not in ("whitebox", "gezo"):
-            raise ConfigError(f"mode must be whitebox or gezo, got {self.mode!r}")
+        self._check_fields(vars(self))
         if self.mode == "whitebox" and self.oracle != "inprocess":
             raise ConfigError("whitebox mode needs gradient access; remote oracles "
                               "are forward-only by protocol")
-        if self.oracle != "inprocess":
-            try:
-                parse_address(self.oracle)
-            except ValueError as exc:
-                raise ConfigError(f"bad oracle address: {exc}") from exc
         if self.train_counts.total == 0 or self.test_counts.total == 0:
             raise ConfigError("train_counts and test_counts must not be all zero")
+
+    @staticmethod
+    def _check_fields(raw: dict) -> None:
+        """ConfigError for a seed, encoder_seed, out_dir, mode or oracle in
+        `raw` that is malformed on its own."""
+        if not all(is_integer(raw[key]) for key in ("seed", "encoder_seed") if key in raw):
+            raise ConfigError("seed and encoder_seed must be integers")
+        for key in ("out_dir", "oracle"):
+            if key in raw and not isinstance(raw[key], str):
+                raise ConfigError(f"{key} must be a string, got {raw[key]!r}")
+        if "mode" in raw and raw["mode"] not in ("whitebox", "gezo"):
+            raise ConfigError(f"mode must be whitebox or gezo, got {raw['mode']!r}")
+        if raw.get("oracle", "inprocess") != "inprocess":
+            try:
+                parse_address(raw["oracle"])
+            except ValueError as exc:
+                raise ConfigError(f"bad oracle address: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
+    def from_dict(cls, raw: dict, **overrides) -> "PipelineConfig":
+        """`raw`'s config with `overrides` set over it: each field of `raw`
+        must be well-formed, and the merged config consistent."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be an object, got {type(raw).__name__}")
-        raw = dict(raw)
+        cls._check_fields(raw)
+        raw = {**raw, **overrides}
         try:
             for key, ctor in (("synth", SynthConfig), ("sa_train", TrainConfig),
                               ("disease_train", TrainConfig), ("ude", UdeConfig),
@@ -141,13 +150,13 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
-    def from_json_file(cls, path) -> "PipelineConfig":
+    def from_json_file(cls, path, **overrides) -> "PipelineConfig":
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 JSON
             raise ConfigError(f"invalid config file {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, **overrides)
 
 
 def derive(cfg: PipelineConfig, tag: int) -> int:
@@ -232,16 +241,16 @@ def train_disease(cfg: PipelineConfig, oracle, store) -> None:
 def _evaluate(cfg: PipelineConfig, oracle, store) -> None:
     """Fairness reports on the balanced test set: "erm" for the plain disease
     head and, when there is a debiased head, "ude" for it on edited inputs.
-    Every input is taken before the test set is embedded, once per report."""
-    test, erm_head = store["test_data"], store["erm_head"]
-    head = store.get("disease_head")
-    eps = None if head is None else store["edit"].eps
-    z = store["test_embeddings"] = oracle.embed(test.images)
-    reports = store["reports"] = {
-        "erm": evaluate(erm_head, z, test.disease_labels, test.sa_labels)}
-    if head is not None:
-        z = store["edited_test_embeddings"] = oracle.embed(apply_edit(test.images, eps))
-        reports["ude"] = evaluate(head, z, test.disease_labels, test.sa_labels)
+    Every input is taken before the test set is embedded under the zero
+    edit and the learned one, in one oracle call."""
+    test, heads = store["test_data"], {"erm": store["erm_head"]}
+    edits = [np.zeros(test.images.shape[1], dtype=np.float32)]
+    if "disease_head" in store:
+        heads["ude"] = store["disease_head"]
+        edits.append(store["edit"].eps)
+    z = store["test_embeddings"] = oracle.embed_edits(test.images, np.stack(edits))
+    store["reports"] = {name: evaluate(head, zk, test.disease_labels, test.sa_labels)
+                        for (name, head), zk in zip(heads.items(), z)}
 
 
 @dataclass(frozen=True)
@@ -422,9 +431,10 @@ def run_experiment(cfg: PipelineConfig, oracle=None, grad_oracle=None) -> Experi
     """
     run = run_stages(cfg, STAGES, {}, oracle, grad_oracle)
     sa_head, test, reports = run["sa_head"], run["test_data"], run["reports"]
+    clean, edited = run["test_embeddings"]
     return ExperimentResult(
-        sa_acc_clean=head_accuracy(sa_head, run["test_embeddings"], test.sa_labels),
-        sa_acc_edited=head_accuracy(sa_head, run["edited_test_embeddings"], test.sa_labels),
+        sa_acc_clean=head_accuracy(sa_head, clean, test.sa_labels),
+        sa_acc_edited=head_accuracy(sa_head, edited, test.sa_labels),
         edit=run["edit"], erm_report=reports["erm"], ude_report=reports["ude"],
         train=run["train_data"], test=test)
 

@@ -110,6 +110,7 @@ def mutated_configs(draw):
 @example(raw={"sa_train": {"lr": True}})
 @example(raw={"ude": {"lam": False}})
 @example(raw={"synth": {"noise_sigma": -0.4}})
+@example(raw={"oracle": ["127.0.0.1:7447"], "mode": "gezo"})
 @settings(max_examples=150, deadline=None)
 def test_generate_exits_0_exactly_on_an_accepted_config(raw):
     text = json.dumps(raw)  # NaN and Infinity included
@@ -169,6 +170,19 @@ class TestExitCodes:
         cfg = write_tiny_config(tmp_path)
         assert main(["learn-edit", "--config", cfg, "--mode", "whitebox",
                      "--oracle", "127.0.0.1:9"]) == EXIT_CONFIG
+
+    def test_flags_are_set_over_the_file_before_it_is_checked(self, tmp_path, capsys):
+        # white-box with a remote oracle is invalid alone; --mode gezo makes
+        # it a valid config whose server is down
+        cfg = write_tiny_config(tmp_path, oracle="127.0.0.1:1")
+        assert main(["run", "--config", cfg, "--mode", "gezo"]) == EXIT_REMOTE
+        assert capsys.readouterr().err.startswith("remote error: ")
+        cfg = write_tiny_config(tmp_path, mode="gezo", oracle="127.0.0.1:1")
+        out = tmp_path / "whitebox"
+        assert main(["run", "--config", cfg, "--mode", "whitebox",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "whitebox mode needs gradient access" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_remote_error_when_server_down(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, mode="gezo")
@@ -292,7 +306,8 @@ class TestExitCodes:
         {"synth": {"shared_region": ""}}, {"synth": {"noise_sigma": 3.4e38}},
         {"sa_train": {"lr": True}}, {"ude": {"lam": False}}, {"gezo": {"init_step": True}},
         {"gezo": {"momentum": False}}, {"synth": {"signal_amp": True}},
-        {"synth": {"noise_sigma": -0.4}},
+        {"synth": {"noise_sigma": -0.4}}, {"oracle": ["127.0.0.1:7447"], "mode": "gezo"},
+        {"oracle": {"x": 1}, "mode": "gezo"},
     ], ids=json.dumps)
     def test_malformed_config_is_config_error(self, tmp_path, capsys, raw):
         # stage seeds derive from the global seed, so sub-configs take none

@@ -21,7 +21,6 @@ from ude.models import (
     INPUT_DIM,
     LinearHead,
     TrainConfig,
-    apply_edit,
     head_accuracy,
     train_head,
 )
@@ -154,18 +153,6 @@ class TestWhiteboxLearning:
         batches = cfg.epochs * -(-n // cfg.batch_size)
         assert calls == {"encoder_vjp": batches, "encoder_forward": 0}
         assert oracle.query_counter == (batches, cfg.epochs * n)
-
-
-class TestApplyEdit:
-    def test_addition(self):
-        x = np.zeros((2, 4), dtype=np.float32)
-        eps = np.arange(4, dtype=np.float32)
-        assert np.array_equal(apply_edit(x, eps), np.stack([eps, eps]))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_edit(np.zeros((1, 3), dtype=np.float32),
-                       np.zeros(4, dtype=np.float32))
 
 
 class TestDiseaseTraining:

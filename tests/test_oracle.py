@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ude.oracle
-from ude.models import INPUT_DIM, apply_edit, encoder_forward
+from ude.models import INPUT_DIM, encoder_forward, encoder_vjp
 from ude.oracle import (
     FORWARD_ONLY,
     FORWARD_WITH_INPUT_GRAD,
@@ -64,16 +64,29 @@ class TestInProcessOracle:
     def test_forward_only_refuses_gradients(self, encoder):
         oracle = InProcessOracle(encoder, capability=FORWARD_ONLY)
         with pytest.raises(CapabilityError):
-            oracle.embed_vjp(_batch(2))
+            oracle.embed_vjp(_batch(2), np.zeros(INPUT_DIM, np.float32))
         assert oracle.query_counter == (0, 0)
 
-    def test_grad_capability_allows_gradients(self, encoder):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embed_vjp_is_the_encoder_vjp_of_the_edited_batch(self, encoder, dtype):
         oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
-        x = _batch(2)
-        z, vjp = oracle.embed_vjp(x)
-        assert z.tobytes() == encoder_forward(encoder, x).tobytes()
-        assert vjp(np.zeros((2, 32), dtype=np.float32)).shape == (2, INPUT_DIM)
-        assert oracle.query_counter == (1, 2)  # one logical query, like embed
+        x = _batch(3).astype(dtype)
+        eps = (_batch(1, rng_seed=1)[0] * 0.1).astype(dtype)
+        upstream = _batch(3, rng_seed=2)[:, :32].astype(dtype)
+        z, vjp = oracle.embed_vjp(x, eps)
+        want_z, want_vjp = encoder_vjp(encoder, x + eps)
+        assert z.dtype == dtype
+        assert z.tobytes() == want_z.tobytes()
+        assert vjp(upstream).tobytes() == want_vjp(upstream).tobytes()
+        assert (oracle.query_counter, oracle.round_trips) == ((1, 3), 1)  # like embed
+
+    @pytest.mark.parametrize("eps", [np.zeros((1, INPUT_DIM)), np.zeros(INPUT_DIM + 1),
+                                     np.float32(0)], ids=["stacked", "dim", "scalar"])
+    def test_embed_vjp_takes_one_edit_of_the_batch_dim(self, encoder, eps):
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        with pytest.raises(ValueError):
+            oracle.embed_vjp(_batch(2), eps)
+        assert (oracle.query_counter, oracle.round_trips) == ((0, 0), 0)
 
     def test_unknown_capability_rejected(self, encoder):
         with pytest.raises(ValueError):
@@ -116,19 +129,12 @@ def oracle(request, encoder):
 
 
 class TestLogicalQueries:
-    def test_one_call_counts_q_queries_and_one_round_trip(self, encoder, oracle):
-        x = _batch(6)
-        z = oracle.embed(x, queries=3)
-        assert z.tobytes() == encoder_forward(encoder, x).tobytes()
+    def test_one_call_counts_m_queries_and_one_round_trip(self, oracle):
+        x, edits = _batch(2), _batch(3, rng_seed=1)
+        assert oracle.embed_edits(x, edits).shape == (3, 2, 32)
         assert (oracle.query_counter, oracle.round_trips) == ((3, 6), 1)
         oracle.embed(x)
-        assert (oracle.query_counter, oracle.round_trips) == ((4, 12), 2)
-
-    @pytest.mark.parametrize("queries", [0, -1, 4, 7])
-    def test_queries_must_split_the_rows(self, oracle, queries):
-        with pytest.raises(ValueError):
-            oracle.embed(_batch(6), queries=queries)
-        assert (oracle.query_counter, oracle.round_trips) == ((0, 0), 0)
+        assert (oracle.query_counter, oracle.round_trips) == ((4, 8), 2)
 
 
 class TestEmbedEdits:
@@ -145,8 +151,9 @@ class TestEmbedEdits:
         got = oracle.embed_edits(batch, edits)
         assert oracle.query_counter == (calls + m, samples + m * b)
         assert oracle.round_trips == trips + 1
-        rows = apply_edit(batch[None], edits[:, None]).reshape(m * b, -1)
-        assert got.tobytes() == oracle.embed(rows, queries=m).tobytes()
+        assert got.shape == (m, b, 32)
+        for i in range(m):
+            assert got[i].tobytes() == oracle.embed(batch + edits[i]).tobytes()
 
     @pytest.mark.parametrize("batch,edits", [
         ((2, INPUT_DIM), (3, INPUT_DIM + 1)),
@@ -205,7 +212,7 @@ class TestRemoteOracle:
         client = RemoteOracle(server.bound_address)
         assert client.capability == FORWARD_ONLY
         with pytest.raises(CapabilityError):
-            client.embed_vjp(_batch(1))
+            client.embed_vjp(_batch(1), np.zeros(INPUT_DIM, np.float32))
         client.close()
 
     def test_dim_mismatch_error_code(self, server):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import ude.pipeline
-from ude.datagen import CellCounts, SynthConfig
+from ude.cli import EXIT_OK, main
+from ude.datagen import CellCounts, SynthConfig, load_dataset
 from ude.editing import EditArtifact
 from ude.gezo import GezoConfig
 from ude.models import (
     TrainConfig,
-    apply_edit,
     build_encoder,
     encoder_forward,
     head_accuracy,
@@ -60,6 +60,34 @@ def staged(cfg, *names) -> RunDirectory:
     """The named stages run against cfg's output directory, as the stage
     verbs run them."""
     return run_stages(cfg, names, RunDirectory(cfg))
+
+
+class RecordingOracle(InProcessOracle):
+    """An in-process oracle that keeps each call's method, batch and edits."""
+
+    def __init__(self, encoder, capability=FORWARD_ONLY):
+        super().__init__(encoder, capability)
+        self.calls = []
+
+    def embed(self, batch):
+        self.calls.append(("embed", batch, None))
+        return super().embed(batch)
+
+    def embed_edits(self, batch, edits):
+        self.calls.append(("embed_edits", batch, edits))
+        return super().embed_edits(batch, edits)
+
+    def embed_vjp(self, batch, eps):
+        self.calls.append(("embed_vjp", batch, eps))
+        return super().embed_vjp(batch, eps)
+
+
+def assert_raw_rows(calls, *image_sets):
+    """Every batch of `calls` is rows of the given images, unedited."""
+    rows = {row.tobytes() for images in image_sets for row in images}
+    for method, batch, _ in calls:
+        assert batch.dtype == np.float32, method
+        assert all(row.tobytes() in rows for row in batch), method
 
 
 class TestConfig:
@@ -241,7 +269,7 @@ class TestRunExperiment:
         sa_head = run_stages(cfg, ["train_sa"], {"train_data": result.train},
                              InProcessOracle(enc))["sa_head"]
         test = result.test
-        edited = apply_edit(test.images, result.edit.eps)
+        edited = test.images + result.edit.eps
         assert result.sa_acc_clean == head_accuracy(sa_head, oracle.embed(test.images),
                                                     test.sa_labels)
         assert result.sa_acc_edited == head_accuracy(sa_head, oracle.embed(edited),
@@ -254,28 +282,72 @@ class TestTrainDisease:
                                                           with_edit):
         # the logical query count of a pipeline (perfbench's
         # gezo_expected_queries) counts one embed per disease head
-        class Recording(InProcessOracle):
-            def __init__(self, encoder):
-                super().__init__(encoder)
-                self.rows = []
-
-            def embed(self, batch):
-                self.rows.append(batch.shape[0])
-                return super().embed(batch)
-
         cfg = tiny_config(tmp_path)
         run = run_stages(cfg, ["generate"], {})
         train = run["train_data"]
         if with_edit:
             eps = np.full(train.images.shape[1], 0.1, dtype=np.float32)
             run["edit"] = EditArtifact(eps, [], [], {}, seed=0)
-        oracle = Recording(encoder)
+        oracle = RecordingOracle(encoder)
         train_disease(cfg, oracle, run)
         n = train.images.shape[0]
-        assert oracle.rows == ([n, n] if with_edit else [n])
+        calls = [(method, batch.shape[0], edits.shape)
+                 for method, batch, edits in oracle.calls]
+        dim = train.images.shape[1]
+        assert calls == [("embed_edits", n, (1, dim))] * (2 if with_edit else 1)
+        assert oracle.query_counter == ((2, 2 * n) if with_edit else (1, n))
         assert ("disease_head" in run) == with_edit
         if with_edit:
             assert head_bytes(run["disease_head"]) != head_bytes(run["erm_head"])
+
+
+class TestEditsMeetInputsInTheOracle:
+    """Every batch an oracle is asked to embed is rows of the run's raw
+    images; the edits travel beside them, and the oracle adds them."""
+
+    @pytest.mark.parametrize("mode", ["whitebox", "gezo"])
+    def test_run_experiment(self, tmp_path, encoder, mode):
+        cfg = tiny_config(tmp_path, mode=mode)
+        oracle = RecordingOracle(encoder)
+        grad = RecordingOracle(encoder, FORWARD_WITH_INPUT_GRAD)
+        result = run_experiment(cfg, oracle=oracle,
+                                grad_oracle=grad if mode == "whitebox" else None)
+        assert_raw_rows(oracle.calls + grad.calls, result.train.images,
+                        result.test.images)
+        # train-sa 1, train-disease 2 (one per head), evaluate 1, and in
+        # GeZO mode one per local iteration; white-box steps are full-batch
+        gezo_trips = cfg.gezo.epochs * cfg.gezo.local_iters if mode == "gezo" else 0
+        assert oracle.round_trips == 4 + gezo_trips
+        assert grad.round_trips == (cfg.ude.epochs if mode == "whitebox" else 0)
+
+    @pytest.mark.parametrize("mode", ["whitebox", "gezo"])
+    def test_stage_verbs(self, tmp_path, monkeypatch, mode):
+        built = []
+
+        def recording(cfg):
+            made = make_oracle(cfg)
+            built.append(RecordingOracle(made.encoder, made.capability))
+            return built[-1]
+
+        monkeypatch.setattr(ude.pipeline, "make_oracle", recording)
+        cfg = tiny_config(tmp_path / "run", mode=mode)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        trips = {}
+        for verb in ("generate", "train-sa", "learn-edit", "train-disease", "evaluate"):
+            assert main([verb, "--config", str(path)]) == EXIT_OK, verb
+            if verb != "generate":
+                trips[verb] = built[-1].round_trips
+        assert len(built) == 4
+        data = tmp_path / "run" / "data"
+        assert_raw_rows([call for oracle in built for call in oracle.calls],
+                        load_dataset(data / "train").images,
+                        load_dataset(data / "test").images)
+        edit_trips = (cfg.gezo.epochs * cfg.gezo.local_iters if mode == "gezo"
+                      else cfg.ude.epochs)
+        # train-sa also embeds the training set for the saved head's accuracy
+        assert trips == {"train-sa": 2, "learn-edit": edit_trips, "train-disease": 2,
+                         "evaluate": 1}
 
 
 class TestSweep:
