@@ -61,6 +61,8 @@ def greedy_gradient(oracle, sa_head: LinearHead, batch: np.ndarray,
     signed = np.stack((-deltas, deltas), axis=1).reshape(2 * samples, -1)
     losses = edit_objective_batch(oracle, sa_head, batch, sa_labels, eps + signed, lam)
     d_best = None
+    # one loss stands for every candidate when a stubbed objective returns a
+    # float (acceptance criterion 07 stubs it with math.inf)
     for i, loss in enumerate(np.broadcast_to(losses, (2 * samples,)).tolist()):
         if loss < best_loss:
             best_loss, d_best = loss, signed[i]

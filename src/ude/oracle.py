@@ -7,25 +7,26 @@ message type at all, so black-box access is enforced by the wire format
 rather than by convention.
 
 Wire protocol (little-endian):
-    embed:    magic "UDE1" | msg_type u8 = 0x01 | batch u32 | dim u32 | batch*dim f32
-    edits:    magic "UDE1" | msg_type u8 = 0x03 | batch u32 | edits u32 | dim u32
+    request:  magic "UDE1" | msg_type u8 = 0x03 | batch u32 | edits u32 | dim u32
               | batch*dim f32 | edits*dim f32
     response: magic "UDE1" | msg_type u8 = 0x81 | batch u32 | edim u32 | batch*edim f32
     error:    magic "UDE1" | msg_type u8 = 0xFF | code u16 | len u16 | utf-8 message
-One request per round-trip. `embed_edits(batch, edits)` sends a [B, D]
-batch once and M edits; the server builds the M*B edited rows with
-_apply_edits, as the in-process oracle does, and answers them as one
-ordinary response, counted as M queries of B rows and one round trip.
+One request per round-trip, of one shape: `embed_edits(batch, edits)` sends
+a [B, D] batch once and M edits, answered with the M*B edited rows'
+embeddings, counted as M queries of B rows and one round trip. `embed(batch)`
+is that request with one zero edit. The server answers every request
+through an InProcessOracle, which builds the edited rows with _apply_edits
+and runs the encoder, so in-process and remote callers share one forward.
 Every matrix frame goes out in one sendmsg call straight from its arrays,
 and every body is read straight into the array it fills. Connections may
 be reused; the server serves each connection on its own thread and closes
 one that stays silent for SERVER_TIMEOUT_S, so an idle or stalled peer
 never holds up another; a client whose reused connection ends before the
 first byte of an answer sends that request once more on a fresh one. A
-request whose bodies, or whose edited rows, would take more than
-MAX_PAYLOAD_BYTES is refused from its header, before any body byte is
-read: the server answers ERR_MALFORMED and closes. An empty batch, no
-edits or a dim other than the encoder's get ERR_DIM_MISMATCH, and the
+request of another type, or whose bodies, or whose edited rows, would take
+more than MAX_PAYLOAD_BYTES, is refused from its header, before any body
+byte is read: the server answers ERR_MALFORMED and closes. An empty batch,
+no edits or a dim other than the encoder's get ERR_DIM_MISMATCH, and the
 connection stays open. The client checks a response's header, its row
 count and, after the first response, its width, before it reads the body,
 and raises ProtocolError for any mismatch, for an oversize body and when a
@@ -44,7 +45,6 @@ import numpy as np
 from .models import FrozenEncoder, encoder_forward, encoder_vjp
 
 MAGIC = b"UDE1"
-MSG_EMBED = 0x01
 MSG_EMBED_EDITS = 0x03
 MSG_EMBED_RESPONSE = 0x81
 MSG_ERROR = 0xFF
@@ -85,8 +85,8 @@ class EmbeddingOracle:
     """Base oracle: counts queries, validates batches, dispatches to a backing.
 
     query_counter is the logical (queries, rows) cost; round_trips is the
-    number of physical embed, embed_edits and embed_vjp calls answered, each
-    of which may carry several logical queries."""
+    number of physical embed_edits and embed_vjp calls answered, each of
+    which may carry several logical queries."""
 
     capability = FORWARD_ONLY
 
@@ -121,26 +121,23 @@ class EmbeddingOracle:
         for _ in range(queries):
             self._count(rows // queries)
 
-    def _check_batch(self, batch: np.ndarray) -> np.ndarray:
-        """The batch as an array; ValueError unless it is a nonempty [B,D]."""
-        batch = np.asarray(batch)
-        if batch.ndim != 2 or batch.shape[0] == 0:
-            raise ValueError(f"batch must be nonempty [B,D], got shape {batch.shape}")
-        return batch
-
     def _check_edits(self, batch: np.ndarray, edits: np.ndarray):
         """(batch, edits) as arrays; ValueError unless the batch is a
         nonempty [B,D] and the edits a nonempty [M,D]."""
-        batch = self._check_batch(batch)
-        edits = np.asarray(edits)
+        batch, edits = np.asarray(batch), np.asarray(edits)
+        if batch.ndim != 2 or batch.shape[0] == 0:
+            raise ValueError(f"batch must be nonempty [B,D], got shape {batch.shape}")
         if edits.ndim != 2 or edits.shape[0] == 0 or edits.shape[1] != batch.shape[1]:
             raise ValueError(f"edits must be nonempty [M,{batch.shape[1]}], "
                              f"got shape {edits.shape}")
         return batch, edits
 
     def embed(self, batch: np.ndarray) -> np.ndarray:
-        """Embeddings [B,E] of `batch`: one logical query, one round trip."""
-        raise NotImplementedError
+        """Embeddings [B,E] of `batch`: embed_edits under one zero edit, so
+        one logical query and one round trip (x + 0 is x, up to the sign of
+        a zero)."""
+        batch = np.asarray(batch)
+        return self.embed_edits(batch, np.zeros((1, *batch.shape[1:]), batch.dtype))[0]
 
     def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
         """Embeddings [M,B,E] of the [B,D] `batch` under each of the [M,D]
@@ -163,11 +160,6 @@ class InProcessOracle(EmbeddingOracle):
             raise ValueError(f"unknown capability {capability!r}")
         self.encoder = encoder
         self.capability = capability
-
-    def embed(self, batch: np.ndarray) -> np.ndarray:
-        z = encoder_forward(self.encoder, self._check_batch(batch))
-        self._record(z.shape[0], 1)
-        return z
 
     def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
         batch, edits = self._check_edits(batch, edits)
@@ -253,21 +245,17 @@ def _read_body(sock: socket.socket, rows: int, cols: int) -> np.ndarray:
 
 
 def _read_request(sock: socket.socket):
-    """(batch, edits or None) of an embed or embed-edits request. Refuses
-    from the header, with ProtocolError, any other message type and a
-    request whose bodies, or whose edited rows, exceed MAX_PAYLOAD_BYTES."""
+    """(batch, edits) of a request. Refuses from the header, with
+    ProtocolError, any other message type and a request whose bodies, or
+    whose edited rows, exceed MAX_PAYLOAD_BYTES."""
     msg_type = _read_type(sock)
-    if msg_type == MSG_EMBED:
-        b, d = _read_sizes(sock, 2)
-        _check_payload(b, d, "batch")
-        return _read_body(sock, b, d), None
-    if msg_type == MSG_EMBED_EDITS:
-        b, m, d = _read_sizes(sock, 3)
-        _check_payload(b + m, d, "batch and edits")
-        _check_payload(m * b, d, "edited rows")
-        return _read_body(sock, b, d), _read_body(sock, m, d)
-    # the body's layout is unknown, so the stream cannot be resynced
-    raise ProtocolError(f"unsupported type 0x{msg_type:02x}")
+    if msg_type != MSG_EMBED_EDITS:
+        # the body's layout is unknown, so the stream cannot be resynced
+        raise ProtocolError(f"unsupported type 0x{msg_type:02x}")
+    b, m, d = _read_sizes(sock, 3)
+    _check_payload(b + m, d, "batch and edits")
+    _check_payload(m * b, d, "edited rows")
+    return _read_body(sock, b, d), _read_body(sock, m, d)
 
 
 def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarray:
@@ -309,8 +297,6 @@ def parse_address(address: str):
 class RemoteOracle(EmbeddingOracle):
     """Client to an embedding server; forward-only by construction. Every
     response must have the embedding width of the first one."""
-
-    capability = FORWARD_ONLY
 
     def __init__(self, address: str):
         super().__init__()
@@ -361,12 +347,15 @@ class RemoteOracle(EmbeddingOracle):
             return self._exchange(rows, False, header, *bodies)
         return _read_response(sock, rows, self._width)
 
-    def _query(self, rows: int, queries: int, header: bytes,
-               *bodies: np.ndarray) -> np.ndarray:
-        """One round trip of `queries` logical queries answered by `rows`
-        embeddings; the connection is closed after any failure."""
+    def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
+        """As EmbeddingOracle.embed_edits, with the edits applied by the
+        server: the request carries the batch once and the M edits. The
+        connection is closed after any failure."""
+        batch, edits = self._check_edits(batch, edits)
+        (b, d), m = batch.shape, edits.shape[0]
+        header = MAGIC + struct.pack("<BIII", MSG_EMBED_EDITS, b, m, d)
         try:
-            z = self._exchange(rows, self._sock is not None, header, *bodies)
+            z = self._exchange(m * b, self._sock is not None, header, batch, edits)
         except TimeoutError as exc:
             self.close()
             raise ProtocolError(f"no answer from {self.address} within "
@@ -375,21 +364,8 @@ class RemoteOracle(EmbeddingOracle):
             self.close()
             raise
         self._width = z.shape[1]
-        self._record(rows, queries)
-        return z
-
-    def embed(self, batch: np.ndarray) -> np.ndarray:
-        batch = self._check_batch(batch)
-        return self._query(batch.shape[0], 1,
-                           MAGIC + struct.pack("<BII", MSG_EMBED, *batch.shape), batch)
-
-    def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
-        """As EmbeddingOracle.embed_edits, with the edits applied by the
-        server: the request carries the batch once and the M edits."""
-        batch, edits = self._check_edits(batch, edits)
-        (b, d), m = batch.shape, edits.shape[0]
-        return self._query(m * b, m, MAGIC + struct.pack("<BIII", MSG_EMBED_EDITS, b, m, d),
-                           batch, edits).reshape(m, b, -1)
+        self._record(m * b, m)
+        return z.reshape(m, b, -1)
 
 
 class _EmbedHandler(socketserver.BaseRequestHandler):
@@ -413,36 +389,32 @@ class _EmbedHandler(socketserver.BaseRequestHandler):
             return False
         try:
             batch, edits = _read_request(conn)
-            input_dim = self.server.encoder.input_dim
-            if batch.shape[0] == 0 or batch.shape[1] != input_dim:
-                conn.sendall(_pack_error(
-                    ERR_DIM_MISMATCH,
-                    f"expected nonempty [B,{input_dim}], got {batch.shape}"))
-                return True
-            if edits is not None:
-                if edits.shape[0] == 0:
-                    conn.sendall(_pack_error(ERR_DIM_MISMATCH, "expected at least one edit"))
-                    return True
-                batch = _apply_edits(batch, edits)
-            z = encoder_forward(self.server.encoder, batch)
-            _send_frame(conn, MAGIC + struct.pack("<BII", MSG_EMBED_RESPONSE, *z.shape), z)
-            return True
         except ProtocolError as exc:
             conn.sendall(_pack_error(exc.code, str(exc)))
             return False
+        try:
+            z = self.server.oracle.embed_edits(batch, edits)
+        except ValueError as exc:  # an empty batch, no edits or the wrong dim
+            conn.sendall(_pack_error(ERR_DIM_MISMATCH, str(exc)))
+            return True
+        m, b, e = z.shape
+        _send_frame(conn, MAGIC + struct.pack("<BII", MSG_EMBED_RESPONSE, m * b, e), z)
+        return True
 
 
 class OracleServer(socketserver.ThreadingTCPServer):
     """Forward-only embedding server: a thread per connection, one request
-    per round-trip. A "host:port" address listens on TCP, any other on a
-    Unix socket; as in socketserver's UnixStreamServer, only address_family
-    differs."""
+    per round-trip, each answered through one InProcessOracle (`oracle`),
+    whose counters tally what the server served. A "host:port" address
+    listens on TCP, any other on a Unix socket; as in socketserver's
+    UnixStreamServer, only address_family differs."""
 
     daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, encoder: FrozenEncoder, address: str):
         self.encoder = encoder
+        self.oracle = InProcessOracle(encoder)
         self.address_family, addr = parse_address(address)
         super().__init__(addr, _EmbedHandler)
         self._thread = None

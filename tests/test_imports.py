@@ -1,6 +1,8 @@
 """No module of the package, the scripts or the tests imports a name it
-never uses, and no module of the package defines a private function or
-class that nothing in the package uses."""
+never uses, and no module of the package defines a function, class or
+ALL_CAPS constant that nothing names: a private one nothing in the package
+names, a public one nothing in the package, the tests, the scripts or the
+benchmark names."""
 
 import ast
 import pathlib
@@ -23,25 +25,44 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and classes whose names start with one
-    underscore (not dunders) that no module of `sources` (module name ->
-    source) refers to by name, attribute or import."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def named(sources) -> set[str]:
+    """Every name that `sources` read by name, or refer to by attribute,
+    import or a string that is an identifier (as a patch target is named);
+    assigning a name is not naming it."""
     used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return [f"{module} line {node.lineno}: {node.name}"
-            for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in used]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
+def definitions(source: str):
+    """(line, name) of each module-level function, class and ALL_CAPS
+    constant of `source`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                yield node.lineno, target.id
+
+
+def unused_names(sources: dict[str, str], used: set[str], private: bool) -> list[str]:
+    """The private (one leading underscore, not a dunder) or else the public
+    definitions of `sources` (module name -> source) not in `used`."""
+    return [f"{module} line {line}: {name}"
+            for module, source in sources.items() for line, name in definitions(source)
+            if not name.startswith("__") and name.startswith("_") == private
+            and name not in used]
 
 
 @pytest.mark.parametrize("path", sorted(path for pattern in ("src/ude/*.py", "scripts/*.py",
@@ -54,7 +75,14 @@ def test_no_unused_imports(path):
 
 def test_no_unused_private_names():
     sources = {path.stem: path.read_text() for path in ROOT.glob("src/ude/*.py")}
-    assert unused_private_names(sources) == []
+    assert unused_names(sources, named(sources.values()), private=True) == []
+
+
+def test_no_unused_public_names():
+    sources = {path.stem: path.read_text() for path in ROOT.glob("src/ude/*.py")}
+    namers = [path.read_text() for folder in ("src", "tests", "scripts", "perfbench")
+              for path in ROOT.glob(f"{folder}/**/*.py")]
+    assert unused_names(sources, named(namers), private=False) == []
 
 
 def test_the_check_sees_unused_names():
@@ -68,4 +96,13 @@ def test_the_check_sees_unused_names():
         "b": "from .a import _imported\nimport a\na._attribute_use()\n",
         "c": "def _attribute_use():\n    pass\n",
     }
-    assert unused_private_names(sources) == ["a line 9: _orphan", "a line 13: _Lonely"]
+    assert unused_names(sources, named(sources.values()), private=True) == \
+        ["a line 9: _orphan", "a line 13: _Lonely"]
+    sources = {
+        "a": ("MSG_OLD = 1\nMSG_NEW = 3\nLIMIT: int = 8\nlower = 2\n_PRIVATE = 4\n\n\n"
+              "def retired():\n    pass\n\n\ndef patched():\n    pass\n\n\n"
+              "class Used:\n    pass\n"),
+        "b": "from a import MSG_NEW, Used\nsetattr(a, 'patched', Used)\n",
+    }
+    assert unused_names(sources, named(sources.values()), private=False) == \
+        ["a line 1: MSG_OLD", "a line 3: LIMIT", "a line 8: retired"]

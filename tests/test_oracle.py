@@ -17,7 +17,6 @@ from ude.oracle import (
     FORWARD_WITH_INPUT_GRAD,
     MAGIC,
     MAX_PAYLOAD_BYTES,
-    MSG_EMBED,
     MSG_EMBED_EDITS,
     MSG_EMBED_RESPONSE,
     MSG_ERROR,
@@ -55,12 +54,14 @@ def _batch(n, rng_seed=0):
     return rng.normal(size=(n, INPUT_DIM)).astype(np.float32)
 
 
-class TestInProcessOracle:
-    def test_embed_matches_encoder(self, encoder):
-        oracle = InProcessOracle(encoder)
-        x = _batch(3)
-        assert np.array_equal(oracle.embed(x), encoder_forward(encoder, x))
+def _request(x: np.ndarray) -> bytes:
+    """The raw request frame of `x` under one zero edit, as `embed` sends it."""
+    b, d = x.shape
+    return (MAGIC + struct.pack("<BIII", MSG_EMBED_EDITS, b, 1, d) + x.tobytes()
+            + bytes(4 * d))
 
+
+class TestInProcessOracle:
     def test_forward_only_refuses_gradients(self, encoder):
         oracle = InProcessOracle(encoder, capability=FORWARD_ONLY)
         with pytest.raises(CapabilityError):
@@ -126,6 +127,25 @@ def oracle(request, encoder):
         client = RemoteOracle(srv.bound_address)
         yield client
         client.close()
+
+
+class TestEmbed:
+    @given(b=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+           negative_zeros=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_embed_is_the_encoder_forward(self, oracle, encoder, b, seed, scale,
+                                          negative_zeros):
+        # b = 1 takes the lone-row product; a scale of 0 and the mask give
+        # -0.0 entries, which the zero edit turns into +0.0
+        rng = np.random.default_rng(seed)
+        batch = (rng.normal(size=(b, INPUT_DIM)) * scale).astype(np.float32)
+        batch[rng.random(batch.shape) < negative_zeros] = -0.0
+        (calls, samples), trips = oracle.query_counter, oracle.round_trips
+        assert oracle.embed(batch).tobytes() == encoder_forward(encoder, batch).tobytes()
+        assert oracle.query_counter == (calls + 1, samples + b)
+        assert oracle.round_trips == trips + 1
 
 
 class TestLogicalQueries:
@@ -215,6 +235,17 @@ class TestRemoteOracle:
             client.embed_vjp(_batch(1), np.zeros(INPUT_DIM, np.float32))
         client.close()
 
+    def test_the_server_counts_what_it_answers(self, server):
+        client = RemoteOracle(server.bound_address)
+        try:
+            client.embed(_batch(2))
+            client.embed_edits(_batch(3), _batch(4, rng_seed=1))
+        finally:
+            client.close()
+        assert (client.query_counter, client.round_trips) == ((5, 14), 2)
+        assert server.oracle.query_counter == client.query_counter
+        assert server.oracle.round_trips == client.round_trips
+
     def test_dim_mismatch_error_code(self, server):
         client = RemoteOracle(server.bound_address)
         with pytest.raises(ProtocolError) as exc:
@@ -240,7 +271,7 @@ class TestRemoteOracle:
             conn, _ = listener.accept()
             with conn:
                 for extra_rows, msg_type, width in replies:
-                    want = 13 + x.nbytes
+                    want = len(_request(x))
                     got = b""
                     while len(got) < want:
                         got += conn.recv(want - len(got))
@@ -275,7 +306,7 @@ class TestRemoteOracle:
         def answer():
             conn, _ = listener.accept()
             with conn:
-                want = 13 + x.nbytes
+                want = len(_request(x))
                 got = b""
                 while len(got) < want:
                     got += conn.recv(want - len(got))
@@ -392,17 +423,17 @@ class TestWireProtocol:
             return sock.recv(65536)
 
     def test_request_frame_layout(self, server):
-        x = np.ones((1, INPUT_DIM), dtype=np.float32)
-        frame = (MAGIC + struct.pack("<BII", MSG_EMBED, 1, INPUT_DIM) + x.tobytes())
-        resp = self._raw(server, frame)
+        resp = self._raw(server, _request(np.ones((1, INPUT_DIM), dtype=np.float32)))
         assert resp[:4] == MAGIC
         assert resp[4] == 0x81
         b, d = struct.unpack_from("<II", resp, 5)
         assert (b, d) == (1, 32)
 
-    def test_unknown_message_type_is_malformed(self, server):
-        # the protocol has no gradient message; any unknown type errors out
-        frame = MAGIC + struct.pack("<BII", 0x02, 1, INPUT_DIM) \
+    @pytest.mark.parametrize("msg_type", [0x01, 0x02])
+    def test_unknown_message_type_is_malformed(self, server, msg_type):
+        # the protocol has no gradient message, and 0x01, a plain batch
+        # without edits, is retired; any unknown type errors out
+        frame = MAGIC + struct.pack("<BII", msg_type, 1, INPUT_DIM) \
             + b"\x00" * (4 * INPUT_DIM)
         resp = self._raw(server, frame)
         assert resp[4] == MSG_ERROR
@@ -412,8 +443,8 @@ class TestWireProtocol:
     ROWS_OVER = MAX_PAYLOAD_BYTES // (4 * INPUT_DIM) + 1
 
     @pytest.mark.parametrize("header", [
-        struct.pack("<BII", MSG_EMBED, 0xFFFFFFFF, 0xFFFFFFFF),
-        struct.pack("<BII", MSG_EMBED, ROWS_OVER, INPUT_DIM),
+        struct.pack("<BIII", MSG_EMBED_EDITS, 0xFFFFFFFF, 1, 0xFFFFFFFF),
+        struct.pack("<BIII", MSG_EMBED_EDITS, ROWS_OVER, 1, INPUT_DIM),
         # the two bodies together are one row too large
         struct.pack("<BIII", MSG_EMBED_EDITS, ROWS_OVER // 2, ROWS_OVER - ROWS_OVER // 2,
                     INPUT_DIM),
@@ -454,10 +485,9 @@ class TestWireProtocol:
             client.close()
 
     @pytest.mark.parametrize("header", [
-        struct.pack("<BII", MSG_EMBED, 0, INPUT_DIM),
         struct.pack("<BIII", MSG_EMBED_EDITS, 1, 0, INPUT_DIM),
         struct.pack("<BIII", MSG_EMBED_EDITS, 0, 2, INPUT_DIM),
-    ], ids=["embed-no-rows", "edits-no-edits", "edits-no-rows"])
+    ], ids=["edits-no-edits", "edits-no-rows"])
     def test_zero_row_request_keeps_the_connection(self, server, header):
         sizes = struct.unpack_from(f"<{(len(header) - 1) // 4}I", header, 1)
         body = np.zeros(sum(sizes[:-1]) * INPUT_DIM, dtype="<f4").tobytes()
@@ -468,7 +498,7 @@ class TestWireProtocol:
             msg_type, payload = _read_frame(sock)
             assert msg_type == MSG_ERROR
             assert struct.unpack_from("<H", payload)[0] == ERR_DIM_MISMATCH
-            sock.sendall(MAGIC + struct.pack("<BII", MSG_EMBED, 1, INPUT_DIM) + x.tobytes())
+            sock.sendall(_request(x))
             msg_type, payload = _read_frame(sock)
         assert msg_type == MSG_EMBED_RESPONSE
         assert payload[8:] == encoder_forward(server.encoder, x).tobytes()
@@ -499,7 +529,7 @@ class TestWireProtocol:
 
 
 class TestConcurrentConnections:
-    PARTIAL_HEADER = MAGIC + bytes([MSG_EMBED])  # 5 of a request's 13 header bytes
+    PARTIAL_HEADER = MAGIC + bytes([MSG_EMBED_EDITS])  # 5 of a request's 17 header bytes
 
     def test_partial_frame_does_not_delay_another_client(self, server, monkeypatch):
         # a server that reads one connection at a time leaves this client
@@ -556,10 +586,10 @@ def _assert_whole_frames(reply: bytes) -> None:
 @st.composite
 def _request_like(draw):
     """A frame with a right or wrong magic and message type, at most 8 x 512
-    declared (and, for an embed-edits frame, at most 8 edits), and a body of
+    declared (and, for a request frame, at most 8 edits), and a body of
     finite f32 values."""
     magic = draw(st.just(MAGIC) | st.sampled_from([b"UDE2", b"\x00" * 4]))
-    msg_type = draw(st.sampled_from([MSG_EMBED, MSG_EMBED_EDITS]) | st.integers(0, 255))
+    msg_type = draw(st.just(MSG_EMBED_EDITS) | st.integers(0, 255))
     batch = draw(st.integers(0, 8))
     edits = draw(st.integers(0, 8)) if msg_type == MSG_EMBED_EDITS else None
     dim = draw(st.just(INPUT_DIM) | st.integers(0, 512))

@@ -69,10 +69,6 @@ class RecordingOracle(InProcessOracle):
         super().__init__(encoder, capability)
         self.calls = []
 
-    def embed(self, batch):
-        self.calls.append(("embed", batch, None))
-        return super().embed(batch)
-
     def embed_edits(self, batch, edits):
         self.calls.append(("embed_edits", batch, edits))
         return super().embed_edits(batch, edits)
