@@ -3,7 +3,7 @@ tensor added to every input, trained by Adam to maximize the frozen
 group-attribute head's cross-entropy while an L2 penalty keeps it small.
 Also the downstream pieces: training the disease head on edited inputs
 and exporting the per-pixel noise map. Every edit reaches an input through
-the oracle (embed_edits, embed_vjp), which adds it.
+the oracle (embed_edits, embed_vjp), which applies it.
 """
 
 from __future__ import annotations
@@ -139,10 +139,10 @@ def train_fair_disease(oracle, edits: list[np.ndarray], images: np.ndarray,
     """Train one disease head per edit on embeddings of the inputs with that
     edit applied, all in one loop (models.fit_heads); only the heads are
     trainable. Returns one (head, trace) per edit. A zero edit is exactly
-    the plain (unedited) baseline path. One oracle call per edit, so one
-    edited copy of the inputs is alive at a time."""
-    z = np.concatenate([oracle.embed_edits(images, eps[None]) for eps in edits])
-    return fit_heads(z, disease_labels, cfg, seed)
+    the plain (unedited) baseline path. One oracle call embeds the inputs
+    under every edit; each edit's embeddings have the bytes it gives alone,
+    and no edited copy of the inputs is built (models.encoder_forward_edits)."""
+    return fit_heads(oracle.embed_edits(images, np.stack(edits)), disease_labels, cfg, seed)
 
 
 def export_noise_map(eps: np.ndarray, top_fraction: float):

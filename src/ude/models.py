@@ -1,6 +1,8 @@
 """The frozen embedding encoder (a fixed 2-hidden-layer tanh MLP standing in
 for a hosted foundation-model encoder) and the trainable binary linear
-heads, with hand-derived forward and backward passes.
+heads, with hand-derived forward and backward passes. A batch under a
+stack of edits is embedded with the encoder's affine first layer factored
+(encoder_forward_edits), so an edited copy of the batch is never built.
 """
 
 from __future__ import annotations
@@ -101,12 +103,17 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a @ w
 
 
+def _check_rows(enc: FrozenEncoder, what: str, rows: np.ndarray) -> None:
+    if rows.ndim != 2 or rows.shape[1] != enc.input_dim:
+        raise ValueError(f"{what} must be 2-D with {enc.input_dim} columns, "
+                         f"got shape {rows.shape}")
+
+
 def encoder_vjp(enc: FrozenEncoder, batch: np.ndarray):
     """Embed a batch [B,D] -> z [B,E] and return (z, vjp), where vjp(upstream)
     is the vector-Jacobian product d(embedding)/d(input)^T @ upstream, [B,D],
     reusing this forward's activations."""
-    if batch.ndim != 2 or batch.shape[1] != enc.input_dim:
-        raise ValueError(f"batch must be [B,{enc.input_dim}], got {batch.shape}")
+    _check_rows(enc, "batch", batch)
     w1, b1, w2, b2, w3, b3 = _cast_params(enc, batch.dtype)
     h1 = np.tanh(_rows_matmul(batch, w1) + b1)
     h2 = np.tanh(_rows_matmul(h1, w2) + b2)
@@ -125,6 +132,28 @@ def encoder_vjp(enc: FrozenEncoder, batch: np.ndarray):
 def encoder_forward(enc: FrozenEncoder, batch: np.ndarray) -> np.ndarray:
     """Embed a batch [B,D] -> [B,E]; pure function of (weights, batch)."""
     return encoder_vjp(enc, batch)[0]
+
+
+def encoder_forward_edits(enc: FrozenEncoder, batch: np.ndarray,
+                          edits: np.ndarray) -> np.ndarray:
+    """Embed the [B,D] batch under each of the [M,D] edits -> [M*B,E],
+    edit-major: row i*B + j embeds batch[j] + edits[i], the edits taken in
+    the batch's dtype.
+
+    The first layer is affine, so it is factored: (x + e) @ w1 is computed
+    as x @ w1 + e @ w1, which takes B + M rows through it instead of M*B and
+    never builds the edited rows. Each row depends only on its own input
+    row and edit, not on the other rows or edits of the call. It rounds
+    differently from encoder_forward of the edited row, except under a zero
+    edit, which gives encoder_forward's bytes (x @ w1 + 0 is x @ w1).
+    """
+    _check_rows(enc, "batch", batch)
+    _check_rows(enc, "edits", edits)
+    w1, b1, w2, b2, w3, b3 = _cast_params(enc, batch.dtype)
+    h1 = np.tanh(_rows_matmul(batch, w1)[None]
+                 + _rows_matmul(edits.astype(batch.dtype, copy=False), w1)[:, None] + b1)
+    h2 = np.tanh(_rows_matmul(h1.reshape(-1, w1.shape[1]), w2) + b2)
+    return _rows_matmul(h2, w3) + b3
 
 
 @dataclass

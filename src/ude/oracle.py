@@ -12,25 +12,29 @@ Wire protocol (little-endian):
     response: magic "UDE1" | msg_type u8 = 0x81 | batch u32 | edim u32 | batch*edim f32
     error:    magic "UDE1" | msg_type u8 = 0xFF | code u16 | len u16 | utf-8 message
 One request per round-trip, of one shape: `embed_edits(batch, edits)` sends
-a [B, D] batch once and M edits, answered with the M*B edited rows'
-embeddings, counted as M queries of B rows and one round trip. `embed(batch)`
+a [B, D] batch once and M edits, answered with the embeddings of the M*B
+edited rows, counted as M queries of B rows and one round trip. `embed(batch)`
 is that request with one zero edit. The server answers every request
-through an InProcessOracle, which builds the edited rows with _apply_edits
-and runs the encoder, so in-process and remote callers share one forward.
+through an InProcessOracle, which runs models.encoder_forward_edits: the
+encoder's affine first layer takes the batch and the edits apart and adds
+them, so no edited row is ever built, and in-process and remote callers
+share one forward.
 Every matrix frame goes out in one sendmsg call straight from its arrays,
 and every body is read straight into the array it fills. Connections may
 be reused; the server serves each connection on its own thread and closes
 one that stays silent for SERVER_TIMEOUT_S, so an idle or stalled peer
 never holds up another; a client whose reused connection ends before the
 first byte of an answer sends that request once more on a fresh one. A
-request of another type, or whose bodies, or whose edited rows, would take
-more than MAX_PAYLOAD_BYTES, is refused from its header, before any body
-byte is read: the server answers ERR_MALFORMED and closes. An empty batch,
-no edits or a dim other than the encoder's get ERR_DIM_MISMATCH, and the
-connection stays open. The client checks a response's header, its row
-count and, after the first response, its width, before it reads the body,
-and raises ProtocolError for any mismatch, for an oversize body and when a
-connect, send or receive waits longer than CLIENT_TIMEOUT_S.
+request of another type, or whose bodies, or whose M*B rows at the input
+width, would take more than MAX_PAYLOAD_BYTES, is refused from its header,
+before any body byte is read: the server answers ERR_MALFORMED and closes,
+and a client still sending the body reads that answer and raises it. An
+empty batch, no edits or a dim other than the encoder's get
+ERR_DIM_MISMATCH, and the connection stays open. The client checks a
+response's header, its row count and, after the first response, its
+width, before it reads the body, and raises ProtocolError for any
+mismatch, for an oversize body and when a connect, send or receive waits
+longer than CLIENT_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ import threading
 
 import numpy as np
 
-from .models import FrozenEncoder, encoder_forward, encoder_vjp
+from . import models
+from .models import FrozenEncoder, encoder_forward_edits, encoder_vjp
 
 MAGIC = b"UDE1"
 MSG_EMBED_EDITS = 0x03
@@ -60,15 +65,11 @@ CLIENT_TIMEOUT_S = 60.0
 # under a second at the default config
 SERVER_TIMEOUT_S = 60.0
 
+# looked up by the traced server launcher, perfbench/serve.py, when it starts
+encoder_forward = models.encoder_forward
+
 FORWARD_ONLY = "forward_only"
 FORWARD_WITH_INPUT_GRAD = "forward_with_input_grad"
-
-
-def _apply_edits(batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
-    """The [M*B, D] rows of the [B, D] batch under each of the [M, D]
-    edits, edit-major, in the batch's dtype: the one place an edit meets an
-    input, in the in-process oracle and the embedding server alike."""
-    return (batch[None] + edits[:, None].astype(batch.dtype)).reshape(-1, batch.shape[1])
 
 
 class CapabilityError(RuntimeError):
@@ -134,8 +135,8 @@ class EmbeddingOracle:
 
     def embed(self, batch: np.ndarray) -> np.ndarray:
         """Embeddings [B,E] of `batch`: embed_edits under one zero edit, so
-        one logical query and one round trip (x + 0 is x, up to the sign of
-        a zero)."""
+        one logical query and one round trip (x @ w1 + 0 is x @ w1, up to
+        the sign of a zero)."""
         batch = np.asarray(batch)
         return self.embed_edits(batch, np.zeros((1, *batch.shape[1:]), batch.dtype))[0]
 
@@ -163,7 +164,7 @@ class InProcessOracle(EmbeddingOracle):
 
     def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
         batch, edits = self._check_edits(batch, edits)
-        z = encoder_forward(self.encoder, _apply_edits(batch, edits))
+        z = encoder_forward_edits(self.encoder, batch, edits)
         self._record(z.shape[0], edits.shape[0])
         return z.reshape(edits.shape[0], batch.shape[0], -1)
 
@@ -172,7 +173,7 @@ class InProcessOracle(EmbeddingOracle):
         if self.capability != FORWARD_WITH_INPUT_GRAD:
             raise CapabilityError("oracle is forward-only; use zeroth-order optimization")
         batch, edits = self._check_edits(batch, np.asarray(eps)[None])
-        z, vjp = encoder_vjp(self.encoder, _apply_edits(batch, edits))
+        z, vjp = encoder_vjp(self.encoder, batch + edits[0].astype(batch.dtype))
         self._record(batch.shape[0], 1)
         return z, vjp
 
@@ -246,16 +247,38 @@ def _read_body(sock: socket.socket, rows: int, cols: int) -> np.ndarray:
 
 def _read_request(sock: socket.socket):
     """(batch, edits) of a request. Refuses from the header, with
-    ProtocolError, any other message type and a request whose bodies, or
-    whose edited rows, exceed MAX_PAYLOAD_BYTES."""
+    ProtocolError, any other message type, a request whose bodies exceed
+    MAX_PAYLOAD_BYTES and one whose M*B rows to embed would at the input
+    width. No edited rows are built, but the answer still computes [M*B, H]
+    hidden activations and sends an [M*B, E] response, so M*B is bounded as
+    a body's row count is."""
     msg_type = _read_type(sock)
     if msg_type != MSG_EMBED_EDITS:
         # the body's layout is unknown, so the stream cannot be resynced
         raise ProtocolError(f"unsupported type 0x{msg_type:02x}")
     b, m, d = _read_sizes(sock, 3)
     _check_payload(b + m, d, "batch and edits")
-    _check_payload(m * b, d, "edited rows")
+    _check_payload(m * b, d, "rows to embed")
     return _read_body(sock, b, d), _read_body(sock, m, d)
+
+
+def _read_error(sock: socket.socket) -> ProtocolError:
+    """The server's error, from the rest of an error frame after its type."""
+    code, length = struct.unpack("<HH", _recv_exact(sock, 4))
+    message = _recv_exact(sock, length).decode("utf-8", "replace")
+    return ProtocolError(f"server error {code}: {message}", code=code)
+
+
+def _raise_pending_error(sock: socket.socket) -> None:
+    """Raises the error frame the server sent before it closed the
+    connection, if one can be read; returns when there is none."""
+    try:
+        if _read_type(sock) != MSG_ERROR:
+            return
+        error = _read_error(sock)
+    except (OSError, ProtocolError):
+        return
+    raise error
 
 
 def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarray:
@@ -265,9 +288,7 @@ def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarr
     any body byte is read or allocated."""
     msg_type = _read_type(sock)
     if msg_type == MSG_ERROR:
-        code, length = struct.unpack("<HH", _recv_exact(sock, 4))
-        message = _recv_exact(sock, length).decode("utf-8", "replace")
-        raise ProtocolError(f"server error {code}: {message}", code=code)
+        raise _read_error(sock)
     if msg_type != MSG_EMBED_RESPONSE:
         raise ProtocolError(f"unexpected message type 0x{msg_type:02x}")
     b, d = _read_sizes(sock, 2)
@@ -333,13 +354,17 @@ class RemoteOracle(EmbeddingOracle):
         `resend`, a connection that ends, by EOF or reset, before the first
         byte of the answer (a reused one the server has closed as idle) is
         replaced by a fresh one and the request sent once more; every
-        request is pure, so that is safe."""
+        request is pure, so that is safe. Without `resend`, a connection
+        that ends while the request is sent raises the server's error frame,
+        if it sent one: it refuses an oversize request from its header and
+        closes while the body may still be on its way."""
         sock = self._connect()
         try:
             _send_frame(sock, header, *bodies)
             ended = not sock.recv(1, socket.MSG_PEEK)
         except (BrokenPipeError, ConnectionResetError):
             if not resend:
+                _raise_pending_error(sock)
                 raise
             ended = True
         if ended and resend:

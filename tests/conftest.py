@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ude.datagen import CellCounts, SynthConfig, generate
-from ude.models import build_encoder
+from ude.models import build_encoder, encoder_forward
 from ude.tensor_io import tensor_digest
 
 
@@ -68,3 +68,14 @@ def head_bytes(head):
 def encoder_digests(enc):
     """The tensor_digest of each encoder parameter, in parameters() order."""
     return [tensor_digest(p) for p in enc.parameters().values()]
+
+
+def assert_near_float64_forward(enc, z, batch, edit):
+    """z, the embeddings of the rows batch + edit in the batch's dtype, is
+    within 16 eps (1 + max|batch| + max|edit|) of a float64 forward of
+    those rows, eps of the batch's dtype. Over random float32 and float64
+    draws at edit scales 0 to 1e3, the factored forward stayed under 3 eps
+    (...) and a forward of the edited rows themselves under 2 eps (...)."""
+    rows = batch.astype(np.float64) + edit.astype(batch.dtype).astype(np.float64)
+    tol = 16 * np.finfo(batch.dtype).eps * (1 + np.abs(batch).max() + np.abs(edit).max())
+    assert np.abs(z - encoder_forward(enc, rows)).max() <= tol

@@ -209,6 +209,26 @@ class TestExitCodes:
         assert main(["train-sa", "--config", cfg]) == EXIT_REMOTE
         assert "no answer" in capsys.readouterr().err
 
+    def test_remote_error_names_the_servers_refusal(self, tmp_path, encoder, capsys):
+        # GeZO's first request, 4,096 rows under 66 edits, asks for more
+        # rows than the server embeds in one answer; it refuses from the
+        # header and closes while the client is still sending the 4 MiB batch
+        from ude.oracle import ERR_MALFORMED, OracleServer
+
+        server = OracleServer(encoder, "127.0.0.1:0")
+        server.start_background()
+        try:
+            cfg = write_tiny_config(
+                tmp_path, train_counts=[[1024, 1024], [1024, 1024]],
+                sa_train={"optimizer": "adam", "lr": 1e-2, "epochs": 1, "batch_size": 512},
+                gezo={"local_iters": 1, "samples": 33, "epochs": 1, "batch_size": 4096})
+            assert main(["run", "--config", cfg, "--mode", "gezo",
+                         "--oracle", server.bound_address]) == EXIT_REMOTE
+        finally:
+            server.shutdown()
+        err = capsys.readouterr().err
+        assert err.startswith(f"remote error: server error {ERR_MALFORMED}: rows to embed")
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode,overrides", [

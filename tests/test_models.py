@@ -13,6 +13,7 @@ from ude.models import (
     TrainConfig,
     build_encoder,
     encoder_forward,
+    encoder_forward_edits,
     encoder_vjp,
     fit_heads,
     head_accuracy,
@@ -35,7 +36,7 @@ from ude.numerics import (
 from ude.oracle import InProcessOracle
 from ude.prng import Xorshift64Star, derive_seed
 
-from conftest import central_diff, encoder_digests, head_bytes
+from conftest import assert_near_float64_forward, central_diff, encoder_digests, head_bytes
 
 
 def _zero_head(embed_dim):
@@ -113,6 +114,37 @@ class TestEncoderForwardBackward:
             encoder_forward(encoder, np.zeros((2, INPUT_DIM + 1), dtype=np.float32))
         with pytest.raises(ValueError):
             encoder_forward(encoder, np.zeros(INPUT_DIM, dtype=np.float32))
+        with pytest.raises(ValueError):
+            encoder_forward_edits(encoder, np.zeros((2, INPUT_DIM), dtype=np.float32),
+                                  np.zeros(INPUT_DIM, dtype=np.float32))
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), b=st.integers(1, 6),
+           m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+           negative_zeros=st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=40, deadline=None)
+    def test_factored_forward_of_edits(self, encoder, dtype, b, m, seed, scale,
+                                       negative_zeros):
+        # b = 1 and m = 1 take the lone-row product; float64 edits are used
+        # in the batch's dtype
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(size=(b, INPUT_DIM)).astype(dtype)
+        edits = rng.normal(size=(m, INPUT_DIM)) * scale
+        zero = np.zeros((1, INPUT_DIM), dtype=dtype)
+        for x in (batch, edits, zero):
+            x[rng.random(x.shape) < negative_zeros] = -0.0
+        z = encoder_forward_edits(encoder, batch, edits)
+        assert z.shape == (m * b, EMBED_DIM) and z.dtype == dtype
+        assert z.tobytes() == encoder_forward_edits(encoder, batch, edits.astype(dtype)).tobytes()
+        assert encoder_forward_edits(encoder, batch, zero).tobytes() == \
+            encoder_forward(encoder, batch).tobytes()
+        for i, zi in enumerate(z.reshape(m, b, EMBED_DIM)):
+            assert zi.tobytes() == encoder_forward_edits(encoder, batch, edits[i:i + 1]).tobytes()
+            assert_near_float64_forward(encoder, zi, batch, edits[i])
+            # the unfactored forward of the edited rows meets the same bound
+            edited = batch + edits[i].astype(dtype)
+            assert_near_float64_forward(encoder, encoder_forward(encoder, edited), batch,
+                                        edits[i])
 
     def test_input_grad_matches_finite_differences(self, encoder):
         rng = np.random.default_rng(1)

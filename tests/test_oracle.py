@@ -30,6 +30,8 @@ from ude.oracle import (
     parse_address,
 )
 
+from conftest import assert_near_float64_forward
+
 
 def _serve(encoder):
     srv = OracleServer(encoder, "127.0.0.1:0")
@@ -162,8 +164,8 @@ class TestEmbedEdits:
            scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_the_bytes_and_counts_of_embed_on_the_edited_rows(self, oracle, b, m,
-                                                              seed, scale):
+    def test_counts_and_each_edit_the_bytes_it_gives_alone(self, oracle, encoder, b, m,
+                                                           seed, scale):
         rng = np.random.default_rng(seed)
         batch = rng.normal(size=(b, INPUT_DIM)).astype(np.float32)
         edits = (rng.normal(size=(m, INPUT_DIM)) * scale).astype(np.float32)
@@ -172,8 +174,13 @@ class TestEmbedEdits:
         assert oracle.query_counter == (calls + m, samples + m * b)
         assert oracle.round_trips == trips + 1
         assert got.shape == (m, b, 32)
+        # the factored first layer rounds otherwise than embed(batch + edits[i])
+        # would, so each edit is held to the bytes it gives alone in process,
+        # and to a float64 forward of its edited rows
+        alone = InProcessOracle(encoder)
         for i in range(m):
-            assert got[i].tobytes() == oracle.embed(batch + edits[i]).tobytes()
+            assert got[i].tobytes() == alone.embed_edits(batch, edits[i:i + 1])[0].tobytes()
+            assert_near_float64_forward(encoder, got[i], batch, edits[i])
 
     @pytest.mark.parametrize("batch,edits", [
         ((2, INPUT_DIM), (3, INPUT_DIM + 1)),
@@ -374,13 +381,13 @@ class TestReconnect:
         client = RemoteOracle(server.bound_address)
         requests = []
 
-        def fail(enc, batch):  # the server closes without an answer
-            requests.append(batch.shape[0])
+        def fail(enc, batch, edits):  # the server closes without an answer
+            requests.append(edits.shape[0] * batch.shape[0])
             raise RuntimeError("injected")
 
         try:
             client.embed(_batch(2))
-            monkeypatch.setattr(ude.oracle, "encoder_forward", fail)
+            monkeypatch.setattr(ude.oracle, "encoder_forward_edits", fail)
             with pytest.raises(ProtocolError):
                 client.embed(_batch(2))
             assert requests == [2, 2]  # on the reused connection, then on one fresh one
@@ -392,14 +399,14 @@ class TestReconnect:
         client = RemoteOracle(server.bound_address)
         requests = []
 
-        def fail(enc, batch):  # the server closes without an answer
-            requests.append(batch.shape[0])
+        def fail(enc, batch, edits):  # the server closes without an answer
+            requests.append(edits.shape[0] * batch.shape[0])
             raise RuntimeError("injected")
 
         edits = _batch(3, rng_seed=1)
         try:
             client.embed_edits(_batch(2), edits)
-            monkeypatch.setattr(ude.oracle, "encoder_forward", fail)
+            monkeypatch.setattr(ude.oracle, "encoder_forward_edits", fail)
             with pytest.raises(ProtocolError):
                 client.embed_edits(_batch(2), edits)
             assert requests == [6, 6]  # on the reused connection, then on one fresh one
@@ -464,16 +471,28 @@ class TestWireProtocol:
         finally:
             client.close()
 
+    def test_a_refusal_reaches_a_client_still_sending_the_body(self, server):
+        # refused from its header, 4,096 rows under 65 edits is M*B rows over
+        # the limit; the server closes while most of the 4 MiB batch is unsent
+        client = RemoteOracle(server.bound_address)
+        try:
+            with pytest.raises(ProtocolError) as exc:
+                client.embed_edits(_batch(4096), _batch(65, rng_seed=1))
+            assert exc.value.code == ERR_MALFORMED
+            assert client._sock is None
+        finally:
+            client.close()
+
     def test_unexpected_error_drops_only_that_connection(self, server, monkeypatch):
-        real = ude.oracle.encoder_forward
+        real = ude.oracle.encoder_forward_edits
         failures = [RuntimeError("injected")]
 
-        def fail_once(enc, batch):
+        def fail_once(enc, batch, edits):
             if failures:
                 raise failures.pop()
-            return real(enc, batch)
+            return real(enc, batch, edits)
 
-        monkeypatch.setattr(ude.oracle, "encoder_forward", fail_once)
+        monkeypatch.setattr(ude.oracle, "encoder_forward_edits", fail_once)
         client = RemoteOracle(server.bound_address)
         try:
             with pytest.raises(ProtocolError):  # fresh, so not resent; a resend would work

@@ -29,3 +29,24 @@ def test_one_pipeline_passes_the_workload_check(name, tmp_path, monkeypatch):
     finally:
         workload.close()
     assert not workload.lost
+
+
+def test_a_traced_remote_pipeline_passes_the_workload_check(tmp_path, monkeypatch):
+    # the traced launcher, serve.py, looks up the ude names it wraps before
+    # the server starts; a missing one stops it before it reports an address
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+                           if p)
+    monkeypatch.setenv("PYTHONPATH", path)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    workload = workloads.make("gezo-remote")
+    try:
+        workload.setup(str(tmp_path), traced=True)
+        p = workloads.Pipeline(index=0, seed=workloads.pipeline_seed(1, 0), traced=False)
+        workload.run(p)
+        assert p.error == ""
+        assert workload.check(p) == []
+    finally:
+        workload.close()
+    assert not workload.lost

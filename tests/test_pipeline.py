@@ -277,7 +277,7 @@ class TestTrainDisease:
     def test_one_embed_call_of_the_training_set_per_head(self, tmp_path, encoder,
                                                           with_edit):
         # the logical query count of a pipeline (perfbench's
-        # gezo_expected_queries) counts one embed per disease head
+        # gezo_expected_queries) counts one query per disease head
         cfg = tiny_config(tmp_path)
         run = run_stages(cfg, ["generate"], {})
         train = run["train_data"]
@@ -290,7 +290,7 @@ class TestTrainDisease:
         calls = [(method, batch.shape[0], edits.shape)
                  for method, batch, edits in oracle.calls]
         dim = train.images.shape[1]
-        assert calls == [("embed_edits", n, (1, dim))] * (2 if with_edit else 1)
+        assert calls == [("embed_edits", n, (2 if with_edit else 1, dim))]
         assert oracle.query_counter == ((2, 2 * n) if with_edit else (1, n))
         assert ("disease_head" in run) == with_edit
         if with_edit:
@@ -310,10 +310,10 @@ class TestEditsMeetInputsInTheOracle:
                                 grad_oracle=grad if mode == "whitebox" else None)
         assert_raw_rows(oracle.calls + grad.calls, result.train.images,
                         result.test.images)
-        # train-sa 1, train-disease 2 (one per head), evaluate 1, and in
+        # train-sa 1, train-disease 1 (both heads), evaluate 1, and in
         # GeZO mode one per local iteration; white-box steps are full-batch
         gezo_trips = cfg.gezo.epochs * cfg.gezo.local_iters if mode == "gezo" else 0
-        assert oracle.round_trips == 4 + gezo_trips
+        assert oracle.round_trips == 3 + gezo_trips
         assert grad.round_trips == (cfg.ude.epochs if mode == "whitebox" else 0)
 
     @pytest.mark.parametrize("mode", ["whitebox", "gezo"])
@@ -342,7 +342,7 @@ class TestEditsMeetInputsInTheOracle:
         edit_trips = (cfg.gezo.epochs * cfg.gezo.local_iters if mode == "gezo"
                       else cfg.ude.epochs)
         # train-sa also embeds the training set for the saved head's accuracy
-        assert trips == {"train-sa": 2, "learn-edit": edit_trips, "train-disease": 2,
+        assert trips == {"train-sa": 2, "learn-edit": edit_trips, "train-disease": 1,
                          "evaluate": 1}
 
 
