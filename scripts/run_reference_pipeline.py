@@ -5,28 +5,47 @@ white-box and the zeroth-order (GeZO) edit.
 
 Usage:
     python3 scripts/run_reference_pipeline.py [--seeds 1,2,3,4,5] [--modes whitebox,gezo]
+
+A malformed --seeds or --modes exits 2 with the usage, before the table.
 """
 
 import argparse
 
-from ude.pipeline import PipelineConfig, run_experiment
+from ude.pipeline import MODES, PipelineConfig, run_experiment
+
+
+def seed_list(text: str) -> list[int]:
+    """--seeds: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
+def mode_list(text: str) -> list[str]:
+    """--modes: comma-separated names from MODES."""
+    modes = text.split(",")
+    for mode in modes:
+        if mode not in MODES:
+            raise argparse.ArgumentTypeError(
+                f"invalid mode {mode!r} (choose from {', '.join(MODES)})")
+    return modes
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", default="1,2,3,4,5")
-    ap.add_argument("--modes", default="whitebox,gezo")
+    ap.add_argument("--seeds", type=seed_list, default="1,2,3,4,5")
+    ap.add_argument("--modes", type=mode_list, default=",".join(MODES))
     args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
-    modes = args.modes.split(",")
 
     header = (f"{'mode':<9} {'seed':>4} {'sa_clean':>8} {'sa_edit':>8} "
               f"{'|eps|':>6} | {'erm_acc':>7} {'erm_EOp':>7} {'erm_DI':>7} "
               f"| {'ude_acc':>7} {'ude_EOp':>7} {'ude_DI':>7}")
     print(header)
     print("-" * len(header))
-    for mode in modes:
-        for seed in seeds:
+    for mode in args.modes:
+        for seed in args.seeds:
             res = run_experiment(PipelineConfig(seed=seed, mode=mode))
             erm, ude = res.erm_report, res.ude_report
             print(f"{mode:<9} {seed:>4} {res.sa_acc_clean:>8.3f} "

@@ -34,6 +34,7 @@ from .fairness import UndefinedMetric
 from .numerics import DivergenceError
 from .oracle import CapabilityError, ProtocolError
 from .pipeline import (
+    MODES,
     STAGES,
     ArtifactError,
     ConfigError,
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="global seed override")
         p.add_argument("--out", help="output directory override")
         if oracle:
-            p.add_argument("--mode", choices=["whitebox", "gezo"])
+            p.add_argument("--mode", choices=MODES)
             p.add_argument("--oracle", help='"inprocess" or a server address host:port')
         return p
 

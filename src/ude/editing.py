@@ -73,11 +73,12 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
     oracle.embed_edits call of M logical queries (a remote oracle sends the
     batch once and the M edits), one head forward (per-candidate slices, so
     each gets the product a lone call computes), one cross-entropy and one
-    norm call.
+    norm call. ValueError, before the query, unless `sa_labels` holds one
+    label per batch row.
     """
+    labels = check_labels(sa_labels, len(batch))
     stack = np.atleast_2d(eps)
     logits = head_forward(sa_head, oracle.embed_edits(batch, stack))
-    labels = check_labels(sa_labels)
     shifted, _, sums = softmax_terms(logits)
     means = np.mean(cross_entropy_batch(shifted, sums, labels), axis=1).astype(np.float64)
     out = -means + lam * l2_norm(stack)
@@ -88,10 +89,11 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
                         sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """(objective, d objective / d eps) on one batch, gradients through the
     encoder: -(1/B) sum_i dCE_i/dx_i + lam * eps/||eps||. One oracle query,
-    which embeds the edited batch once for both."""
+    which embeds the edited batch once for both. ValueError, before the
+    query, unless `sa_labels` holds one label per batch row."""
+    labels = check_labels(sa_labels, len(batch))
     zb, vjp = oracle.embed_vjp(batch, eps)
     logits = head_forward(sa_head, zb)
-    labels = check_labels(sa_labels)
     shifted, exps, sums = softmax_terms(logits)
     loss = -float(np.mean(cross_entropy_batch(shifted, sums, labels))) + lam * l2_norm(eps)
     g = cross_entropy_grad(exps, sums, one_hot(labels, logits.dtype), out=exps)

@@ -15,15 +15,14 @@ import numpy as np
 
 from .numerics import (
     NUM_CLASSES,
+    bind_cross_entropy_grad,
     bind_optimizer_step,
     check_counts,
     check_epoch_finite,
     check_labels,
     check_optimizer,
     cross_entropy_batch,
-    cross_entropy_grad,
     one_hot,
-    softmax_terms,
 )
 from .prng import Xorshift64Star, derive_seed
 from .tensor_io import load_artifact, save_artifact
@@ -206,16 +205,16 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     rows alone, so each head gets the bytes it would get if trained alone.
 
     A step issues only the ops that depend on the parameters, each into a
-    buffer allocated here once: the logits z @ w + b, the two-column
-    softmax with its row max and sum laid out like the logits, the gradient
-    against a one-hot built once per epoch, one backward matmul of the
-    shuffled embeddings with a ones column appended ([K,E+1,B] @ [K,B,2]),
-    which gives the weight and the bias gradients together, and the
-    in-place optimizer step that numerics.bind_optimizer_step binds to the
-    parameter and gradient buffers once, the optimizer's state in its
-    closure. The shifted logits and softmax sums of every step are kept;
-    the epoch's per-sample losses and per-batch loss sums are computed from
-    them after its last step.
+    buffer or view made here once: the logits z @ w + b; the cross-entropy
+    gradient that numerics.bind_cross_entropy_grad binds to each batch's
+    logits, softmax sums and one-hot targets (built once per epoch), all
+    same-shape ops; one backward matmul of the shuffled embeddings with a
+    ones column appended ([K,E+1,B] @ [K,B,2]), which gives the weight and
+    the bias gradients together; and the in-place optimizer step that
+    numerics.bind_optimizer_step binds to the parameter and gradient
+    buffers, the optimizer's state in its closure. The shifted logits and
+    softmax sums of every step are kept; the epoch's per-sample losses and
+    per-batch loss sums are computed from them after its last step.
 
     DivergenceError, naming the head and the 1-based epoch, when a head's
     mean loss over an epoch or its parameters at the end of one are not
@@ -227,9 +226,7 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     k, n, e = z.shape
     if n == 0:
         raise ValueError("empty dataset")
-    labels = check_labels(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must be [{n}], got shape {labels.shape}")
+    labels = check_labels(labels, n)
 
     params = np.zeros((k, e + 1, NUM_CLASSES), dtype=np.float32)
     grads = np.empty_like(params)
@@ -261,24 +258,23 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
                        ys[start:start + count * size].reshape(count, 1, size)))
         for j in range(count):
             zb = zs[:, start + j * size:start + (j + 1) * size]
-            batches.append((zb[..., :e], zb.transpose(0, 2, 1), shifted[j], sums[j],
-                            targets[j], grad, divisor))
+            batches.append((zb[..., :e], zb.transpose(0, 2, 1), shifted[j],
+                            bind_cross_entropy_grad(shifted[j], grad, sums[j],
+                                                    targets[j], divisor)))
     traces = np.empty((k, cfg.epochs))
     # looked up once; outputs passed positionally (see bind_optimizer_step)
-    matmul, add, divide = np.matmul, np.add, np.divide
+    matmul, add = np.matmul, np.add
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         np.take(z, order, axis=1, out=zs)
         np.take(labels, order, out=ys)
         for targets, _, _, y in groups:
             np.copyto(targets, one_hot(y, np.float32))
-        for zb, zb_t, logits, s, target, g, divisor in batches:
+        for zb, zb_t, logits, cross_entropy_grad_step in batches:
             matmul(zb, w, logits)
             add(logits, b, logits)
-            softmax_terms(logits, logits, g, s)  # shifts the logits in place
-            cross_entropy_grad(g, s, target, out=g)
-            divide(g, divisor, g)
-            matmul(zb_t, g, grads)
+            # shifts the logits in place; the gradient lands in the group's buffer
+            matmul(zb_t, cross_entropy_grad_step(), grads)
             step()
         batch_sums = np.concatenate([cross_entropy_batch(shifted, sums, y).sum(axis=-1)
                                      for _, shifted, sums, y in groups])

@@ -1,6 +1,7 @@
 """Dense numerics shared by the whole pipeline: one stabilized two-class
 cross-entropy (every head is binary: two groups, disease or not), split into
-the softmax both halves share, a gradient half and a loss half; the L2
+the softmax both halves share, a gradient half and a loss half, plus the
+gradient step head training binds to its buffers once; the L2
 magnitude penalty; and SGD/Adam/AdamW steps with hand-written update rules
 (no autodiff anywhere in this package); and the per-epoch check that a
 training loop has not diverged.
@@ -16,9 +17,19 @@ L2_ORIGIN_EPS = 1e-12
 NUM_CLASSES = 2  # the columns of every head's logits
 
 
-def check_labels(labels) -> np.ndarray:
-    """labels as an array; IndexError unless every label is 0 or 1."""
+def check_labels(labels, rows: int | None = None) -> np.ndarray:
+    """labels as an integer array, bools as 0 and 1 in uint8: TypeError for
+    any other dtype, which one_hot and the loss would misread, ValueError
+    unless there are `rows` of them when given, one per row, and IndexError
+    unless every label is 0 or 1."""
     labels = np.asarray(labels)
+    if labels.dtype == np.bool_:
+        labels = labels.astype(np.uint8)
+    elif not np.issubdtype(labels.dtype, np.integer):
+        raise TypeError(f"labels must be integers or bools, got dtype {labels.dtype}")
+    if rows is not None and labels.shape != (rows,):
+        raise ValueError(f"{rows} rows need labels of shape ({rows},), "
+                         f"got shape {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= NUM_CLASSES):
         raise IndexError("label out of range")
     return labels
@@ -94,6 +105,35 @@ def cross_entropy_grad(exps: np.ndarray, sums: np.ndarray, onehot: np.ndarray,
     return np.subtract(grad, onehot, out=grad)
 
 
+def bind_cross_entropy_grad(logits: np.ndarray, exps: np.ndarray, sums: np.ndarray,
+                            onehot: np.ndarray, divisor: np.ndarray):
+    """The mean-CE gradient (softmax - onehot) / B of the [..., 2] `logits`,
+    as a function of no arguments that computes it into `exps` and returns
+    it; `divisor` holds B. All five arrays have one shape.
+
+    The ops of softmax_terms(logits, logits, exps, sums), then of
+    cross_entropy_grad(exps, sums, onehot, out=exps), then the division by
+    B, in that order and so with their bytes: the logits are shifted in
+    place and `sums` keeps each row's sum, which cross_entropy_batch reads
+    after the step. The swapped-column views are taken once, here, and each
+    op but the maximum takes its output positionally (see
+    bind_optimizer_step).
+    """
+    maximum, subtract, exp, add, divide = np.maximum, np.subtract, np.exp, np.add, np.divide
+    logits_swapped, exps_swapped = logits[..., ::-1], exps[..., ::-1]
+
+    def cross_entropy_grad_step():
+        # out= as a keyword: numpy deprecates a third positional argument here
+        maximum(logits, logits_swapped, out=sums)  # the row max, until the exps
+        subtract(logits, sums, logits)
+        exp(logits, exps)
+        add(exps, exps_swapped, sums)
+        divide(exps, sums, exps)
+        subtract(exps, onehot, exps)
+        return divide(exps, divisor, exps)
+    return cross_entropy_grad_step
+
+
 def cross_entropy_batch(shifted: np.ndarray, sums: np.ndarray,
                         labels: np.ndarray) -> np.ndarray:
     """Loss half: the per-sample CE -log softmax[label], [...] for logits
@@ -143,9 +183,11 @@ def bind_optimizer_step(kind: str, lr: float, param: np.ndarray, grad: np.ndarra
     function of no arguments that returns `param`. The kind, lr and shapes
     are checked once, here, and the state lives in its closure: the step
     count, Adam's m and v stacked in one [2, *shape] buffer (they go through
-    each op together), the bias corrections 1 - BETA**t filled across the
-    halves of another, and a scratch buffer for every temporary, all in the
-    dtype of `param`, in which each update is computed.
+    each op together, but for the gradient's gains, which are one same-shape
+    multiply per half: a multiply broadcasting `grad` over both halves costs
+    several times as much), the bias corrections 1 - BETA**t filled across
+    the halves of another, and a scratch buffer for every temporary, all in
+    the dtype of `param`, in which each update is computed.
 
     The textbook expressions in their textbook order, each op writing into
     those buffers, so that a step gives the bytes the allocating formulas
@@ -181,7 +223,7 @@ def bind_optimizer_step(kind: str, lr: float, param: np.ndarray, grad: np.ndarra
 
     add, divide, sqrt = np.add, np.divide, np.sqrt
     moments, corrections = np.zeros(stacked, dtype), np.empty(stacked, dtype)
-    decays, gains = full(BETA1, BETA2), full(1.0 - BETA1, 1.0 - BETA2)
+    decays, (gain_m, gain_v) = full(BETA1, BETA2), full(1.0 - BETA1, 1.0 - BETA2)
     decay = kind == "adamw"
     fill_m, fill_v = corrections[0, ...].fill, corrections[1, ...].fill
     t = 0
@@ -194,7 +236,8 @@ def bind_optimizer_step(kind: str, lr: float, param: np.ndarray, grad: np.ndarra
             subtract(param, step, param)
         t += 1
         multiply(decays, moments, moments)
-        multiply(gains, grad, scratch)
+        multiply(gain_m, grad, step)
+        multiply(gain_v, grad, denom)
         multiply(denom, grad, denom)
         add(moments, scratch, moments)
         fill_m(1.0 - BETA1 ** t)

@@ -73,6 +73,8 @@ class ArtifactError(RuntimeError):
     """A stage input is missing or cannot be read."""
 
 
+MODES = ("whitebox", "gezo")  # how the edit is learned: through the VJP or GeZO
+
 # seed-stream tags, mixed with the global seed via prng.derive_seed
 TAG_DATA_TRAIN = 0x01
 TAG_DATA_TEST = 0x02
@@ -87,7 +89,7 @@ class PipelineConfig:
     seed: int = 42
     encoder_seed: int = 16  # one frozen encoder shared across runs, like a hosted FM
     out_dir: str = "runs/default"
-    mode: str = "whitebox"  # or "gezo"
+    mode: str = "whitebox"  # one of MODES
     oracle: str = "inprocess"  # or a server address like "127.0.0.1:7447"
     synth: SynthConfig = field(default_factory=SynthConfig)
     train_counts: CellCounts = field(default_factory=lambda: CellCounts(DESK_TRAIN.n))
@@ -116,7 +118,7 @@ class PipelineConfig:
         for key in ("out_dir", "oracle"):
             if key in raw and not isinstance(raw[key], str):
                 raise ConfigError(f"{key} must be a string, got {raw[key]!r}")
-        if "mode" in raw and raw["mode"] not in ("whitebox", "gezo"):
+        if "mode" in raw and raw["mode"] not in MODES:
             raise ConfigError(f"mode must be whitebox or gezo, got {raw['mode']!r}")
         if raw.get("oracle", "inprocess") != "inprocess":
             try:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,49 @@ class TestObjective:
             alone = edit_objective_batch(oracle, head, batch, labels, eps, lam)
             assert type(alone) is float
             assert np.float64(alone).tobytes() == loss.tobytes()
+
+    @given(b=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bool_labels_give_the_bytes_of_their_uint8_form(self, encoder, b, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=b).astype(np.uint8)
+        batch = rng.standard_normal((b, INPUT_DIM)).astype(np.float32)
+        eps = (rng.standard_normal(INPUT_DIM) * 0.1).astype(np.float32)
+        head = LinearHead(rng.standard_normal((EMBED_DIM, 2)).astype(np.float32),
+                          rng.standard_normal(2).astype(np.float32))
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        loss, grad = edit_objective_grad(oracle, head, batch, labels.astype(bool), eps, 0.01)
+        ref_loss, ref_grad = edit_objective_grad(oracle, head, batch, labels, eps, 0.01)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert (np.float64(edit_objective_batch(oracle, head, batch, labels.astype(bool),
+                                                eps, 0.01)).tobytes()
+                == np.float64(edit_objective_batch(oracle, head, batch, labels,
+                                                   eps, 0.01)).tobytes())
+
+    @pytest.mark.parametrize("objective", [edit_objective_batch, edit_objective_grad],
+                             ids=["batch", "grad"])
+    @pytest.mark.parametrize("labels", [np.array([1], dtype=np.uint8),
+                                        np.zeros(7, dtype=np.uint8),
+                                        np.zeros((8, 1), dtype=np.uint8)],
+                             ids=["one", "too_few", "column"])
+    def test_one_label_per_batch_row(self, encoder, trained_sa, small_data, objective,
+                                     labels):
+        _, train, _ = small_data
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        eps = np.zeros(INPUT_DIM, dtype=np.float32)
+        with pytest.raises(ValueError, match=rf"\(8,\).*{re.escape(str(labels.shape))}"):
+            objective(oracle, trained_sa, train.images[:8], labels, eps, 0.01)
+        assert oracle.query_counter == (0, 0)  # refused before the query
+
+    @pytest.mark.parametrize("objective", [edit_objective_batch, edit_objective_grad],
+                             ids=["batch", "grad"])
+    def test_float_labels_refused(self, encoder, trained_sa, small_data, objective):
+        _, train, _ = small_data
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        with pytest.raises(TypeError, match="float64"):
+            objective(oracle, trained_sa, train.images[:2], np.array([1.0, 0.0]),
+                      np.zeros(INPUT_DIM, dtype=np.float32), 0.01)
 
     def test_grad_matches_finite_differences_f64(self, encoder, trained_sa,
                                                  small_data):

@@ -27,11 +27,10 @@ from ude.numerics import (
     BETA2,
     EPS_STAB,
     WEIGHT_DECAY,
+    bind_cross_entropy_grad,
     bind_optimizer_step,
     check_labels,
     cross_entropy_batch,
-    cross_entropy_grad,
-    softmax_terms,
 )
 from ude.oracle import InProcessOracle
 from ude.prng import Xorshift64Star, derive_seed
@@ -280,6 +279,10 @@ class TestOptimizerStepMatchesTextbook:
            shape=array_shapes(min_dims=0, max_dims=3, max_side=6),
            lr=st.sampled_from([1e-4, 1.25e-4, 1e-2, 0.5]),
            steps=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    # fit_heads' parameter shape, past the step where the float32 1 - BETA1**t
+    # rounds to 1
+    @example(kind="adam", dtype=np.float32, shape=(2, 33, 2), lr=1e-4, steps=400, seed=6)
+    @example(kind="adamw", dtype=np.float32, shape=(2, 33, 2), lr=1e-2, steps=400, seed=7)
     @settings(max_examples=150, deadline=None)
     def test_in_place_step_same_bytes(self, kind, dtype, shape, lr, steps, seed):
         rng = np.random.default_rng(seed)
@@ -334,12 +337,21 @@ class _FixedEmbeddings:
 
 @st.composite
 def stacked_logits_and_labels(draw):
-    """[K,B,2] float32 logits in +-200, labels [B] and an embedding seed."""
+    """[K,B,2] float32 logits in +-200 or, the logits of a diverging head,
+    +-inf or NaN; labels [B] and an embedding seed."""
     k, b = draw(st.integers(1, 3)), draw(st.integers(1, 16))
-    logits = draw(arrays(np.float32, (k, b, 2),
-                         elements=st.floats(-200, 200, width=32)))
+    logits = draw(arrays(np.float32, (k, b, 2), elements=st.one_of(
+        st.floats(-200, 200, width=32), st.sampled_from([np.inf, -np.inf, np.nan]))))
     labels = draw(arrays(np.int64, b, elements=st.integers(0, 1)))
     return logits, labels, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_same_numbers(got, want):
+    """NaN exactly where `want` is NaN, and its bytes everywhere else."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert got.dtype == want.dtype and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestFitHeadsMatchesSeparateHeads:
@@ -382,36 +394,68 @@ class TestFitHeadsMatchesSeparateHeads:
     @given(stacked_logits_and_labels())
     @example((np.array([[[0.0, -120.0], [50.0, 0.0]], [[3.0, 1.0], [-7.5, 2.0]]],
                        dtype=np.float32), np.array([0, 0]), 0))  # losses of exactly -0.0
+    @example((np.array([[[np.inf, 1.0], [-np.inf, 0.0]], [[np.nan, 2.0], [3.0, 4.0]]],
+                       dtype=np.float32), np.array([1, 0]), 0))  # a diverging head
     @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_stacked_step_same_bytes_as_per_head_step(self, case):
-        """One fit_heads step on [K,B,2] logits: the in-place two-column
-        softmax with logits-shaped sums, the gradient against same-shape
-        one-hot targets, the division by a same-shape batch size, and one
-        [K,E+1,B] @ [K,B,2] backward matmul over the embeddings with a ones
-        column, whose rows are the weight gradient and then the bias
-        gradient; after the epoch, the losses from the kept shifted logits
-        and sums and their last-axis batch sums. Each head against its
-        textbook 2-D step."""
+        """One fit_heads step on [K,B,2] logits: the cross-entropy gradient
+        step that numerics.bind_cross_entropy_grad binds to the logits (which
+        it shifts in place), the exps buffer, logits-shaped sums, same-shape
+        one-hot targets and a same-shape batch size, run twice to show that
+        its views stay bound to the buffers; and one [K,E+1,B] @ [K,B,2]
+        backward matmul over the embeddings with a ones column, whose rows
+        are the weight gradient and then the bias gradient; after the epoch,
+        the losses from the kept shifted logits and sums and their last-axis
+        batch sums. Each head against its textbook 2-D step, bytes-equal
+        where the textbook value is a number and NaN where it is NaN, so a
+        diverging head turns non-finite in the same epoch."""
         logits, labels, seed = case
         k, b, _ = logits.shape
         zb = np.random.default_rng(seed).normal(size=(k, b, EMBED_DIM)).astype(np.float32)
         zb = np.concatenate((zb, np.ones((k, b, 1), np.float32)), axis=2)
-        shifted, g, sums = logits.copy(), np.empty_like(logits), np.empty_like(logits)
+        shifted, g, sums = np.empty_like(logits), np.empty_like(logits), np.empty_like(logits)
         targets = np.broadcast_to(np.eye(2, dtype=np.float32)[labels], logits.shape).copy()
-        assert softmax_terms(shifted, shifted, g, sums)[0] is shifted
-        cross_entropy_grad(g, sums, targets, out=g)
-        np.divide(g, np.full(g.shape, b, np.float32), out=g)
+        step = bind_cross_entropy_grad(shifted, g, sums, targets,
+                                       np.full(g.shape, b, np.float32))
+        for _ in range(2):
+            shifted[...] = logits
+            assert step() is g
         grads = np.matmul(zb.transpose(0, 2, 1), g)
         losses = cross_entropy_batch(shifted[None], sums[None], labels[None, None])[0]
         batch_sums = losses.sum(axis=-1)
         for j in range(k):
             ref_losses, ref_g = textbook_cross_entropy(logits[j], labels)
             ref_g /= b
-            assert losses[j].tobytes() == ref_losses.tobytes()
-            assert batch_sums[j].tobytes() == ref_losses.sum().tobytes()
-            assert g[j].tobytes() == ref_g.tobytes()
-            assert grads[j, :-1].tobytes() == (zb[j, :, :-1].T @ ref_g).tobytes()
-            assert grads[j, -1].tobytes() == ref_g.sum(axis=0).tobytes()
+            assert_same_numbers(losses[j], ref_losses)
+            assert_same_numbers(batch_sums[j], ref_losses.sum())
+            assert_same_numbers(g[j], ref_g)
+            assert_same_numbers(grads[j, :-1], zb[j, :, :-1].T @ ref_g)
+            assert_same_numbers(grads[j, -1], ref_g.sum(axis=0))
+
+    @given(k=st.integers(1, 2), n=st.integers(1, 20), batch_size=st.integers(1, 8),
+           optimizer=st.sampled_from(["sgd", "adam", "adamw"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bool_labels_give_the_bytes_of_their_uint8_form(self, k, n, batch_size,
+                                                            optimizer, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(k, n, EMBED_DIM)).astype(np.float32)
+        labels = rng.integers(0, 2, size=n).astype(np.uint8)
+        cfg = TrainConfig(optimizer, 5e-2, epochs=2, batch_size=batch_size)
+        fitted = fit_heads(z, labels.astype(bool), cfg, seed)
+        for (head, trace), (ref_head, ref_trace) in zip(fitted, fit_heads(z, labels, cfg,
+                                                                          seed)):
+            assert head_bytes(head) == head_bytes(ref_head)
+            assert trace == ref_trace
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 1.0, 0.0, 1.0]),
+                                        np.array(list("01101"), dtype=object)],
+                             ids=["float", "object"])
+    def test_rejects_non_integer_labels(self, labels):
+        z = np.zeros((1, 5, EMBED_DIM), dtype=np.float32)
+        with pytest.raises(TypeError, match="labels must be integers or bools"):
+            fit_heads(z, labels, TrainConfig(epochs=1), 0)
 
     def test_rejects_bad_shapes(self):
         z = np.zeros((2, 5, EMBED_DIM), dtype=np.float32)

@@ -11,6 +11,7 @@ from ude.numerics import (
     BETA2,
     EPS_STAB,
     WEIGHT_DECAY,
+    bind_cross_entropy_grad,
     bind_optimizer_step,
     check_labels,
     cross_entropy_batch,
@@ -69,6 +70,22 @@ class TestCrossEntropy:
         for bad in (2, -1):
             with pytest.raises(IndexError):
                 check_labels(np.array([0, bad]))
+
+    def test_labels_are_integers(self):
+        labels = check_labels(np.array([True, False, True]))
+        assert labels.dtype == np.uint8 and labels.tolist() == [1, 0, 1]
+        for dtype in (np.int8, np.uint16, np.int64):
+            assert check_labels(np.array([0, 1], dtype=dtype)).dtype == dtype
+        for bad in (np.array([0.0, 1.0]), np.array([0, 1], dtype=np.float32),
+                    np.array([1 + 0j]), np.array(["0", "1"])):
+            with pytest.raises(TypeError, match=str(bad.dtype)):
+                check_labels(bad)
+
+    def test_one_label_per_row(self):
+        assert check_labels([0, 1, 1], 3).tolist() == [0, 1, 1]
+        for bad in ([0, 1], [[0], [1], [1]], 1):
+            with pytest.raises(ValueError, match=r"3 rows need labels of shape \(3,\)"):
+                check_labels(bad, 3)
 
     def test_large_logits_stable(self):
         assert np.isfinite(_ce([1000.0, -1000.0], 1))
@@ -180,6 +197,34 @@ class TestLogitsShapedSums:
         onehot = one_hot(labels, logits.dtype)
         assert got_losses.tobytes() == losses.tobytes()
         assert cross_entropy_grad(got_exps, got_sums, onehot).tobytes() == grad.tobytes()
+
+
+class TestBoundCrossEntropyGrad:
+    @given(arrays(np.float32, st.tuples(st.integers(1, 3), st.integers(1, 12), st.just(2)),
+                  elements=special_floats),
+           st.integers(0, 2**32 - 1))
+    @example(np.array([[[0.0, -0.0], [np.inf, -np.inf], [np.nan, 1.0], [-np.inf, -np.inf]]],
+                      dtype=np.float32), 0)
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_same_bytes_as_softmax_terms_then_cross_entropy_grad(self, logits, seed):
+        """The bound step writes out the ops of softmax_terms and
+        cross_entropy_grad a second time: its shifted logits, sums and
+        gradient are their bytes, divided by B, on every call."""
+        labels = np.random.default_rng(seed).integers(0, 2, size=logits.shape[:-1])
+        onehot = one_hot(labels, logits.dtype)
+        divisor = np.full(logits.shape, logits.shape[-2], logits.dtype)
+        shifted, exps, sums = (np.empty_like(logits) for _ in range(3))
+        step = bind_cross_entropy_grad(shifted, exps, sums, onehot, divisor)
+        ref_shifted, ref_exps, ref_sums = softmax_terms(logits)
+        ref = cross_entropy_grad(ref_exps, ref_sums, onehot) / divisor
+        for _ in range(2):
+            shifted[...] = logits
+            assert step() is exps
+            assert shifted.tobytes() == ref_shifted.tobytes()
+            assert sums.tobytes() == ref_sums.tobytes()
+            assert exps.tobytes() == ref.tobytes()
 
 
 class TestL2Norm:
