@@ -18,9 +18,11 @@ capability error, 4 remote/protocol error (including a server that cannot
 be reached or does not answer in time), 5 undefined metric, 6 edit
 learning or head training diverged (a non-finite loss, edit or head
 parameter at the end of an epoch), 7 a stage input (an artifact an earlier
-stage writes) is missing or corrupt, a head in it is not [E, 2] / [2] or
-its E is not the embedding width of the config's encoder, or a noise-map
-edit is not [side * side].
+stage writes, or the noise-map --edit) is missing or corrupt, holds a
+non-finite tensor value, or is not of the config's shapes: data whose
+images are not [N, side * side] with N >= 1, an edit that is not
+[side * side], a head that is not [E, 2] / [2] or whose E is not the
+embedding width of the config's encoder.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import argparse
 import os
 import sys
 
-from .editing import load_edit, write_noise_map_csv
+from .editing import write_noise_map_csv
 from .fairness import UndefinedMetric
 from .numerics import DivergenceError
 from .oracle import CapabilityError, ProtocolError
@@ -159,14 +161,9 @@ def _dispatch(args) -> int:
     elif cmd == "noise-map":
         if not 0 < args.top_fraction <= 1:
             raise ConfigError(f"--top-fraction must be in (0, 1], got {args.top_fraction}")
-        edit_dir = args.edit or os.path.join(cfg.out_dir, "edit")
-        artifact = load_input(load_edit, edit_dir)
-        if artifact.eps.shape != (cfg.synth.dim,):
-            raise ArtifactError(f"edit in {edit_dir} has shape {artifact.eps.shape}, "
-                                f"not [{cfg.synth.dim}] for side {cfg.synth.side}")
+        eps = load_input(cfg, "edit", args.edit).eps
         out = os.path.join(cfg.out_dir, "noise_map")
-        degenerate = write_noise_map_csv(out, artifact.eps, cfg.synth.side,
-                                         args.top_fraction)
+        degenerate = write_noise_map_csv(out, eps, cfg.synth.side, args.top_fraction)
         if degenerate:
             print("warning: constant edit; noise map is degenerate", file=sys.stderr)
         print(f"noise map written to {out}")

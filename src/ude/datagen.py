@@ -21,7 +21,6 @@ import numpy as np
 
 from .numerics import is_integer, is_real
 from .prng import derive_seed
-from .tensor_io import load_artifact, save_artifact
 
 
 def _block(side: int, row0: int, col0: int, size: int) -> list[int]:
@@ -124,8 +123,9 @@ class LabeledImageSet:
     disease_labels: np.ndarray  # y in {0,1}
 
     def __post_init__(self):
-        if np.ndim(self.images) != 2:
-            raise ValueError(f"images must be [N, D], got shape {np.shape(self.images)}")
+        if np.ndim(self.images) != 2 or len(self.images) == 0:
+            raise ValueError(f"images must be [N, D] with N >= 1, "
+                             f"got shape {np.shape(self.images)}")
         n = self.images.shape[0]
         for name in ("sa_labels", "disease_labels"):
             lab = np.asarray(getattr(self, name))
@@ -176,14 +176,3 @@ def generate(cfg: SynthConfig, counts: CellCounts, seed: int) -> LabeledImageSet
     return LabeledImageSet(images=np.concatenate(images),
                            sa_labels=np.concatenate(sas),
                            disease_labels=np.concatenate(ys))
-
-
-# ---------------------------------------------------------------------------
-# persistence: one tensor_io artifact, labels stored as f32 tensors
-
-def save_dataset(dirpath, dataset: LabeledImageSet) -> None:
-    save_artifact(dirpath, "labeled_image_set", vars(dataset))
-
-
-def load_dataset(dirpath) -> LabeledImageSet:
-    return LabeledImageSet(**load_artifact(dirpath, "labeled_image_set")[0])

@@ -30,9 +30,7 @@ from .numerics import (
     one_hot,
     softmax_terms,
 )
-from .oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError
 from .prng import derive_seed
-from .tensor_io import load_artifact, save_artifact
 
 
 @dataclass
@@ -107,10 +105,8 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
                        sa_labels: np.ndarray, cfg: UdeConfig, seed: int) -> EditArtifact:
     """Adam on the edit against a frozen group head, gradients through the
     encoder, mini-batches shuffled from `seed`. The head and encoder are
-    never modified."""
-    if oracle.capability != FORWARD_WITH_INPUT_GRAD:
-        raise CapabilityError("white-box edit learning needs input gradients; "
-                              "use the zeroth-order optimizer instead")
+    never modified. CapabilityError, from the oracle's embed_vjp before any
+    step, unless the oracle gives input gradients."""
     n, dim = images.shape
     eps, grad = np.zeros(dim, dtype=np.float32), np.empty(dim, dtype=np.float32)
     step = bind_optimizer_step("adam", cfg.lr, eps, grad)
@@ -177,16 +173,3 @@ def write_noise_map_csv(dirpath, eps: np.ndarray, side: int, top_fraction: float
             for row in grid:
                 writer.writerow([fmt.format(v) for v in row])
     return degenerate
-
-
-# ---------------------------------------------------------------------------
-# persistence: one tensor_io artifact, the traces in its provenance
-
-def save_edit(dirpath, artifact: EditArtifact) -> None:
-    meta = vars(artifact).copy()
-    save_artifact(dirpath, "edit_artifact", {"eps": meta.pop("eps")}, **meta)
-
-
-def load_edit(dirpath) -> EditArtifact:
-    tensors, meta = load_artifact(dirpath, "edit_artifact")
-    return EditArtifact(**tensors, **meta)

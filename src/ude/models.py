@@ -25,7 +25,6 @@ from .numerics import (
     one_hot,
 )
 from .prng import Xorshift64Star, derive_seed
-from .tensor_io import load_artifact, save_artifact
 
 INPUT_DIM = 256  # 16x16 images
 HIDDEN_DIM = 64
@@ -301,14 +300,3 @@ def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
 def head_accuracy(head: LinearHead, z: np.ndarray, labels: np.ndarray) -> float:
     preds = np.argmax(head_forward(head, z), axis=1)
     return float(np.mean(preds == np.asarray(labels)))
-
-
-# ---------------------------------------------------------------------------
-# persistence: one tensor_io artifact per head
-
-def save_head(dirpath, head: LinearHead, **meta) -> None:
-    save_artifact(dirpath, "linear_head", vars(head), **meta)
-
-
-def load_head(dirpath) -> LinearHead:
-    return LinearHead(**load_artifact(dirpath, "linear_head")[0])

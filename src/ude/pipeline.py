@@ -6,7 +6,9 @@ list of them against a store with one oracle. A RunDirectory store loads a
 stage's saved inputs from an output directory before the stage runs and
 saves its outputs with a manifest, so every artifact can be reproduced
 byte-for-byte from its recorded config and seeds; a plain dict keeps them
-in memory, which is how run_experiment runs them.
+in memory, which is how run_experiment runs them. Each artifact's place,
+format and the shapes the config requires of it are declared once, in
+ARTIFACTS, and saved and loaded only by save_output and load_input.
 """
 
 from __future__ import annotations
@@ -30,29 +32,19 @@ from .datagen import (
     LabeledImageSet,
     SynthConfig,
     generate,
-    load_dataset,
-    save_dataset,
 )
-from .editing import (
-    EditArtifact,
-    UdeConfig,
-    learn_ude_whitebox,
-    load_edit,
-    save_edit,
-    train_fair_disease,
-)
+from .editing import EditArtifact, UdeConfig, learn_ude_whitebox, train_fair_disease
 from .fairness import FairnessReport, CSV_HEADER, evaluate
 from .gezo import GezoConfig, learn_ude_gezo
 from .models import (
+    FrozenEncoder,
     LinearHead,
     TrainConfig,
     build_encoder,
     head_accuracy,
-    load_head,
-    save_head,
     train_head,
 )
-from .numerics import is_integer
+from .numerics import NUM_CLASSES, is_integer
 from .oracle import (
     FORWARD_ONLY,
     FORWARD_WITH_INPUT_GRAD,
@@ -62,7 +54,7 @@ from .oracle import (
     parse_address,
 )
 from .prng import derive_seed
-from .tensor_io import PROVENANCE
+from .tensor_io import PROVENANCE, load_artifact, save_artifact
 
 
 class ConfigError(ValueError):
@@ -126,6 +118,10 @@ class PipelineConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad oracle address: {exc}") from exc
 
+    def encoder(self) -> FrozenEncoder:
+        """The frozen encoder encoder_seed names, for synth.dim-pixel images."""
+        return build_encoder(seed=self.encoder_seed, input_dim=self.synth.dim)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -172,8 +168,7 @@ def make_oracle(cfg: PipelineConfig):
     if cfg.oracle != "inprocess":
         return RemoteOracle(cfg.oracle)
     cap = FORWARD_WITH_INPUT_GRAD if cfg.mode == "whitebox" else FORWARD_ONLY
-    return InProcessOracle(build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim),
-                           capability=cap)
+    return InProcessOracle(cfg.encoder(), capability=cap)
 
 
 def make_out_dir(path) -> str:
@@ -184,15 +179,6 @@ def make_out_dir(path) -> str:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
-
-
-def load_input(loader, path):
-    """loader(path) for a stage input; ArtifactError when it is missing or
-    its files are unreadable or malformed."""
-    try:
-        return loader(path)
-    except (OSError, ValueError, TypeError) as exc:
-        raise ArtifactError(f"cannot read {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +274,72 @@ def _save_reports(dirpath, reports: dict) -> None:
             writer.writerow([name] + rep.csv_row())
 
 
-# artifact -> (its path under the output directory, its loader, its saver,
-# which takes the path and the store that holds the artifact)
+@dataclass(frozen=True)
+class Artifact:
+    """How a run directory keeps an artifact: its path under the output
+    directory; the tensor_io kind and dataclass it is saved as (the reports,
+    which no stage reads, have neither and are saved as JSON and CSV); the
+    notes its provenance records besides the class's fields, each key's
+    value taken from the store; and the shapes the config requires of its
+    tensors, checked as it is loaded (None: any size)."""
+    path: str
+    kind: str | None = None
+    cls: type | None = None
+    notes: dict = field(default_factory=dict)
+    shapes: Callable = lambda cfg: {}
+
+
+def _data_shapes(cfg: PipelineConfig) -> dict:
+    return {"images": (None, cfg.synth.dim)}
+
+
+def _head_shapes(cfg: PipelineConfig) -> dict:
+    return {"weight": (cfg.encoder().embed_dim, NUM_CLASSES)}
+
+
+def _head(path: str, **notes) -> Artifact:
+    return Artifact(path, "linear_head", LinearHead, notes, _head_shapes)
+
+
 ARTIFACTS = {
-    "train_data": (os.path.join("data", "train"), load_dataset,
-                   lambda path, run: save_dataset(path, run["train_data"])),
-    "test_data": (os.path.join("data", "test"), load_dataset,
-                  lambda path, run: save_dataset(path, run["test_data"])),
-    "sa_head": ("sa_head", load_head,
-                lambda path, run: save_head(path, run["sa_head"], task="sensitive_attribute",
-                                            train_accuracy=run["sa_train_accuracy"],
-                                            loss_trace=run["sa_loss_trace"])),
-    "edit": ("edit", load_edit, lambda path, run: save_edit(path, run["edit"])),
-    "erm_head": ("erm_head", load_head,
-                 lambda path, run: save_head(path, run["erm_head"], task="disease",
-                                             edit="zero")),
-    "disease_head": ("disease_head", load_head,
-                     lambda path, run: save_head(path, run["disease_head"], task="disease",
-                                                 edit=run["edit"].mode)),
-    "reports": ("reports", None, lambda path, run: _save_reports(path, run["reports"])),
+    "train_data": Artifact(os.path.join("data", "train"), "labeled_image_set",
+                           LabeledImageSet, shapes=_data_shapes),
+    "test_data": Artifact(os.path.join("data", "test"), "labeled_image_set",
+                          LabeledImageSet, shapes=_data_shapes),
+    "sa_head": _head("sa_head", task=lambda run: "sensitive_attribute",
+                     train_accuracy=lambda run: run["sa_train_accuracy"],
+                     loss_trace=lambda run: run["sa_loss_trace"]),
+    "edit": Artifact("edit", "edit_artifact", EditArtifact,
+                     shapes=lambda cfg: {"eps": (cfg.synth.dim,)}),
+    "erm_head": _head("erm_head", task=lambda run: "disease", edit=lambda run: "zero"),
+    "disease_head": _head("disease_head", task=lambda run: "disease",
+                          edit=lambda run: run["edit"].mode),
+    "reports": Artifact("reports"),
 }
+
+
+def save_output(run, name: str, path) -> None:
+    """Save the artifact `name` that the store `run` holds at `path`, with
+    its notes taken from `run`."""
+    row = ARTIFACTS[name]
+    if row.kind is None:
+        _save_reports(path, run[name])
+    else:
+        save_artifact(path, row.kind, run[name],
+                      **{key: note(run) for key, note in row.notes.items()})
+
+
+def load_input(cfg: PipelineConfig, name: str, path=None):
+    """The artifact `name` saved at `path`, by default its place under
+    cfg.out_dir; ArtifactError when it is missing, its files are unreadable
+    or malformed, or its tensors are not of the shapes cfg requires."""
+    row = ARTIFACTS[name]
+    path = path or os.path.join(cfg.out_dir, row.path)
+    shapes = row.shapes(cfg)
+    try:
+        return load_artifact(path, row.kind, row.cls, row.notes, shapes)
+    except (OSError, ValueError, TypeError) as exc:
+        raise ArtifactError(f"cannot read {path}: {exc}") from exc
 
 
 def _file_digests(root) -> dict:
@@ -332,33 +364,24 @@ class RunDirectory(dict):
         make_out_dir(cfg.out_dir)
 
     def path(self, name: str) -> str:
-        return os.path.join(self.cfg.out_dir, ARTIFACTS[name][0])
+        return os.path.join(self.cfg.out_dir, ARTIFACTS[name].path)
 
     def __missing__(self, name: str):
         raise ArtifactError(f"missing stage input {name}: nothing saved in {self.path(name)}")
 
     def load(self, stage: Stage) -> None:
-        """Take in each input of `stage` saved in the directory and not held;
-        ArtifactError, before any oracle call, when one cannot be read or is
-        a head that does not take the embeddings of the encoder cfg names
-        (of that encoder's width)."""
-        cfg = self.cfg
+        """Take in each input of `stage` saved in the directory and not held
+        (load_input); ArtifactError, before any oracle call, when one cannot
+        be read or is not of the shapes the config requires."""
         for name in stage.reads:
             path = self.path(name)
-            if name in self or not os.path.exists(os.path.join(path, PROVENANCE)):
-                continue
-            value = self[name] = load_input(ARTIFACTS[name][1], path)
-            if isinstance(value, LinearHead):
-                rows = value.weight.shape[0]
-                width = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim).embed_dim
-                if rows != width:
-                    raise ArtifactError(f"head in {path} takes {rows}-dim embeddings, but "
-                                        f"encoder {cfg.encoder_seed} gives {width}")
+            if name not in self and os.path.exists(os.path.join(path, PROVENANCE)):
+                self[name] = load_input(self.cfg, name, path)
 
     def save(self, stage: Stage) -> None:
         written = [name for name in stage.writes if name in self]
         for name in written:
-            ARTIFACTS[name][2](self.path(name), self)
+            save_output(self, name, self.path(name))
         self.write_manifest(stage.name, stage.reads, written)
 
     def write_manifest(self, name: str, reads, writes) -> None:
@@ -403,9 +426,8 @@ def run_stages(cfg: PipelineConfig, names, store, oracle=None, grad_oracle=None,
 def cmd_serve(cfg: PipelineConfig, address: str) -> OracleServer:
     """A forward-only server around the encoder cfg.encoder_seed names;
     ConfigError when it cannot listen on `address`."""
-    encoder = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
     try:
-        return OracleServer(encoder, address)
+        return OracleServer(cfg.encoder(), address)
     except (ValueError, OSError) as exc:  # a malformed address, or one in use
         raise ConfigError(f"cannot serve on {address}: {exc}") from exc
 

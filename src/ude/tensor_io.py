@@ -1,10 +1,11 @@
 """Binary tensor container: magic "UDET", version u16 LE, rank u8,
-rank x u32 LE dims, then product(dims) x f32 LE values. Round-trips are
-bit-exact for f32 input.
+rank x u32 LE dims, then product(dims) x f32 LE values, all finite.
+Round-trips are bit-exact for finite f32 input.
 
-An artifact (a dataset, a head, an edit) is a directory of such tensors,
-<name>.udet each, and provenance.json, written last: {"kind", "tensors":
-{name: shape}, **meta}. Only save_artifact and load_artifact touch it.
+An artifact is a dataclass instance saved as a directory: each of its
+array fields as <name>.udet, in field order, then provenance.json, written
+last: {"kind", "tensors": {name: shape}, the other fields, the notes}.
+Only save_artifact and load_artifact touch it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -59,6 +61,8 @@ def load_tensor(path) -> np.ndarray:
     if len(blob) != off + 4 * count:
         raise TensorFormatError("payload size mismatch")
     data = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
+    if not np.all(np.isfinite(data)):
+        raise TensorFormatError("tensor contains non-finite values")
     return data.reshape(dims).astype(np.float32)
 
 
@@ -67,21 +71,29 @@ def tensor_digest(arr: np.ndarray) -> str:
     return hashlib.sha256(tensor_bytes(arr)).hexdigest()
 
 
-def save_artifact(dirpath, kind: str, tensors: dict, **meta) -> None:
-    """One <name>.udet per tensor, then provenance.json naming the kind,
-    each tensor's shape and the JSON-serialisable meta."""
+def save_artifact(dirpath, kind: str, value, **notes) -> None:
+    """`value`, a dataclass instance: one <name>.udet per array field, then
+    provenance.json naming the kind, each tensor's shape, the other fields
+    and the JSON-serialisable notes."""
     os.makedirs(dirpath, exist_ok=True)
+    tensors, meta = {}, {}
+    for f in fields(value):
+        arr = getattr(value, f.name)
+        (tensors if isinstance(arr, np.ndarray) else meta)[f.name] = arr
     for name, arr in tensors.items():
         save_tensor(os.path.join(dirpath, f"{name}.udet"), arr)
-    shapes = {name: list(np.shape(arr)) for name, arr in tensors.items()}
+    shapes = {name: list(arr.shape) for name, arr in tensors.items()}
     with open(os.path.join(dirpath, PROVENANCE), "w") as fh:
-        json.dump({"kind": kind, "tensors": shapes, **meta}, fh, indent=2)
+        json.dump({"kind": kind, "tensors": shapes, **meta, **notes}, fh, indent=2)
 
 
-def load_artifact(dirpath, kind: str) -> tuple[dict, dict]:
-    """(tensors, meta) of the artifact save_artifact wrote. TensorFormatError
-    unless provenance.json is a JSON object of this kind listing its tensors
-    and each loads with its recorded shape; OSError for a missing file."""
+def load_artifact(dirpath, kind: str, cls, notes=(), shapes=None):
+    """The `cls` instance save_artifact wrote, its notes (keys named in
+    `notes`) dropped. TensorFormatError unless provenance.json is a JSON
+    object of this kind listing its tensors, each loads with its recorded
+    shape, and each tensor `shapes` names has that shape (None: any size);
+    OSError for a missing file; TypeError or ValueError when `cls` refuses
+    the fields."""
     with open(os.path.join(dirpath, PROVENANCE), "rb") as fh:
         try:
             meta = json.load(fh)
@@ -97,4 +109,9 @@ def load_artifact(dirpath, kind: str) -> tuple[dict, dict]:
             raise TensorFormatError(f"{name}.udet has shape {list(arr.shape)}, "
                                     f"provenance records {shape}")
         tensors[name] = arr
-    return tensors, meta
+    for name, want in (shapes or {}).items():
+        got = np.shape(tensors.get(name))
+        if len(got) != len(want) or any(w not in (None, g) for w, g in zip(want, got)):
+            wanted = ", ".join("*" if w is None else str(w) for w in want)
+            raise TensorFormatError(f"{name} has shape {list(got)}, not [{wanted}]")
+    return cls(**tensors, **{key: v for key, v in meta.items() if key not in notes})

@@ -3,8 +3,9 @@ import csv
 import json
 import os
 import shutil
+import struct
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, make_dataclass
 
 import numpy as np
 import pytest
@@ -23,15 +24,15 @@ from ude.cli import (
     build_parser,
     main,
 )
-from ude.editing import save_edit
-from ude.models import load_head
 from ude.pipeline import (
+    ARTIFACTS,
     STAGES,
     ConfigError,
     PipelineConfig,
     RunDirectory,
     make_oracle,
     run_experiment,
+    save_output,
     sweep_config,
 )
 from ude.tensor_io import save_artifact
@@ -133,6 +134,28 @@ def full_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("full")
     assert main(["run", "--config", write_tiny_config(base)]) == EXIT_OK
     return base / "run"
+
+
+@pytest.fixture(scope="module")
+def side_12_run(tmp_path_factory):
+    """The output directory of the same run on 12 x 12 images."""
+    base = tmp_path_factory.mktemp("side12")
+    assert main(["run", "--config", write_tiny_config(base, synth={"side": 12})]) == EXIT_OK
+    return base / "run"
+
+
+def without_outputs_of_reader(tmp_path, full_run, artifact):
+    """A copy of full_run, in tmp_path / "run", without what the verb that
+    reads `artifact` writes; (its config, the verb, those outputs)."""
+    verb, outputs, _ = STAGE_INPUTS[artifact]
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    for out in outputs:
+        if out.endswith(".json"):
+            (run_dir / out).unlink()
+        else:
+            shutil.rmtree(run_dir / out)
+    return write_tiny_config(tmp_path), verb, [run_dir / out for out in outputs]
 
 
 def test_a_run_directory_holds_only_what_it_has_loaded(tmp_path, full_run):
@@ -365,29 +388,49 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("artifact,garble", [
         (artifact, (name, how)) for artifact, (_, _, names) in STAGE_INPUTS.items()
-        for name in names for how in ("garbage", "truncated")],
+        for name in names for how in ("garbage", "truncated", "non-finite")
+        if how != "non-finite" or name.endswith(".udet")],
         ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
     def test_every_file_of_a_stage_input_is_checked(self, tmp_path, capsys, full_run,
                                                      artifact, garble):
-        """A garbled or truncated file of any artifact a stage reads stops
-        that stage with exit 7 before it writes anything."""
-        verb, outputs, names = STAGE_INPUTS[artifact]
-        cfg = write_tiny_config(tmp_path)
-        run_dir = tmp_path / "run"
-        shutil.copytree(full_run, run_dir)
-        assert sorted(p.name for p in (run_dir / artifact).iterdir()) == sorted(names)
-        for out in outputs:
-            if out.endswith(".json"):
-                (run_dir / out).unlink()
-            else:
-                shutil.rmtree(run_dir / out)
+        """A garbled or truncated file of any artifact a stage reads, or a
+        tensor of it whose last value is NaN, stops that stage with exit 7
+        before it writes anything."""
+        names = STAGE_INPUTS[artifact][2]
+        cfg, verb, outputs = without_outputs_of_reader(tmp_path, full_run, artifact)
+        assert sorted(p.name for p in (tmp_path / "run" / artifact).iterdir()) == \
+            sorted(names)
         name, how = garble
-        path = run_dir / artifact / name
+        path = tmp_path / "run" / artifact / name
         blob = path.read_bytes()
-        path.write_bytes(b"garbage" if how == "garbage" else blob[:len(blob) // 2])
+        path.write_bytes({"garbage": b"garbage", "truncated": blob[:len(blob) // 2],
+                          "non-finite": blob[:-4] + struct.pack("<f", NAN)}[how])
         assert main([verb, "--config", cfg]) == EXIT_ARTIFACT
         assert capsys.readouterr().err.startswith("artifact error: ")
-        assert not any((run_dir / out).exists() for out in outputs)
+        assert not any(out.exists() for out in outputs)
+
+    @pytest.mark.parametrize("artifact,swap", [
+        ("data/train", "side-12"), ("data/test", "side-12"), ("edit", "side-12"),
+        ("data/train", "empty"), ("data/test", "empty")])
+    def test_stage_input_of_another_shape_is_artifact_error(self, tmp_path, capsys,
+                                                            full_run, side_12_run,
+                                                            artifact, swap):
+        """Data or an edit of a side-12 run, well-formed but 144 pixels wide,
+        or data of no rows, stops a side-16 stage that reads it with exit 7
+        before it writes anything."""
+        cfg, verb, outputs = without_outputs_of_reader(tmp_path, full_run, artifact)
+        shutil.rmtree(tmp_path / "run" / artifact)
+        if swap == "side-12":
+            shutil.copytree(side_12_run / artifact, tmp_path / "run" / artifact)
+        else:
+            # fields as LabeledImageSet's, without its check
+            empty = make_dataclass("Data", ["images", "sa_labels", "disease_labels"])(
+                np.zeros((0, 256), np.float32), np.zeros(0, np.float32),
+                np.zeros(0, np.float32))
+            save_artifact(tmp_path / "run" / artifact, ARTIFACTS["train_data"].kind, empty)
+        assert main([verb, "--config", cfg]) == EXIT_ARTIFACT
+        assert capsys.readouterr().err.startswith("artifact error: ")
+        assert not any(out.exists() for out in outputs)
 
     @pytest.mark.parametrize("rows,classes", [(None, 3), (16, 2)],
                              ids=["not-binary", "not-the-encoder-width"])
@@ -396,17 +439,15 @@ class TestExitCodes:
         """A well-formed artifact whose head is not binary ([E,3] weight, [3]
         bias), or does not take the encoder's E-dim embeddings ([16,2]
         weight), stops learn-edit with exit 7 before it writes anything."""
-        cfg = write_tiny_config(tmp_path)
-        run_dir = tmp_path / "run"
-        shutil.copytree(full_run, run_dir)
-        shutil.rmtree(run_dir / "edit")
-        rows = rows or load_head(run_dir / "sa_head").weight.shape[0]
-        save_artifact(run_dir / "sa_head", "linear_head",
-                      {"weight": np.zeros((rows, classes), np.float32),
-                       "bias": np.zeros(classes, np.float32)})
-        assert main(["learn-edit", "--config", cfg]) == EXIT_ARTIFACT
+        cfg, verb, outputs = without_outputs_of_reader(tmp_path, full_run, "sa_head")
+        rows = rows or PipelineConfig().encoder().embed_dim
+        # fields as LinearHead's, without its [E, 2] / [2] check
+        head = make_dataclass("Head", ["weight", "bias"])(
+            np.zeros((rows, classes), np.float32), np.zeros(classes, np.float32))
+        save_artifact(tmp_path / "run" / "sa_head", ARTIFACTS["sa_head"].kind, head)
+        assert main([verb, "--config", cfg]) == EXIT_ARTIFACT
         assert capsys.readouterr().err.startswith("artifact error: ")
-        assert not (run_dir / "edit").exists()
+        assert not any(out.exists() for out in outputs)
 
     def test_noise_map_of_an_edit_of_another_side_is_artifact_error(self, tmp_path,
                                                                      capsys, full_run):
@@ -570,7 +611,7 @@ class TestRun:
         cfg = write_tiny_config(tmp_path, mode=mode)
         assert main(["run", "--config", cfg]) == EXIT_OK
         result = run_experiment(PipelineConfig.from_json_file(cfg))
-        save_edit(tmp_path / "in_memory_edit", result.edit)
+        save_output({"edit": result.edit}, "edit", tmp_path / "in_memory_edit")
         run_dir = tmp_path / "run"
         for name in ("eps.udet", "provenance.json"):
             assert (run_dir / "edit" / name).read_bytes() == \

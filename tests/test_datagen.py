@@ -8,9 +8,8 @@ from ude.datagen import (
     SynthConfig,
     base_pattern,
     generate,
-    load_dataset,
-    save_dataset,
 )
+from ude.pipeline import PipelineConfig, load_input, save_output
 
 PLEURAL_EFFUSION_TRAIN = [[5000, 500], [500, 5000]]  # the bias-amplified grid n[y][a]
 
@@ -128,7 +127,7 @@ class TestLabeledImageSet:
         with pytest.raises(ValueError, match=name):
             LabeledImageSet(self.IMAGES, **labels)
 
-    @pytest.mark.parametrize("shape", [(), (2,), (2, 4, 1)])
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 4, 1), (0, 4)])
     def test_rejects_images_that_are_not_a_matrix(self, shape):
         with pytest.raises(ValueError, match="images"):
             LabeledImageSet(np.zeros(shape, dtype=np.float32), sa_labels=np.array([0, 1]),
@@ -145,8 +144,8 @@ class TestLabeledImageSet:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         data = generate(SynthConfig(), CellCounts([[2, 2], [2, 2]]), seed=3)
-        save_dataset(tmp_path / "d", data)
-        back = load_dataset(tmp_path / "d")
+        save_output({"train_data": data}, "train_data", tmp_path / "d")
+        back = load_input(PipelineConfig(), "train_data", tmp_path / "d")
         assert np.array_equal(back.images, data.images)
         assert np.array_equal(back.sa_labels, data.sa_labels)
         assert np.array_equal(back.disease_labels, data.disease_labels)

@@ -13,8 +13,6 @@ from ude.editing import (
     edit_objective_grad,
     export_noise_map,
     learn_ude_whitebox,
-    load_edit,
-    save_edit,
     train_fair_disease,
     write_noise_map_csv,
 )
@@ -27,6 +25,7 @@ from ude.models import (
     train_head,
 )
 from ude.oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError, InProcessOracle
+from ude.pipeline import PipelineConfig, load_input, save_output
 
 from conftest import central_diff, head_bytes
 
@@ -245,12 +244,12 @@ class TestNoiseMap:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        art = EditArtifact(eps=np.arange(8, dtype=np.float32),
+        art = EditArtifact(eps=np.arange(INPUT_DIM, dtype=np.float32),
                            loss_trace=[1.0, 0.5], eps_norm_trace=[0.1, 0.2],
                            config={"lam": 0.01}, seed=9, mode="gezo",
                            iteration_trace=[{"iteration": 1, "improved": True}])
-        save_edit(tmp_path / "e", art)
-        back = load_edit(tmp_path / "e")
+        save_output({"edit": art}, "edit", tmp_path / "e")
+        back = load_input(PipelineConfig(), "edit", tmp_path / "e")
         assert back.eps.tobytes() == art.eps.tobytes()
         assert back.loss_trace == art.loss_trace
         assert back.mode == "gezo"

@@ -85,6 +85,31 @@ def test_no_unused_public_names():
     assert unused_names(sources, named(namers), private=False) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """The last dotted part of every module `source` imports, or imports a
+    name from (`from . import x` imports x)."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                modules.add(node.module.rsplit(".", 1)[-1])
+            else:
+                modules.update(alias.name for alias in node.names)
+    return modules
+
+
+def test_only_the_pipeline_touches_the_artifact_format():
+    """Artifacts are declared, saved and loaded in pipeline alone: no other
+    module of the package imports tensor_io."""
+    importers = {path.stem for path in ROOT.glob("src/ude/*.py")
+                 if "tensor_io" in imported_modules(path.read_text())}
+    assert importers <= {"pipeline", "tensor_io"}
+    assert imported_modules("from . import tensor_io\nimport ude.tensor_io as t\n"
+                            "from .tensor_io import x\n") == {"tensor_io"}
+
+
 def test_the_check_sees_unused_names():
     source = ("from __future__ import annotations\nimport os\nimport ude.cli\n"
               "import ude.oracle\nfrom x import a, b as c\nude.oracle.f(a)\n")

@@ -18,8 +18,6 @@ from ude.models import (
     fit_heads,
     head_accuracy,
     head_forward,
-    load_head,
-    save_head,
     train_head,
 )
 from ude.numerics import (
@@ -33,6 +31,7 @@ from ude.numerics import (
     cross_entropy_batch,
 )
 from ude.oracle import InProcessOracle
+from ude.pipeline import PipelineConfig, load_input, save_output
 from ude.prng import Xorshift64Star, derive_seed
 
 from conftest import assert_near_float64_forward, central_diff, encoder_digests, head_bytes
@@ -469,8 +468,8 @@ class TestFitHeadsMatchesSeparateHeads:
 
 class TestPersistence:
     def test_head_round_trip(self, tmp_path):
-        head = _zero_head(8)
+        head = _zero_head(EMBED_DIM)
         head.weight += np.float32(0.25)
-        save_head(tmp_path / "h", head, task="t")
-        back = load_head(tmp_path / "h")
+        save_output({"erm_head": head}, "erm_head", tmp_path / "h")
+        back = load_input(PipelineConfig(), "erm_head", tmp_path / "h")
         assert head_bytes(back) == head_bytes(head)

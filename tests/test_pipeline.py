@@ -7,7 +7,7 @@ import pytest
 
 import ude.pipeline
 from ude.cli import EXIT_OK, main
-from ude.datagen import CellCounts, SynthConfig, load_dataset
+from ude.datagen import CellCounts, SynthConfig
 from ude.editing import EditArtifact
 from ude.gezo import GezoConfig
 from ude.models import (
@@ -15,7 +15,6 @@ from ude.models import (
     build_encoder,
     encoder_forward,
     head_accuracy,
-    load_head,
 )
 from ude.oracle import (
     FORWARD_ONLY,
@@ -30,6 +29,7 @@ from ude.pipeline import (
     RunDirectory,
     cmd_serve,
     cmd_sweep,
+    load_input,
     make_oracle,
     run_experiment,
     run_stages,
@@ -196,9 +196,9 @@ class TestStagedPipeline:
             staged(cfg, "generate")
             if name == "reused":
                 staged(replace(cfg, encoder_seed=3), "train_sa")
-                heads["other"] = head_bytes(load_head(tmp_path / name / "sa_head"))
+                heads["other"] = head_bytes(load_input(cfg, "sa_head"))
             staged(cfg, "train_sa")
-            heads[name] = head_bytes(load_head(tmp_path / name / "sa_head"))
+            heads[name] = head_bytes(load_input(cfg, "sa_head"))
         assert heads["reused"] == heads["fresh"] != heads["other"]
         assert not (tmp_path / "reused" / "encoder").exists()
 
@@ -335,10 +335,9 @@ class TestEditsMeetInputsInTheOracle:
             if verb != "generate":
                 trips[verb] = built[-1].round_trips
         assert len(built) == 4
-        data = tmp_path / "run" / "data"
         assert_raw_rows([call for oracle in built for call in oracle.calls],
-                        load_dataset(data / "train").images,
-                        load_dataset(data / "test").images)
+                        load_input(cfg, "train_data").images,
+                        load_input(cfg, "test_data").images)
         edit_trips = (cfg.gezo.epochs * cfg.gezo.local_iters if mode == "gezo"
                       else cfg.ude.epochs)
         # train-sa also embeds the training set for the saved head's accuracy

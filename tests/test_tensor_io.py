@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ def test_rejects_non_finite():
         tensor_bytes(np.array([np.inf], dtype=np.float32))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite(tmp_path, value):
+    """A blob tensor_bytes would refuse to write does not load either."""
+    path = tmp_path / "t.udet"
+    save_tensor(path, np.ones(3, dtype=np.float32))
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", value))
+    with pytest.raises(TensorFormatError, match="non-finite"):
+        load_tensor(path)
+
+
 def test_digest_tracks_content():
     a = np.zeros(3, dtype=np.float32)
     b = np.zeros(3, dtype=np.float32)
@@ -89,13 +100,21 @@ def test_digest_tracks_content():
     assert tensor_digest(a) != tensor_digest(b)
 
 
+@dataclass
+class Thing:
+    w: np.ndarray
+    b: np.ndarray
+    seed: int
+    trace: list
+
+
 class TestArtifact:
-    TENSORS = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
-               "b": np.ones(3, dtype=np.float32)}
+    THING = Thing(np.arange(6, dtype=np.float32).reshape(2, 3), np.ones(3, dtype=np.float32),
+                  4, [0.5, 0.25])
 
     @pytest.fixture
     def saved(self, tmp_path):
-        save_artifact(tmp_path, "thing", self.TENSORS, seed=4, trace=[0.5, 0.25])
+        save_artifact(tmp_path, "thing", self.THING, note="n")
         return tmp_path
 
     def edit_provenance(self, path, **changes):
@@ -103,36 +122,53 @@ class TestArtifact:
         (path / PROVENANCE).write_text(json.dumps({**prov, **changes}))
 
     def test_round_trip(self, saved):
-        tensors, meta = load_artifact(saved, "thing")
-        assert {k: v.tobytes() for k, v in tensors.items()} == \
-            {k: v.tobytes() for k, v in self.TENSORS.items()}
-        assert meta == {"seed": 4, "trace": [0.5, 0.25]}
+        back = load_artifact(saved, "thing", Thing, notes=("note",))
+        assert (back.w.tobytes(), back.b.tobytes()) == \
+            (self.THING.w.tobytes(), self.THING.b.tobytes())
+        assert (back.seed, back.trace) == (4, [0.5, 0.25])
         assert json.loads((saved / PROVENANCE).read_text()) == {
             "kind": "thing", "tensors": {"w": [2, 3], "b": [3]}, "seed": 4,
-            "trace": [0.5, 0.25]}
+            "trace": [0.5, 0.25], "note": "n"}
+        assert list(json.loads((saved / PROVENANCE).read_text())) == [
+            "kind", "tensors", "seed", "trace", "note"]
+
+    def test_a_key_neither_field_nor_note_is_refused(self, saved):
+        with pytest.raises(TypeError, match="note"):
+            load_artifact(saved, "thing", Thing)
 
     def test_wrong_kind(self, saved):
         with pytest.raises(TensorFormatError, match="other"):
-            load_artifact(saved, "other")
+            load_artifact(saved, "other", Thing, notes=("note",))
 
     def test_shape_mismatch(self, saved):
         self.edit_provenance(saved, tensors={"w": [3, 2], "b": [3]})
         with pytest.raises(TensorFormatError, match="shape"):
-            load_artifact(saved, "thing")
+            load_artifact(saved, "thing", Thing, notes=("note",))
+
+    @pytest.mark.parametrize("shapes", [{"w": (2, 3)}, {"w": (None, 3), "b": (None,)},
+                                        {"w": (None, None)}])
+    def test_required_shapes_that_hold(self, saved, shapes):
+        assert load_artifact(saved, "thing", Thing, ("note",), shapes).w.shape == (2, 3)
+
+    @pytest.mark.parametrize("shapes", [{"w": (2, 4)}, {"w": (None,)}, {"b": (3, None)},
+                                        {"seed": (4,)}])
+    def test_required_shapes_that_fail(self, saved, shapes):
+        with pytest.raises(TensorFormatError, match="shape"):
+            load_artifact(saved, "thing", Thing, ("note",), shapes)
 
     def test_missing_tensor_file(self, saved):
         (saved / "b.udet").unlink()
         with pytest.raises(FileNotFoundError):
-            load_artifact(saved, "thing")
+            load_artifact(saved, "thing", Thing, notes=("note",))
 
     @pytest.mark.parametrize("raw", ["[]", '"thing"', "3", "null", "{broken", "\udcff"])
     def test_provenance_not_a_json_object(self, saved, raw):
         (saved / PROVENANCE).write_text(raw, errors="surrogateescape")
         with pytest.raises(TensorFormatError):
-            load_artifact(saved, "thing")
+            load_artifact(saved, "thing", Thing, notes=("note",))
 
     @pytest.mark.parametrize("tensors", [None, [], "w"])
     def test_provenance_without_a_tensor_listing(self, saved, tensors):
         self.edit_provenance(saved, tensors=tensors)
         with pytest.raises(TensorFormatError):
-            load_artifact(saved, "thing")
+            load_artifact(saved, "thing", Thing, notes=("note",))
