@@ -22,7 +22,7 @@ stage writes, or the noise-map --edit) is missing or corrupt, holds a
 non-finite tensor value, or is not of the config's shapes: data whose
 images are not [N, side * side] with N >= 1, an edit that is not
 [side * side], a head that is not [E, 2] / [2] or whose E is not the
-embedding width of the config's encoder.
+embedding width of the config's encoder, a listed tensor not an array field.
 """
 
 from __future__ import annotations

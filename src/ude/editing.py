@@ -86,7 +86,7 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
 def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
                         sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """(objective, d objective / d eps) on one batch, gradients through the
-    encoder: -(1/B) sum_i dCE_i/dx_i + lam * eps/||eps||. One oracle query,
+    encoder: -(1/B) sum_i dCE_i/d eps + lam * eps/||eps||. One oracle query,
     which embeds the edited batch once for both. ValueError, before the
     query, unless `sa_labels` holds one label per batch row."""
     labels = check_labels(sa_labels, len(batch))
@@ -95,8 +95,7 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
     shifted, exps, sums = softmax_terms(logits)
     loss = -float(np.mean(cross_entropy_batch(shifted, sums, labels))) + lam * l2_norm(eps)
     g = cross_entropy_grad(exps, sums, one_hot(labels, logits.dtype), out=exps)
-    gx = vjp(g @ sa_head.weight.astype(batch.dtype).T)
-    grad = (-gx.sum(axis=0) / batch.shape[0]
+    grad = (-vjp(g @ sa_head.weight.astype(batch.dtype).T) / batch.shape[0]
             + lam * l2_norm_grad(eps.astype(batch.dtype)))
     return loss, grad.astype(eps.dtype)
 
@@ -115,16 +114,14 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
     loss_trace, norm_trace = [], []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        total = 0.0
-        nb = 0
-        for start in range(0, n, cfg.batch_size):
+        total, starts = 0.0, range(0, n, cfg.batch_size)
+        for start in starts:
             idx = order[start:start + cfg.batch_size]
             loss, grad[...] = edit_objective_grad(oracle, sa_head, images[idx],
                                                   sa_labels[idx], eps, cfg.lam)
             total += loss
-            nb += 1
             step()
-        loss_trace.append(total / nb)
+        loss_trace.append(total / len(starts))
         norm_trace.append(l2_norm(eps))
         check_epoch_finite("whitebox edit learning", epoch, cfg.epochs, loss_trace[-1],
                            eps)

@@ -1,8 +1,8 @@
 """The frozen embedding encoder (a fixed 2-hidden-layer tanh MLP standing in
 for a hosted foundation-model encoder) and the trainable binary linear
-heads, with hand-derived forward and backward passes. A batch under a
-stack of edits is embedded with the encoder's affine first layer factored
-(encoder_forward_edits), so an edited copy of the batch is never built.
+heads, with hand-derived forward and backward passes. Every forward, and
+the gradient with respect to the edits, factors the encoder's affine first
+layer (encoder_edits_vjp): no edited copy of a batch is ever built.
 """
 
 from __future__ import annotations
@@ -107,51 +107,48 @@ def _check_rows(enc: FrozenEncoder, what: str, rows: np.ndarray) -> None:
                          f"got shape {rows.shape}")
 
 
-def encoder_vjp(enc: FrozenEncoder, batch: np.ndarray):
-    """Embed a batch [B,D] -> z [B,E] and return (z, vjp), where vjp(upstream)
-    is the vector-Jacobian product d(embedding)/d(input)^T @ upstream, [B,D],
-    reusing this forward's activations."""
-    _check_rows(enc, "batch", batch)
-    w1, b1, w2, b2, w3, b3 = _cast_params(enc, batch.dtype)
-    h1 = np.tanh(_rows_matmul(batch, w1) + b1)
-    h2 = np.tanh(_rows_matmul(h1, w2) + b2)
-    z = _rows_matmul(h2, w3) + b3
-
-    def vjp(upstream: np.ndarray) -> np.ndarray:
-        if upstream.shape != z.shape:
-            raise ValueError(f"upstream must be {z.shape}, got {upstream.shape}")
-        g2 = (upstream @ w3.T) * (1.0 - h2 * h2)
-        g1 = (g2 @ w2.T) * (1.0 - h1 * h1)
-        return g1 @ w1.T
-
-    return z, vjp
-
-
-def encoder_forward(enc: FrozenEncoder, batch: np.ndarray) -> np.ndarray:
-    """Embed a batch [B,D] -> [B,E]; pure function of (weights, batch)."""
-    return encoder_vjp(enc, batch)[0]
-
-
-def encoder_forward_edits(enc: FrozenEncoder, batch: np.ndarray,
-                          edits: np.ndarray) -> np.ndarray:
-    """Embed the [B,D] batch under each of the [M,D] edits -> [M*B,E],
+def encoder_edits_vjp(enc: FrozenEncoder, batch: np.ndarray, edits: np.ndarray):
+    """Embed the [B,D] batch under each of the [M,D] edits -> z [M*B,E],
     edit-major: row i*B + j embeds batch[j] + edits[i], the edits taken in
-    the batch's dtype.
+    the batch's dtype. Returns (z, vjp): vjp(upstream [M*B,E]) is the
+    gradient of sum(upstream * z) with respect to each edit, [M,D].
 
     The first layer is affine, so it is factored: (x + e) @ w1 is computed
     as x @ w1 + e @ w1, which takes B + M rows through it instead of M*B and
     never builds the edited rows. Each row depends only on its own input
     row and edit, not on the other rows or edits of the call. It rounds
-    differently from encoder_forward of the edited row, except under a zero
-    edit, which gives encoder_forward's bytes (x @ w1 + 0 is x @ w1).
-    """
+    differently from a plain forward of the edited row, except under a zero
+    edit (x @ w1 + 0 is x @ w1). Backward, an edit's B row gradients are
+    summed before they meet w1: one [H] sum and one [H] @ [H,D] product per
+    edit, and no [B,D] input gradient."""
     _check_rows(enc, "batch", batch)
     _check_rows(enc, "edits", edits)
     w1, b1, w2, b2, w3, b3 = _cast_params(enc, batch.dtype)
     h1 = np.tanh(_rows_matmul(batch, w1)[None]
                  + _rows_matmul(edits.astype(batch.dtype, copy=False), w1)[:, None] + b1)
     h2 = np.tanh(_rows_matmul(h1.reshape(-1, w1.shape[1]), w2) + b2)
-    return _rows_matmul(h2, w3) + b3
+    z = _rows_matmul(h2, w3) + b3
+
+    def vjp(upstream: np.ndarray) -> np.ndarray:
+        if upstream.shape != z.shape:
+            raise ValueError(f"upstream must be {z.shape}, got {upstream.shape}")
+        g2 = (upstream @ w3.T) * (1.0 - h2 * h2)
+        g1 = (g2 @ w2.T).reshape(h1.shape) * (1.0 - h1 * h1)
+        return g1.sum(axis=1) @ w1.T
+
+    return z, vjp
+
+
+def encoder_forward_edits(enc: FrozenEncoder, batch: np.ndarray,
+                          edits: np.ndarray) -> np.ndarray:
+    """The embeddings [M*B,E] of encoder_edits_vjp, without the VJP."""
+    return encoder_edits_vjp(enc, batch, edits)[0]
+
+
+def encoder_forward(enc: FrozenEncoder, batch: np.ndarray) -> np.ndarray:
+    """Embed a batch [B,D] -> [B,E]: encoder_forward_edits under a zero edit,
+    with the bytes of tanh(tanh(x @ w1 + b1) @ w2 + b2) @ w3 + b3."""
+    return encoder_forward_edits(enc, batch, np.zeros((1, enc.input_dim), batch.dtype))
 
 
 @dataclass

@@ -18,7 +18,7 @@ is that request with one zero edit. The server answers every request
 through an InProcessOracle, which runs models.encoder_forward_edits: the
 encoder's affine first layer takes the batch and the edits apart and adds
 them, so no edited row is ever built, and in-process and remote callers
-share one forward.
+share one forward, which a gradient oracle's embed_vjp runs too.
 Every matrix frame goes out in one sendmsg call straight from its arrays,
 and every body is read straight into the array it fills. Connections may
 be reused; the server serves each connection on its own thread and closes
@@ -47,7 +47,7 @@ import threading
 import numpy as np
 
 from . import models
-from .models import FrozenEncoder, encoder_forward_edits, encoder_vjp
+from .models import FrozenEncoder, encoder_edits_vjp, encoder_forward_edits
 
 MAGIC = b"UDE1"
 MSG_EMBED_EDITS = 0x03
@@ -147,7 +147,8 @@ class EmbeddingOracle:
         raise NotImplementedError
 
     def embed_vjp(self, batch: np.ndarray, eps: np.ndarray):
-        """(embeddings, vjp) of batch + eps; see models.encoder_vjp."""
+        """(z, vjp) of batch + eps: vjp(upstream [B,E]) is the [D] gradient of
+        sum(upstream * z) with respect to eps; see models.encoder_edits_vjp."""
         raise CapabilityError("this oracle is forward-only; no input gradients")
 
     def close(self) -> None:
@@ -169,13 +170,13 @@ class InProcessOracle(EmbeddingOracle):
         return z.reshape(edits.shape[0], batch.shape[0], -1)
 
     def embed_vjp(self, batch, eps):
-        """One logical query, like embed_edits with one edit, plus the VJP."""
+        """One logical query, z the bytes of embed_edits(batch, eps[None])[0]."""
         if self.capability != FORWARD_WITH_INPUT_GRAD:
             raise CapabilityError("oracle is forward-only; use zeroth-order optimization")
         batch, edits = self._check_edits(batch, np.asarray(eps)[None])
-        z, vjp = encoder_vjp(self.encoder, batch + edits[0].astype(batch.dtype))
+        z, vjp = encoder_edits_vjp(self.encoder, batch, edits)
         self._record(batch.shape[0], 1)
-        return z, vjp
+        return z, lambda upstream: vjp(upstream)[0]
 
 
 # ---------------------------------------------------------------------------

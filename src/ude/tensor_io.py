@@ -16,6 +16,7 @@ import math
 import os
 import struct
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -90,18 +91,22 @@ def save_artifact(dirpath, kind: str, value, **notes) -> None:
 def load_artifact(dirpath, kind: str, cls, notes=(), shapes=None):
     """The `cls` instance save_artifact wrote, its notes (keys named in
     `notes`) dropped. TensorFormatError unless provenance.json is a JSON
-    object of this kind listing its tensors, each loads with its recorded
-    shape, and each tensor `shapes` names has that shape (None: any size);
-    OSError for a missing file; TypeError or ValueError when `cls` refuses
-    the fields."""
+    object of this kind listing ndarray fields of `cls` alone as its tensors
+    (checked before any file is opened), each loads with its recorded shape,
+    and each tensor `shapes` names has that shape (None: any size); OSError
+    for a missing file; TypeError or ValueError when `cls` refuses the
+    fields."""
     with open(os.path.join(dirpath, PROVENANCE), "rb") as fh:
         try:
             meta = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise TensorFormatError(f"{PROVENANCE}: {exc}") from exc
+    hints = get_type_hints(cls)
+    arrays = {f.name for f in fields(cls) if hints[f.name] is np.ndarray}
     if not (isinstance(meta, dict) and meta.pop("kind", None) == kind
-            and isinstance(meta.get("tensors"), dict)):
-        raise TensorFormatError(f"{PROVENANCE} does not describe a {kind}")
+            and isinstance(meta.get("tensors"), dict) and set(meta["tensors"]) <= arrays):
+        raise TensorFormatError(f"{PROVENANCE} does not describe a {kind} of tensors "
+                                f"{sorted(arrays)}")
     tensors = {}
     for name, shape in meta.pop("tensors").items():
         arr = load_tensor(os.path.join(dirpath, f"{name}.udet"))

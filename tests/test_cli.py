@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ude.oracle
 import ude.pipeline
+import ude.tensor_io
 from ude.cli import (
     EXIT_ARTIFACT,
     EXIT_CONFIG,
@@ -35,7 +36,7 @@ from ude.pipeline import (
     save_output,
     sweep_config,
 )
-from ude.tensor_io import save_artifact
+from ude.tensor_io import PROVENANCE, save_artifact, save_tensor
 
 
 NAN, INF = float("nan"), float("inf")  # json writes them as NaN and Infinity
@@ -407,6 +408,32 @@ class TestExitCodes:
                           "non-finite": blob[:-4] + struct.pack("<f", NAN)}[how])
         assert main([verb, "--config", cfg]) == EXIT_ARTIFACT
         assert capsys.readouterr().err.startswith("artifact error: ")
+        assert not any(out.exists() for out in outputs)
+
+    def test_a_provenance_naming_a_file_outside_is_artifact_error(self, tmp_path, capsys,
+                                                                  full_run, monkeypatch):
+        """An edit whose provenance lists the tensor ../../outside/secret,
+        a valid tensor file there, stops train-disease with exit 7 before
+        that file is opened or anything is written."""
+        cfg, verb, outputs = without_outputs_of_reader(tmp_path, full_run, "edit")
+        secret = tmp_path / "outside" / "secret.udet"
+        secret.parent.mkdir()
+        save_tensor(secret, np.zeros(1, np.float32))
+        prov_path = tmp_path / "run" / "edit" / PROVENANCE
+        prov = json.loads(prov_path.read_text())
+        prov["tensors"][os.path.join("..", "..", "outside", "secret")] = [1]
+        prov_path.write_text(json.dumps(prov))
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(os.path.realpath(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ude.tensor_io, "open", spy, raising=False)
+        assert main([verb, "--config", cfg]) == EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error: ") and "of tensors ['eps']" in err
+        assert os.path.realpath(secret) not in opened
         assert not any(out.exists() for out in outputs)
 
     @pytest.mark.parametrize("artifact,swap", [

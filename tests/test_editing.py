@@ -183,7 +183,7 @@ class TestWhiteboxLearning:
     def test_one_vjp_and_no_separate_forward_per_batch(self, encoder, trained_sa,
                                                       small_data, monkeypatch):
         # each mini-batch is embedded once, for both the loss and its gradient
-        calls = {"encoder_vjp": 0, "encoder_forward_edits": 0}
+        calls = {"encoder_edits_vjp": 0, "encoder_forward_edits": 0}
         for name in calls:
             def counted(*args, real=getattr(ude.oracle, name), name=name):
                 calls[name] += 1
@@ -195,7 +195,7 @@ class TestWhiteboxLearning:
         learn_ude_whitebox(oracle, trained_sa, train.images, train.sa_labels, cfg, 0)
         n = len(train)
         batches = cfg.epochs * -(-n // cfg.batch_size)
-        assert calls == {"encoder_vjp": batches, "encoder_forward_edits": 0}
+        assert calls == {"encoder_edits_vjp": batches, "encoder_forward_edits": 0}
         assert oracle.query_counter == (batches, cfg.epochs * n)
 
 

@@ -12,9 +12,9 @@ from ude.models import (
     LinearHead,
     TrainConfig,
     build_encoder,
+    encoder_edits_vjp,
     encoder_forward,
     encoder_forward_edits,
-    encoder_vjp,
     fit_heads,
     head_accuracy,
     head_forward,
@@ -34,7 +34,14 @@ from ude.oracle import InProcessOracle
 from ude.pipeline import PipelineConfig, load_input, save_output
 from ude.prng import Xorshift64Star, derive_seed
 
-from conftest import assert_near_float64_forward, central_diff, encoder_digests, head_bytes
+from conftest import (
+    assert_near_float64_forward,
+    assert_near_float64_vjp,
+    central_diff,
+    encoder_digests,
+    head_bytes,
+    unfactored_forward,
+)
 
 
 def _zero_head(embed_dim):
@@ -66,7 +73,7 @@ class TestEncoderConstruction:
         digests = encoder_digests(encoder)
         x = np.ones((2, INPUT_DIM), dtype=np.float32)
         encoder_forward(encoder, x)
-        _, vjp = encoder_vjp(encoder, x)
+        _, vjp = encoder_edits_vjp(encoder, x, x[:1])
         vjp(np.ones((2, EMBED_DIM), dtype=np.float32))
         assert not any(p.flags.writeable for p in encoder.parameters().values())
         assert encoder_digests(encoder) == digests
@@ -135,38 +142,62 @@ class TestEncoderForwardBackward:
         assert z.shape == (m * b, EMBED_DIM) and z.dtype == dtype
         assert z.tobytes() == encoder_forward_edits(encoder, batch, edits.astype(dtype)).tobytes()
         assert encoder_forward_edits(encoder, batch, zero).tobytes() == \
-            encoder_forward(encoder, batch).tobytes()
+            encoder_forward(encoder, batch).tobytes() == \
+            unfactored_forward(encoder, batch).tobytes()
         for i, zi in enumerate(z.reshape(m, b, EMBED_DIM)):
             assert zi.tobytes() == encoder_forward_edits(encoder, batch, edits[i:i + 1]).tobytes()
             assert_near_float64_forward(encoder, zi, batch, edits[i])
             # the unfactored forward of the edited rows meets the same bound
             edited = batch + edits[i].astype(dtype)
-            assert_near_float64_forward(encoder, encoder_forward(encoder, edited), batch,
+            assert_near_float64_forward(encoder, unfactored_forward(encoder, edited), batch,
                                         edits[i])
 
-    def test_input_grad_matches_finite_differences(self, encoder):
+    @given(dtype=st.sampled_from([np.float32, np.float64]), b=st.integers(1, 64),
+           m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-3, 1.0, 10.0, 1e3]))
+    @example(dtype=np.float32, b=1, m=1, seed=0, scale=0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_factored_vjp_of_edits(self, encoder, dtype, b, m, seed, scale):
+        # one [D] gradient per edit, each within the float64 bound of the
+        # summed input gradients of its edited rows; the forward is
+        # encoder_forward_edits' bytes
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(size=(b, INPUT_DIM)).astype(dtype)
+        edits = rng.normal(size=(m, INPUT_DIM)) * scale
+        upstream = rng.normal(size=(m * b, EMBED_DIM)).astype(dtype)
+        z, vjp = encoder_edits_vjp(encoder, batch, edits)
+        assert z.tobytes() == encoder_forward_edits(encoder, batch, edits).tobytes()
+        grads = vjp(upstream)
+        assert grads.shape == (m, INPUT_DIM) and grads.dtype == dtype
+        for i in range(m):
+            assert_near_float64_vjp(encoder, grads[i], batch, edits[i],
+                                    upstream[i * b:(i + 1) * b])
+
+    def test_edit_grad_matches_finite_differences(self, encoder):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, INPUT_DIM))
-        upstream = rng.normal(size=(3, EMBED_DIM))
-        z, vjp = encoder_vjp(encoder, x)
-        assert z.tobytes() == encoder_forward(encoder, x).tobytes()
+        edits = rng.normal(size=(2, INPUT_DIM)) * 0.1
+        upstream = rng.normal(size=(6, EMBED_DIM))
+        z, vjp = encoder_edits_vjp(encoder, x, edits)
+        assert z.tobytes() == encoder_forward_edits(encoder, x, edits).tobytes()
         analytic = vjp(upstream)
 
-        for b in range(3):
+        for i in range(2):
             probe = rng.choice(INPUT_DIM, size=10, replace=False)
 
-            def scalar(v, b=b):
-                xb = x.copy()
-                xb[b] = v
-                return float(np.sum(encoder_forward(encoder, xb)[b] * upstream[b]))
+            def scalar(e, i=i):
+                z = encoder_forward(encoder, x + e)
+                return float(np.sum(z * upstream[3 * i:3 * i + 3]))
 
-            full = central_diff(scalar, x[b])
-            assert np.allclose(analytic[b][probe], full[probe], rtol=1e-6, atol=1e-8)
+            full = central_diff(scalar, edits[i])
+            assert np.allclose(analytic[i][probe], full[probe], rtol=1e-6, atol=1e-8)
 
-    def test_input_grad_upstream_shape_checked(self, encoder):
-        _, vjp = encoder_vjp(encoder, np.zeros((2, INPUT_DIM), dtype=np.float32))
-        with pytest.raises(ValueError):
-            vjp(np.zeros((2, EMBED_DIM + 1)))
+    def test_edit_grad_upstream_shape_checked(self, encoder):
+        x = np.zeros((2, INPUT_DIM), dtype=np.float32)
+        _, vjp = encoder_edits_vjp(encoder, x, x)
+        for shape in ((4, EMBED_DIM + 1), (2, EMBED_DIM), (4 * EMBED_DIM,)):
+            with pytest.raises(ValueError):
+                vjp(np.zeros(shape))
 
 
 class TestHeadTraining:

@@ -3,6 +3,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ude.oracle
-from ude.models import INPUT_DIM, encoder_forward, encoder_vjp
+from ude.models import EMBED_DIM, INPUT_DIM, build_encoder, encoder_edits_vjp, encoder_forward
 from ude.oracle import (
     FORWARD_ONLY,
     FORWARD_WITH_INPUT_GRAD,
@@ -30,7 +31,7 @@ from ude.oracle import (
     parse_address,
 )
 
-from conftest import assert_near_float64_forward
+from conftest import assert_near_float64_forward, assert_near_float64_vjp, unfactored_forward
 
 
 def _serve(encoder):
@@ -70,18 +71,51 @@ class TestInProcessOracle:
             oracle.embed_vjp(_batch(2), np.zeros(INPUT_DIM, np.float32))
         assert oracle.query_counter == (0, 0)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_embed_vjp_is_the_encoder_vjp_of_the_edited_batch(self, encoder, dtype):
+    @given(dtype=st.sampled_from([np.float32, np.float64]), b=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 0.1, 1e3]))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_embed_vjp_is_the_factored_vjp_of_its_edit(self, encoder, dtype, b, seed,
+                                                        scale):
+        # z is embed_edits' bytes for the one edit, and vjp(upstream) the
+        # [D] gradient with respect to that edit: encoder_edits_vjp's bytes,
+        # near a float64 sum of the edited rows' input gradients
         oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
-        x = _batch(3).astype(dtype)
-        eps = (_batch(1, rng_seed=1)[0] * 0.1).astype(dtype)
-        upstream = _batch(3, rng_seed=2)[:, :32].astype(dtype)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(b, INPUT_DIM)).astype(dtype)
+        eps = (rng.normal(size=INPUT_DIM) * scale).astype(dtype)
+        upstream = rng.normal(size=(b, EMBED_DIM)).astype(dtype)
         z, vjp = oracle.embed_vjp(x, eps)
-        want_z, want_vjp = encoder_vjp(encoder, x + eps)
+        assert (oracle.query_counter, oracle.round_trips) == ((1, b), 1)  # like embed
         assert z.dtype == dtype
-        assert z.tobytes() == want_z.tobytes()
-        assert vjp(upstream).tobytes() == want_vjp(upstream).tobytes()
-        assert (oracle.query_counter, oracle.round_trips) == ((1, 3), 1)  # like embed
+        assert z.tobytes() == oracle.embed_edits(x, eps[None])[0].tobytes()
+        grad = vjp(upstream)
+        _, want_vjp = encoder_edits_vjp(encoder, x, eps[None])
+        assert grad.tobytes() == want_vjp(upstream)[0].tobytes()
+        assert_near_float64_vjp(encoder, grad, x, eps, upstream)
+        for shape in ((b, EMBED_DIM + 1), (b + 1, EMBED_DIM), (b * EMBED_DIM,)):
+            with pytest.raises(ValueError):
+                vjp(np.zeros(shape, dtype))
+
+    def test_embed_vjp_builds_no_array_of_the_batch_size(self):
+        # a [B,D] array, such as the edited rows or their input gradients,
+        # would take 4 B D bytes, 18 MB; the activations and their gradients
+        # take under 2 MB
+        b, d = 1100, 4096
+        oracle = InProcessOracle(build_encoder(16, input_dim=d),
+                                 capability=FORWARD_WITH_INPUT_GRAD)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(b, d)).astype(np.float32)
+        eps = rng.normal(size=d).astype(np.float32)
+        upstream = rng.normal(size=(b, EMBED_DIM)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _, vjp = oracle.embed_vjp(x, eps)
+            vjp(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * d
 
     @pytest.mark.parametrize("eps", [np.zeros((1, INPUT_DIM)), np.zeros(INPUT_DIM + 1),
                                      np.float32(0)], ids=["stacked", "dim", "scalar"])
@@ -145,7 +179,8 @@ class TestEmbed:
         batch = (rng.normal(size=(b, INPUT_DIM)) * scale).astype(np.float32)
         batch[rng.random(batch.shape) < negative_zeros] = -0.0
         (calls, samples), trips = oracle.query_counter, oracle.round_trips
-        assert oracle.embed(batch).tobytes() == encoder_forward(encoder, batch).tobytes()
+        assert oracle.embed(batch).tobytes() == encoder_forward(encoder, batch).tobytes() == \
+            unfactored_forward(encoder, batch).tobytes()
         assert oracle.query_counter == (calls + 1, samples + b)
         assert oracle.round_trips == trips + 1
 

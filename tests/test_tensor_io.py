@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import ude.tensor_io
 from ude.tensor_io import (
     MAGIC,
     PROVENANCE,
@@ -172,3 +174,29 @@ class TestArtifact:
         self.edit_provenance(saved, tensors=tensors)
         with pytest.raises(TensorFormatError):
             load_artifact(saved, "thing", Thing, notes=("note",))
+
+
+@pytest.mark.parametrize("name", [os.path.join("..", "..", "outside", "secret"), "seed",
+                                  "nothing"])
+def test_a_listed_tensor_that_is_no_array_field_is_refused_unopened(tmp_path, monkeypatch,
+                                                                    name):
+    """A provenance listing a tensor name that is not an ndarray field of
+    the class, even one whose file exists, outside the artifact's directory
+    or inside it, is refused before any tensor file is opened."""
+    art = tmp_path / "run" / "thing"
+    save_artifact(art, "thing", TestArtifact.THING)
+    os.makedirs(tmp_path / "outside")
+    save_tensor(art / f"{name}.udet", np.zeros(1, np.float32))
+    prov = json.loads((art / PROVENANCE).read_text())
+    prov["tensors"][name] = [1]
+    (art / PROVENANCE).write_text(json.dumps(prov))
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(ude.tensor_io, "open", spy, raising=False)
+    with pytest.raises(TensorFormatError, match=r"of tensors \['b', 'w'\]"):
+        load_artifact(art, "thing", Thing)
+    assert opened == [os.path.join(art, PROVENANCE)]
