@@ -17,18 +17,17 @@ import numpy as np
 
 from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
+    bind_cross_entropy_grad,
     bind_optimizer_step,
     check_counts,
     check_epoch_finite,
     check_labels,
     check_optimizer,
     cross_entropy_batch,
-    cross_entropy_grad,
     is_real,
     l2_norm,
     l2_norm_grad,
     one_hot,
-    softmax_terms,
 )
 from .prng import derive_seed
 
@@ -61,6 +60,21 @@ class EditArtifact:
     iteration_trace: list[dict] = field(default_factory=list)  # gezo only
 
 
+def _objective(sa_head: LinearHead, z: np.ndarray, labels: np.ndarray,
+               edits: np.ndarray, lam: float):
+    """The objectives [M] float64 of the [M,D] `edits` from the embeddings
+    z [M,B,E] of the batch under each, and the gradient [M,B,2] of each
+    row's CE with respect to its logits: one head forward and one run of
+    the bound cross-entropy step over all M, whose divisor of ones leaves
+    the division by B to the caller (x / 1 is exact)."""
+    logits = head_forward(sa_head, z)
+    exps, sums = np.empty_like(logits), np.empty_like(logits)
+    onehot = np.broadcast_to(one_hot(labels, logits.dtype), logits.shape)
+    grad = bind_cross_entropy_grad(logits, exps, sums, onehot, np.ones_like(logits))()
+    means = np.mean(cross_entropy_batch(logits, sums, labels), axis=1).astype(np.float64)
+    return -means + lam * l2_norm(edits), grad
+
+
 def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
                          sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """-mean CE of the group head on edited inputs, plus lam*||eps||_2.
@@ -69,17 +83,15 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
     A [D] edit gives a float. An [M,D] stack of edits gives the M losses,
     [M] float64, each the bytes its edit alone gives, from one
     oracle.embed_edits call of M logical queries (a remote oracle sends the
-    batch once and the M edits), one head forward (per-candidate slices, so
-    each gets the product a lone call computes), one cross-entropy and one
-    norm call. ValueError, before the query, unless `sa_labels` holds one
-    label per batch row.
+    batch once and the M edits) and one run of the objective body that
+    edit_objective_grad shares: one head forward (per-candidate slices, so
+    each gets the product a lone call computes), one cross-entropy step and
+    one norm call. ValueError, before the query, unless `sa_labels` holds
+    one label per batch row.
     """
     labels = check_labels(sa_labels, len(batch))
     stack = np.atleast_2d(eps)
-    logits = head_forward(sa_head, oracle.embed_edits(batch, stack))
-    shifted, _, sums = softmax_terms(logits)
-    means = np.mean(cross_entropy_batch(shifted, sums, labels), axis=1).astype(np.float64)
-    out = -means + lam * l2_norm(stack)
+    out, _ = _objective(sa_head, oracle.embed_edits(batch, stack), labels, stack, lam)
     return float(out[0]) if np.ndim(eps) == 1 else out
 
 
@@ -87,17 +99,15 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
                         sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """(objective, d objective / d eps) on one batch, gradients through the
     encoder: -(1/B) sum_i dCE_i/d eps + lam * eps/||eps||. One oracle query,
-    which embeds the edited batch once for both. ValueError, before the
+    which embeds the edited batch once for both; the objective is the bytes
+    edit_objective_batch gives, from the same body. ValueError, before the
     query, unless `sa_labels` holds one label per batch row."""
     labels = check_labels(sa_labels, len(batch))
     zb, vjp = oracle.embed_vjp(batch, eps)
-    logits = head_forward(sa_head, zb)
-    shifted, exps, sums = softmax_terms(logits)
-    loss = -float(np.mean(cross_entropy_batch(shifted, sums, labels))) + lam * l2_norm(eps)
-    g = cross_entropy_grad(exps, sums, one_hot(labels, logits.dtype), out=exps)
-    grad = (-vjp(g @ sa_head.weight.astype(batch.dtype).T) / batch.shape[0]
+    loss, g = _objective(sa_head, zb[None], labels, eps[None], lam)
+    grad = (-vjp(g[0] @ sa_head.weight.astype(batch.dtype).T) / batch.shape[0]
             + lam * l2_norm_grad(eps.astype(batch.dtype)))
-    return loss, grad.astype(eps.dtype)
+    return float(loss[0]), grad.astype(eps.dtype)
 
 
 def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,

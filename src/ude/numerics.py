@@ -1,8 +1,8 @@
 """Dense numerics shared by the whole pipeline: one stabilized two-class
-cross-entropy (every head is binary: two groups, disease or not), split into
-the softmax both halves share, a gradient half and a loss half, plus the
-gradient step head training binds to its buffers once; the L2
-magnitude penalty; and SGD/Adam/AdamW steps with hand-written update rules
+cross-entropy (every head is binary: two groups, disease or not) in two
+parts, a softmax-and-gradient step bound once to its buffers, which head
+training and both edit objectives run, and the loss read from what that step
+leaves in them; the L2 magnitude penalty; and SGD/Adam/AdamW steps with hand-written update rules
 (no autodiff anywhere in this package); and the per-epoch check that a
 training loop has not diverged.
 """
@@ -75,49 +75,23 @@ def one_hot(labels: np.ndarray, dtype) -> np.ndarray:
     return np.eye(NUM_CLASSES, dtype=dtype)[labels]
 
 
-def softmax_terms(logits: np.ndarray, shifted=None, exps=None, sums=None):
-    """(logits - row max, their exps, the row sums of the exps) for logits
-    [..., 2]: the stabilized softmax both cross-entropy halves start from.
-    `sums` has the logits' shape, each row's sum in every column, so that
-    the shift and the normalisation are same-shape ops. Results go into the
-    given buffers (`shifted` may be `logits` itself) or fresh arrays.
+def bind_cross_entropy_grad(logits: np.ndarray, exps: np.ndarray, sums: np.ndarray,
+                            onehot: np.ndarray, divisor: np.ndarray):
+    """The CE gradient (softmax - onehot) / divisor of the [..., 2]
+    `logits`, as a function of no arguments that computes it into `exps`
+    and returns it: `divisor` holds B for the gradient of the mean over B
+    rows, or ones for that of each row's CE. All five arrays have one shape
+    (`onehot` and `divisor` may be broadcast views).
 
+    The stabilized softmax: the logits are shifted in place by their row
+    max, and `sums` keeps each row's sum of the exps in both of its columns,
+    so that the shift and the normalisation are same-shape ops;
+    cross_entropy_batch reads the shifted logits and sums after the step.
     The row max and sum are one op each against the columns swapped, not
     reductions: the bytes of a last-axis max and sum at a fraction of the
     cost (a zero tie's sign aside, which changes no exp, loss or gradient).
-    """
-    if sums is None:
-        sums = np.empty_like(logits)
-    # out= as a keyword: numpy deprecates a third positional argument here
-    np.maximum(logits, logits[..., ::-1], out=sums)  # the row max, until the exps
-    shifted = np.subtract(logits, sums, out=shifted)
-    exps = np.exp(shifted, out=exps)
-    np.add(exps, exps[..., ::-1], out=sums)
-    return shifted, exps, sums
-
-
-def cross_entropy_grad(exps: np.ndarray, sums: np.ndarray, onehot: np.ndarray,
-                       out=None) -> np.ndarray:
-    """Gradient half: d CE / d logits = softmax - onehot, [..., 2], from the
-    logits-shaped exps and sums of softmax_terms, so both ops combine arrays
-    of one shape; into `out` (which may be `exps`) if given."""
-    grad = np.divide(exps, sums, out=out)
-    return np.subtract(grad, onehot, out=grad)
-
-
-def bind_cross_entropy_grad(logits: np.ndarray, exps: np.ndarray, sums: np.ndarray,
-                            onehot: np.ndarray, divisor: np.ndarray):
-    """The mean-CE gradient (softmax - onehot) / B of the [..., 2] `logits`,
-    as a function of no arguments that computes it into `exps` and returns
-    it; `divisor` holds B. All five arrays have one shape.
-
-    The ops of softmax_terms(logits, logits, exps, sums), then of
-    cross_entropy_grad(exps, sums, onehot, out=exps), then the division by
-    B, in that order and so with their bytes: the logits are shifted in
-    place and `sums` keeps each row's sum, which cross_entropy_batch reads
-    after the step. The swapped-column views are taken once, here, and each
-    op but the maximum takes its output positionally (see
-    bind_optimizer_step).
+    The swapped-column views are taken once, here, and each op but the
+    maximum takes its output positionally (see bind_optimizer_step).
     """
     maximum, subtract, exp, add, divide = np.maximum, np.subtract, np.exp, np.add, np.divide
     logits_swapped, exps_swapped = logits[..., ::-1], exps[..., ::-1]
@@ -136,8 +110,9 @@ def bind_cross_entropy_grad(logits: np.ndarray, exps: np.ndarray, sums: np.ndarr
 
 def cross_entropy_batch(shifted: np.ndarray, sums: np.ndarray,
                         labels: np.ndarray) -> np.ndarray:
-    """Loss half: the per-sample CE -log softmax[label], [...] for logits
-    [..., 2], from the shifted logits and sums of softmax_terms. Labels
+    """The per-sample CE -log softmax[label], [...] for logits [..., 2],
+    from the shifted logits and sums a bind_cross_entropy_grad step leaves
+    in its buffers. Labels
     broadcast against `sums[..., 0]` and are not range-checked here: callers
     pass labels that went through check_labels."""
     picked = np.where(labels == 1, shifted[..., 1], shifted[..., 0])

@@ -164,7 +164,13 @@ class InProcessOracle(EmbeddingOracle):
         self.capability = capability
 
     def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
+        """As EmbeddingOracle.embed_edits. A forward-only oracle embeds in
+        float32, the wire's dtype, so that it answers any batch with the
+        bytes and dtype a RemoteOracle gets; one with input gradients keeps
+        the caller's dtype, which float64 finite differences need."""
         batch, edits = self._check_edits(batch, edits)
+        if self.capability == FORWARD_ONLY:
+            batch, edits = (a.astype(np.float32, copy=False) for a in (batch, edits))
         z = encoder_forward_edits(self.encoder, batch, edits)
         self._record(z.shape[0], edits.shape[0])
         return z.reshape(edits.shape[0], batch.shape[0], -1)

@@ -5,6 +5,7 @@ once per mode and are shared across the directional criteria. Thresholds were
 calibrated once against the default configuration and are frozen here.
 """
 
+import ctypes
 import hashlib
 import json
 import math
@@ -451,6 +452,29 @@ PINNED_OUTPUTS = {
 }
 
 
+# the host the digests above were taken on: the white-box edits follow the
+# bytes of sgemm, whose kernel OpenBLAS picks at run time, and of float32
+# tanh and exp, whose loops numpy dispatches by SIMD level
+PINNED_HOST = "BLAS kernel SkylakeX, numpy dispatch X86_V3, X86_V4, AVX512_ICL"
+
+
+def _host_kernels() -> str:
+    """The BLAS kernel numpy's OpenBLAS runs here (None when the library
+    cannot say) and numpy's enabled dispatch targets, as PINNED_HOST
+    names them."""
+    from numpy._core import _multiarray_umath
+
+    try:
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        kernel = None
+    else:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        kernel = corename().decode()
+    simd = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    return f"BLAS kernel {kernel}, numpy dispatch {', '.join(simd) or 'none'}"
+
+
 def _output_digests(result) -> tuple[str, str, str]:
     reports = (json.dumps(asdict(r), sort_keys=True).encode()
                for r in (result.erm_report, result.ude_report))
@@ -472,4 +496,5 @@ def test_default_config_outputs_are_pinned(wb_results, gz_results):
     check(sorted(results) == sorted(PINNED_OUTPUTS) and not changed,
           "default-config outputs pinned",
           f"{len(results)} runs; edits or reports that differ from the pinned "
-          f"bytes: {changed or 'none'}")
+          f"bytes: {changed or 'none'}; ran on {_host_kernels()}, pinned on "
+          f"{PINNED_HOST}")

@@ -104,6 +104,26 @@ class TestObjective:
                 == np.float64(edit_objective_batch(oracle, head, batch, labels,
                                                    eps, 0.01)).tobytes())
 
+    @given(dtype=st.sampled_from([np.float32, np.float64]), b=st.integers(1, 70),
+           scale=st.sampled_from([0.0, 1e-3, 0.1, 3.0]),
+           lam=st.sampled_from([0.0, 0.01, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_grad_loss_is_the_batch_loss(self, encoder, dtype, b, scale, lam, seed):
+        """On a gradient oracle, edit_objective_grad's loss is the float64
+        bytes edit_objective_batch gives for the same batch, labels, edit
+        and lam."""
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=b).astype(np.uint8)
+        batch = rng.standard_normal((b, INPUT_DIM)).astype(dtype)
+        eps = (rng.standard_normal(INPUT_DIM) * scale).astype(dtype)
+        head = LinearHead(rng.standard_normal((EMBED_DIM, 2)).astype(np.float32),
+                          rng.standard_normal(2).astype(np.float32))
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        loss, _ = edit_objective_grad(oracle, head, batch, labels, eps, lam)
+        want = edit_objective_batch(oracle, head, batch, labels, eps, lam)
+        assert type(loss) is type(want) is float
+        assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+
     @pytest.mark.parametrize("objective", [edit_objective_batch, edit_objective_grad],
                              ids=["batch", "grad"])
     @pytest.mark.parametrize("labels", [np.array([1], dtype=np.uint8),

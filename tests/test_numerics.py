@@ -15,11 +15,9 @@ from ude.numerics import (
     bind_optimizer_step,
     check_labels,
     cross_entropy_batch,
-    cross_entropy_grad,
     l2_norm,
     l2_norm_grad,
     one_hot,
-    softmax_terms,
 )
 
 from conftest import central_diff
@@ -28,12 +26,14 @@ finite_floats = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
 
 
 def losses_and_grad(logits, labels):
-    """Per-sample CE losses and their gradient through the softmax and the
-    two halves, as src callers compose them."""
-    logits, labels = np.asarray(logits), np.asarray(labels)
-    shifted, exps, sums = softmax_terms(logits)
-    return (cross_entropy_batch(shifted, sums, labels),
-            cross_entropy_grad(exps, sums, one_hot(labels, logits.dtype)))
+    """Per-sample CE losses and their gradient from one run of the bound
+    step with a divisor of ones, as the edit objectives take them; the
+    step shifts a copy of the logits."""
+    shifted, labels = np.array(logits), np.asarray(labels)
+    exps, sums = np.empty_like(shifted), np.empty_like(shifted)
+    onehot = np.broadcast_to(one_hot(labels, shifted.dtype), shifted.shape)
+    grad = bind_cross_entropy_grad(shifted, exps, sums, onehot, np.ones_like(shifted))()
+    return cross_entropy_batch(shifted, sums, labels), grad
 
 
 def _ce(logits, label: int) -> float:
@@ -153,13 +153,13 @@ class TestFusedCrossEntropy:
 def column_softmax(logits):
     """The softmax terms from a row max and sum of one op on the two columns,
     in [...] buffers that the shift and the normalisation broadcast:
-    (shifted, exps, row sums, losses, gradient) for labels 0."""
+    (shifted, row sums, losses, gradient) for labels 0."""
     shifted = logits - np.maximum(logits[..., 0], logits[..., 1])[..., None]
     exps = np.exp(shifted)
     sums = np.add(exps[..., 0], exps[..., 1])
     grad = exps / sums[..., None]
     grad[..., 0] -= 1.0
-    return shifted, exps, sums, -(shifted[..., 0] - np.log(sums)), grad
+    return shifted, sums, -(shifted[..., 0] - np.log(sums)), grad
 
 
 # every float32 but the NaNs of other payloads, with the special values often
@@ -178,53 +178,29 @@ class TestLogitsShapedSums:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_columns_hold_the_bytes_of_the_column_ops(self, logits):
-        """Each column of the logits-shaped row sum holds the bytes of the
-        one-op sum of the two columns; the row max's column 1 is
-        max(x1, x0), which differs only in the sign of a zero tie, and so
-        does the shifted logit there. The exps, losses and gradient are the
-        column ops' bytes."""
-        shifted, exps, sums, losses, grad = column_softmax(logits)
-        got_shifted, got_exps, got_sums = softmax_terms(logits)
-        assert got_sums.shape == logits.shape
-        zero_tie = (logits[:, 0] == 0) & (logits[:, 1] == 0)
-        for j in range(2):
-            assert got_sums[:, j].tobytes() == sums.tobytes()
-        assert got_exps.tobytes() == exps.tobytes()
-        assert got_shifted[~zero_tie].tobytes() == shifted[~zero_tie].tobytes()
-        assert np.all(got_shifted[zero_tie] == 0)
+        """Each column of the logits-shaped row sum that the bound step keeps
+        holds the bytes of the one-op sum of the two columns; the row max's
+        column 1 is max(x1, x0), which differs only in the sign of a zero
+        tie, and so does the shifted logit there. The losses and gradient
+        are the column ops' bytes. The step returns its exps buffer, and a
+        second run on fresh logits gives the same bytes: its swapped-column
+        views stay bound to the buffers."""
+        shifted, sums, losses, grad = column_softmax(logits)
         labels = np.zeros(len(logits), dtype=np.int64)
-        got_losses = cross_entropy_batch(got_shifted, got_sums, labels)
-        onehot = one_hot(labels, logits.dtype)
-        assert got_losses.tobytes() == losses.tobytes()
-        assert cross_entropy_grad(got_exps, got_sums, onehot).tobytes() == grad.tobytes()
-
-
-class TestBoundCrossEntropyGrad:
-    @given(arrays(np.float32, st.tuples(st.integers(1, 3), st.integers(1, 12), st.just(2)),
-                  elements=special_floats),
-           st.integers(0, 2**32 - 1))
-    @example(np.array([[[0.0, -0.0], [np.inf, -np.inf], [np.nan, 1.0], [-np.inf, -np.inf]]],
-                      dtype=np.float32), 0)
-    @settings(max_examples=300, deadline=None)
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    def test_same_bytes_as_softmax_terms_then_cross_entropy_grad(self, logits, seed):
-        """The bound step writes out the ops of softmax_terms and
-        cross_entropy_grad a second time: its shifted logits, sums and
-        gradient are their bytes, divided by B, on every call."""
-        labels = np.random.default_rng(seed).integers(0, 2, size=logits.shape[:-1])
-        onehot = one_hot(labels, logits.dtype)
-        divisor = np.full(logits.shape, logits.shape[-2], logits.dtype)
-        shifted, exps, sums = (np.empty_like(logits) for _ in range(3))
-        step = bind_cross_entropy_grad(shifted, exps, sums, onehot, divisor)
-        ref_shifted, ref_exps, ref_sums = softmax_terms(logits)
-        ref = cross_entropy_grad(ref_exps, ref_sums, onehot) / divisor
+        got_shifted, got_exps, got_sums = (np.empty_like(logits) for _ in range(3))
+        step = bind_cross_entropy_grad(got_shifted, got_exps, got_sums,
+                                       one_hot(labels, logits.dtype), np.ones_like(logits))
+        zero_tie = (logits[:, 0] == 0) & (logits[:, 1] == 0)
         for _ in range(2):
-            shifted[...] = logits
-            assert step() is exps
-            assert shifted.tobytes() == ref_shifted.tobytes()
-            assert sums.tobytes() == ref_sums.tobytes()
-            assert exps.tobytes() == ref.tobytes()
+            got_shifted[...] = logits
+            assert step() is got_exps
+            for j in range(2):
+                assert got_sums[:, j].tobytes() == sums.tobytes()
+            assert got_shifted[~zero_tie].tobytes() == shifted[~zero_tie].tobytes()
+            assert np.all(got_shifted[zero_tie] == 0)
+            got_losses = cross_entropy_batch(got_shifted, got_sums, labels)
+            assert got_losses.tobytes() == losses.tobytes()
+            assert got_exps.tobytes() == grad.tobytes()
 
 
 class TestL2Norm:

@@ -252,6 +252,29 @@ class TestRemoteOracle:
         client.close()
         assert got.tobytes() == want.tobytes()
 
+    @given(batch_dtype=st.sampled_from([np.float32, np.float64]),
+           edit_dtype=st.sampled_from([np.float32, np.float64]),
+           b=st.integers(1, 8), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_forward_only_answers_any_dtype_as_the_remote_oracle(
+            self, encoder, module_server, batch_dtype, edit_dtype, b, m, seed):
+        """The wire carries float32, so a forward-only in-process oracle
+        embeds in float32 too: for a float64 batch or edits it gives the
+        remote answer's bytes and dtype."""
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(size=(b, INPUT_DIM)).astype(batch_dtype)
+        edits = rng.normal(size=(m, INPUT_DIM)).astype(edit_dtype)
+        local, remote = InProcessOracle(encoder), RemoteOracle(module_server.bound_address)
+        try:
+            for got, want in ((local.embed(batch), remote.embed(batch)),
+                              (local.embed_edits(batch, edits),
+                               remote.embed_edits(batch, edits))):
+                assert got.dtype == want.dtype == np.float32
+                assert got.tobytes() == want.tobytes()
+        finally:
+            remote.close()
+
     def test_unix_socket_address(self, encoder, tmp_path):
         srv = OracleServer(encoder, str(tmp_path / "oracle.sock"))
         srv.start_background()
