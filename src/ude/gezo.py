@@ -4,6 +4,12 @@ each in both directions on a fresh mini-batch (all 2C candidates in one
 oracle call of 2C logical queries), greedily keeps the candidate
 beating the epoch-best objective, folds it into a momentum velocity, and
 decays the step size when nothing improves.
+
+A local iteration issues only the ops that depend on its batch and draws,
+each into buffers that learn_ude_gezo makes once and passes down
+(epoch_workspace, greedy_workspace, editing.ObjectiveWorkspace), as
+models.fit_heads does for head training: the bytes and RNG stream of the
+allocating expressions.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .editing import EditArtifact, edit_objective_batch
+from .editing import EditArtifact, ObjectiveWorkspace, edit_objective_batch
 from .models import LinearHead
-from .numerics import check_counts, check_epoch_finite, is_real, l2_norm
+from .numerics import check_counts, check_epoch_finite, check_labels, is_real, l2_norm
 from .prng import derive_seed
 
 
@@ -43,50 +49,115 @@ class GezoConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
 
 
+def greedy_workspace(sa_head: LinearHead, eps: np.ndarray, samples: int,
+                     lam: float) -> tuple:
+    """The buffers greedy_gradient draws, signs and scores `samples`
+    perturbations of edits shaped like `eps` in, for one head and lam: the
+    float64 normal draws, the signed [samples, 2, D] stack and its [2C, D]
+    view, the candidates in the dtype eps + signed has, and the
+    editing.ObjectiveWorkspace that scores them."""
+    dim = eps.shape[-1]
+    normals = np.empty((samples, dim))
+    signed = np.empty((samples, 2, dim), np.float32)
+    flat = signed.reshape(2 * samples, dim)
+    return (normals, signed[:, 0], signed[:, 1], flat,
+            np.empty_like(flat, np.result_type(eps, flat)), ObjectiveWorkspace(sa_head, lam))
+
+
 def greedy_gradient(oracle, sa_head: LinearHead, batch: np.ndarray,
                     sa_labels: np.ndarray, eps: np.ndarray, step: float,
                     samples: int, lam: float, best_loss: float,
-                    rng: np.random.Generator):
+                    rng: np.random.Generator, *, workspace: tuple | None = None):
     """Try `samples` scaled perturbations in both directions on one batch;
     return (best direction perturbation or None, updated best loss).
 
     Issues 2*samples logical queries in one oracle call: the candidates
     -delta_1, +delta_1, -delta_2, ... are scored as one stack. Comparison is
     strict `<` in that order, so on ties the first candidate wins.
+
+    Every op writes into the buffers of a greedy_workspace: the float64
+    draws (standard_normal(out=): the stream and bytes of a fresh draw), the
+    signed stack (each draw cast to float32, scaled by the step, and
+    negated), the candidates eps + signed and the objectives. A caller of
+    many iterations passes one `workspace`, made for this head, edit shape,
+    `samples` and lam, and checked labels (check_labels); the perturbation
+    returned is then a row of the workspace, to be used before the next
+    call draws into it. Without one, a call makes its own, after ValueError
+    for an empty batch and the label checks of edit_objective_batch.
     """
-    if batch.shape[0] == 0:
-        raise ValueError("empty batch")
-    deltas = (rng.standard_normal((samples, eps.shape[0])).astype(np.float32)
-              * np.float32(step))
-    signed = np.stack((-deltas, deltas), axis=1).reshape(2 * samples, -1)
-    losses = edit_objective_batch(oracle, sa_head, batch, sa_labels, eps + signed, lam)
+    if workspace is None:
+        if batch.shape[0] == 0:
+            raise ValueError("empty batch")
+        sa_labels = check_labels(sa_labels, len(batch))
+        workspace = greedy_workspace(sa_head, eps, samples, lam)
+    normals, negative, positive, signed, candidates, objective = workspace
+    rng.standard_normal(out=normals)
+    np.copyto(positive, normals)
+    np.multiply(positive, np.float32(step), positive)
+    np.negative(positive, negative)
+    np.add(eps, signed, candidates)
+    losses = edit_objective_batch(oracle, sa_head, batch, sa_labels, candidates, lam,
+                                  workspace=objective)
     d_best = None
     # one loss stands for every candidate when a stubbed objective returns a
     # float (acceptance criterion 07 stubs it with math.inf)
-    for i, loss in enumerate(np.broadcast_to(losses, (2 * samples,)).tolist()):
+    if not isinstance(losses, np.ndarray):
+        losses = np.full(2 * samples, losses)
+    for i, loss in enumerate(losses.tolist()):
         if loss < best_loss:
             best_loss, d_best = loss, signed[i]
     return d_best, best_loss
 
 
+def epoch_workspace(sa_head: LinearHead, images: np.ndarray, sa_labels: np.ndarray,
+                    cfg: GezoConfig) -> tuple:
+    """The buffers of gezo_epoch's local iterations over `images`: the labels,
+    checked once, one per image (numerics.check_labels); each iteration's
+    min(batch_size, n) rows (ValueError for none) and their labels; and the
+    greedy_workspace of its perturbations."""
+    n, dim = images.shape
+    rows = min(cfg.batch_size, n)
+    if rows == 0:
+        raise ValueError("empty batch")
+    labels = check_labels(sa_labels, n)
+    return (labels, np.empty((rows, dim), images.dtype), np.empty(rows, labels.dtype),
+            greedy_workspace(sa_head, np.empty(dim, np.float32), cfg.samples, cfg.lam))
+
+
 def gezo_epoch(oracle, sa_head: LinearHead, images: np.ndarray,
                sa_labels: np.ndarray, eps_epoch: np.ndarray, cfg: GezoConfig,
-               rng: np.random.Generator, trace: list | None = None) -> np.ndarray:
+               rng: np.random.Generator, trace: list | None = None, *,
+               workspace: tuple | None = None) -> np.ndarray:
     """One pass of local iterations over the edit; velocity, step size and
-    best loss all start fresh."""
+    best loss all start fresh.
+
+    An iteration draws its rows (rng.permutation), takes them and their
+    labels into an epoch_workspace and calls greedy_gradient, through this
+    module's global, on its greedy_workspace. The velocity and the edit are
+    updated in place in arrays of this call, so the edit returned is never
+    a workspace buffer. learn_ude_gezo makes one `workspace` for all its
+    epochs; without one, a call makes its own.
+    """
+    labels, batch, batch_labels, greedy = (
+        workspace or epoch_workspace(sa_head, images, sa_labels, cfg))
     n = images.shape[0]
     eps = eps_epoch.astype(np.float32)
     velocity = np.zeros_like(eps_epoch, dtype=np.float32)
+    momentum = np.float32(cfg.momentum)
     step, best_loss = cfg.init_step, math.inf
     for r in range(1, cfg.local_iters + 1):
         idx = rng.permutation(n)[:cfg.batch_size]
-        d_best, best_loss = greedy_gradient(oracle, sa_head, images[idx], sa_labels[idx],
-                                            eps, step, cfg.samples, cfg.lam, best_loss,
-                                            rng)
+        # idx is a permutation's prefix, so no index is out of range
+        np.take(images, idx, 0, batch, "clip")
+        np.take(labels, idx, 0, batch_labels, "clip")
+        d_best, best_loss = greedy_gradient(oracle, sa_head, batch, batch_labels, eps,
+                                            step, cfg.samples, cfg.lam, best_loss, rng,
+                                            workspace=greedy)
         improved = d_best is not None
         if improved:
-            velocity = np.float32(cfg.momentum) * velocity + d_best
-            eps = eps + velocity
+            np.multiply(momentum, velocity, velocity)
+            np.add(velocity, d_best, velocity)
+            np.add(eps, velocity, eps)
         else:
             step = cfg.decay * step
         if trace is not None:
@@ -105,10 +176,11 @@ def learn_ude_gezo(oracle, sa_head: LinearHead, images: np.ndarray,
     rng = np.random.default_rng(derive_seed(seed, 0x6E20))
     loss_trace, norm_trace = [], []
     iteration_trace: list[dict] = []
+    workspace = epoch_workspace(sa_head, images, sa_labels, cfg)
     for epoch in range(cfg.epochs):
         epoch_trace: list[dict] = []
         eps = gezo_epoch(oracle, sa_head, images, sa_labels, eps, cfg, rng,
-                         trace=epoch_trace)
+                         trace=epoch_trace, workspace=workspace)
         for rec in epoch_trace:
             rec["epoch"] = epoch
         iteration_trace.extend(epoch_trace)

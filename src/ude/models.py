@@ -120,14 +120,22 @@ def encoder_edits_vjp(enc: FrozenEncoder, batch: np.ndarray, edits: np.ndarray):
     differently from a plain forward of the edited row, except under a zero
     edit (x @ w1 + 0 is x @ w1). Backward, an edit's B row gradients are
     summed before they meet w1: one [H] sum and one [H] @ [H,D] product per
-    edit, and no [B,D] input gradient."""
+    edit, and no [B,D] input gradient. The three bias adds and both tanh
+    run in place, in the products' own arrays: the ops and bytes of
+    tanh(tanh(x @ w1 + e @ w1 + b1) @ w2 + b2) @ w3 + b3, without their
+    temporaries."""
     _check_rows(enc, "batch", batch)
     _check_rows(enc, "edits", edits)
     w1, b1, w2, b2, w3, b3 = _cast_params(enc, batch.dtype)
-    h1 = np.tanh(_rows_matmul(batch, w1)[None]
-                 + _rows_matmul(edits.astype(batch.dtype, copy=False), w1)[:, None] + b1)
-    h2 = np.tanh(_rows_matmul(h1.reshape(-1, w1.shape[1]), w2) + b2)
-    z = _rows_matmul(h2, w3) + b3
+    h1 = (_rows_matmul(batch, w1)[None]
+          + _rows_matmul(edits.astype(batch.dtype, copy=False), w1)[:, None])
+    np.add(h1, b1, h1)
+    np.tanh(h1, h1)
+    h2 = _rows_matmul(h1.reshape(-1, w1.shape[1]), w2)
+    np.add(h2, b2, h2)
+    np.tanh(h2, h2)
+    z = _rows_matmul(h2, w3)
+    np.add(z, b3, z)
 
     def vjp(upstream: np.ndarray) -> np.ndarray:
         if upstream.shape != z.shape:

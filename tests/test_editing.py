@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import ude.oracle
 from ude.editing import (
     EditArtifact,
+    ObjectiveWorkspace,
     UdeConfig,
     edit_objective_batch,
     edit_objective_grad,
@@ -22,8 +23,10 @@ from ude.models import (
     LinearHead,
     TrainConfig,
     head_accuracy,
+    head_forward,
     train_head,
 )
+from ude.numerics import l2_norm
 from ude.oracle import FORWARD_WITH_INPUT_GRAD, CapabilityError, InProcessOracle
 from ude.pipeline import PipelineConfig, load_input, save_output
 
@@ -123,6 +126,38 @@ class TestObjective:
         want = edit_objective_batch(oracle, head, batch, labels, eps, lam)
         assert type(loss) is type(want) is float
         assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), b=st.integers(1, 70),
+           m=st.integers(1, 4), lam=st.sampled_from([0, 0.01, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_reused_workspace_gives_the_allocating_bytes(self, encoder, dtype, b, m,
+                                                           lam, seed):
+        # three batches of one shape through one workspace: each gives the
+        # bytes of the textbook expressions, -mean(CE) + lam * ||edit||_2
+        # and softmax - onehot
+        rng = np.random.default_rng(seed)
+        head = LinearHead(rng.standard_normal((EMBED_DIM, 2)).astype(np.float32),
+                          rng.standard_normal(2).astype(np.float32))
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        workspace = ObjectiveWorkspace(head, lam)
+        for _ in range(3):
+            labels = rng.integers(0, 2, size=b).astype(np.uint8)
+            batch = rng.standard_normal((b, INPUT_DIM)).astype(dtype)
+            edits = (rng.standard_normal((m, INPUT_DIM)) * 0.1).astype(np.float32)
+            losses = edit_objective_batch(oracle, head, batch, labels, edits, lam,
+                                          workspace=workspace)
+            logits = head_forward(head, oracle.embed_edits(batch, edits))
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            ce = -(np.where(labels == 1, shifted[..., 1], shifted[..., 0])
+                   - np.log(np.exp(shifted).sum(axis=-1)))
+            want = -np.mean(ce, axis=1).astype(np.float64) + lam * l2_norm(edits)
+            assert losses.dtype == np.float64 and losses.tobytes() == want.tobytes()
+            # and the CE gradient of each row, which the one-hot buffer feeds
+            exps = np.exp(shifted)
+            want = exps / exps.sum(axis=-1, keepdims=True) - np.eye(2, dtype=dtype)[labels]
+            _, grad = workspace(oracle.embed_edits(batch, edits), labels, edits)
+            assert grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("objective", [edit_objective_batch, edit_objective_grad],
                              ids=["batch", "grad"])

@@ -5,10 +5,30 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ude.gezo import GezoConfig, gezo_epoch, greedy_gradient, learn_ude_gezo
+import ude.gezo
+from ude.editing import edit_objective_batch
+from ude.gezo import (
+    GezoConfig,
+    epoch_workspace,
+    gezo_epoch,
+    greedy_gradient,
+    learn_ude_gezo,
+)
 from ude.models import INPUT_DIM, TrainConfig, head_accuracy, train_head
-from ude.oracle import MAGIC, MSG_EMBED_RESPONSE, InProcessOracle, OracleServer, RemoteOracle
+from ude.numerics import l2_norm
+from ude.oracle import (
+    FORWARD_ONLY,
+    FORWARD_WITH_INPUT_GRAD,
+    MAGIC,
+    MSG_EMBED_RESPONSE,
+    InProcessOracle,
+    OracleServer,
+    RemoteOracle,
+)
+from ude.prng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +38,46 @@ def trained_sa(encoder, small_data):
     head, _ = train_head(oracle, train.images, train.sa_labels,
                          TrainConfig("adam", 1e-2, epochs=30, batch_size=16), 0)
     return head
+
+
+def reference_epoch(oracle, sa_head, images, sa_labels, eps, cfg, rng, trace):
+    """gezo_epoch as allocating per-call code: the candidates
+    eps + (+-1) * delta, stacked in the order -delta_1, +delta_1, ..., scored
+    by one public edit_objective_batch call per iteration. The stack has the
+    bound path's shapes, so the two agree on any BLAS kernel."""
+    n = images.shape[0]
+    eps = eps.astype(np.float32)
+    velocity = np.zeros_like(eps)
+    step, best_loss = cfg.init_step, math.inf
+    for r in range(1, cfg.local_iters + 1):
+        idx = rng.permutation(n)[:cfg.batch_size]
+        deltas = (rng.standard_normal((cfg.samples, eps.shape[0])).astype(np.float32)
+                  * np.float32(step))
+        signed = [sign * delta for delta in deltas for sign in (np.float32(-1),
+                                                                 np.float32(1))]
+        losses = edit_objective_batch(oracle, sa_head, images[idx], sa_labels[idx],
+                                      np.stack([eps + d for d in signed]), cfg.lam)
+        d_best = None
+        for loss, d in zip(losses, signed):
+            if loss < best_loss:
+                best_loss, d_best = float(loss), d
+        if d_best is not None:
+            velocity = np.float32(cfg.momentum) * velocity + d_best
+            eps = eps + velocity
+        else:
+            step = cfg.decay * step
+        trace.append({"iteration": r, "improved": d_best is not None,
+                      "best_loss": best_loss, "step": step})
+    return eps
+
+
+def workspace_arrays(workspace):
+    """Every array a workspace holds, the objective's buffers included."""
+    if isinstance(workspace, np.ndarray):
+        return [workspace]
+    if isinstance(workspace, tuple):
+        return [a for part in workspace for a in workspace_arrays(part)]
+    return [a for a in vars(workspace).values() if isinstance(a, np.ndarray)]
 
 
 class TestConfig:
@@ -146,6 +206,94 @@ class TestEpoch:
             else:
                 step = cfg.decay * step
         assert eps_impl.tobytes() == eps_ref.tobytes()
+
+
+class TestBoundIteration:
+    @given(samples=st.integers(1, 4), batch_size=st.sampled_from([3, 12, 20]),
+           momentum=st.sampled_from([0.0, 0.9]), dtype=st.sampled_from([np.float32,
+                                                                          np.float64]),
+           capability=st.sampled_from([FORWARD_ONLY, FORWARD_WITH_INPUT_GRAD]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=24, deadline=None)
+    def test_bytes_of_the_per_call_reference(self, encoder, trained_sa, small_data,
+                                             samples, batch_size, momentum, dtype,
+                                             capability, seed):
+        # 12 images: a batch of 3 rows, of all 12, and of 12 for batch_size 20
+        _, train, _ = small_data
+        pick = np.random.default_rng(seed).choice(len(train.images), 12, replace=False)
+        images, labels = train.images[pick].astype(dtype), train.sa_labels[pick]
+        cfg = GezoConfig(local_iters=3, samples=samples, batch_size=batch_size,
+                         momentum=momentum, epochs=2, init_step=0.5)
+        oracle = InProcessOracle(encoder, capability)
+        start = np.random.default_rng(seed).normal(size=INPUT_DIM).astype(np.float32) * 0.1
+
+        trace, want_trace = [], []
+        eps = gezo_epoch(oracle, trained_sa, images, labels, start, cfg,
+                         np.random.default_rng(seed), trace=trace)
+        want = reference_epoch(oracle, trained_sa, images, labels, start, cfg,
+                               np.random.default_rng(seed), want_trace)
+        assert eps.dtype == np.float32 and eps.tobytes() == want.tobytes()
+        assert trace == want_trace
+
+        art = learn_ude_gezo(oracle, trained_sa, images, labels, cfg, seed)
+        rng = np.random.default_rng(derive_seed(seed, 0x6E20))
+        want, want_losses, want_norms = np.zeros(INPUT_DIM, np.float32), [], []
+        for _ in range(cfg.epochs):
+            epoch_trace = []
+            want = reference_epoch(oracle, trained_sa, images, labels, want, cfg, rng,
+                                   epoch_trace)
+            want_losses.append(epoch_trace[-1]["best_loss"])
+            want_norms.append(l2_norm(want))
+        assert art.eps.tobytes() == want.tobytes()
+        assert (art.loss_trace, art.eps_norm_trace) == (want_losses, want_norms)
+
+    def test_one_objective_call_per_local_iteration(self, encoder, trained_sa,
+                                                    small_data, monkeypatch):
+        _, train, _ = small_data
+        cfg = GezoConfig(local_iters=4, samples=3, epochs=3, batch_size=16)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["workspace"])
+            return edit_objective_batch(*args, **kwargs)
+
+        monkeypatch.setattr(ude.gezo, "edit_objective_batch", counting)
+        oracle = InProcessOracle(encoder)
+        learn_ude_gezo(oracle, trained_sa, train.images, train.sa_labels, cfg, 0)
+        assert len(calls) == cfg.epochs * cfg.local_iters
+        # one workspace serves every call of the run
+        assert all(w is calls[0] for w in calls)
+        assert oracle.query_counter[0] == len(calls) * 2 * cfg.samples
+
+    def test_the_edit_returned_is_no_workspace_buffer(self, encoder, trained_sa,
+                                                      small_data):
+        _, train, _ = small_data
+        cfg = GezoConfig(local_iters=5, samples=2, batch_size=16)
+        workspace = epoch_workspace(trained_sa, train.images, train.sa_labels, cfg)
+        rng, eps = np.random.default_rng(4), np.zeros(INPUT_DIM, np.float32)
+        trace = []
+        for _ in range(2):
+            start = eps
+            eps = gezo_epoch(InProcessOracle(encoder), trained_sa, train.images,
+                             train.sa_labels, start, cfg, rng, trace=trace,
+                             workspace=workspace)
+            assert not np.shares_memory(eps, start)
+            assert not any(np.shares_memory(eps, a) for a in workspace_arrays(workspace))
+        assert any(t["improved"] for t in trace)
+
+    def test_labels_are_checked_once_for_every_image(self, trained_sa, small_data):
+        _, train, _ = small_data
+        cfg = GezoConfig()
+        with pytest.raises(ValueError):
+            epoch_workspace(trained_sa, train.images, train.sa_labels[:-1], cfg)
+        with pytest.raises(TypeError):
+            epoch_workspace(trained_sa, train.images, train.sa_labels.astype(float), cfg)
+        bad = train.sa_labels.copy()
+        bad[-1] = 2
+        with pytest.raises(IndexError):
+            epoch_workspace(trained_sa, train.images, bad, cfg)
+        with pytest.raises(ValueError, match="empty batch"):
+            epoch_workspace(trained_sa, train.images[:0], train.sa_labels[:0], cfg)
 
 
 class TestFullRun:

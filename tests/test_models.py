@@ -11,6 +11,7 @@ from ude.models import (
     INPUT_DIM,
     LinearHead,
     TrainConfig,
+    _rows_matmul,
     build_encoder,
     encoder_edits_vjp,
     encoder_forward,
@@ -172,6 +173,29 @@ class TestEncoderForwardBackward:
         for i in range(m):
             assert_near_float64_vjp(encoder, grads[i], batch, edits[i],
                                     upstream[i * b:(i + 1) * b])
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]), b=st.integers(1, 70),
+           m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(dtype=np.float32, b=1, m=1, seed=0)
+    @example(dtype=np.float64, b=1, m=1, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_forward_and_vjp_have_the_allocating_bytes(self, encoder, dtype, b,
+                                                                 m, seed):
+        # the bias adds and tanh run in place; each op and its order are
+        # those of the allocating expression below, so every byte is too
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(size=(b, INPUT_DIM)).astype(dtype)
+        edits = rng.normal(size=(m, INPUT_DIM)).astype(np.float32)
+        upstream = rng.normal(size=(m * b, EMBED_DIM)).astype(dtype)
+        w1, b1, w2, b2, w3, b3 = (p.astype(dtype) for p in encoder.parameters().values())
+        h1 = np.tanh(_rows_matmul(batch, w1)[None]
+                     + _rows_matmul(edits.astype(dtype), w1)[:, None] + b1)
+        h2 = np.tanh(_rows_matmul(h1.reshape(-1, w1.shape[1]), w2) + b2)
+        want_z = _rows_matmul(h2, w3) + b3
+        g1 = ((upstream @ w3.T) * (1.0 - h2 * h2) @ w2.T).reshape(h1.shape) * (1.0 - h1 * h1)
+        z, vjp = encoder_edits_vjp(encoder, batch, edits)
+        assert z.dtype == dtype and z.tobytes() == want_z.tobytes()
+        assert vjp(upstream).tobytes() == (g1.sum(axis=1) @ w1.T).tobytes()
 
     def test_edit_grad_matches_finite_differences(self, encoder):
         rng = np.random.default_rng(1)
