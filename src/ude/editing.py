@@ -83,7 +83,6 @@ class ObjectiveWorkspace:
         self.head, self.lam, self._key = sa_head, lam, None
 
     def _bind(self, z: np.ndarray, edits: np.ndarray) -> None:
-        self._key = (z.shape, z.dtype, edits.shape)
         (m, b, _), dtype = z.shape, z.dtype
         if z.shape[-1] != self.head.weight.shape[0]:
             raise ValueError(f"embedding dim {z.shape[-1]} != head dim "
@@ -100,6 +99,7 @@ class ObjectiveWorkspace:
         self.means, self.rows = np.empty(m, dtype), np.full(m, b, dtype)
         self.objectives, self.norms = np.empty(m), np.empty(m)
         self.squares = np.empty(edits.shape)
+        self._key = (z.shape, z.dtype, edits.shape)  # last, so a refused bind is retried
 
     def __call__(self, z: np.ndarray, labels: np.ndarray, edits: np.ndarray):
         if (z.shape, z.dtype, edits.shape) != self._key:

@@ -6,10 +6,8 @@ beating the epoch-best objective, folds it into a momentum velocity, and
 decays the step size when nothing improves.
 
 A local iteration issues only the ops that depend on its batch and draws,
-each into buffers that learn_ude_gezo makes once and passes down
-(epoch_workspace, greedy_workspace, editing.ObjectiveWorkspace), as
-models.fit_heads does for head training: the bytes and RNG stream of the
-allocating expressions.
+into the buffers of one GreedySearch per learn_ude_gezo run (as
+models.fit_heads does), with the bytes and RNG stream of allocating code.
 """
 
 from __future__ import annotations
@@ -49,138 +47,111 @@ class GezoConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
 
 
-def greedy_workspace(sa_head: LinearHead, eps: np.ndarray, samples: int,
-                     lam: float) -> tuple:
-    """The buffers greedy_gradient draws, signs and scores `samples`
-    perturbations of edits shaped like `eps` in, for one head and lam: the
-    float64 normal draws, the signed [samples, 2, D] stack and its [2C, D]
-    view, the candidates in the dtype eps + signed has, and the
-    editing.ObjectiveWorkspace that scores them."""
-    dim = eps.shape[-1]
-    normals = np.empty((samples, dim))
-    signed = np.empty((samples, 2, dim), np.float32)
-    flat = signed.reshape(2 * samples, dim)
-    return (normals, signed[:, 0], signed[:, 1], flat,
-            np.empty_like(flat, np.result_type(eps, flat)), ObjectiveWorkspace(sa_head, lam))
+class GreedySearch:
+    """GeZO's local iterations over `images` for one oracle, head, config
+    and generator. Before any query: the labels are checked once, one per
+    image (numerics.check_labels), and ValueError for no images. Every
+    buffer of an iteration is made here once: its min(batch_size, n) rows
+    and labels, the float64 normal draws, the signed [C, 2, D] stack and its
+    [2C, D] view, the candidates and the editing.ObjectiveWorkspace."""
 
-
-def greedy_gradient(oracle, sa_head: LinearHead, batch: np.ndarray,
-                    sa_labels: np.ndarray, eps: np.ndarray, step: float,
-                    samples: int, lam: float, best_loss: float,
-                    rng: np.random.Generator, *, workspace: tuple | None = None):
-    """Try `samples` scaled perturbations in both directions on one batch;
-    return (best direction perturbation or None, updated best loss).
-
-    Issues 2*samples logical queries in one oracle call: the candidates
-    -delta_1, +delta_1, -delta_2, ... are scored as one stack. Comparison is
-    strict `<` in that order, so on ties the first candidate wins.
-
-    Every op writes into the buffers of a greedy_workspace: the float64
-    draws (standard_normal(out=): the stream and bytes of a fresh draw), the
-    signed stack (each draw cast to float32, scaled by the step, and
-    negated), the candidates eps + signed and the objectives. A caller of
-    many iterations passes one `workspace`, made for this head, edit shape,
-    `samples` and lam, and checked labels (check_labels); the perturbation
-    returned is then a row of the workspace, to be used before the next
-    call draws into it. Without one, a call makes its own, after ValueError
-    for an empty batch and the label checks of edit_objective_batch.
-    """
-    if workspace is None:
-        if batch.shape[0] == 0:
+    def __init__(self, oracle, sa_head: LinearHead, images: np.ndarray,
+                 sa_labels: np.ndarray, cfg: GezoConfig, rng: np.random.Generator):
+        n, dim = images.shape
+        rows, samples = min(cfg.batch_size, n), cfg.samples
+        if rows == 0:
             raise ValueError("empty batch")
-        sa_labels = check_labels(sa_labels, len(batch))
-        workspace = greedy_workspace(sa_head, eps, samples, lam)
-    normals, negative, positive, signed, candidates, objective = workspace
-    rng.standard_normal(out=normals)
-    np.copyto(positive, normals)
-    np.multiply(positive, np.float32(step), positive)
-    np.negative(positive, negative)
-    np.add(eps, signed, candidates)
-    losses = edit_objective_batch(oracle, sa_head, batch, sa_labels, candidates, lam,
-                                  workspace=objective)
+        self.oracle, self.images, self.cfg, self.rng = oracle, images, cfg, rng
+        self.labels = check_labels(sa_labels, n)
+        self.batch = np.empty((rows, dim), images.dtype)
+        self.batch_labels = np.empty(rows, self.labels.dtype)
+        self.normals = np.empty((samples, dim))
+        signed = np.empty((samples, 2, dim), np.float32)
+        self.negative, self.positive = signed[:, 0], signed[:, 1]
+        self.signed = signed.reshape(2 * samples, dim)
+        self.candidates = np.empty_like(self.signed)
+        self.objective = ObjectiveWorkspace(sa_head, cfg.lam)
+
+    def epoch(self, eps_epoch: np.ndarray, trace: list | None = None) -> np.ndarray:
+        """One pass of local iterations from `eps_epoch`, each a call of
+        greedy_gradient through this module's global; velocity, step size and
+        best loss start fresh. The velocity and the edit are updated in place
+        in arrays of this call, so the edit returned is no search buffer."""
+        cfg = self.cfg
+        eps = eps_epoch.astype(np.float32)
+        velocity = np.zeros_like(eps)
+        momentum = np.float32(cfg.momentum)
+        step, best_loss = cfg.init_step, math.inf
+        for r in range(1, cfg.local_iters + 1):
+            d_best, best_loss = greedy_gradient(self, eps, step, best_loss)
+            improved = d_best is not None
+            if improved:
+                np.multiply(momentum, velocity, velocity)
+                np.add(velocity, d_best, velocity)
+                np.add(eps, velocity, eps)
+            else:
+                step = cfg.decay * step
+            if trace is not None:
+                trace.append({"iteration": r, "improved": improved,
+                              "best_loss": best_loss, "step": step})
+        return eps
+
+
+def greedy_gradient(search: GreedySearch, eps: np.ndarray, step: float,
+                    best_loss: float):
+    """Try C scaled perturbations of the float32 edit `eps` in both
+    directions on a fresh batch of the search's images; return (best
+    perturbation or None, updated best loss).
+
+    The batch is the rows of a rng.permutation prefix; the C draws, one
+    standard_normal(out=), are cast to float32, scaled by the step and
+    negated. The candidates -delta_1, +delta_1, -delta_2, ... are scored in
+    one oracle call of 2C logical queries, with strict `<` in that order, so
+    on ties the first wins. The perturbation returned is a row of the
+    search's stack, to be used before the next call draws into it.
+    """
+    s = search
+    idx = s.rng.permutation(len(s.images))[:s.cfg.batch_size]
+    # idx is a permutation's prefix, so no index is out of range
+    np.take(s.images, idx, 0, s.batch, "clip")
+    np.take(s.labels, idx, 0, s.batch_labels, "clip")
+    s.rng.standard_normal(out=s.normals)
+    np.copyto(s.positive, s.normals)
+    np.multiply(s.positive, np.float32(step), s.positive)
+    np.negative(s.positive, s.negative)
+    np.add(eps, s.signed, s.candidates)
+    losses = edit_objective_batch(s.oracle, s.objective.head, s.batch, s.batch_labels,
+                                  s.candidates, s.cfg.lam, workspace=s.objective)
     d_best = None
     # one loss stands for every candidate when a stubbed objective returns a
     # float (acceptance criterion 07 stubs it with math.inf)
     if not isinstance(losses, np.ndarray):
-        losses = np.full(2 * samples, losses)
+        losses = np.full(len(s.signed), losses)
     for i, loss in enumerate(losses.tolist()):
         if loss < best_loss:
-            best_loss, d_best = loss, signed[i]
+            best_loss, d_best = loss, s.signed[i]
     return d_best, best_loss
-
-
-def epoch_workspace(sa_head: LinearHead, images: np.ndarray, sa_labels: np.ndarray,
-                    cfg: GezoConfig) -> tuple:
-    """The buffers of gezo_epoch's local iterations over `images`: the labels,
-    checked once, one per image (numerics.check_labels); each iteration's
-    min(batch_size, n) rows (ValueError for none) and their labels; and the
-    greedy_workspace of its perturbations."""
-    n, dim = images.shape
-    rows = min(cfg.batch_size, n)
-    if rows == 0:
-        raise ValueError("empty batch")
-    labels = check_labels(sa_labels, n)
-    return (labels, np.empty((rows, dim), images.dtype), np.empty(rows, labels.dtype),
-            greedy_workspace(sa_head, np.empty(dim, np.float32), cfg.samples, cfg.lam))
 
 
 def gezo_epoch(oracle, sa_head: LinearHead, images: np.ndarray,
                sa_labels: np.ndarray, eps_epoch: np.ndarray, cfg: GezoConfig,
-               rng: np.random.Generator, trace: list | None = None, *,
-               workspace: tuple | None = None) -> np.ndarray:
-    """One pass of local iterations over the edit; velocity, step size and
-    best loss all start fresh.
-
-    An iteration draws its rows (rng.permutation), takes them and their
-    labels into an epoch_workspace and calls greedy_gradient, through this
-    module's global, on its greedy_workspace. The velocity and the edit are
-    updated in place in arrays of this call, so the edit returned is never
-    a workspace buffer. learn_ude_gezo makes one `workspace` for all its
-    epochs; without one, a call makes its own.
-    """
-    labels, batch, batch_labels, greedy = (
-        workspace or epoch_workspace(sa_head, images, sa_labels, cfg))
-    n = images.shape[0]
-    eps = eps_epoch.astype(np.float32)
-    velocity = np.zeros_like(eps_epoch, dtype=np.float32)
-    momentum = np.float32(cfg.momentum)
-    step, best_loss = cfg.init_step, math.inf
-    for r in range(1, cfg.local_iters + 1):
-        idx = rng.permutation(n)[:cfg.batch_size]
-        # idx is a permutation's prefix, so no index is out of range
-        np.take(images, idx, 0, batch, "clip")
-        np.take(labels, idx, 0, batch_labels, "clip")
-        d_best, best_loss = greedy_gradient(oracle, sa_head, batch, batch_labels, eps,
-                                            step, cfg.samples, cfg.lam, best_loss, rng,
-                                            workspace=greedy)
-        improved = d_best is not None
-        if improved:
-            np.multiply(momentum, velocity, velocity)
-            np.add(velocity, d_best, velocity)
-            np.add(eps, velocity, eps)
-        else:
-            step = cfg.decay * step
-        if trace is not None:
-            trace.append({"iteration": r, "improved": improved,
-                          "best_loss": best_loss, "step": step})
-    return eps
+               rng: np.random.Generator, trace: list | None = None) -> np.ndarray:
+    """One GreedySearch epoch from `eps_epoch`, on a search of this call."""
+    return GreedySearch(oracle, sa_head, images, sa_labels, cfg, rng).epoch(eps_epoch, trace)
 
 
 def learn_ude_gezo(oracle, sa_head: LinearHead, images: np.ndarray,
                    sa_labels: np.ndarray, cfg: GezoConfig, seed: int) -> EditArtifact:
-    """Run the per-epoch pass for cfg.epochs, threading the edit through;
-    batches and perturbations are drawn from `seed`. Only forward oracle
-    calls are ever issued."""
-    dim = images.shape[1]
-    eps = np.zeros(dim, dtype=np.float32)
+    """Run cfg.epochs epochs of one GreedySearch, threading the edit
+    through; batches and perturbations are drawn from `seed`. Only forward
+    oracle calls are ever issued."""
+    eps = np.zeros(images.shape[1], dtype=np.float32)
     rng = np.random.default_rng(derive_seed(seed, 0x6E20))
-    loss_trace, norm_trace = [], []
-    iteration_trace: list[dict] = []
-    workspace = epoch_workspace(sa_head, images, sa_labels, cfg)
+    search = GreedySearch(oracle, sa_head, images, sa_labels, cfg, rng)
+    loss_trace, norm_trace, iteration_trace = [], [], []
     for epoch in range(cfg.epochs):
         epoch_trace: list[dict] = []
-        eps = gezo_epoch(oracle, sa_head, images, sa_labels, eps, cfg, rng,
-                         trace=epoch_trace, workspace=workspace)
+        eps = search.epoch(eps, epoch_trace)
         for rec in epoch_trace:
             rec["epoch"] = epoch
         iteration_trace.extend(epoch_trace)

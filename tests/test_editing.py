@@ -159,6 +159,16 @@ class TestObjective:
             _, grad = workspace(oracle.embed_edits(batch, edits), labels, edits)
             assert grad.tobytes() == want.tobytes()
 
+    def test_a_workspace_refuses_a_wrong_embedding_dim_on_every_call(self):
+        # a refused bind must leave nothing that a second call of the same
+        # shapes would take for bound buffers
+        head = LinearHead(np.zeros((32, 2), np.float32), np.zeros(2, np.float32))
+        workspace = ObjectiveWorkspace(head, 0.01)
+        z, edits = np.zeros((2, 4, 16), np.float32), np.zeros((2, 8), np.float32)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="embedding dim 16 != head dim 32"):
+                workspace(z, np.zeros(4, np.uint8), edits)
+
     @pytest.mark.parametrize("objective", [edit_objective_batch, edit_objective_grad],
                              ids=["batch", "grad"])
     @pytest.mark.parametrize("labels", [np.array([1], dtype=np.uint8),

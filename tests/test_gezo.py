@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ude.gezo
-from ude.editing import edit_objective_batch
+from ude.editing import ObjectiveWorkspace, edit_objective_batch
 from ude.gezo import (
     GezoConfig,
-    epoch_workspace,
+    GreedySearch,
     gezo_epoch,
     greedy_gradient,
     learn_ude_gezo,
@@ -71,13 +71,10 @@ def reference_epoch(oracle, sa_head, images, sa_labels, eps, cfg, rng, trace):
     return eps
 
 
-def workspace_arrays(workspace):
-    """Every array a workspace holds, the objective's buffers included."""
-    if isinstance(workspace, np.ndarray):
-        return [workspace]
-    if isinstance(workspace, tuple):
-        return [a for part in workspace for a in workspace_arrays(part)]
-    return [a for a in vars(workspace).values() if isinstance(a, np.ndarray)]
+def first_16(oracle, sa_head, train, samples, rng):
+    """A search whose every batch is the first 16 training images."""
+    return GreedySearch(oracle, sa_head, train.images[:16], train.sa_labels[:16],
+                        GezoConfig(samples=samples, batch_size=16), rng)
 
 
 class TestConfig:
@@ -94,11 +91,9 @@ class TestGreedyGradient:
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
-        rng = np.random.default_rng(0)
+        search = first_16(oracle, trained_sa, train, 6, np.random.default_rng(0))
         before = oracle.query_counter[0]
-        greedy_gradient(oracle, trained_sa, train.images[:16], train.sa_labels[:16],
-                        eps, step=0.01, samples=6, lam=0.01, best_loss=math.inf,
-                        rng=rng)
+        greedy_gradient(search, eps, 0.01, math.inf)
         assert oracle.query_counter[0] - before == 2 * 6
 
     def test_returns_none_when_nothing_beats_best(self, encoder, trained_sa,
@@ -106,10 +101,8 @@ class TestGreedyGradient:
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
-        d, best = greedy_gradient(oracle, trained_sa, train.images[:16],
-                                  train.sa_labels[:16], eps, step=0.01, samples=3,
-                                  lam=0.01, best_loss=-1e9,
-                                  rng=np.random.default_rng(0))
+        search = first_16(oracle, trained_sa, train, 3, np.random.default_rng(0))
+        d, best = greedy_gradient(search, eps, 0.01, -1e9)
         assert d is None
         assert best == -1e9
 
@@ -117,20 +110,17 @@ class TestGreedyGradient:
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
-        d, best = greedy_gradient(oracle, trained_sa, train.images[:16],
-                                  train.sa_labels[:16], eps, step=0.01, samples=3,
-                                  lam=0.01, best_loss=math.inf,
-                                  rng=np.random.default_rng(0))
+        search = first_16(oracle, trained_sa, train, 3, np.random.default_rng(0))
+        d, best = greedy_gradient(search, eps, 0.01, math.inf)
         assert d is not None
         assert math.isfinite(best)
 
     def test_empty_batch_rejected(self, encoder, trained_sa):
-        with pytest.raises(ValueError):
-            greedy_gradient(InProcessOracle(encoder), trained_sa,
-                            np.zeros((0, INPUT_DIM), dtype=np.float32),
-                            np.zeros(0, dtype=np.uint8),
-                            np.zeros(INPUT_DIM, dtype=np.float32), 0.01, 2, 0.01,
-                            math.inf, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty batch"):
+            GreedySearch(InProcessOracle(encoder), trained_sa,
+                         np.zeros((0, INPUT_DIM), dtype=np.float32),
+                         np.zeros(0, dtype=np.uint8), GezoConfig(samples=2),
+                         np.random.default_rng(0))
 
 
 class TestEpoch:
@@ -154,12 +144,11 @@ class TestEpoch:
         cfg = GezoConfig(local_iters=12, batch_size=16)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
         step, best_loss = cfg.init_step, -1e18
-        rng = np.random.default_rng(2)
+        search = GreedySearch(oracle, trained_sa, train.images[:16], train.sa_labels[:16],
+                              cfg, np.random.default_rng(2))
         expected = cfg.init_step
         for _ in range(cfg.local_iters):
-            d, best_loss = greedy_gradient(
-                oracle, trained_sa, train.images[:16], train.sa_labels[:16],
-                eps, step, cfg.samples, cfg.lam, best_loss, rng)
+            d, best_loss = greedy_gradient(search, eps, step, best_loss)
             assert d is None
             step = cfg.decay * step
             expected = cfg.decay * expected
@@ -261,7 +250,8 @@ class TestBoundIteration:
         oracle = InProcessOracle(encoder)
         learn_ude_gezo(oracle, trained_sa, train.images, train.sa_labels, cfg, 0)
         assert len(calls) == cfg.epochs * cfg.local_iters
-        # one workspace serves every call of the run
+        # one objective workspace serves every call of the run
+        assert isinstance(calls[0], ObjectiveWorkspace)
         assert all(w is calls[0] for w in calls)
         assert oracle.query_counter[0] == len(calls) * 2 * cfg.samples
 
@@ -269,31 +259,65 @@ class TestBoundIteration:
                                                       small_data):
         _, train, _ = small_data
         cfg = GezoConfig(local_iters=5, samples=2, batch_size=16)
-        workspace = epoch_workspace(trained_sa, train.images, train.sa_labels, cfg)
-        rng, eps = np.random.default_rng(4), np.zeros(INPUT_DIM, np.float32)
-        trace = []
+        search = GreedySearch(InProcessOracle(encoder), trained_sa, train.images,
+                              train.sa_labels, cfg, np.random.default_rng(4))
+        eps, trace = np.zeros(INPUT_DIM, np.float32), []
         for _ in range(2):
             start = eps
-            eps = gezo_epoch(InProcessOracle(encoder), trained_sa, train.images,
-                             train.sa_labels, start, cfg, rng, trace=trace,
-                             workspace=workspace)
+            eps = search.epoch(start, trace)
+            # the search's buffers and its objective's, bound on the first call
+            names = vars(search).keys() | vars(search.objective).keys()
+            assert {"batch", "signed", "candidates", "logits", "objectives"} <= names
+            buffers = [a for part in (search, search.objective)
+                       for a in vars(part).values() if isinstance(a, np.ndarray)]
             assert not np.shares_memory(eps, start)
-            assert not any(np.shares_memory(eps, a) for a in workspace_arrays(workspace))
+            assert not any(np.shares_memory(eps, a) for a in buffers)
         assert any(t["improved"] for t in trace)
 
-    def test_labels_are_checked_once_for_every_image(self, trained_sa, small_data):
+    def test_labels_are_checked_once_for_every_image(self, encoder, trained_sa,
+                                                     small_data):
         _, train, _ = small_data
-        cfg = GezoConfig()
-        with pytest.raises(ValueError):
-            epoch_workspace(trained_sa, train.images, train.sa_labels[:-1], cfg)
-        with pytest.raises(TypeError):
-            epoch_workspace(trained_sa, train.images, train.sa_labels.astype(float), cfg)
+        oracle, cfg = InProcessOracle(encoder), GezoConfig()
+        start = np.zeros(INPUT_DIM, np.float32)
         bad = train.sa_labels.copy()
         bad[-1] = 2
-        with pytest.raises(IndexError):
-            epoch_workspace(trained_sa, train.images, bad, cfg)
-        with pytest.raises(ValueError, match="empty batch"):
-            epoch_workspace(trained_sa, train.images[:0], train.sa_labels[:0], cfg)
+        for make in (lambda x, y: GreedySearch(oracle, trained_sa, x, y, cfg,
+                                               np.random.default_rng(0)),
+                     lambda x, y: gezo_epoch(oracle, trained_sa, x, y, start, cfg,
+                                             np.random.default_rng(0))):
+            with pytest.raises(ValueError):
+                make(train.images, train.sa_labels[:-1])
+            with pytest.raises(TypeError):
+                make(train.images, train.sa_labels.astype(float))
+            with pytest.raises(IndexError):
+                make(train.images, bad)
+            with pytest.raises(ValueError, match="empty batch"):
+                make(train.images[:0], train.sa_labels[:0])
+
+    @pytest.mark.parametrize("learn", [
+        lambda o, h, x, y, cfg: learn_ude_gezo(o, h, x, y, cfg, 0),
+        lambda o, h, x, y, cfg: gezo_epoch(o, h, x, y, np.zeros(INPUT_DIM, np.float32),
+                                           cfg, np.random.default_rng(0)),
+    ], ids=["learn", "epoch"])
+    @pytest.mark.parametrize("bad,error", [("short", ValueError), ("float", TypeError),
+                                           ("out_of_range", IndexError),
+                                           ("no_images", ValueError)])
+    def test_bad_input_is_refused_before_the_first_query(self, encoder, trained_sa,
+                                                         small_data, learn, bad, error):
+        _, train, _ = small_data
+        images, labels = train.images, train.sa_labels.copy()
+        if bad == "short":
+            labels = labels[:-1]
+        elif bad == "float":
+            labels = labels.astype(np.float32)
+        elif bad == "out_of_range":
+            labels[-1] = 2
+        else:
+            images, labels = images[:0], labels[:0]
+        oracle = InProcessOracle(encoder)
+        with pytest.raises(error):
+            learn(oracle, trained_sa, images, labels, GezoConfig(epochs=1))
+        assert oracle.query_counter == (0, 0) and oracle.round_trips == 0
 
 
 class TestFullRun:
@@ -364,10 +388,11 @@ class TestFullRun:
         stub.start()
         client = RemoteOracle("127.0.0.1:%d" % listener.getsockname()[1])
         idx = np.arange(cfg.batch_size)
+        search = GreedySearch(client, trained_sa, train.images[idx], train.sa_labels[idx],
+                              cfg, np.random.default_rng(0))
         try:
-            greedy_gradient(client, trained_sa, train.images[idx], train.sa_labels[idx],
-                            np.zeros(INPUT_DIM, np.float32), cfg.init_step, cfg.samples,
-                            cfg.lam, math.inf, np.random.default_rng(0))
+            greedy_gradient(search, np.zeros(INPUT_DIM, np.float32), cfg.init_step,
+                            math.inf)
         finally:
             client.close()
             stub.join(timeout=5)
