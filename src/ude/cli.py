@@ -11,7 +11,8 @@ non-integer or boolean seed, count or region index, a count grid object
 without "n", a non-string out_dir or oracle, an --out that a stage verb,
 run or sweep cannot create, an empty --oracle or serve --address or one
 whose port is not an integer in [0, 65535], an address serve cannot listen
-on, a noise-map --top-fraction outside (0, 1], and sweep --seed with
+on, a noise-map --top-fraction outside (0, 1], a sweep --values or
+--seeds item that is empty or not a number, and sweep --seed with
 --seeds; the config is checked with --seed, --out, --mode and --oracle set
 over the file's fields, each of which must be well-formed on its own), 3
 capability error, 4 remote/protocol error (including a server that cannot
@@ -143,9 +144,8 @@ def _dispatch(args) -> int:
         if args.seed is not None and args.seeds is not None:
             raise ConfigError("--seed and --seeds exclude each other")
         try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            seeds = None if args.seeds is None else [
-                int(s) for s in args.seeds.split(",") if s.strip()]
+            values = [float(v) for v in args.values.split(",")]
+            seeds = None if args.seeds is None else [int(s) for s in args.seeds.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad sweep values or seeds: {exc}") from exc
         rows = cmd_sweep(cfg, args.param, values, seeds)

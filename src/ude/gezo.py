@@ -5,9 +5,9 @@ oracle call of 2C logical queries), greedily keeps the candidate
 beating the epoch-best objective, folds it into a momentum velocity, and
 decays the step size when nothing improves.
 
-A local iteration issues only the ops that depend on its batch and draws,
-into the buffers of one GreedySearch per learn_ude_gezo run (as
-models.fit_heads does), with the bytes and RNG stream of allocating code.
+One GreedySearch per learn_ude_gezo run checks the labels once and holds
+the objective's buffers (editing.ObjectiveWorkspace); each local iteration
+draws its batch, perturbations and candidates as plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -50,26 +50,15 @@ class GezoConfig:
 class GreedySearch:
     """GeZO's local iterations over `images` for one oracle, head, config
     and generator. Before any query: the labels are checked once, one per
-    image (numerics.check_labels), and ValueError for no images. Every
-    buffer of an iteration is made here once: its min(batch_size, n) rows
-    and labels, the float64 normal draws, the signed [C, 2, D] stack and its
-    [2C, D] view, the candidates and the editing.ObjectiveWorkspace."""
+    image (numerics.check_labels), and ValueError for no images. The only
+    buffers it keeps are its editing.ObjectiveWorkspace's."""
 
     def __init__(self, oracle, sa_head: LinearHead, images: np.ndarray,
                  sa_labels: np.ndarray, cfg: GezoConfig, rng: np.random.Generator):
-        n, dim = images.shape
-        rows, samples = min(cfg.batch_size, n), cfg.samples
-        if rows == 0:
+        if len(images) == 0:
             raise ValueError("empty batch")
         self.oracle, self.images, self.cfg, self.rng = oracle, images, cfg, rng
-        self.labels = check_labels(sa_labels, n)
-        self.batch = np.empty((rows, dim), images.dtype)
-        self.batch_labels = np.empty(rows, self.labels.dtype)
-        self.normals = np.empty((samples, dim))
-        signed = np.empty((samples, 2, dim), np.float32)
-        self.negative, self.positive = signed[:, 0], signed[:, 1]
-        self.signed = signed.reshape(2 * samples, dim)
-        self.candidates = np.empty_like(self.signed)
+        self.labels = check_labels(sa_labels, len(images))
         self.objective = ObjectiveWorkspace(sa_head, cfg.lam)
 
     def epoch(self, eps_epoch: np.ndarray, trace: list | None = None) -> np.ndarray:
@@ -104,32 +93,30 @@ def greedy_gradient(search: GreedySearch, eps: np.ndarray, step: float,
     perturbation or None, updated best loss).
 
     The batch is the rows of a rng.permutation prefix; the C draws, one
-    standard_normal(out=), are cast to float32, scaled by the step and
-    negated. The candidates -delta_1, +delta_1, -delta_2, ... are scored in
-    one oracle call of 2C logical queries, with strict `<` in that order, so
-    on ties the first wins. The perturbation returned is a row of the
-    search's stack, to be used before the next call draws into it.
+    standard_normal, are cast to float32, scaled by the step and negated.
+    The candidates -delta_1, +delta_1, -delta_2, ... are scored in one
+    oracle call of 2C logical queries, with strict `<` in that order, so on
+    ties the first wins. The perturbation returned is a row of this call's
+    own array.
     """
-    s = search
+    s, samples, dim = search, search.cfg.samples, search.images.shape[1]
     idx = s.rng.permutation(len(s.images))[:s.cfg.batch_size]
-    # idx is a permutation's prefix, so no index is out of range
-    np.take(s.images, idx, 0, s.batch, "clip")
-    np.take(s.labels, idx, 0, s.batch_labels, "clip")
-    s.rng.standard_normal(out=s.normals)
-    np.copyto(s.positive, s.normals)
-    np.multiply(s.positive, np.float32(step), s.positive)
-    np.negative(s.positive, s.negative)
-    np.add(eps, s.signed, s.candidates)
-    losses = edit_objective_batch(s.oracle, s.objective.head, s.batch, s.batch_labels,
-                                  s.candidates, s.cfg.lam, workspace=s.objective)
+    signed = np.empty((samples, 2, dim), np.float32)
+    positive = signed[:, 1]
+    positive[...] = s.rng.standard_normal((samples, dim))
+    np.multiply(positive, np.float32(step), positive)
+    np.negative(positive, signed[:, 0])
+    signed = signed.reshape(2 * samples, dim)
+    losses = edit_objective_batch(s.oracle, s.objective.head, s.images[idx], s.labels[idx],
+                                  eps + signed, s.cfg.lam, workspace=s.objective)
     d_best = None
     # one loss stands for every candidate when a stubbed objective returns a
     # float (acceptance criterion 07 stubs it with math.inf)
     if not isinstance(losses, np.ndarray):
-        losses = np.full(len(s.signed), losses)
+        losses = np.full(len(signed), losses)
     for i, loss in enumerate(losses.tolist()):
         if loss < best_loss:
-            best_loss, d_best = loss, s.signed[i]
+            best_loss, d_best = loss, signed[i]
     return d_best, best_loss
 
 

@@ -39,6 +39,8 @@ longer than CLIENT_TIMEOUT_S.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import socket
 import socketserver
 import struct
@@ -439,7 +441,9 @@ class OracleServer(socketserver.ThreadingTCPServer):
     per round-trip, each answered through one InProcessOracle (`oracle`),
     whose counters tally what the server served. A "host:port" address
     listens on TCP, any other on a Unix socket; as in socketserver's
-    UnixStreamServer, only address_family differs."""
+    UnixStreamServer, only address_family differs. The server that bound a
+    Unix socket removes its file when it closes; one whose bind failed
+    leaves the file of the server that holds the path."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -448,8 +452,21 @@ class OracleServer(socketserver.ThreadingTCPServer):
         self.encoder = encoder
         self.oracle = InProcessOracle(encoder)
         self.address_family, addr = parse_address(address)
+        self._bound_path = None  # TCPServer.__init__ closes a server whose bind fails
         super().__init__(addr, _EmbedHandler)
         self._thread = None
+
+    def server_bind(self) -> None:
+        super().server_bind()
+        if self.address_family == socket.AF_UNIX:
+            self._bound_path = self.server_address
+
+    def server_close(self) -> None:
+        super().server_close()
+        path, self._bound_path = self._bound_path, None
+        if path is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
 
     @property
     def bound_address(self) -> str:

@@ -292,6 +292,8 @@ class TestExitCodes:
         for flags in (["--values", "a,b"], ["--values", "0.01", "--seeds", "a"],
                       ["--values", "0.01", "--seeds", "1.5"],
                       ["--values", "0.01", "--seeds", ","],
+                      ["--values", "0.01,,0.1"], ["--values", "0.01,"],
+                      ["--values", "0.01", "--seeds", "1,,2"],
                       ["--values", "0.01", "--seeds", "1", "--seed", "2"]):
             assert main(["sweep", "--config", cfg, "--param", "lambda",
                          *flags]) == EXIT_CONFIG, flags

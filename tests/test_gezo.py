@@ -265,14 +265,25 @@ class TestBoundIteration:
         for _ in range(2):
             start = eps
             eps = search.epoch(start, trace)
-            # the search's buffers and its objective's, bound on the first call
+            # the search's labels and its objective's buffers, bound on the first call
             names = vars(search).keys() | vars(search.objective).keys()
-            assert {"batch", "signed", "candidates", "logits", "objectives"} <= names
+            assert {"labels", "logits", "means", "objectives", "squares"} <= names
             buffers = [a for part in (search, search.objective)
                        for a in vars(part).values() if isinstance(a, np.ndarray)]
             assert not np.shares_memory(eps, start)
             assert not any(np.shares_memory(eps, a) for a in buffers)
         assert any(t["improved"] for t in trace)
+
+    def test_the_perturbation_returned_keeps_its_bytes_across_the_next_call(
+            self, encoder, trained_sa, small_data):
+        _, train, _ = small_data
+        search = first_16(InProcessOracle(encoder), trained_sa, train, 3,
+                          np.random.default_rng(0))
+        eps = np.zeros(INPUT_DIM, np.float32)
+        d, _ = greedy_gradient(search, eps, 0.01, math.inf)
+        kept = d.tobytes()
+        greedy_gradient(search, eps, 0.5, math.inf)
+        assert d.tobytes() == kept
 
     def test_labels_are_checked_once_for_every_image(self, encoder, trained_sa,
                                                      small_data):

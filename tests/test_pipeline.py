@@ -217,6 +217,30 @@ class TestStagedPipeline:
         enc = build_encoder(seed=cfg.encoder_seed, input_dim=cfg.synth.dim)
         assert z.tobytes() == encoder_forward(enc, x).tobytes()
 
+    def test_a_unix_socket_is_freed_by_its_own_server_only(self, tmp_path):
+        cfg, path = tiny_config(tmp_path / "run"), str(tmp_path / "s.sock")
+        x = np.random.default_rng(0).normal(size=(2, cfg.synth.dim)).astype(np.float32)
+        want = encoder_forward(cfg.encoder(), x).tobytes()
+
+        def answers(server):
+            with closing(RemoteOracle(server.bound_address)) as oracle:
+                return oracle.embed(x).tobytes() == want
+
+        a = cmd_serve(cfg, path)
+        a.start_background()
+        try:
+            with pytest.raises(ConfigError, match="in use"):
+                cmd_serve(cfg, path)
+            assert answers(a)  # B's failed bind left A's socket file
+        finally:
+            a.shutdown()
+        c = cmd_serve(cfg, path)
+        c.start_background()
+        try:
+            assert answers(c)
+        finally:
+            c.shutdown()
+
 
 class TestRunExperiment:
     def test_result_shape(self, tmp_path):
