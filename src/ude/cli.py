@@ -4,7 +4,9 @@ Verbs: generate, train-sa, learn-edit, train-disease, evaluate (each runs
 its stage of pipeline.STAGES against --out), run (all five, one oracle),
 sweep, serve, noise-map. Common flags: --config <json>, --out and, except on
 serve and noise-map, --seed; the stage verbs and run also take --mode and
---oracle, and sweep takes --seeds, the seeds every value runs on.
+--oracle, and sweep takes --seeds, the seeds every value runs on. serve
+runs until SIGINT or SIGTERM, then shuts down, frees its address (a Unix
+socket's file too) and exits 0.
 Exit codes: 0 ok, 2 config error (including a non-finite or boolean config
 float, a synth amplitude beyond 1e6 or a negative noise_sigma, a
 non-integer or boolean seed, count or region index, a count grid object
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from .editing import write_noise_map_csv
@@ -152,9 +155,13 @@ def _dispatch(args) -> int:
         _print_sweep(args.param, rows, len(seeds) if seeds else 1)
     elif cmd == "serve":
         server = cmd_serve(cfg, args.address)
-        print(f"serving embeddings (forward-only) on {server.bound_address}",
-              flush=True)
         try:
+            # SIGTERM stops the server as Ctrl-C does: shut down, free the
+            # address; set before the address is printed, which a caller may
+            # wait for before it signals
+            signal.signal(signal.SIGTERM, signal.default_int_handler)
+            print(f"serving embeddings (forward-only) on {server.bound_address}",
+                  flush=True)
             server.serve_forever()
         except KeyboardInterrupt:
             server.shutdown()

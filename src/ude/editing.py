@@ -17,7 +17,6 @@ import numpy as np
 
 from .models import LinearHead, TrainConfig, fit_heads
 from .numerics import (
-    NUM_CLASSES,
     bind_cross_entropy_grad,
     bind_optimizer_step,
     check_counts,
@@ -28,6 +27,7 @@ from .numerics import (
     is_real,
     l2_norm,
     l2_norm_grad,
+    one_hot,
 )
 from .prng import derive_seed
 
@@ -60,71 +60,34 @@ class EditArtifact:
     iteration_trace: list[dict] = field(default_factory=list)  # gezo only
 
 
-class ObjectiveWorkspace:
-    """The objective body both edit objectives run, for one head and lam.
-    Called with the embeddings z [M,B,E] of a batch under each of the [M,D]
-    `edits` and the batch's checked labels, it returns the objectives [M]
-    float64, -mean(CE) + lam * ||edit||_2, and the gradient [M,B,2] of each
-    row's CE with respect to its logits, both in its buffers, which the next
-    call overwrites.
+def _objective(sa_head: LinearHead, lam: float, z: np.ndarray, labels: np.ndarray,
+               edits: np.ndarray):
+    """The objective body both edit objectives run. From the embeddings z
+    [M,B,E] of a batch under each of the [M,D] `edits` and the batch's
+    checked labels: the objectives [M] float64, -mean(CE) + lam *
+    ||edit||_2, and the gradient [M,B,2] of each row's CE with respect to
+    its logits, in arrays of this call. ValueError unless E is the head's
+    input dim.
 
-    The buffers are made on the first call, in the dtype of the embeddings,
-    and again only when their shape or dtype changes: the head cast to that
-    dtype, the [M,B,2] logits, exps and sums that one
-    numerics.bind_cross_entropy_grad step is bound to (its target the
-    broadcast view of one [B,2] one-hot buffer, refilled per call; its
-    divisor ones, so the gradient's division by B is left to the caller:
-    x / 1 is exact), and the loss buffers. Each op of a call writes into them, in the
-    order of the allocating expressions: the mean is a sum then a division
-    by B, as np.mean takes it, and the norm the ops of numerics.l2_norm.
-    """
-
-    def __init__(self, sa_head: LinearHead, lam: float):
-        self.head, self.lam, self._key = sa_head, lam, None
-
-    def _bind(self, z: np.ndarray, edits: np.ndarray) -> None:
-        (m, b, _), dtype = z.shape, z.dtype
-        if z.shape[-1] != self.head.weight.shape[0]:
-            raise ValueError(f"embedding dim {z.shape[-1]} != head dim "
-                             f"{self.head.weight.shape[0]}")
-        self.weight = self.head.weight.astype(dtype)
-        self.bias = self.head.bias.astype(dtype)
-        self.eye = np.eye(NUM_CLASSES, dtype=dtype)
-        self.logits, exps, self.sums = (np.empty((m, b, NUM_CLASSES), dtype)
-                                        for _ in range(3))
-        self.onehot = np.empty((b, NUM_CLASSES), dtype)
-        self.step = bind_cross_entropy_grad(
-            self.logits, exps, self.sums, np.broadcast_to(self.onehot, self.logits.shape),
-            np.ones_like(self.logits))
-        self.means, self.rows = np.empty(m, dtype), np.full(m, b, dtype)
-        self.objectives, self.norms = np.empty(m), np.empty(m)
-        self.squares = np.empty(edits.shape)
-        self._key = (z.shape, z.dtype, edits.shape)  # last, so a refused bind is retried
-
-    def __call__(self, z: np.ndarray, labels: np.ndarray, edits: np.ndarray):
-        if (z.shape, z.dtype, edits.shape) != self._key:
-            self._bind(z, edits)
-        # labels were checked (check_labels), so no index is out of range
-        np.take(self.eye, labels, 0, self.onehot, "clip")
-        np.matmul(z, self.weight, self.logits)
-        np.add(self.logits, self.bias, self.logits)
-        grad = self.step()
-        np.add.reduce(cross_entropy_batch(self.logits, self.sums, labels), 1, None, self.means)
-        np.divide(self.means, self.rows, self.means)
-        objectives, norms = self.objectives, self.norms
-        np.copyto(objectives, self.means)
-        np.negative(objectives, objectives)
-        np.copyto(self.squares, edits)
-        np.square(self.squares, self.squares)
-        np.add.reduce(self.squares, -1, None, norms)
-        np.sqrt(norms, norms)
-        np.multiply(norms, self.lam, norms)
-        return np.add(objectives, norms, objectives), grad
+    The head forward in the dtype of z, then one
+    numerics.bind_cross_entropy_grad step with divisor ones (the gradient's
+    division by B is left to the caller: x / 1 is exact); the mean is a
+    sum then a division by B, as np.mean takes it, and the norm is
+    numerics.l2_norm's."""
+    if z.shape[-1] != sa_head.weight.shape[0]:
+        raise ValueError(f"embedding dim {z.shape[-1]} != head dim "
+                         f"{sa_head.weight.shape[0]}")
+    logits = z @ sa_head.weight.astype(z.dtype)
+    logits += sa_head.bias.astype(z.dtype)
+    exps, sums = np.empty_like(logits), np.empty_like(logits)
+    grad = bind_cross_entropy_grad(logits, exps, sums, one_hot(labels, z.dtype),
+                                   np.ones_like(logits))()
+    means = np.add.reduce(cross_entropy_batch(logits, sums, labels), 1) / len(labels)
+    return -means.astype(np.float64) + lam * l2_norm(edits), grad
 
 
 def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
-                         sa_labels: np.ndarray, eps: np.ndarray, lam: float, *,
-                         workspace: ObjectiveWorkspace | None = None):
+                         sa_labels: np.ndarray, eps: np.ndarray, lam: float):
     """-mean CE of the group head on edited inputs, plus lam*||eps||_2.
 
     Needs only forward access; this is the loss both optimizers drive down.
@@ -132,22 +95,14 @@ def edit_objective_batch(oracle, sa_head: LinearHead, batch: np.ndarray,
     [M] float64, each the bytes its edit alone gives, from one
     oracle.embed_edits call of M logical queries (a remote oracle sends the
     batch once and the M edits) and one run of the objective body that
-    edit_objective_grad shares (ObjectiveWorkspace): one head forward
-    (per-candidate slices, so each gets the product a lone call computes),
-    one cross-entropy step and one norm penalty. ValueError, before the
-    query, unless `sa_labels` holds one label per batch row.
-
-    A caller that scores many batches of one shape passes a `workspace`
-    made for this head and lam, and labels that went through check_labels:
-    the labels are then not checked again, and the [M] losses are the
-    workspace's buffer, which its next call overwrites. Without one, each
-    call makes its own.
+    edit_objective_grad shares: one head forward (per-candidate slices, so
+    each gets the product a lone call computes), one cross-entropy step and
+    one norm penalty. ValueError, before the query, unless `sa_labels` holds
+    one label per batch row.
     """
-    if workspace is None:
-        sa_labels = check_labels(sa_labels, len(batch))
-        workspace = ObjectiveWorkspace(sa_head, lam)
+    labels = check_labels(sa_labels, len(batch))
     stack = np.atleast_2d(eps)
-    out, _ = workspace(oracle.embed_edits(batch, stack), sa_labels, stack)
+    out, _ = _objective(sa_head, lam, oracle.embed_edits(batch, stack), labels, stack)
     return float(out[0]) if np.ndim(eps) == 1 else out
 
 
@@ -160,7 +115,7 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
     query, unless `sa_labels` holds one label per batch row."""
     labels = check_labels(sa_labels, len(batch))
     zb, vjp = oracle.embed_vjp(batch, eps)
-    loss, g = ObjectiveWorkspace(sa_head, lam)(zb[None], labels, eps[None])
+    loss, g = _objective(sa_head, lam, zb[None], labels, eps[None])
     grad = (-vjp(g[0] @ sa_head.weight.astype(batch.dtype).T) / batch.shape[0]
             + lam * l2_norm_grad(eps.astype(batch.dtype)))
     return float(loss[0]), grad.astype(eps.dtype)

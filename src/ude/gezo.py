@@ -5,9 +5,9 @@ oracle call of 2C logical queries), greedily keeps the candidate
 beating the epoch-best objective, folds it into a momentum velocity, and
 decays the step size when nothing improves.
 
-One GreedySearch per learn_ude_gezo run checks the labels once and holds
-the objective's buffers (editing.ObjectiveWorkspace); each local iteration
-draws its batch, perturbations and candidates as plain numpy arrays.
+One GreedySearch per learn_ude_gezo run checks the labels once; each local
+iteration draws its batch, perturbations and candidates as plain numpy
+arrays and scores them with editing.edit_objective_batch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .editing import EditArtifact, ObjectiveWorkspace, edit_objective_batch
+from .editing import EditArtifact, edit_objective_batch
 from .models import LinearHead
 from .numerics import check_counts, check_epoch_finite, check_labels, is_real, l2_norm
 from .prng import derive_seed
@@ -50,22 +50,21 @@ class GezoConfig:
 class GreedySearch:
     """GeZO's local iterations over `images` for one oracle, head, config
     and generator. Before any query: the labels are checked once, one per
-    image (numerics.check_labels), and ValueError for no images. The only
-    buffers it keeps are its editing.ObjectiveWorkspace's."""
+    image (numerics.check_labels), and ValueError for no images."""
 
     def __init__(self, oracle, sa_head: LinearHead, images: np.ndarray,
                  sa_labels: np.ndarray, cfg: GezoConfig, rng: np.random.Generator):
         if len(images) == 0:
             raise ValueError("empty batch")
         self.oracle, self.images, self.cfg, self.rng = oracle, images, cfg, rng
-        self.labels = check_labels(sa_labels, len(images))
-        self.objective = ObjectiveWorkspace(sa_head, cfg.lam)
+        self.head, self.labels = sa_head, check_labels(sa_labels, len(images))
 
     def epoch(self, eps_epoch: np.ndarray, trace: list | None = None) -> np.ndarray:
         """One pass of local iterations from `eps_epoch`, each a call of
         greedy_gradient through this module's global; velocity, step size and
         best loss start fresh. The velocity and the edit are updated in place
-        in arrays of this call, so the edit returned is no search buffer."""
+        in arrays of this call, so the edit returned shares memory with no
+        array of the search."""
         cfg = self.cfg
         eps = eps_epoch.astype(np.float32)
         velocity = np.zeros_like(eps)
@@ -94,8 +93,9 @@ def greedy_gradient(search: GreedySearch, eps: np.ndarray, step: float,
 
     The batch is the rows of a rng.permutation prefix; the C draws, one
     standard_normal, are cast to float32, scaled by the step and negated.
-    The candidates -delta_1, +delta_1, -delta_2, ... are scored in one
-    oracle call of 2C logical queries, with strict `<` in that order, so on
+    The candidates -delta_1, +delta_1, -delta_2, ... are scored by one
+    edit_objective_batch call, through this module's global, which makes
+    one oracle call of 2C logical queries; strict `<` in that order, so on
     ties the first wins. The perturbation returned is a row of this call's
     own array.
     """
@@ -107,8 +107,8 @@ def greedy_gradient(search: GreedySearch, eps: np.ndarray, step: float,
     np.multiply(positive, np.float32(step), positive)
     np.negative(positive, signed[:, 0])
     signed = signed.reshape(2 * samples, dim)
-    losses = edit_objective_batch(s.oracle, s.objective.head, s.images[idx], s.labels[idx],
-                                  eps + signed, s.cfg.lam, workspace=s.objective)
+    losses = edit_objective_batch(s.oracle, s.head, s.images[idx], s.labels[idx],
+                                  eps + signed, s.cfg.lam)
     d_best = None
     # one loss stands for every candidate when a stubbed objective returns a
     # float (acceptance criterion 07 stubs it with math.inf)

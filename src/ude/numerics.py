@@ -23,14 +23,15 @@ def check_labels(labels, rows: int | None = None) -> np.ndarray:
     unless there are `rows` of them when given, one per row, and IndexError
     unless every label is 0 or 1."""
     labels = np.asarray(labels)
-    if labels.dtype == np.bool_:
+    kind = labels.dtype.kind
+    if kind == "b":
         labels = labels.astype(np.uint8)
-    elif not np.issubdtype(labels.dtype, np.integer):
+    elif kind not in ("i", "u", "m"):  # numpy's integer kinds: timedelta64 is one
         raise TypeError(f"labels must be integers or bools, got dtype {labels.dtype}")
     if rows is not None and labels.shape != (rows,):
         raise ValueError(f"{rows} rows need labels of shape ({rows},), "
                          f"got shape {labels.shape}")
-    if np.any(labels < 0) or np.any(labels >= NUM_CLASSES):
+    if labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
         raise IndexError("label out of range")
     return labels
 

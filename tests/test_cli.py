@@ -3,7 +3,10 @@ import csv
 import json
 import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict, make_dataclass
 
@@ -523,6 +526,47 @@ class TestExitCodes:
         finally:
             server.shutdown()
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_sigterm_stops_serve_with_exit_0_and_frees_its_socket(self, tmp_path,
+                                                                 monkeypatch):
+        # SIGTERM takes Ctrl-C's path: the server shuts down, removes its
+        # socket file and exits 0, so a second server can bind the path
+        from ude.oracle import InProcessOracle, RemoteOracle
+
+        src = os.path.dirname(os.path.dirname(ude.oracle.__file__))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        path = tmp_path / "t.sock"
+
+        def serve():
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ude.cli", "serve", "--address", str(path)],
+                stdout=subprocess.PIPE, text=True)
+            assert proc.stdout.readline().startswith("serving embeddings")
+            return proc
+
+        def stop(proc):
+            proc.send_signal(signal.SIGTERM)
+            try:
+                return proc.wait(timeout=60)
+            finally:
+                proc.kill()
+                proc.stdout.close()
+
+        assert stop(serve()) == EXIT_OK
+        assert not path.exists()
+        second = serve()
+        try:
+            client = RemoteOracle(str(path))
+            encoder = PipelineConfig.from_dict({}).encoder()
+            x = np.ones((2, encoder.input_dim), np.float32)
+            try:
+                assert client.embed(x).tobytes() == InProcessOracle(encoder).embed(x).tobytes()
+            finally:
+                client.close()
+        finally:
+            assert stop(second) == EXIT_OK
+        assert not path.exists()
 
     @pytest.mark.parametrize("argv", [["generate"], ["run"],
                                       ["sweep", "--param", "lambda", "--values", "0.01"]],

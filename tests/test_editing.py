@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import ude.oracle
 from ude.editing import (
     EditArtifact,
-    ObjectiveWorkspace,
     UdeConfig,
+    _objective,
     edit_objective_batch,
     edit_objective_grad,
     export_noise_map,
@@ -131,43 +131,39 @@ class TestObjective:
            m=st.integers(1, 4), lam=st.sampled_from([0, 0.01, 1.0]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_a_reused_workspace_gives_the_allocating_bytes(self, encoder, dtype, b, m,
-                                                           lam, seed):
-        # three batches of one shape through one workspace: each gives the
-        # bytes of the textbook expressions, -mean(CE) + lam * ||edit||_2
-        # and softmax - onehot
+    def test_the_objective_gives_the_textbook_bytes(self, encoder, dtype, b, m, lam,
+                                                    seed):
+        # three batches of one shape: each gives the bytes of the textbook
+        # expressions, -mean(CE) + lam * ||edit||_2 and softmax - onehot
         rng = np.random.default_rng(seed)
         head = LinearHead(rng.standard_normal((EMBED_DIM, 2)).astype(np.float32),
                           rng.standard_normal(2).astype(np.float32))
         oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
-        workspace = ObjectiveWorkspace(head, lam)
         for _ in range(3):
             labels = rng.integers(0, 2, size=b).astype(np.uint8)
             batch = rng.standard_normal((b, INPUT_DIM)).astype(dtype)
             edits = (rng.standard_normal((m, INPUT_DIM)) * 0.1).astype(np.float32)
-            losses = edit_objective_batch(oracle, head, batch, labels, edits, lam,
-                                          workspace=workspace)
+            losses = edit_objective_batch(oracle, head, batch, labels, edits, lam)
             logits = head_forward(head, oracle.embed_edits(batch, edits))
             shifted = logits - logits.max(axis=-1, keepdims=True)
             ce = -(np.where(labels == 1, shifted[..., 1], shifted[..., 0])
                    - np.log(np.exp(shifted).sum(axis=-1)))
             want = -np.mean(ce, axis=1).astype(np.float64) + lam * l2_norm(edits)
             assert losses.dtype == np.float64 and losses.tobytes() == want.tobytes()
-            # and the CE gradient of each row, which the one-hot buffer feeds
+            # and the CE gradient of each row, which the white-box objective reads
             exps = np.exp(shifted)
             want = exps / exps.sum(axis=-1, keepdims=True) - np.eye(2, dtype=dtype)[labels]
-            _, grad = workspace(oracle.embed_edits(batch, edits), labels, edits)
+            objectives, grad = _objective(head, lam, oracle.embed_edits(batch, edits),
+                                          labels, edits)
+            assert objectives.tobytes() == losses.tobytes()
             assert grad.tobytes() == want.tobytes()
 
-    def test_a_workspace_refuses_a_wrong_embedding_dim_on_every_call(self):
-        # a refused bind must leave nothing that a second call of the same
-        # shapes would take for bound buffers
+    def test_the_objective_refuses_a_wrong_embedding_dim_on_every_call(self):
         head = LinearHead(np.zeros((32, 2), np.float32), np.zeros(2, np.float32))
-        workspace = ObjectiveWorkspace(head, 0.01)
         z, edits = np.zeros((2, 4, 16), np.float32), np.zeros((2, 8), np.float32)
         for _ in range(2):
             with pytest.raises(ValueError, match="embedding dim 16 != head dim 32"):
-                workspace(z, np.zeros(4, np.uint8), edits)
+                _objective(head, 0.01, z, np.zeros(4, np.uint8), edits)
 
     @pytest.mark.parametrize("objective", [edit_objective_batch, edit_objective_grad],
                              ids=["batch", "grad"])

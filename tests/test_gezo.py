@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ude.gezo
-from ude.editing import ObjectiveWorkspace, edit_objective_batch
+from ude.editing import edit_objective_batch
 from ude.gezo import (
     GezoConfig,
     GreedySearch,
@@ -242,21 +242,20 @@ class TestBoundIteration:
         cfg = GezoConfig(local_iters=4, samples=3, epochs=3, batch_size=16)
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["workspace"])
-            return edit_objective_batch(*args, **kwargs)
+        def counting(oracle, sa_head, batch, sa_labels, eps, lam):
+            calls.append(eps.shape)
+            return edit_objective_batch(oracle, sa_head, batch, sa_labels, eps, lam)
 
         monkeypatch.setattr(ude.gezo, "edit_objective_batch", counting)
         oracle = InProcessOracle(encoder)
         learn_ude_gezo(oracle, trained_sa, train.images, train.sa_labels, cfg, 0)
         assert len(calls) == cfg.epochs * cfg.local_iters
-        # one objective workspace serves every call of the run
-        assert isinstance(calls[0], ObjectiveWorkspace)
-        assert all(w is calls[0] for w in calls)
+        # each call scores the 2C candidates of its iteration
+        assert set(calls) == {(2 * cfg.samples, INPUT_DIM)}
         assert oracle.query_counter[0] == len(calls) * 2 * cfg.samples
 
-    def test_the_edit_returned_is_no_workspace_buffer(self, encoder, trained_sa,
-                                                      small_data):
+    def test_the_edit_returned_shares_memory_with_no_search_array(self, encoder,
+                                                                  trained_sa, small_data):
         _, train, _ = small_data
         cfg = GezoConfig(local_iters=5, samples=2, batch_size=16)
         search = GreedySearch(InProcessOracle(encoder), trained_sa, train.images,
@@ -265,10 +264,9 @@ class TestBoundIteration:
         for _ in range(2):
             start = eps
             eps = search.epoch(start, trace)
-            # the search's labels and its objective's buffers, bound on the first call
-            names = vars(search).keys() | vars(search.objective).keys()
-            assert {"labels", "logits", "means", "objectives", "squares"} <= names
-            buffers = [a for part in (search, search.objective)
+            # the search's images and labels, and its head's parameters
+            assert {"images", "labels"} <= vars(search).keys()
+            buffers = [a for part in (search, search.head)
                        for a in vars(part).values() if isinstance(a, np.ndarray)]
             assert not np.shares_memory(eps, start)
             assert not any(np.shares_memory(eps, a) for a in buffers)

@@ -67,9 +67,9 @@ class TestCrossEntropy:
     def test_class_out_of_range(self):
         labels = check_labels([0, 1, 1])
         assert isinstance(labels, np.ndarray) and labels.tolist() == [0, 1, 1]
-        for bad in (2, -1):
-            with pytest.raises(IndexError):
-                check_labels(np.array([0, bad]))
+        for bad in (np.array([0, 2]), np.array([0, -1]), np.array([0, 2], np.uint16)):
+            with pytest.raises(IndexError, match="label out of range"):
+                check_labels(bad)
 
     def test_labels_are_integers(self):
         labels = check_labels(np.array([True, False, True]))
@@ -83,6 +83,9 @@ class TestCrossEntropy:
 
     def test_one_label_per_row(self):
         assert check_labels([0, 1, 1], 3).tolist() == [0, 1, 1]
+        # no labels: no label out of range, nothing for a min or max to reduce
+        empty = check_labels(np.array([], np.int64), 0)
+        assert empty.shape == (0,) and empty.dtype == np.int64
         for bad in ([0, 1], [[0], [1], [1]], 1):
             with pytest.raises(ValueError, match=r"3 rows need labels of shape \(3,\)"):
                 check_labels(bad, 3)
