@@ -19,27 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import is_integer, is_real
+from .numerics import check_binary, is_integer, is_real
 from .prng import derive_seed
 
 
-def _block(side: int, row0: int, col0: int, size: int) -> list[int]:
+def _block(side: int, corner: int, size: int) -> list[int]:
+    """The size x size block at (corner, corner), as row-major pixel indices."""
     return [r * side + c
-            for r in range(row0, row0 + size)
-            for c in range(col0, col0 + size)]
-
-
-def default_sa_region(side: int = 16) -> list[int]:
-    return _block(side, 0, 0, 6)  # top-left 6x6
-
-
-def default_disease_region(side: int = 16) -> list[int]:
-    return _block(side, side - 4, side - 4, 4)  # bottom-right 4x4
-
-
-def default_shared_region(side: int = 16) -> list[int]:
-    mid = side // 2 - 2
-    return _block(side, mid, mid, 4)  # center 4x4
+            for r in range(corner, corner + size)
+            for c in range(corner, corner + size)]
 
 
 # bound on |signal_amp|, |shared_amp_frac| and noise_sigma: far beyond the
@@ -70,11 +58,12 @@ class SynthConfig:
             if not (is_real(value) and low <= value <= MAX_AMPLITUDE):
                 raise ValueError(f"{name} must be a number in [{low:g}, "
                                  f"{MAX_AMPLITUDE:g}], got {value!r}")
-        for name, default in (("sa_region", default_sa_region),
-                              ("disease_region", default_disease_region),
-                              ("shared_region", default_shared_region)):
+        # top-left 6x6, bottom-right 4x4, center 4x4
+        for name, corner, size in (("sa_region", 0, 6),
+                                   ("disease_region", self.side - 4, 4),
+                                   ("shared_region", self.side // 2 - 2, 4)):
             if getattr(self, name) is None:
-                setattr(self, name, default(self.side))
+                setattr(self, name, _block(self.side, corner, size))
         for region in (self.sa_region, self.disease_region, self.shared_region):
             if not (isinstance(region, list)
                     and all(is_integer(i) and 0 <= i < self.dim for i in region)):
@@ -126,13 +115,8 @@ class LabeledImageSet:
         if np.ndim(self.images) != 2 or len(self.images) == 0:
             raise ValueError(f"images must be [N, D] with N >= 1, "
                              f"got shape {np.shape(self.images)}")
-        n = self.images.shape[0]
         for name in ("sa_labels", "disease_labels"):
-            lab = np.asarray(getattr(self, name))
-            # checked before the cast, which would turn 0.5 into 0
-            if lab.shape != (n,) or np.any((lab != 0) & (lab != 1)):
-                raise ValueError(f"{name} must be 0/1 with length {n}")
-            setattr(self, name, lab.astype(np.uint8))
+            setattr(self, name, check_binary(name, getattr(self, name), len(self.images)))
 
     def __len__(self) -> int:
         return self.images.shape[0]

@@ -9,13 +9,12 @@ the oracle (embed_edits, embed_vjp), which applies it.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import LinearHead, TrainConfig, fit_heads
+from .models import LinearHead, TrainConfig, fit_heads, head_forward
 from .numerics import (
     bind_cross_entropy_grad,
     bind_optimizer_step,
@@ -23,8 +22,8 @@ from .numerics import (
     check_epoch_finite,
     check_labels,
     check_optimizer,
+    check_penalty,
     cross_entropy_batch,
-    is_real,
     l2_norm,
     l2_norm_grad,
     one_hot,
@@ -43,8 +42,7 @@ class UdeConfig:
     batch_size: int = 2048
 
     def __post_init__(self):
-        if not (is_real(self.lam) and 0 <= self.lam < math.inf):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        check_penalty(self.lam)
         check_optimizer("adam", self.lr)
         check_counts(epochs=self.epochs, batch_size=self.batch_size)
 
@@ -69,16 +67,12 @@ def _objective(sa_head: LinearHead, lam: float, z: np.ndarray, labels: np.ndarra
     its logits, in arrays of this call. ValueError unless E is the head's
     input dim.
 
-    The head forward in the dtype of z, then one
+    models.head_forward in the dtype of z, then one
     numerics.bind_cross_entropy_grad step with divisor ones (the gradient's
     division by B is left to the caller: x / 1 is exact); the mean is a
     sum then a division by B, as np.mean takes it, and the norm is
     numerics.l2_norm's."""
-    if z.shape[-1] != sa_head.weight.shape[0]:
-        raise ValueError(f"embedding dim {z.shape[-1]} != head dim "
-                         f"{sa_head.weight.shape[0]}")
-    logits = z @ sa_head.weight.astype(z.dtype)
-    logits += sa_head.bias.astype(z.dtype)
+    logits = head_forward(sa_head, z)
     exps, sums = np.empty_like(logits), np.empty_like(logits)
     grad = bind_cross_entropy_grad(logits, exps, sums, one_hot(labels, z.dtype),
                                    np.ones_like(logits))()

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LinearHead, head_forward
+from .numerics import check_binary
 
 NUMERATOR_GROUP = 0  # group a=0 is the DI numerator; recorded in the report
 
@@ -27,15 +28,10 @@ class EvalRecord:
     attrs: np.ndarray
 
     def __post_init__(self):
-        arrs = []
+        """Each a 0/1 vector (numerics.check_binary) of the predictions' length."""
+        rows = np.size(self.predictions)
         for name in ("predictions", "labels", "attrs"):
-            a = np.asarray(getattr(self, name), dtype=np.int64)
-            if a.ndim != 1 or np.any((a != 0) & (a != 1)):
-                raise ValueError(f"{name} must be a binary vector")
-            arrs.append(a)
-            setattr(self, name, a)
-        if not (len(arrs[0]) == len(arrs[1]) == len(arrs[2])):
-            raise ValueError("predictions, labels, attrs must have equal length")
+            setattr(self, name, check_binary(name, getattr(self, name), rows))
 
 
 @dataclass

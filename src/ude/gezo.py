@@ -19,7 +19,8 @@ import numpy as np
 
 from .editing import EditArtifact, edit_objective_batch
 from .models import LinearHead
-from .numerics import check_counts, check_epoch_finite, check_labels, is_real, l2_norm
+from .numerics import (check_counts, check_epoch_finite, check_labels, check_penalty,
+                       is_real, l2_norm)
 from .prng import derive_seed
 
 
@@ -37,8 +38,7 @@ class GezoConfig:
     def __post_init__(self):
         check_counts(local_iters=self.local_iters, samples=self.samples,
                      epochs=self.epochs, batch_size=self.batch_size)
-        if not (is_real(self.lam) and 0 <= self.lam < math.inf):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        check_penalty(self.lam)
         if not (is_real(self.init_step) and 0 < self.init_step < math.inf):
             raise ValueError(f"init_step must be finite and > 0, got {self.init_step!r}")
         if not (is_real(self.decay) and 0 < self.decay < 1):

@@ -186,10 +186,12 @@ def head_forward(head: LinearHead, z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"
-    lr: float = 1e-4
-    epochs: int = 50
-    batch_size: int = 64
+    """How a head trains; the pipeline's config holds the defaults."""
+
+    optimizer: str
+    lr: float
+    epochs: int
+    batch_size: int
 
     def __post_init__(self):
         check_counts(epochs=self.epochs, batch_size=self.batch_size)

@@ -26,7 +26,7 @@ def check_labels(labels, rows: int | None = None) -> np.ndarray:
     kind = labels.dtype.kind
     if kind == "b":
         labels = labels.astype(np.uint8)
-    elif kind not in ("i", "u", "m"):  # numpy's integer kinds: timedelta64 is one
+    elif kind not in ("i", "u"):
         raise TypeError(f"labels must be integers or bools, got dtype {labels.dtype}")
     if rows is not None and labels.shape != (rows,):
         raise ValueError(f"{rows} rows need labels of shape ({rows},), "
@@ -34,6 +34,17 @@ def check_labels(labels, rows: int | None = None) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
         raise IndexError("label out of range")
     return labels
+
+
+def check_binary(name: str, values, rows: int) -> np.ndarray:
+    """values as a uint8 vector: ValueError unless they are `rows` values,
+    each 0 or 1, checked before the cast, which would turn 0.5 into 0. The
+    rule for a record's 0/1 labels and predictions; check_labels is the
+    stricter one for the labels a head trains or is scored on."""
+    values = np.asarray(values)
+    if values.shape != (rows,) or np.any((values != 0) & (values != 1)):
+        raise ValueError(f"{name} must be 0/1 with length {rows}")
+    return values.astype(np.uint8)
 
 
 def is_integer(value) -> bool:
@@ -152,6 +163,13 @@ def check_optimizer(kind: str, lr: float) -> None:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     if not (is_real(lr) and 0 < lr < math.inf):
         raise ValueError(f"lr must be finite and > 0, got {lr!r}")
+
+
+def check_penalty(lam: float) -> None:
+    """ValueError unless lam, the edit's L2 penalty coefficient, is a
+    number, finite and >= 0."""
+    if not (is_real(lam) and 0 <= lam < math.inf):
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
 
 
 def bind_optimizer_step(kind: str, lr: float, param: np.ndarray, grad: np.ndarray):

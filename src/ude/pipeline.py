@@ -19,7 +19,7 @@ import json
 import os
 from collections.abc import Callable
 from contextlib import ExitStack, closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -86,10 +86,9 @@ class PipelineConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     train_counts: CellCounts = field(default_factory=lambda: CellCounts(DESK_TRAIN.n))
     test_counts: CellCounts = field(default_factory=lambda: CellCounts(DESK_TEST.n))
-    sa_train: TrainConfig = field(
-        default_factory=partial(TrainConfig, "adam", 1e-4, 50, batch_size=8))
+    sa_train: TrainConfig = field(default_factory=partial(TrainConfig, "adam", 1e-4, 50, 8))
     disease_train: TrainConfig = field(
-        default_factory=partial(TrainConfig, "adamw", 1.25e-4, 50, batch_size=8))
+        default_factory=partial(TrainConfig, "adamw", 1.25e-4, 50, 8))
     ude: UdeConfig = field(default_factory=UdeConfig)
     gezo: GezoConfig = field(default_factory=GezoConfig)
 
@@ -128,17 +127,21 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict, **overrides) -> "PipelineConfig":
         """`raw`'s config with `overrides` set over it: each field of `raw`
-        must be well-formed, and the merged config consistent."""
+        must be well-formed, and the merged config consistent. A key left
+        out of a sa_train, disease_train, ude or gezo block keeps the
+        default config's value; a synth block is built afresh, since its
+        default regions follow its side."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be an object, got {type(raw).__name__}")
         cls._check_fields(raw)
         raw = {**raw, **overrides}
         try:
-            for key, ctor in (("synth", SynthConfig), ("sa_train", TrainConfig),
-                              ("disease_train", TrainConfig), ("ude", UdeConfig),
-                              ("gezo", GezoConfig)):
+            if "synth" in raw:
+                raw["synth"] = SynthConfig(**raw["synth"])
+            default = cls()
+            for key in ("sa_train", "disease_train", "ude", "gezo"):
                 if key in raw:
-                    raw[key] = ctor(**raw[key])
+                    raw[key] = replace(getattr(default, key), **raw[key])
             for key in ("train_counts", "test_counts"):
                 if key in raw and not isinstance(raw[key], CellCounts):
                     grid = raw[key]

@@ -22,8 +22,10 @@ binary_vec = st.lists(st.integers(0, 1), min_size=8, max_size=32)
 
 class TestEvalRecord:
     def test_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            rec([0, 2], [0, 1], [0, 1])
+        # checked before any cast, which would score 0.5 as 0 and 1.7 as 1
+        for preds in ([0, 2], [0.5, 1], [1.7, 0], ["0", "1"]):
+            with pytest.raises(ValueError):
+                rec(preds, [0, 1], [0, 1])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

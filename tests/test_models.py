@@ -255,7 +255,7 @@ class TestHeadTraining:
         with pytest.raises(ValueError):
             train_head(InProcessOracle(encoder),
                        np.zeros((0, INPUT_DIM), dtype=np.float32),
-                       np.zeros(0, dtype=np.uint8), TrainConfig(), 0)
+                       np.zeros(0, dtype=np.uint8), TrainConfig("adam", 1e-4, 50, 64), 0)
 
 
 # The textbook formulas the training loop must reproduce byte for byte,
@@ -376,7 +376,7 @@ class TestTrainHeadMatchesReference:
         labels[-1] = bad
         with pytest.raises(IndexError):
             train_head(InProcessOracle(encoder), train.images, labels,
-                       TrainConfig(epochs=1, batch_size=16), 0)
+                       TrainConfig("adam", 1e-4, 1, 16), 0)
 
 
 class _FixedEmbeddings:
@@ -509,16 +509,16 @@ class TestFitHeadsMatchesSeparateHeads:
     def test_rejects_non_integer_labels(self, labels):
         z = np.zeros((1, 5, EMBED_DIM), dtype=np.float32)
         with pytest.raises(TypeError, match="labels must be integers or bools"):
-            fit_heads(z, labels, TrainConfig(epochs=1), 0)
+            fit_heads(z, labels, TrainConfig("adam", 1e-4, 1, 64), 0)
 
     def test_rejects_bad_shapes(self):
-        z = np.zeros((2, 5, EMBED_DIM), dtype=np.float32)
+        z, cfg = np.zeros((2, 5, EMBED_DIM), dtype=np.float32), TrainConfig("adam", 1e-4, 50, 64)
         with pytest.raises(ValueError):
-            fit_heads(z[0], np.zeros(5, dtype=np.int64), TrainConfig(), 0)
+            fit_heads(z[0], np.zeros(5, dtype=np.int64), cfg, 0)
         with pytest.raises(ValueError):
-            fit_heads(z, np.zeros(4, dtype=np.int64), TrainConfig(), 0)
+            fit_heads(z, np.zeros(4, dtype=np.int64), cfg, 0)
         with pytest.raises(ValueError):
-            fit_heads(z[:, :0], np.zeros(0, dtype=np.int64), TrainConfig(), 0)
+            fit_heads(z[:, :0], np.zeros(0, dtype=np.int64), cfg, 0)
 
 
 class TestPersistence:

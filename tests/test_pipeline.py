@@ -100,6 +100,18 @@ class TestConfig:
         assert cfg.seed == 3
         assert cfg.gezo.local_iters == 2
 
+    def test_a_partial_block_keeps_the_default_configs_values(self):
+        assert (PipelineConfig.from_dict({"disease_train": {"epochs": 10}}).disease_train
+                == TrainConfig("adamw", 1.25e-4, 10, 8))
+        assert (PipelineConfig.from_dict({"sa_train": {"batch_size": 4}}).sa_train
+                == TrainConfig("adam", 1e-4, 50, 4))
+        assert PipelineConfig.from_dict({"gezo": {"samples": 4}}).gezo == GezoConfig(samples=4)
+        # a synth block is built afresh: its default regions follow its side
+        synth = PipelineConfig.from_dict({"synth": {"side": 12}}).synth
+        assert synth.sa_region == [r * 12 + c for r in range(6) for c in range(6)]
+        assert synth.disease_region == [r * 12 + c for r in range(8, 12) for c in range(8, 12)]
+        assert synth.shared_region == [r * 12 + c for r in range(4, 8) for c in range(4, 8)]
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
