@@ -119,9 +119,12 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
                        sa_labels: np.ndarray, cfg: UdeConfig, seed: int) -> EditArtifact:
     """Adam on the edit against a frozen group head, gradients through the
     encoder, mini-batches shuffled from `seed`. The head and encoder are
-    never modified. CapabilityError, from the oracle's embed_vjp before any
-    step, unless the oracle gives input gradients."""
+    never modified. The labels are checked, one per image, before any
+    oracle call (numerics.check_labels: TypeError, ValueError, also for no
+    images, or IndexError). CapabilityError, from the oracle's embed_vjp
+    before any step, unless the oracle gives input gradients."""
     n, dim = images.shape
+    labels = check_labels(sa_labels, n)
     eps, grad = np.zeros(dim, dtype=np.float32), np.empty(dim, dtype=np.float32)
     step = bind_optimizer_step("adam", cfg.lr, eps, grad)
     rng = np.random.default_rng(derive_seed(seed, 0xED17))
@@ -133,7 +136,7 @@ def learn_ude_whitebox(oracle, sa_head: LinearHead, images: np.ndarray,
         for start in starts:
             idx = order[start:start + cfg.batch_size]
             loss, grad[...] = edit_objective_grad(oracle, sa_head, images[idx],
-                                                  sa_labels[idx], eps, cfg.lam)
+                                                  labels[idx], eps, cfg.lam)
             total += loss
             step()
         loss_trace.append(total / len(starts))
@@ -151,8 +154,11 @@ def train_fair_disease(oracle, edits: list[np.ndarray], images: np.ndarray,
     trainable. Returns one (head, trace) per edit. A zero edit is exactly
     the plain (unedited) baseline path. One oracle call embeds the inputs
     under every edit; each edit's embeddings have the bytes it gives alone,
-    and no edited copy of the inputs is built (models.encoder_forward_edits)."""
-    return fit_heads(oracle.embed_edits(images, np.stack(edits)), disease_labels, cfg, seed)
+    and no edited copy of the inputs is built (models.encoder_forward_edits).
+    The labels are checked, one per image, before the oracle call
+    (numerics.check_labels: TypeError, ValueError or IndexError)."""
+    labels = check_labels(disease_labels, len(images))
+    return fit_heads(oracle.embed_edits(images, np.stack(edits)), labels, cfg, seed)
 
 
 def export_noise_map(eps: np.ndarray, top_fraction: float):

@@ -49,13 +49,12 @@ class GezoConfig:
 
 class GreedySearch:
     """GeZO's local iterations over `images` for one oracle, head, config
-    and generator. Before any query: the labels are checked once, one per
-    image (numerics.check_labels), and ValueError for no images."""
+    and generator. The labels are checked once, one per image, before any
+    oracle call (numerics.check_labels: TypeError, ValueError, also for no
+    images, or IndexError)."""
 
     def __init__(self, oracle, sa_head: LinearHead, images: np.ndarray,
                  sa_labels: np.ndarray, cfg: GezoConfig, rng: np.random.Generator):
-        if len(images) == 0:
-            raise ValueError("empty batch")
         self.oracle, self.images, self.cfg, self.rng = oracle, images, cfg, rng
         self.head, self.labels = sa_head, check_labels(sa_labels, len(images))
 
@@ -112,9 +111,7 @@ def greedy_gradient(search: GreedySearch, eps: np.ndarray, step: float,
     d_best = None
     # one loss stands for every candidate when a stubbed objective returns a
     # float (acceptance criterion 07 stubs it with math.inf)
-    if not isinstance(losses, np.ndarray):
-        losses = np.full(len(signed), losses)
-    for i, loss in enumerate(losses.tolist()):
+    for i, loss in enumerate(np.broadcast_to(losses, len(signed)).tolist()):
         if loss < best_loss:
             best_loss, d_best = loss, signed[i]
     return d_best, best_loss

@@ -2,7 +2,8 @@
 for a hosted foundation-model encoder) and the trainable binary linear
 heads, with hand-derived forward and backward passes. Every forward, and
 the gradient with respect to the edits, factors the encoder's affine first
-layer (encoder_edits_vjp): no edited copy of a batch is ever built.
+layer (encoder_edits_vjp): no edited copy of a batch is ever built. No
+persistence: ude.pipeline saves and loads heads.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def encoder_forward(enc: FrozenEncoder, batch: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearHead:
-    """Binary affine head on embeddings: logits = z @ weight + bias."""
+    """Binary affine head on embeddings: logits = z @ weight + bias.
+    ValueError unless the weight is [E, 2] and the bias [2]."""
 
     weight: np.ndarray  # [E, 2]
     bias: np.ndarray  # [2]
@@ -201,7 +203,9 @@ class TrainConfig:
 def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     """Train one linear head per embedding set z[k] of z [K,N,E], all on the
     same labels and mini-batch order, in one loop. Returns one (head,
-    per-epoch mean CE trace) per set.
+    per-epoch mean CE trace) per set. No oracle call: the labels are
+    checked before any work (numerics.check_labels: TypeError, ValueError,
+    also for no rows, or IndexError).
 
     Embeddings are used in float32. Mini-batch order is a fresh shuffle per
     epoch, drawn from `seed`. Each head's parameters are one [E+1, 2] block,
@@ -230,8 +234,6 @@ def fit_heads(z: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seed: int):
     if z.ndim != 3:
         raise ValueError(f"embeddings must be [K,N,E], got shape {z.shape}")
     k, n, e = z.shape
-    if n == 0:
-        raise ValueError("empty dataset")
     labels = check_labels(labels, n)
 
     params = np.zeros((k, e + 1, NUM_CLASSES), dtype=np.float32)
@@ -299,11 +301,17 @@ def train_head(oracle, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     """Train a linear head on embeddings of images; the encoder stays
     untouched. Returns (head, per-epoch mean CE trace).
 
-    The images are embedded once up front; see fit_heads for the loop.
+    The labels are checked (numerics.check_labels: TypeError, ValueError
+    or IndexError) before the images are embedded, once, up front; see
+    fit_heads for the loop.
     """
+    labels = check_labels(labels, len(images))
     return fit_heads(oracle.embed(images)[None], labels, cfg, seed)[0]
 
 
 def head_accuracy(head: LinearHead, z: np.ndarray, labels: np.ndarray) -> float:
+    """The fraction of the rows of z whose argmax logit is their label, the
+    labels checked one per row (numerics.check_labels: TypeError,
+    ValueError or IndexError)."""
     preds = np.argmax(head_forward(head, z), axis=1)
-    return float(np.mean(preds == np.asarray(labels)))
+    return float(np.mean(preds == check_labels(labels, len(z))))

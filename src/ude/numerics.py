@@ -3,8 +3,10 @@ cross-entropy (every head is binary: two groups, disease or not) in two
 parts, a softmax-and-gradient step bound once to its buffers, which head
 training and both edit objectives run, and the loss read from what that step
 leaves in them; the L2 magnitude penalty; and SGD/Adam/AdamW steps with hand-written update rules
-(no autodiff anywhere in this package); and the per-epoch check that a
-training loop has not diverged.
+(no autodiff anywhere in this package); the per-epoch check that a
+training loop has not diverged; and the input rules. check_labels owns the
+rule for the labels a head trains or is scored on, which every learner and
+scorer runs before its first oracle call.
 """
 
 from __future__ import annotations
@@ -18,16 +20,20 @@ NUM_CLASSES = 2  # the columns of every head's logits
 
 
 def check_labels(labels, rows: int | None = None) -> np.ndarray:
-    """labels as an integer array, bools as 0 and 1 in uint8: TypeError for
-    any other dtype, which one_hot and the loss would misread, ValueError
-    unless there are `rows` of them when given, one per row, and IndexError
-    unless every label is 0 or 1."""
+    """The one rule for the labels a head trains or is scored on, which
+    every learner and scorer runs before its first oracle call: labels as an
+    integer array, bools as 0 and 1 in uint8. TypeError for any other dtype,
+    which one_hot and the loss would misread; ValueError whose text holds
+    "empty batch" when `rows` is 0, and unless there are `rows` of them when
+    given, one per row; IndexError unless every label is 0 or 1."""
     labels = np.asarray(labels)
     kind = labels.dtype.kind
     if kind == "b":
         labels = labels.astype(np.uint8)
     elif kind not in ("i", "u"):
         raise TypeError(f"labels must be integers or bools, got dtype {labels.dtype}")
+    if rows == 0:
+        raise ValueError("empty batch: no rows to label")
     if rows is not None and labels.shape != (rows,):
         raise ValueError(f"{rows} rows need labels of shape ({rows},), "
                          f"got shape {labels.shape}")
@@ -37,25 +43,31 @@ def check_labels(labels, rows: int | None = None) -> np.ndarray:
 
 
 def check_binary(name: str, values, rows: int) -> np.ndarray:
-    """values as a uint8 vector: ValueError unless they are `rows` values,
-    each 0 or 1, checked before the cast, which would turn 0.5 into 0. The
-    rule for a record's 0/1 labels and predictions; check_labels is the
-    stricter one for the labels a head trains or is scored on."""
+    """values as a uint8 vector: ValueError unless they are `rows` values of
+    a bool, integer, float or object dtype, each 0 or 1, checked before the
+    cast, which would turn 0.5 into 0 (a timedelta or complex 1 would pass
+    a value test alone). Floats are taken because tensor_io loads saved
+    labels as float32. The rule for a record's 0/1 labels and predictions;
+    check_labels is the stricter one for the labels a head trains or is
+    scored on."""
     values = np.asarray(values)
-    if values.shape != (rows,) or np.any((values != 0) & (values != 1)):
+    if (values.dtype.kind not in "biufO" or values.shape != (rows,)
+            or np.any((values != 0) & (values != 1))):
         raise ValueError(f"{name} must be 0/1 with length {rows}")
     return values.astype(np.uint8)
 
 
 def is_integer(value) -> bool:
     """Whether value is a Python or numpy integer and not a bool, which
-    Python counts as an int but a config means as true or false."""
+    Python counts as an int but a config means as true or false: the
+    integer test of every config count, seed and index."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_real(value) -> bool:
     """Whether value is an integer, as is_integer has it, or a Python or
-    numpy float: a number, and not a bool."""
+    numpy float: a number, and not a bool. The number test of every config
+    float."""
     return is_integer(value) or isinstance(value, (float, np.floating))
 
 
@@ -75,7 +87,8 @@ class DivergenceError(ArithmeticError):
 def check_epoch_finite(what: str, epoch: int, epochs: int, loss: float,
                        values: np.ndarray) -> None:
     """DivergenceError, naming what was trained and the 1-based epoch,
-    unless the epoch's loss and the values at its end are finite."""
+    unless the epoch's loss and the values at its end are finite. Edit
+    learning and head training share it."""
     bad = np.count_nonzero(~np.isfinite(values))
     if bad or not math.isfinite(loss):
         raise DivergenceError(f"{what} diverged in epoch {epoch + 1} of {epochs}: "
@@ -158,7 +171,8 @@ WEIGHT_DECAY = 0.01  # AdamW only
 
 def check_optimizer(kind: str, lr: float) -> None:
     """ValueError unless kind is sgd, adam or adamw and lr is a number,
-    finite and > 0."""
+    finite and > 0: the rule bind_optimizer_step, TrainConfig and UdeConfig
+    share."""
     if kind not in ("sgd", "adam", "adamw"):
         raise ValueError(f"unknown optimizer kind {kind!r}")
     if not (is_real(lr) and 0 < lr < math.inf):
@@ -167,7 +181,7 @@ def check_optimizer(kind: str, lr: float) -> None:
 
 def check_penalty(lam: float) -> None:
     """ValueError unless lam, the edit's L2 penalty coefficient, is a
-    number, finite and >= 0."""
+    number, finite and >= 0: the range UdeConfig and GezoConfig share."""
     if not (is_real(lam) and 0 <= lam < math.inf):
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
 

@@ -23,7 +23,8 @@ binary_vec = st.lists(st.integers(0, 1), min_size=8, max_size=32)
 class TestEvalRecord:
     def test_rejects_nonbinary(self):
         # checked before any cast, which would score 0.5 as 0 and 1.7 as 1
-        for preds in ([0, 2], [0.5, 1], [1.7, 0], ["0", "1"]):
+        for preds in ([0, 2], [0.5, 1], [1.7, 0], ["0", "1"],
+                      np.array([0, 1], "m8[s]"), np.array([1 + 0j, 0])):
             with pytest.raises(ValueError):
                 rec(preds, [0, 1], [0, 1])
 

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ude.gezo
-from ude.editing import edit_objective_batch
+from ude.editing import (
+    UdeConfig,
+    edit_objective_batch,
+    learn_ude_whitebox,
+    train_fair_disease,
+)
 from ude.gezo import (
     GezoConfig,
     GreedySearch,
@@ -304,11 +309,16 @@ class TestBoundIteration:
                 make(train.images[:0], train.sa_labels[:0])
 
     @pytest.mark.parametrize("learn", [
-        lambda o, h, x, y, cfg: learn_ude_gezo(o, h, x, y, cfg, 0),
-        lambda o, h, x, y, cfg: gezo_epoch(o, h, x, y, np.zeros(INPUT_DIM, np.float32),
-                                           cfg, np.random.default_rng(0)),
-    ], ids=["learn", "epoch"])
-    @pytest.mark.parametrize("bad,error", [("short", ValueError), ("float", TypeError),
+        lambda o, h, x, y: learn_ude_gezo(o, h, x, y, GezoConfig(epochs=1), 0),
+        lambda o, h, x, y: gezo_epoch(o, h, x, y, np.zeros(INPUT_DIM, np.float32),
+                                      GezoConfig(epochs=1), np.random.default_rng(0)),
+        lambda o, h, x, y: train_head(o, x, y, TrainConfig("adam", 1e-4, 1, 16), 0),
+        lambda o, h, x, y: train_fair_disease(o, [np.zeros(INPUT_DIM, np.float32)], x, y,
+                                              TrainConfig("adamw", 1e-4, 1, 16), 0),
+        lambda o, h, x, y: learn_ude_whitebox(o, h, x, y, UdeConfig(epochs=1), 0),
+    ], ids=["learn", "epoch", "train_head", "train_fair_disease", "whitebox"])
+    @pytest.mark.parametrize("bad,error", [("short", ValueError), ("long", ValueError),
+                                           ("float", TypeError),
                                            ("out_of_range", IndexError),
                                            ("no_images", ValueError)])
     def test_bad_input_is_refused_before_the_first_query(self, encoder, trained_sa,
@@ -317,15 +327,18 @@ class TestBoundIteration:
         images, labels = train.images, train.sa_labels.copy()
         if bad == "short":
             labels = labels[:-1]
+        elif bad == "long":
+            labels = np.append(labels, labels[:1])
         elif bad == "float":
             labels = labels.astype(np.float32)
         elif bad == "out_of_range":
             labels[-1] = 2
         else:
             images, labels = images[:0], labels[:0]
-        oracle = InProcessOracle(encoder)
+        # input gradients for the white-box learner; the others only embed
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
         with pytest.raises(error):
-            learn(oracle, trained_sa, images, labels, GezoConfig(epochs=1))
+            learn(oracle, trained_sa, images, labels)
         assert oracle.query_counter == (0, 0) and oracle.round_trips == 0
 
 

@@ -504,12 +504,15 @@ class TestFitHeadsMatchesSeparateHeads:
             assert trace == ref_trace
 
     @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 1.0, 0.0, 1.0]),
+                                        np.full(5, 0.5),
                                         np.array(list("01101"), dtype=object)],
-                             ids=["float", "object"])
+                             ids=["float", "half", "object"])
     def test_rejects_non_integer_labels(self, labels):
         z = np.zeros((1, 5, EMBED_DIM), dtype=np.float32)
         with pytest.raises(TypeError, match="labels must be integers or bools"):
             fit_heads(z, labels, TrainConfig("adam", 1e-4, 1, 64), 0)
+        with pytest.raises(TypeError, match="labels must be integers or bools"):
+            head_accuracy(_zero_head(EMBED_DIM), z[0], labels)
 
     def test_rejects_bad_shapes(self):
         z, cfg = np.zeros((2, 5, EMBED_DIM), dtype=np.float32), TrainConfig("adam", 1e-4, 50, 64)
@@ -519,6 +522,10 @@ class TestFitHeadsMatchesSeparateHeads:
             fit_heads(z, np.zeros(4, dtype=np.int64), cfg, 0)
         with pytest.raises(ValueError):
             fit_heads(z[:, :0], np.zeros(0, dtype=np.int64), cfg, 0)
+        # one label scored against every row
+        with pytest.raises(ValueError, match=r"10 rows need labels of shape \(10,\)"):
+            head_accuracy(_zero_head(EMBED_DIM), np.zeros((10, EMBED_DIM), np.float32),
+                          np.array([0]))
 
 
 class TestPersistence:

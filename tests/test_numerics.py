@@ -84,9 +84,9 @@ class TestCrossEntropy:
 
     def test_one_label_per_row(self):
         assert check_labels([0, 1, 1], 3).tolist() == [0, 1, 1]
-        # no labels: no label out of range, nothing for a min or max to reduce
-        empty = check_labels(np.array([], np.int64), 0)
-        assert empty.shape == (0,) and empty.dtype == np.int64
+        # no rows: nothing for a head to train on or be scored on
+        with pytest.raises(ValueError, match="empty batch"):
+            check_labels(np.array([], np.int64), 0)
         for bad in ([0, 1], [[0], [1], [1]], 1):
             with pytest.raises(ValueError, match=r"3 rows need labels of shape \(3,\)"):
                 check_labels(bad, 3)

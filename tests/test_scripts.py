@@ -9,8 +9,11 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+MODULES = sorted((ROOT / "src" / "ude").glob("*.py"))
+
 # script -> (smallest argv, table header, lines printed)
 CASES = {
+    "code_lines.py": ([], "module code docstring comment blank", len(MODULES) + 2),
     "run_reference_pipeline.py": (
         ["--seeds", "1", "--modes", "whitebox"],
         "mode seed sa_clean sa_edit |eps| | erm_acc erm_EOp erm_DI | ude_acc ude_EOp ude_DI",
@@ -20,6 +23,7 @@ CASES = {
 # script -> malformed argvs, each refused with exit 2 and the usage before
 # anything is printed
 REFUSALS = {
+    "code_lines.py": [["src/ude"]],
     "run_reference_pipeline.py": [
         ["--modes", "foo"], ["--modes", "whitebox,"], ["--seeds", "1,,2"],
         ["--seeds", ""], ["--seeds", "1.5"]],
@@ -58,3 +62,14 @@ def test_script_refuses_malformed_arguments(script, args):
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_code_lines_sum_to_each_module_and_the_total():
+    proc = _run("code_lines.py", [])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    lines = [len(path.read_text().splitlines()) for path in MODULES]
+    assert [row[0] for row in rows] == [path.name for path in MODULES] + ["total"]
+    assert [sum(map(int, row[1:])) for row in rows] == lines + [sum(lines)]
+    assert [sum(int(row[i]) for row in rows[:-1]) for i in range(1, 5)] == list(
+        map(int, rows[-1][1:]))
