@@ -110,8 +110,8 @@ def edit_objective_grad(oracle, sa_head: LinearHead, batch: np.ndarray,
     labels = check_labels(sa_labels, len(batch))
     zb, vjp = oracle.embed_vjp(batch, eps)
     loss, g = _objective(sa_head, lam, zb[None], labels, eps[None])
-    grad = (-vjp(g[0] @ sa_head.weight.astype(batch.dtype).T) / batch.shape[0]
-            + lam * l2_norm_grad(eps.astype(batch.dtype)))
+    grad = (-vjp(g[0] @ sa_head.weight.astype(zb.dtype).T) / batch.shape[0]
+            + lam * l2_norm_grad(eps.astype(zb.dtype)))
     return float(loss[0]), grad.astype(eps.dtype)
 
 

@@ -125,15 +125,26 @@ class EmbeddingOracle:
             self._count(rows // queries)
 
     def _check_edits(self, batch: np.ndarray, edits: np.ndarray):
-        """(batch, edits) as arrays; ValueError unless the batch is a
-        nonempty [B,D] and the edits a nonempty [M,D]."""
+        """(batch, edits) as arrays of the dtype the oracle computes in, the
+        one dtype rule of every request: float64 for a gradient oracle given
+        a float64 batch, which float64 finite differences need, and float32,
+        the wire's dtype, in every other case, so a forward-only oracle in
+        process answers any batch with a RemoteOracle's bytes and dtype.
+        ValueError, before any query or send, unless both are bool, integer
+        or real float arrays (not complex, not object), the batch a nonempty
+        [B,D] and the edits a nonempty [M,D]."""
         batch, edits = np.asarray(batch), np.asarray(edits)
+        if batch.dtype.kind not in "biuf" or edits.dtype.kind not in "biuf":
+            raise ValueError(f"batch and edits must be bool, integer or real float, "
+                             f"got dtypes {batch.dtype} and {edits.dtype}")
         if batch.ndim != 2 or batch.shape[0] == 0:
             raise ValueError(f"batch must be nonempty [B,D], got shape {batch.shape}")
         if edits.ndim != 2 or edits.shape[0] == 0 or edits.shape[1] != batch.shape[1]:
             raise ValueError(f"edits must be nonempty [M,{batch.shape[1]}], "
                              f"got shape {edits.shape}")
-        return batch, edits
+        wide = self.capability == FORWARD_WITH_INPUT_GRAD and batch.dtype == np.float64
+        dtype = np.float64 if wide else np.float32
+        return batch.astype(dtype, copy=False), edits.astype(dtype, copy=False)
 
     def embed(self, batch: np.ndarray) -> np.ndarray:
         """Embeddings [B,E] of `batch`: embed_edits under one zero edit, so
@@ -166,13 +177,8 @@ class InProcessOracle(EmbeddingOracle):
         self.capability = capability
 
     def embed_edits(self, batch: np.ndarray, edits: np.ndarray) -> np.ndarray:
-        """As EmbeddingOracle.embed_edits. A forward-only oracle embeds in
-        float32, the wire's dtype, so that it answers any batch with the
-        bytes and dtype a RemoteOracle gets; one with input gradients keeps
-        the caller's dtype, which float64 finite differences need."""
+        """As EmbeddingOracle.embed_edits, in the dtype _check_edits gives."""
         batch, edits = self._check_edits(batch, edits)
-        if self.capability == FORWARD_ONLY:
-            batch, edits = (a.astype(np.float32, copy=False) for a in (batch, edits))
         z = encoder_forward_edits(self.encoder, batch, edits)
         self._record(z.shape[0], edits.shape[0])
         return z.reshape(edits.shape[0], batch.shape[0], -1)

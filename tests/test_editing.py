@@ -107,6 +107,26 @@ class TestObjective:
                 == np.float64(edit_objective_batch(oracle, head, batch, labels,
                                                    eps, 0.01)).tobytes())
 
+    @given(dtype=st.sampled_from([np.float16, np.int64, np.bool_]), b=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_a_batch_the_oracle_casts_gives_the_bytes_of_its_float32_form(
+            self, encoder, dtype, b, seed):
+        # a gradient oracle embeds a bool, integer or float16 batch in
+        # float32, and the gradient follows the dtype it answers in
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=b).astype(np.uint8)
+        batch = (rng.standard_normal((b, INPUT_DIM)) * 2).astype(dtype)
+        eps = (rng.standard_normal(INPUT_DIM) * 0.1).astype(np.float32)
+        head = LinearHead(rng.standard_normal((EMBED_DIM, 2)).astype(np.float32),
+                          rng.standard_normal(2).astype(np.float32))
+        oracle = InProcessOracle(encoder, capability=FORWARD_WITH_INPUT_GRAD)
+        loss, grad = edit_objective_grad(oracle, head, batch, labels, eps, 0.01)
+        ref_loss, ref_grad = edit_objective_grad(oracle, head, batch.astype(np.float32),
+                                                 labels, eps, 0.01)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.dtype == np.float32 and grad.tobytes() == ref_grad.tobytes()
+
     @given(dtype=st.sampled_from([np.float32, np.float64]), b=st.integers(1, 70),
            scale=st.sampled_from([0.0, 1e-3, 0.1, 3.0]),
            lam=st.sampled_from([0.0, 0.01, 1.0]), seed=st.integers(0, 2**32 - 1))

@@ -1,3 +1,4 @@
+import functools
 import math
 import socket
 import struct
@@ -17,7 +18,6 @@ from ude.editing import (
 )
 from ude.gezo import (
     GezoConfig,
-    GreedySearch,
     gezo_epoch,
     greedy_gradient,
     learn_ude_gezo,
@@ -48,8 +48,8 @@ def trained_sa(encoder, small_data):
 def reference_epoch(oracle, sa_head, images, sa_labels, eps, cfg, rng, trace):
     """gezo_epoch as allocating per-call code: the candidates
     eps + (+-1) * delta, stacked in the order -delta_1, +delta_1, ..., scored
-    by one public edit_objective_batch call per iteration. The stack has the
-    bound path's shapes, so the two agree on any BLAS kernel."""
+    by one public edit_objective_batch call per iteration. The stack has
+    greedy_gradient's shapes, so the two agree on any BLAS kernel."""
     n = images.shape[0]
     eps = eps.astype(np.float32)
     velocity = np.zeros_like(eps)
@@ -77,9 +77,11 @@ def reference_epoch(oracle, sa_head, images, sa_labels, eps, cfg, rng, trace):
 
 
 def first_16(oracle, sa_head, train, samples, rng):
-    """A search whose every batch is the first 16 training images."""
-    return GreedySearch(oracle, sa_head, train.images[:16], train.sa_labels[:16],
-                        GezoConfig(samples=samples, batch_size=16), rng)
+    """greedy_gradient(eps, step, best_loss) whose every batch is the first 16
+    training images."""
+    return functools.partial(greedy_gradient, oracle, sa_head, train.images[:16],
+                             train.sa_labels[:16], GezoConfig(samples=samples, batch_size=16),
+                             rng)
 
 
 class TestConfig:
@@ -96,9 +98,9 @@ class TestGreedyGradient:
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
-        search = first_16(oracle, trained_sa, train, 6, np.random.default_rng(0))
+        gradient = first_16(oracle, trained_sa, train, 6, np.random.default_rng(0))
         before = oracle.query_counter[0]
-        greedy_gradient(search, eps, 0.01, math.inf)
+        gradient(eps, 0.01, math.inf)
         assert oracle.query_counter[0] - before == 2 * 6
 
     def test_returns_none_when_nothing_beats_best(self, encoder, trained_sa,
@@ -106,8 +108,8 @@ class TestGreedyGradient:
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
-        search = first_16(oracle, trained_sa, train, 3, np.random.default_rng(0))
-        d, best = greedy_gradient(search, eps, 0.01, -1e9)
+        gradient = first_16(oracle, trained_sa, train, 3, np.random.default_rng(0))
+        d, best = gradient(eps, 0.01, -1e9)
         assert d is None
         assert best == -1e9
 
@@ -115,17 +117,17 @@ class TestGreedyGradient:
         _, train, _ = small_data
         oracle = InProcessOracle(encoder)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
-        search = first_16(oracle, trained_sa, train, 3, np.random.default_rng(0))
-        d, best = greedy_gradient(search, eps, 0.01, math.inf)
+        gradient = first_16(oracle, trained_sa, train, 3, np.random.default_rng(0))
+        d, best = gradient(eps, 0.01, math.inf)
         assert d is not None
         assert math.isfinite(best)
 
     def test_empty_batch_rejected(self, encoder, trained_sa):
         with pytest.raises(ValueError, match="empty batch"):
-            GreedySearch(InProcessOracle(encoder), trained_sa,
-                         np.zeros((0, INPUT_DIM), dtype=np.float32),
-                         np.zeros(0, dtype=np.uint8), GezoConfig(samples=2),
-                         np.random.default_rng(0))
+            gezo_epoch(InProcessOracle(encoder), trained_sa,
+                       np.zeros((0, INPUT_DIM), dtype=np.float32),
+                       np.zeros(0, dtype=np.uint8), np.zeros(INPUT_DIM, np.float32),
+                       GezoConfig(samples=2), np.random.default_rng(0))
 
 
 class TestEpoch:
@@ -149,11 +151,12 @@ class TestEpoch:
         cfg = GezoConfig(local_iters=12, batch_size=16)
         eps = np.zeros(INPUT_DIM, dtype=np.float32)
         step, best_loss = cfg.init_step, -1e18
-        search = GreedySearch(oracle, trained_sa, train.images[:16], train.sa_labels[:16],
-                              cfg, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
         expected = cfg.init_step
         for _ in range(cfg.local_iters):
-            d, best_loss = greedy_gradient(search, eps, step, best_loss)
+            d, best_loss = greedy_gradient(oracle, trained_sa, train.images[:16],
+                                           train.sa_labels[:16], cfg, rng, eps, step,
+                                           best_loss)
             assert d is None
             step = cfg.decay * step
             expected = cfg.decay * expected
@@ -263,29 +266,28 @@ class TestBoundIteration:
                                                                   trained_sa, small_data):
         _, train, _ = small_data
         cfg = GezoConfig(local_iters=5, samples=2, batch_size=16)
-        search = GreedySearch(InProcessOracle(encoder), trained_sa, train.images,
-                              train.sa_labels, cfg, np.random.default_rng(4))
+        oracle, rng = InProcessOracle(encoder), np.random.default_rng(4)
         eps, trace = np.zeros(INPUT_DIM, np.float32), []
         for _ in range(2):
             start = eps
-            eps = search.epoch(start, trace)
-            # the search's images and labels, and its head's parameters
-            assert {"images", "labels"} <= vars(search).keys()
-            buffers = [a for part in (search, search.head)
-                       for a in vars(part).values() if isinstance(a, np.ndarray)]
+            eps = gezo_epoch(oracle, trained_sa, train.images, train.sa_labels, start, cfg,
+                             rng, trace)
+            # the images, labels and start edit it was given, and the head's
+            # parameters
+            given = [train.images, train.sa_labels, trained_sa.weight, trained_sa.bias]
             assert not np.shares_memory(eps, start)
-            assert not any(np.shares_memory(eps, a) for a in buffers)
+            assert not any(np.shares_memory(eps, a) for a in given)
         assert any(t["improved"] for t in trace)
 
     def test_the_perturbation_returned_keeps_its_bytes_across_the_next_call(
             self, encoder, trained_sa, small_data):
         _, train, _ = small_data
-        search = first_16(InProcessOracle(encoder), trained_sa, train, 3,
+        gradient = first_16(InProcessOracle(encoder), trained_sa, train, 3,
                           np.random.default_rng(0))
         eps = np.zeros(INPUT_DIM, np.float32)
-        d, _ = greedy_gradient(search, eps, 0.01, math.inf)
+        d, _ = gradient(eps, 0.01, math.inf)
         kept = d.tobytes()
-        greedy_gradient(search, eps, 0.5, math.inf)
+        gradient(eps, 0.5, math.inf)
         assert d.tobytes() == kept
 
     def test_labels_are_checked_once_for_every_image(self, encoder, trained_sa,
@@ -295,18 +297,19 @@ class TestBoundIteration:
         start = np.zeros(INPUT_DIM, np.float32)
         bad = train.sa_labels.copy()
         bad[-1] = 2
-        for make in (lambda x, y: GreedySearch(oracle, trained_sa, x, y, cfg,
-                                               np.random.default_rng(0)),
-                     lambda x, y: gezo_epoch(oracle, trained_sa, x, y, start, cfg,
-                                             np.random.default_rng(0))):
-            with pytest.raises(ValueError):
-                make(train.images, train.sa_labels[:-1])
-            with pytest.raises(TypeError):
-                make(train.images, train.sa_labels.astype(float))
-            with pytest.raises(IndexError):
-                make(train.images, bad)
-            with pytest.raises(ValueError, match="empty batch"):
-                make(train.images[:0], train.sa_labels[:0])
+
+        def epoch(x, y):
+            return gezo_epoch(oracle, trained_sa, x, y, start, cfg, np.random.default_rng(0))
+
+        with pytest.raises(ValueError):
+            epoch(train.images, train.sa_labels[:-1])
+        with pytest.raises(TypeError):
+            epoch(train.images, train.sa_labels.astype(float))
+        with pytest.raises(IndexError):
+            epoch(train.images, bad)
+        with pytest.raises(ValueError, match="empty batch"):
+            epoch(train.images[:0], train.sa_labels[:0])
+        assert oracle.query_counter == (0, 0)
 
     @pytest.mark.parametrize("learn", [
         lambda o, h, x, y: learn_ude_gezo(o, h, x, y, GezoConfig(epochs=1), 0),
@@ -410,11 +413,10 @@ class TestFullRun:
         stub.start()
         client = RemoteOracle("127.0.0.1:%d" % listener.getsockname()[1])
         idx = np.arange(cfg.batch_size)
-        search = GreedySearch(client, trained_sa, train.images[idx], train.sa_labels[idx],
-                              cfg, np.random.default_rng(0))
         try:
-            greedy_gradient(search, np.zeros(INPUT_DIM, np.float32), cfg.init_step,
-                            math.inf)
+            greedy_gradient(client, trained_sa, train.images[idx], train.sa_labels[idx],
+                            cfg, np.random.default_rng(0), np.zeros(INPUT_DIM, np.float32),
+                            cfg.init_step, math.inf)
         finally:
             client.close()
             stub.join(timeout=5)

@@ -52,6 +52,10 @@ def module_server(encoder):
     yield from _serve(encoder)
 
 
+# the dtypes of the bool, integer and real float arrays every oracle accepts
+REAL_DTYPES = [np.float32, np.float64, np.float16, np.int64, np.bool_]
+
+
 def _batch(n, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     return rng.normal(size=(n, INPUT_DIM)).astype(np.float32)
@@ -252,28 +256,69 @@ class TestRemoteOracle:
         client.close()
         assert got.tobytes() == want.tobytes()
 
-    @given(batch_dtype=st.sampled_from([np.float32, np.float64]),
-           edit_dtype=st.sampled_from([np.float32, np.float64]),
+    @given(batch_dtype=st.sampled_from(REAL_DTYPES), edit_dtype=st.sampled_from(REAL_DTYPES),
            b=st.integers(1, 8), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None,
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_forward_only_answers_any_dtype_as_the_remote_oracle(
             self, encoder, module_server, batch_dtype, edit_dtype, b, m, seed):
-        """The wire carries float32, so a forward-only in-process oracle
-        embeds in float32 too: for a float64 batch or edits it gives the
-        remote answer's bytes and dtype."""
+        """The wire carries float32, so every oracle embeds in float32 but a
+        gradient oracle given a float64 batch: for a bool, integer, float16
+        or float64 batch or edits the in-process oracles give the remote
+        answer's bytes and dtype."""
         rng = np.random.default_rng(seed)
-        batch = rng.normal(size=(b, INPUT_DIM)).astype(batch_dtype)
-        edits = rng.normal(size=(m, INPUT_DIM)).astype(edit_dtype)
+        batch = (rng.normal(size=(b, INPUT_DIM)) * 2).astype(batch_dtype)
+        edits = (rng.normal(size=(m, INPUT_DIM)) * 2).astype(edit_dtype)
         local, remote = InProcessOracle(encoder), RemoteOracle(module_server.bound_address)
+        grad = InProcessOracle(encoder, FORWARD_WITH_INPUT_GRAD)
         try:
-            for got, want in ((local.embed(batch), remote.embed(batch)),
-                              (local.embed_edits(batch, edits),
-                               remote.embed_edits(batch, edits))):
-                assert got.dtype == want.dtype == np.float32
-                assert got.tobytes() == want.tobytes()
+            for ask in (lambda o: o.embed(batch), lambda o: o.embed_edits(batch, edits)):
+                want = ask(remote)
+                assert want.dtype == np.float32
+                assert ask(local).dtype == np.float32
+                assert ask(local).tobytes() == want.tobytes()
+                if batch_dtype != np.float64:  # float64 is the gradient oracle's own
+                    assert ask(grad).dtype == np.float32
+                    assert ask(grad).tobytes() == want.tobytes()
+            if batch_dtype != np.float64:
+                z, _ = grad.embed_vjp(batch, edits[0])
+                assert z.tobytes() == remote.embed_edits(batch, edits[:1])[0].tobytes()
         finally:
             remote.close()
+
+    @pytest.mark.parametrize("kind", ["forward_only", "gradient", "remote"])
+    @pytest.mark.parametrize("bad", ["complex64", "object"])
+    @pytest.mark.parametrize("where", ["batch", "edits"])
+    def test_complex_and_object_requests_are_refused_before_any_query(
+            self, encoder, module_server, kind, bad, where):
+        if kind == "remote":
+            oracle = RemoteOracle(module_server.bound_address)
+        else:
+            oracle = InProcessOracle(encoder, FORWARD_WITH_INPUT_GRAD if kind == "gradient"
+                                     else FORWARD_ONLY)
+        def spoil(a):
+            return (np.full(a.shape, None, dtype=object) if bad == "object"
+                    else a.astype(np.complex64) + 1j)
+
+        x, edits = _batch(2), _batch(3, rng_seed=1)
+        if where == "batch":
+            x = spoil(x)
+        else:
+            edits = spoil(edits)
+        asks = [lambda: oracle.embed_edits(x, edits)]
+        if where == "batch":
+            asks.append(lambda: oracle.embed(x))
+        if kind == "gradient":
+            asks.append(lambda: oracle.embed_vjp(x, edits[0]))
+        try:
+            for ask in asks:
+                with pytest.raises(ValueError, match="bool, integer or real float"):
+                    ask()
+            assert (oracle.query_counter, oracle.round_trips) == ((0, 0), 0)
+            if kind == "remote":
+                assert oracle._sock is None  # nothing was sent
+        finally:
+            oracle.close()
 
     def test_unix_socket_address(self, encoder, tmp_path):
         srv = OracleServer(encoder, str(tmp_path / "oracle.sock"))
