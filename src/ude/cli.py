@@ -11,11 +11,12 @@ Exit codes: 0 ok, 2 config error (including a non-finite or boolean config
 float, a synth amplitude beyond 1e6 or a negative noise_sigma, a
 non-integer or boolean seed, count or region index, a count grid object
 without "n", a non-string out_dir or oracle, an --out that a stage verb,
-run or sweep cannot create, an empty --oracle or serve --address or one
-whose port is not an integer in [0, 65535], an address serve cannot listen
-on, a noise-map --top-fraction outside (0, 1], a sweep --values or
---seeds item that is empty or not a number, and sweep --seed with
---seeds; the config is checked with --seed, --out, --mode and --oracle set
+run or sweep cannot create, a write under --out that fails (an artifact,
+a manifest, the sweep CSV or the noise-map CSVs), an empty --oracle or
+serve --address or one whose port is not an integer in [0, 65535], an
+address serve cannot listen on, a noise-map --top-fraction outside
+(0, 1], a sweep --values or --seeds item that is empty or not a number,
+and sweep --seed with --seeds; the config is checked with --seed, --out, --mode and --oracle set
 over the file's fields, each of which must be well-formed on its own), 3
 capability error, 4 remote/protocol error (including a server that cannot
 be reached or does not answer in time), 5 undefined metric, 6 edit
@@ -50,6 +51,7 @@ from .pipeline import (
     cmd_sweep,
     load_input,
     run_stages,
+    writing,
 )
 
 EXIT_OK = 0
@@ -170,7 +172,8 @@ def _dispatch(args) -> int:
             raise ConfigError(f"--top-fraction must be in (0, 1], got {args.top_fraction}")
         eps = load_input(cfg, "edit", args.edit).eps
         out = os.path.join(cfg.out_dir, "noise_map")
-        degenerate = write_noise_map_csv(out, eps, cfg.synth.side, args.top_fraction)
+        with writing(out):
+            degenerate = write_noise_map_csv(out, eps, cfg.synth.side, args.top_fraction)
         if degenerate:
             print("warning: constant edit; noise map is degenerate", file=sys.stderr)
         print(f"noise map written to {out}")

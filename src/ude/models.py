@@ -25,7 +25,7 @@ from .numerics import (
     cross_entropy_batch,
     one_hot,
 )
-from .prng import Xorshift64Star, derive_seed
+from .prng import derive_seed, uniform_f32
 
 INPUT_DIM = 256  # 16x16 images
 HIDDEN_DIM = 64
@@ -62,26 +62,23 @@ class FrozenEncoder:
                 "w3": self.w3, "b3": self.b3}
 
 
-def _draw_layer(rng: Xorshift64Star, fan_in: int, fan_out: int):
-    # Glorot-uniform limit; weights filled row-major, then the bias vector,
-    # all from the same stream so the draw order is fully specified.
+def _draw_layer(seed: int, fan_in: int, fan_out: int):
+    # Glorot-uniform limit; one draw of the stream `seed` names, the weights
+    # row-major, then the bias vector, so the draw order is fully specified.
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    w = rng.uniform_array(fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
-    b = rng.uniform_array(fan_out, -limit, limit)
-    return w, b
+    draw = uniform_f32(seed, fan_in * fan_out + fan_out, -limit, limit)
+    return draw[:-fan_out].reshape(fan_in, fan_out), draw[-fan_out:]
 
 
 @cache
 def build_encoder(seed: int, input_dim: int = INPUT_DIM, hidden_dim: int = HIDDEN_DIM,
                   embed_dim: int = EMBED_DIM) -> FrozenEncoder:
     """The encoder `seed` names: a pure function of the arguments, built
-    once per process, and shared, since its weights are read-only."""
+    once per process, and shared, since its weights are read-only. Layer i
+    is drawn from the stream derive_seed(seed, i)."""
     dims = [(input_dim, hidden_dim), (hidden_dim, hidden_dim), (hidden_dim, embed_dim)]
-    layers = []
-    for i, (fi, fo) in enumerate(dims):
-        rng = Xorshift64Star(derive_seed(seed, i))
-        layers.append(_draw_layer(rng, fi, fo))
-    (w1, b1), (w2, b2), (w3, b3) = layers
+    (w1, b1), (w2, b2), (w3, b3) = (_draw_layer(derive_seed(seed, i), fi, fo)
+                                    for i, (fi, fo) in enumerate(dims))
     return FrozenEncoder(*(_frozen(p) for p in (w1, b1, w2, b2, w3, b3)))
 
 

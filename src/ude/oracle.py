@@ -298,17 +298,17 @@ def _raise_pending_error(sock: socket.socket) -> None:
 
 def _read_response(sock: socket.socket, rows: int, cols: int | None) -> np.ndarray:
     """The embeddings answering a request of `rows` rows; ProtocolError for
-    an error frame, any other message type, a different row count, or, given
-    `cols`, a different column count, each raised from the header before
-    any body byte is read or allocated."""
+    an error frame, any other message type, a different row count, no
+    columns, or, given `cols`, a different column count, each raised from
+    the header before any body byte is read or allocated."""
     msg_type = _read_type(sock)
     if msg_type == MSG_ERROR:
         raise _read_error(sock)
     if msg_type != MSG_EMBED_RESPONSE:
         raise ProtocolError(f"unexpected message type 0x{msg_type:02x}")
     b, d = _read_sizes(sock, 2)
-    if b != rows:
-        raise ProtocolError(f"response has {b} rows for a request of {rows}")
+    if b != rows or d == 0:
+        raise ProtocolError(f"response has {d} columns and {b} rows for a request of {rows}")
     if cols is not None and d != cols:
         raise ProtocolError(f"response has {d} columns; earlier responses "
                             f"had {cols}")

@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 from collections.abc import Callable
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -174,13 +174,23 @@ def make_oracle(cfg: PipelineConfig):
     return InProcessOracle(cfg.encoder(), capability=cap)
 
 
+@contextmanager
+def writing(path):
+    """Turn an OSError raised in the block, which writes under `path`, into
+    ConfigError naming it: a write under --out that fails exits 2, as an
+    --out that cannot be created does. Wrap writes only, so that a failed
+    read keeps its own error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def make_out_dir(path) -> str:
     """path, created if absent; ConfigError when it cannot be, so that an
     unusable --out is rejected before any work."""
-    try:
+    with writing(path):
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -323,13 +333,14 @@ ARTIFACTS = {
 
 def save_output(run, name: str, path) -> None:
     """Save the artifact `name` that the store `run` holds at `path`, with
-    its notes taken from `run`."""
+    its notes taken from `run`; ConfigError when it cannot be written."""
     row = ARTIFACTS[name]
-    if row.kind is None:
-        _save_reports(path, run[name])
-    else:
-        save_artifact(path, row.kind, run[name],
-                      **{key: note(run) for key, note in row.notes.items()})
+    with writing(path):
+        if row.kind is None:
+            _save_reports(path, run[name])
+        else:
+            save_artifact(path, row.kind, run[name],
+                          **{key: note(run) for key, note in row.notes.items()})
 
 
 def load_input(cfg: PipelineConfig, name: str, path=None):
@@ -389,16 +400,18 @@ class RunDirectory(dict):
 
     def write_manifest(self, name: str, reads, writes) -> None:
         """<out>/manifests/<name>.json: the config and the file digests of
-        the artifacts read and written that exist."""
-        manifests = os.path.join(self.cfg.out_dir, "manifests")
-        os.makedirs(manifests, exist_ok=True)
+        the artifacts read and written that exist; ConfigError when it
+        cannot be written."""
         manifest = {"stage": name, "version": __version__, "seed": self.cfg.seed,
                     "config": self.cfg.to_dict()}
         for side, artifacts in (("inputs", reads), ("outputs", writes)):
             manifest[side] = {p: _file_digests(p) for p in map(self.path, artifacts)
                               if os.path.exists(p)}
-        with open(os.path.join(manifests, f"{name}.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2)
+        manifests = os.path.join(self.cfg.out_dir, "manifests")
+        with writing(manifests):
+            os.makedirs(manifests, exist_ok=True)
+            with open(os.path.join(manifests, f"{name}.json"), "w") as fh:
+                json.dump(manifest, fh, indent=2)
 
 
 def run_stages(cfg: PipelineConfig, names, store, oracle=None, grad_oracle=None,
@@ -506,7 +519,7 @@ def cmd_sweep(cfg: PipelineConfig, param: str, values: list[float],
                      "DI": rep.one_minus_di_abs, "Acc": rep.accuracy,
                      "eps_norm": res.edit.eps_norm_trace[-1]})
     out_csv = os.path.join(reports, f"sweep_{param}.csv")
-    with open(out_csv, "w", newline="") as fh:
+    with writing(out_csv), open(out_csv, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)

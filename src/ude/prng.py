@@ -1,12 +1,14 @@
 """Deterministic seeded PRNG primitives.
 
-Encoder weights are drawn from an xorshift64* generator (seeded through one
-splitmix64 round) so the draw is a short, documented integer recurrence that
-can be replicated bit-exactly outside this codebase:
+Encoder weights are drawn from an xorshift64* stream (uniform_f32) so the
+draw is a short, documented integer recurrence that can be replicated
+bit-exactly outside this codebase:
 
-    state' = xorshift(state):  x ^= x >> 12;  x ^= x << 25;  x ^= x >> 27
+    state_0 = splitmix64 output of (seed mod 2^64)   (0x9E3779B97F4A7C15 if 0)
+    state' = xorshift(state):  x ^= x >> 12;  x ^= x << 25 (mod 2^64);  x ^= x >> 27
     output = (state' * 0x2545F4914F6CDD1D) mod 2^64
     uniform in [0,1) = (output >> 11) / 2^53   (computed in f64)
+    draw = float32(low + (high - low) * uniform)   (the sum in f64)
 
 Seed derivation for independent streams chains splitmix64 over mix-in words.
 """
@@ -37,29 +39,20 @@ def derive_seed(seed: int, *words: int) -> int:
     return out
 
 
-class Xorshift64Star:
-    """xorshift64* generator; state seeded via one splitmix64 round."""
+def uniform_f32(seed: int, n: int, low: float, high: float) -> np.ndarray:
+    """The first n draws of the xorshift64* stream `seed` names, uniform in
+    [low, high) in f64 and returned as f32 (the cast may round onto high).
+    The states run on Python ints, each stored straight into one uint64
+    array, on which the output rule runs: its multiply wraps mod 2^64 as a
+    masked product of Python ints would."""
+    def states():
+        x = splitmix64(seed & _MASK64)[1] or _SPLITMIX_GAMMA
+        for _ in range(n):
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK64
+            x ^= x >> 27
+            yield x
 
-    def __init__(self, seed: int):
-        _, z = splitmix64(seed & _MASK64)
-        self.state = z if z != 0 else _SPLITMIX_GAMMA
-
-    def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK64
-        x ^= x >> 27
-        self.state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
-
-    def uniform(self) -> float:
-        """Uniform f64 in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-    def uniform_array(self, n: int, low: float, high: float) -> np.ndarray:
-        """n uniform draws in [low, high), computed in f64, returned as f32."""
-        out = np.empty(n, dtype=np.float64)
-        span = high - low
-        for i in range(n):
-            out[i] = low + span * self.uniform()
-        return out.astype(np.float32)
+    out = np.fromiter(states(), np.uint64, n) * np.uint64(0x2545F4914F6CDD1D)
+    u = (out >> np.uint64(11)) * (1.0 / (1 << 53))
+    return (low + (high - low) * u).astype(np.float32)

@@ -6,6 +6,7 @@ import pytest
 
 from ude.datagen import CellCounts, SynthConfig, generate
 from ude.models import build_encoder
+from ude.prng import splitmix64
 from ude.tensor_io import tensor_digest
 
 
@@ -58,6 +59,22 @@ def central_diff(f, x, h=1e-5):
         xm[i] -= h
         grad[i] = (f(xp) - f(xm)) / (2 * h)
     return grad
+
+
+def reference_draws(seed, n, low, high):
+    """The first n draws of the xorshift64* stream `seed` names, one scalar
+    step at a time in pure Python, as the prng module docstring writes the
+    recurrence and the output rule: what prng.uniform_f32 must return."""
+    mask = (1 << 64) - 1
+    x = splitmix64(seed & mask)[1] or 0x9E3779B97F4A7C15
+    draws = []
+    for _ in range(n):
+        x ^= x >> 12
+        x ^= (x << 25) & mask
+        x ^= x >> 27
+        u = (((x * 0x2545F4914F6CDD1D) & mask) >> 11) * 2.0 ** -53
+        draws.append(low + (high - low) * u)
+    return np.array(draws, dtype=np.float64).astype(np.float32)
 
 
 def head_bytes(head):

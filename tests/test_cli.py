@@ -583,6 +583,22 @@ class TestExitCodes:
         assert main([*argv, "--config", cfg, "--out", str(blocker / "run")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("blocker", ["data", "manifests", "reports", "noise_map"])
+    def test_write_under_out_that_fails_is_config_error(self, tmp_path, capsys, full_run,
+                                                        blocker):
+        # a file where a verb writes a directory under --out: the write fails,
+        # and the verb exits 2 naming where, with no traceback
+        cfg = write_tiny_config(tmp_path)
+        blocked = tmp_path / "run" / blocker
+        blocked.parent.mkdir()
+        blocked.write_text("not a directory")
+        argv = (["noise-map", "--edit", str(full_run / "edit")] if blocker == "noise_map"
+                else ["run"])
+        assert main([*argv, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(blocked) in err
+        assert "Traceback" not in err
+
     def test_removed_clamp_key_is_config_error(self, tmp_path):
         cfg = write_tiny_config(tmp_path, ude={"clamp": [0, 1]})
         assert main(["learn-edit", "--config", cfg]) == EXIT_CONFIG

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from ude.numerics import (
 )
 from ude.oracle import InProcessOracle
 from ude.pipeline import PipelineConfig, load_input, save_output
-from ude.prng import Xorshift64Star, derive_seed
+from ude.prng import derive_seed
 
 from conftest import (
     assert_near_float64_forward,
@@ -41,8 +42,54 @@ from conftest import (
     central_diff,
     encoder_digests,
     head_bytes,
+    reference_draws,
     unfactored_forward,
 )
+
+
+# seed -> sha256 of the raw bytes of each build_encoder(seed, 256) parameter,
+# w1, b1, w2, b2, w3, b3. A change to the draw that moves any weight fails
+# here before it moves the pinned pipeline outputs. The draw takes integer
+# ops and correctly rounded float64 ops only, no BLAS and no tanh or exp, so
+# these bytes do not depend on the host's kernels.
+ENCODER_SHA256 = {
+    1: ("dfdc6078ac6604454c89c760d55d61412c27db8a3536c6048b8875d19be1ac4b",
+        "f7e3ca535246ff3e7915fe6f9f77d615081c43f2332caea8c7954e19762d4d8e",
+        "fd571221b2fcb5ee62ec029a907e225623d09d2b1235920a569a35a1add915b7",
+        "c47d4731af06d7d291477b2c7729393d4b7f26dff03cba314d9ad9e3c49df035",
+        "c5d3b302b441087a861968b8a6741ac3fdaa54b98a59a09bfe578d6eba008168",
+        "a006188e0307d547ccf5e23d04495203c906bdf8b2e45c1e295197e25cf104fa"),
+    2: ("10e9505ebd30ebdeb2b6a372e1109dcf69309c612db5af525481d14f73e16457",
+        "c4bdc54b5074f5cdacefa30f8ba5a32f4b16b41f73d13ecc2bde2442aaf75712",
+        "a6acf83dc18fc86e4d5c7db1774080dc8ab40888966d21c8f702e28f3079fbf0",
+        "c73e38f54bbb93fe114db5a0f0f170b7475cf8cbebadfbade540f47dcb36d23e",
+        "5c8add8e98189dc5cd5e2f1637b9b5bd4de5e5d0b61d8396b1bfb0a56649e6eb",
+        "62f209fe7c7fa14277ea2dc6f1e56cc8ad89719e289c712d3dcbf4ee4cf76f11"),
+    3: ("1608a48786a3cc4fa8cb22eaa1f1c1f10330e39b0bad207da00314a29ccc1a2b",
+        "4402d76eaf89e5ceef72001c7161395ca390617d445f182274c2bfb2f6099e57",
+        "03f42f8bda273ba06dade68e81ed284ea64bbc9c722bbffb5cc420570418d28a",
+        "af5156c5fc176f827c18597c6f2cbf7ecf12e53c02d866ce74ecd6e86c1d035c",
+        "dd717f8b21889e0c275950126d28cd7f5214d40deb4cd3cab1d32eaecc54bb0f",
+        "5a22c69a5ad46f38c47391ed21716a91076850a7ab16107750d7d08f564d6072"),
+    4: ("60dfca156f5a95922fcc39388a67f1fda144a24307c2340567c8130478bb8499",
+        "c69f517bda58863e4c61b50a7a6e59d027555ae97eaa7b66f5cdad68ad9ebeca",
+        "05020aa2d03d32876f92f2fbaffcc12a901795e435c4e2081a39b0e8c096da3f",
+        "f17bd3e3772e4d83aa9d7ef2f930e5bfe4514b950e6b69055a43f97cd7e7403d",
+        "07426733dcbd6e191783db98472e617ccb014d0c6d70fa20b4e74b198f942a4c",
+        "e35a83b644e289e9fbabcb820b64e156cc25c0e59ef07f8c0d7cf382686a15a0"),
+    5: ("7596eed8bd8d414488777d25a11142afb7111fe92c28b86932a4d2a3bd2c55f8",
+        "544a727189f7d0fb2545bb33bfa0bb9f48527106d8c99b9b9db4abe9cc5bdcb5",
+        "dc0b2b4ca3b0aae24c3357aa2c5a5fe98502837ce8a6b738f4098848e5aa97a7",
+        "bfc37aa182891457897308b932dbb6e4b0e50848cea52fce20d442e8d1abf89d",
+        "e45286bf1fbdcafbda41a280237453f83d19c28faf50b2c307ac0d331e627cf4",
+        "161cef4ab97a8c4b0baa3857e35e12b58fb7c3b782b4cd01e6d85269a8bef497"),
+    16: ("9c2cfd5e36291ead1ca6fbe8b1350533532ef72645b48c0eb0f5973cbd67a25c",
+         "19ed3678ed3f442f50804fa572e34a49548cccc6350ebe78bae5b4d9cf0dca94",
+         "ec11cfe074368d14ee5ae0212059a151ade512bded314ffbc460a41468a954f7",
+         "ca17773150b2e8755ca09c1de8ca20c0c81771494986b88a61c9cda86507eedb",
+         "a8404ee2e29885b4ae25aa255c64b677a392b77873d96729a95e46a7418db6d3",
+         "46cb354127d409627ae8dc9ecd361b857609fa55c8a846d0fd6ebf276f08a8dc"),
+}
 
 
 def _zero_head(embed_dim):
@@ -85,11 +132,16 @@ class TestEncoderConstruction:
         # +-sqrt(6/(fan_in+fan_out))
         enc = build_encoder(seed=5)
         limit = math.sqrt(6.0 / (INPUT_DIM + 64))
-        rng = Xorshift64Star(derive_seed(5, 0))
-        w = rng.uniform_array(INPUT_DIM * 64, -limit, limit).reshape(INPUT_DIM, 64)
-        b = rng.uniform_array(64, -limit, limit)
-        assert np.array_equal(enc.w1, w)
-        assert np.array_equal(enc.b1, b)
+        draws = reference_draws(derive_seed(5, 0), INPUT_DIM * 64 + 64, -limit, limit)
+        assert np.array_equal(enc.w1, draws[:-64].reshape(INPUT_DIM, 64))
+        assert np.array_equal(enc.b1, draws[-64:])
+
+    @pytest.mark.parametrize("seed", sorted(ENCODER_SHA256))
+    def test_each_parameter_keeps_its_pinned_bytes(self, seed):
+        enc = build_encoder(seed, INPUT_DIM)
+        got = {name: hashlib.sha256(p.tobytes()).hexdigest()
+               for name, p in enc.parameters().items()}
+        assert got == dict(zip(("w1", "b1", "w2", "b2", "w3", "b3"), ENCODER_SHA256[seed]))
 
     def test_glorot_bounds(self, encoder):
         for (fi, fo), w in (((INPUT_DIM, 64), encoder.w1),

@@ -363,14 +363,15 @@ class TestRemoteOracle:
         assert exc.value.code == ERR_DIM_MISMATCH
         client.close()
 
-    @pytest.mark.parametrize("reply", ["short", "wrong_type", "narrower"])
+    @pytest.mark.parametrize("reply", ["short", "wrong_type", "no_columns", "narrower"])
     def test_bad_response_is_protocol_error(self, reply):
         # a stub server that answers B-1 rows, or a message of type 0x02, or
-        # a first answer 32 columns wide and then, on the same connection,
-        # one 31 wide
+        # B rows of 0 columns and no body, or a first answer 32 columns wide
+        # and then, on the same connection, one 31 wide
         message, replies = {
             "short": ("2 rows", [(-1, MSG_EMBED_RESPONSE, 32)]),
             "wrong_type": ("type 0x02", [(0, 0x02, 32)]),
+            "no_columns": ("0 columns", [(0, MSG_EMBED_RESPONSE, 0)]),
             "narrower": ("31 columns", [(0, MSG_EMBED_RESPONSE, 32),
                                         (0, MSG_EMBED_RESPONSE, 31)]),
         }[reply]
